@@ -8,15 +8,17 @@ on seeded samples and report a clearly labeled "sampled-pass" verdict.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import UnsupportedInstanceError
+from .kernel import ProductKernel
 from .operators import LambdaFamily, MultiOperator, apply_lambda_f, surjectivity_report
-from .orders import LSet, OrderRelation, compare_L
-from .product import ProductKind, product_distance, product_points
+from .orders import LSet, OrderRelation
+from .product import ProductKind, product_distance
 from .spaces import DistanceSpace
 
 Point = Any
@@ -181,20 +183,6 @@ def check_order_distance_compat(
     )
 
 
-def _comparable_product_pairs(
-    space: DistanceSpace, order: OrderRelation, lset: LSet, include_equal: bool = False
-) -> list[tuple[tuple, tuple]]:
-    pts = product_points(space, lset.m)
-    pairs = []
-    for x in pts:
-        for y in pts:
-            if x == y and not include_equal:
-                continue
-            if compare_L(order, lset, x, y):
-                pairs.append((x, y))
-    return pairs
-
-
 def check_omega(
     space: DistanceSpace,
     order: OrderRelation,
@@ -242,25 +230,23 @@ def check_omega(
             return ConditionReport(name, "fail", clauses)
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
-    rho = product_distance(space, kind)
     isotone = variant in (1, 3)
     table = space.table_backed and kind is ProductKind.SUP
 
-    images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
-    for x, y in _comparable_product_pairs(space, order, lset):
-        fx, fy = images[x], images[y]
-        ordered = (
-            compare_L(order, lset, fx, fy)
-            if isotone
-            else compare_L(order, lset, fy, fx)
-        )
-        if not ordered:
-            clauses.append(Clause("image order", False, (x, y)))
-            return ConditionReport(name, "fail", clauses)
-        lhs = rho(fx, fy) + rho(fy, fx)
-        rhs = rho(x, y) + rho(y, x)
-        if not _strictly_less(lhs, rhs, table):
-            clauses.append(Clause("strict contraction", False, (x, y)))
+    kernel = ProductKernel(space, lset.m)
+    O = kernel.order_matrix(order)
+    image = kernel.image(F, family)
+    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=False):
+        fx, fy = image[xs], image[ys]
+        ordered = kernel.leq_L(O, lset, fx, fy) if isotone else kernel.leq_L(O, lset, fy, fx)
+        lhs = kernel.distance(kind, fx, fy) + kernel.distance(kind, fy, fx)
+        rhs = kernel.distance(kind, xs, ys) + kernel.distance(kind, ys, xs)
+        bad = ~ordered | ~_strictly_less(lhs, rhs, table)
+        if bad.any():
+            k = int(np.argmax(bad))
+            clause = "image order" if not ordered[k] else "strict contraction"
+            witness = (kernel.point(xs[k]), kernel.point(ys[k]))
+            clauses.append(Clause(clause, False, witness))
             return ConditionReport(name, "fail", clauses)
     clauses.append(Clause("image order", True))
     clauses.append(Clause("strict contraction", True))
@@ -268,7 +254,9 @@ def check_omega(
 
 
 def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
-    """Return a lookup: rho -> min {r in grid : rho < r + delta(r)} or None.
+    """Return first_failure(rho, image_rho, table_backed): the first position
+    k whose binding r = min {r in grid : rho[k] < r + delta(r)} exists while
+    image_rho[k] < r fails, as (k, r); None if there is none.
 
     The implication "for all r with rho < r + delta(r): image < r" binds only
     at the smallest premise-satisfying r, so one lookup per pair suffices.
@@ -280,12 +268,17 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     for i in range(len(entries) - 1, -1, -1):
         running = min(running, entries[i][1])
         suffix_min[i] = running
+    bounds = np.array(suffix_min + [np.inf])
 
-    def lookup(rho: float) -> Optional[float]:
-        i = bisect.bisect_right(thresholds, rho)
-        return suffix_min[i] if i < len(entries) else None
+    def first_failure(rho, image_rho, table_backed: bool) -> Optional[tuple[int, float]]:
+        i = np.searchsorted(thresholds, rho, side="right")
+        bad = ~_strictly_less(np.asarray(image_rho), bounds[i], table_backed)
+        if not bad.any():
+            return None
+        k = int(np.argmax(bad))
+        return k, suffix_min[i[k]]
 
-    return lookup
+    return first_failure
 
 
 def check_mk_space(
@@ -302,16 +295,13 @@ def check_mk_space(
         raise UnsupportedInstanceError("literal MK check needs a finite carrier")
     if not r_grid:
         raise ValueError("r_grid must be nonempty")
-    lookup = _binding_r(r_grid, delta)
-    for x in space.points:
-        for y in space.points:
-            if not order.leq(x, y):
-                continue
-            d = space.dist(x, y)
-            r = lookup(d)
-            if r is not None and not _strictly_less(d, r, space.table_backed):
-                clause = Clause("MK space condition", False, (x, y, r))
-                return ConditionReport("mk-space", "fail", [clause])
+    pairs = [(x, y) for x in space.points for y in space.points if order.leq(x, y)]
+    d = [space.dist(x, y) for x, y in pairs]
+    found = _binding_r(r_grid, delta)(d, d, space.table_backed)
+    if found is not None:
+        k, r = found
+        clause = Clause("MK space condition", False, (*pairs[k], r))
+        return ConditionReport("mk-space", "fail", [clause])
     return ConditionReport("mk-space", "pass", [Clause("MK space condition", True)])
 
 
@@ -363,39 +353,73 @@ def check_mk_operator(
     Finite instances with no explicit sample are exhausted and may report
     "pass"; supplied samples yield at most "sampled-pass".
     """
-    exhaustive = pairs is None
-    if exhaustive:
-        pairs = _comparable_product_pairs(space, order, lset, include_equal=True)
-    if not pairs:
-        raise ValueError("no comparable pairs to check")
-
-    rho = product_distance(space, kind)
-    evaluated = [
-        (x, y, rho(x, y), rho(apply_lambda_f(F, family, x), apply_lambda_f(F, family, y)))
-        for x, y in pairs
-    ]
-    if r_grid is None:
-        r_grid = sorted({d for _, _, d, _ in evaluated if d > 0})
-        if not r_grid:
-            r_grid = [1.0]
-    lookup = _binding_r(r_grid, delta)
     table = space.table_backed and kind is ProductKind.SUP
-
-    for x, y, d, d_img in evaluated:
-        r = lookup(d)
-        if r is not None and not _strictly_less(d_img, r, table):
-            clause = Clause("MK operator condition", False, (x, y, r))
-            return ConditionReport(
-                "mk-operator", "fail", [clause], seed=seed, samples=len(pairs)
-            )
-    verdict = "pass" if exhaustive else "sampled-pass"
+    if pairs is None:
+        failure, samples = _mk_operator_exhaustive(
+            space, order, F, family, lset, delta, kind, r_grid, table
+        )
+    else:
+        if not pairs:
+            raise ValueError("no comparable pairs to check")
+        rho = product_distance(space, kind)
+        d, d_img = [], []
+        for x, y in pairs:
+            d.append(rho(x, y))
+            d_img.append(rho(apply_lambda_f(F, family, x), apply_lambda_f(F, family, y)))
+        if r_grid is None:
+            r_grid = sorted({v for v in d if v > 0}) or [1.0]
+        found = _binding_r(r_grid, delta)(d, d_img, table)
+        failure = None if found is None else (*pairs[found[0]], found[1])
+        samples = len(pairs)
+    if failure is not None:
+        clause = Clause("MK operator condition", False, failure)
+        return ConditionReport("mk-operator", "fail", [clause], seed=seed, samples=samples)
     return ConditionReport(
         "mk-operator",
-        verdict,
+        "pass" if pairs is None else "sampled-pass",
         [Clause("MK operator condition", True)],
         seed=seed,
-        samples=len(pairs),
+        samples=samples,
     )
+
+
+def _mk_operator_exhaustive(
+    space: DistanceSpace,
+    order: OrderRelation,
+    F: MultiOperator,
+    family: LambdaFamily,
+    lset: LSet,
+    delta: MeirKeelerModulus,
+    kind: ProductKind,
+    r_grid: Optional[Sequence[float]],
+    table_backed: bool,
+) -> tuple[Optional[tuple], int]:
+    """(first failing (x, y, r) or None, number of comparable pairs) over every
+    comparable pair, equal pairs included.  The auto r grid is the set of
+    distinct positive pair distances."""
+    kernel = ProductKernel(space, lset.m)
+    O = kernel.order_matrix(order)
+    samples = 0
+    distances = []
+    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
+        samples += len(xs)
+        if r_grid is None:
+            d = kernel.distance(kind, xs, ys)
+            distances.append(np.unique(d[d > 0]))
+    if not samples:
+        raise ValueError("no comparable pairs to check")
+    image = kernel.image(F, family)
+    if r_grid is None:
+        r_grid = np.unique(np.concatenate(distances)).tolist() or [1.0]
+    first_failure = _binding_r(r_grid, delta)
+    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
+        d = kernel.distance(kind, xs, ys)
+        d_img = kernel.distance(kind, image[xs], image[ys])
+        found = first_failure(d, d_img, table_backed)
+        if found is not None:
+            k, r = found
+            return (kernel.point(xs[k]), kernel.point(ys[k]), r), samples
+    return None, samples
 
 
 def check_mk(
@@ -435,16 +459,16 @@ def check_mk(
         return ConditionReport(name, "fail", clauses)
 
     isotone = variant == 1
-    images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
-    for x, y in _comparable_product_pairs(space, order, lset, include_equal=True):
-        fx, fy = images[x], images[y]
-        ordered = (
-            compare_L(order, lset, fx, fy)
-            if isotone
-            else compare_L(order, lset, fy, fx)
-        )
-        if not ordered:
-            clauses.append(Clause("image order", False, (x, y)))
+    kernel = ProductKernel(space, lset.m)
+    O = kernel.order_matrix(order)
+    image = kernel.image(F, family)
+    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
+        fx, fy = image[xs], image[ys]
+        ordered = kernel.leq_L(O, lset, fx, fy) if isotone else kernel.leq_L(O, lset, fy, fx)
+        if not ordered.all():
+            k = int(np.argmin(ordered))
+            witness = (kernel.point(xs[k]), kernel.point(ys[k]))
+            clauses.append(Clause("image order", False, witness))
             return ConditionReport(name, "fail", clauses)
     clauses.append(Clause("image order", True))
     return ConditionReport(name, "pass", clauses)

@@ -25,7 +25,8 @@ class CapacityError(MultifixError):
 
 
 class EvaluationError(MultifixError):
-    """An operator table has no entry for the requested argument tuple."""
+    """An operator has no entry for the requested argument tuple, or its
+    value lies outside the carrier."""
 
 
 class ParseError(MultifixError):

@@ -1,0 +1,127 @@
+"""Integer coding of a finite instance for the exhaustive pair checks.
+
+Carrier points become indices ``0..n-1`` and the product ``X^m`` becomes the
+``(N, m)`` array of index tuples, in :func:`product_points` order, so a
+product point is one integer in ``0..N-1``.  The order is an ``n x n``
+boolean matrix, the distance the base ``n x n`` matrix, and ``lambdaF`` one
+index map over the ``N`` tuples.
+
+Comparable pairs under ``<=_L`` come out in row blocks of about
+``BLOCK_ENTRIES`` candidate pairs, in canonical order (``x`` in product
+order, then ``y``), so memory stays ``O(block x N)`` and never ``O(N^2)``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from .errors import EvaluationError
+from .operators import LambdaFamily, MultiOperator
+from .orders import LSet, OrderRelation
+from .product import ProductKind, product_size
+from .spaces import DistanceSpace
+
+# Candidate (x, y) pairs tested per block: 1 MB of booleans.
+BLOCK_ENTRIES = 1 << 20
+
+
+class ProductKernel:
+    """The finite product ``X^m`` of one space, coded as integers.
+
+    Raises what :func:`product_points` raises on the same arguments: an
+    :class:`UnsupportedInstanceError` for a continuous carrier and a
+    :class:`CapacityError` above the materialization cap.
+    """
+
+    def __init__(self, space: DistanceSpace, m: int):
+        size = product_size(space, m)
+        self.labels = space.points
+        self.n = len(self.labels)
+        self.m = m
+        self.shape = (self.n,) * m
+        self.coords = np.stack(np.unravel_index(np.arange(size), self.shape), axis=1)
+        self.space = space
+
+    @property
+    def size(self) -> int:
+        return len(self.coords)
+
+    def point(self, k) -> tuple:
+        """Decode product index ``k`` to its tuple of carrier labels."""
+        return tuple(self.labels[c] for c in self.coords[k])
+
+    def order_matrix(self, order: OrderRelation) -> np.ndarray:
+        return np.array(
+            [[order.leq(a, b) for b in self.labels] for a in self.labels], dtype=bool
+        ).reshape(self.n, self.n)
+
+    def image(self, F: MultiOperator, family: LambdaFamily) -> np.ndarray:
+        """lambdaF as an index map: ``image[k]`` codes lambdaF(point(k)).
+
+        F is called once per distinct argument tuple, in the order a
+        point-by-point sweep would first need it.
+        """
+        if F.m != family.m or self.m != family.m:
+            raise ValueError(
+                f"arity mismatch: operator {F.m}, family {family.m}, point {self.m}"
+            )
+        # args[k, i] codes the argument tuple of F for output coordinate i.
+        args = np.stack(
+            [
+                np.ravel_multi_index(tuple(self.coords[:, j - 1] for j in row), self.shape)
+                for row in family.rows
+            ],
+            axis=1,
+        )
+        needed, first = np.unique(args, return_index=True)
+        index = {label: i for i, label in enumerate(self.labels)}
+        values = np.zeros(self.size, dtype=np.intp)
+        for k in needed[np.argsort(first)]:
+            arg = self.point(k)
+            value = F(*arg)
+            if value not in index:
+                raise EvaluationError(
+                    f"operator value {value!r} at {arg} is outside the carrier"
+                )
+            values[k] = index[value]
+        image_coords = values[args]
+        return np.ravel_multi_index(tuple(image_coords.T), self.shape)
+
+    def leq_L(self, O: np.ndarray, lset: LSet, xs, ys) -> np.ndarray:
+        """Elementwise ``x <=_L y`` over broadcastable arrays of product
+        indices: forward on L coordinates, backward elsewhere."""
+        ok = None
+        for i in range(self.m):
+            a, b = self.coords[xs, i], self.coords[ys, i]
+            step = O[a, b] if i + 1 in lset.members else O[b, a]
+            ok = step if ok is None else ok & step
+        return ok
+
+    def comparable_pairs(
+        self, O: np.ndarray, lset: LSet, include_equal: bool
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Blocks ``(xs, ys)`` of comparable pairs ``x <=_L y``, in canonical
+        order."""
+        N = self.size
+        every = np.arange(N)
+        height = max(1, BLOCK_ENTRIES // max(N, 1))
+        for start in range(0, N, height):
+            rows = np.arange(start, min(start + height, N))
+            mask = self.leq_L(O, lset, rows[:, None], every[None, :])
+            if not include_equal:
+                mask[np.arange(len(rows)), rows] = False
+            r, c = np.nonzero(mask)
+            if len(r):
+                yield rows[r], c
+
+    def distance(self, kind: ProductKind, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Product distances of index pairs; the sum adds coordinates left to
+        right exactly like :func:`sum_distance`."""
+        D = self.space.matrix()
+        total = D[self.coords[xs, 0], self.coords[ys, 0]]
+        for i in range(1, self.m):
+            d = D[self.coords[xs, i], self.coords[ys, i]]
+            total = np.maximum(total, d) if kind is ProductKind.SUP else total + d
+        return total

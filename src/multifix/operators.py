@@ -71,8 +71,9 @@ class MultiOperator:
     ) -> "MultiOperator":
         """Finite operator table keyed by argument tuples.
 
-        When the carrier is given the table is validated for completeness up
-        front; missing entries otherwise surface as evaluation errors.
+        When the carrier is given the table is validated up front: complete,
+        and with every value in the carrier.  Missing entries otherwise
+        surface as evaluation errors.
         """
         table = dict(table)
         if carrier is not None:
@@ -81,6 +82,12 @@ class MultiOperator:
             for key in itertools.product(carrier, repeat=m):
                 if key not in table:
                     raise EvaluationError(f"operator table missing entry for {key}")
+            points = set(carrier)
+            for key, value in table.items():
+                if value not in points:
+                    raise EvaluationError(
+                        f"operator value {value!r} at {key} is outside the carrier"
+                    )
 
         def func(*args: Point) -> Point:
             try:

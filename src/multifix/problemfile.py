@@ -17,6 +17,7 @@ Block layout (order free, '#' starts a comment):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,6 +154,10 @@ def parse_problem(text: str) -> ProblemFile:
                         f"distance row has {len(row)} entries, expected {len(labels)}",
                         rln,
                     )
+                # A finite sum clears the row in one step; it can only be
+                # non-finite through a non-finite entry or an overflow.
+                if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                    raise ParseError(f"distance row {row_line!r} is not finite", rln)
                 matrix.append(row)
         elif head == "order":
             saw_order = True
@@ -259,12 +264,16 @@ def parse_problem(text: str) -> ProblemFile:
         if labels is None:
             raise ParseError("operator tables need a finite carrier")
         table = {}
+        points = set(labels)
         for tln, entry in table_lines:
             if "->" not in entry:
                 raise ParseError(f"expected 'a,b -> c', got {entry!r}", tln)
             lhs, rhs = entry.split("->", 1)
             key = tuple(t.strip() for t in lhs.split(","))
-            table[key] = rhs.strip()
+            value = rhs.strip()
+            if value not in points:
+                raise ParseError(f"operator value {value!r} is not a point", tln)
+            table[key] = value
         arity = len(next(iter(table)))
         if any(len(k) != arity for k in table):
             raise ParseError("operator table rows have inconsistent arity")

@@ -3,7 +3,9 @@ executable forms of their closure/equivalence properties."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -44,9 +46,10 @@ def sup_distance(space: DistanceSpace, x: Sequence, y: Sequence) -> float:
 
 
 def sum_distance(space: DistanceSpace, x: Sequence, y: Sequence) -> float:
-    """Coordinatewise sum of base distances."""
+    """Coordinatewise sum of base distances, added left to right (the
+    builtin ``sum`` rounds differently from Python 3.12 on)."""
     _check_arity(x, y)
-    return sum(space.dist(a, b) for a, b in zip(x, y))
+    return functools.reduce(operator.add, (space.dist(a, b) for a, b in zip(x, y)))
 
 
 def product_distance(space: DistanceSpace, kind: ProductKind):
@@ -55,14 +58,20 @@ def product_distance(space: DistanceSpace, kind: ProductKind):
     return lambda x, y: sum_distance(space, x, y)
 
 
-def product_points(space: DistanceSpace, m: int, cap: Optional[int] = None) -> list:
-    """All m-tuples over a finite carrier, in canonical (lexicographic) order."""
+def product_size(space: DistanceSpace, m: int, cap: Optional[int] = None) -> int:
+    """|X|^m for a finite carrier, refused above the materialization cap."""
     if not space.is_finite:
         raise UnsupportedInstanceError("cannot enumerate a continuous carrier")
     cap = materialization_cap() if cap is None else cap
     size = len(space.points) ** m
     if size > cap:
         raise CapacityError(size, cap)
+    return size
+
+
+def product_points(space: DistanceSpace, m: int, cap: Optional[int] = None) -> list:
+    """All m-tuples over a finite carrier, in canonical (lexicographic) order."""
+    product_size(space, m, cap)
     return list(itertools.product(space.points, repeat=m))
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from .conditions import (
     Clause,
     ConditionReport,
@@ -14,6 +16,7 @@ from .conditions import (
     check_mk,
     check_omega,
 )
+from .kernel import ProductKernel
 from .operators import LambdaFamily, MultiOperator, apply_lambda_f
 from .orders import LSet, OrderRelation, compare_L
 from .product import ProductKind, product_distance, product_points
@@ -144,11 +147,9 @@ def enumerate_fixed_points(
 ) -> list[tuple]:
     """Exact brute-force oracle: all tuples a with lambdaF(a) = a, in
     canonical order."""
-    return [
-        a
-        for a in product_points(space, family.m)
-        if apply_lambda_f(F, family, a) == a
-    ]
+    kernel = ProductKernel(space, family.m)
+    image = kernel.image(F, family)
+    return [kernel.point(k) for k in np.flatnonzero(image == np.arange(kernel.size))]
 
 
 @dataclass

@@ -125,7 +125,7 @@ class DistanceSpace:
     ) -> "DistanceSpace":
         """Finite space from a label list and an n x n distance table.
 
-        Validates the distance axioms: nonnegativity everywhere, and
+        Validates the distance axioms: finite nonnegative entries, and
         d(x, y) + d(y, x) = 0 exactly on the diagonal.
         """
         labels = tuple(labels)
@@ -135,6 +135,12 @@ class DistanceSpace:
         mat = [list(map(float, row)) for row in matrix]
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError(f"distance matrix must be {n}x{n}")
+        arr = np.array(mat).reshape(n, n)
+        # A finite sum clears the matrix without a temporary array; it can
+        # only be non-finite through a non-finite entry or an overflow.
+        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+            i, j = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is not finite")
         for i in range(n):
             for j in range(n):
                 if mat[i][j] < 0:
@@ -161,7 +167,7 @@ class DistanceSpace:
             points=labels,
             completeness_assumed=completeness_assumed,
             table_backed=True,
-            matrix=np.array(mat),
+            matrix=arr,
         )
 
     @classmethod

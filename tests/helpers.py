@@ -1,6 +1,7 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators and per-pair reference loops for the test
+suite.
 
-All distances are integer-valued floats so sums and maxima stay exact in
+All generated distances are integer-valued floats so sums and maxima stay exact in
 double precision; classification of generated spaces and their products is
 then free of rounding artifacts.
 """
@@ -9,7 +10,23 @@ from __future__ import annotations
 
 import random
 
-from multifix import DistanceSpace, MultiOperator, OrderRelation, chain_order
+from multifix import (
+    DistanceSpace,
+    MultiOperator,
+    OrderRelation,
+    ProductKind,
+    apply_lambda_f,
+    chain_order,
+    check_bounds_exist,
+    check_lattice,
+    check_mk_operator,
+    check_mk_space,
+    check_order_distance_compat,
+    compare_L,
+    surjectivity_report,
+)
+from multifix.conditions import Clause, ConditionReport, _strictly_less
+from multifix.product import product_distance, product_points
 
 
 def shortest_path_closure(W: list[list[float]]) -> list[list[float]]:
@@ -92,3 +109,111 @@ def random_table_operator(
         for key in itertools.product(space.points, repeat=m)
     }
     return MultiOperator.from_table(m, table, space.points)
+
+
+# -- per-pair reference loops -------------------------------------------------
+#
+# Pure-Python forms of the exhaustive checks that run on the integer kernel,
+# kept as the reference for the differential tests.
+
+
+def comparable_product_pairs(space, order, lset, include_equal=False):
+    pts = product_points(space, lset.m)
+    return [
+        (x, y)
+        for x in pts
+        for y in pts
+        if (include_equal or x != y) and compare_L(order, lset, x, y)
+    ]
+
+
+def _image_order_failure(space, order, F, family, lset, isotone, include_equal):
+    images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
+    for x, y in comparable_product_pairs(space, order, lset, include_equal):
+        fx, fy = images[x], images[y]
+        if not (compare_L(order, lset, fx, fy) if isotone else compare_L(order, lset, fy, fx)):
+            return x, y
+    return None
+
+
+def reference_check_omega(space, order, F, family, lset, variant):
+    name = f"omega{variant}"
+    clauses = []
+    lat = check_lattice(order)
+    clauses.append(Clause("lattice", lat.is_lattice, lat.counterexample))
+    if not lat.is_lattice:
+        return ConditionReport(name, "fail", clauses)
+    compat = check_order_distance_compat(space, order)
+    clauses.append(compat.clauses[0])
+    if compat.verdict == "fail":
+        return ConditionReport(name, "fail", clauses)
+    if variant in (3, 4):
+        surj = surjectivity_report(family)
+        ok = surj.all_rows_surjective or surj.union_of_images_full
+        note = (
+            "per-row surjectivity"
+            if surj.all_rows_surjective
+            else "union of row images covers 1..m"
+            if surj.union_of_images_full
+            else ""
+        )
+        clauses.append(
+            Clause("lambda surjectivity", ok, None if ok else tuple(surj.rows_surjective), note)
+        )
+        if not ok:
+            return ConditionReport(name, "fail", clauses)
+
+    kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
+    rho = product_distance(space, kind)
+    isotone = variant in (1, 3)
+    table = space.table_backed and kind is ProductKind.SUP
+    images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
+    for x, y in comparable_product_pairs(space, order, lset):
+        fx, fy = images[x], images[y]
+        if not (compare_L(order, lset, fx, fy) if isotone else compare_L(order, lset, fy, fx)):
+            clauses.append(Clause("image order", False, (x, y)))
+            return ConditionReport(name, "fail", clauses)
+        lhs = rho(fx, fy) + rho(fy, fx)
+        rhs = rho(x, y) + rho(y, x)
+        if not _strictly_less(lhs, rhs, table):
+            clauses.append(Clause("strict contraction", False, (x, y)))
+            return ConditionReport(name, "fail", clauses)
+    clauses.append(Clause("image order", True))
+    clauses.append(Clause("strict contraction", True))
+    return ConditionReport(name, "pass", clauses)
+
+
+def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=None):
+    name = f"mk{variant}"
+    clauses = []
+    bounds = check_bounds_exist(order)
+    clauses.append(bounds.clauses[0])
+    if bounds.verdict == "fail":
+        return ConditionReport(name, "fail", clauses)
+    if r_grid is None:
+        r_grid = sorted(
+            {space.dist(x, y) for x in space.points for y in space.points if space.dist(x, y) > 0}
+        ) or [1.0]
+    mk_space = check_mk_space(space, order, delta, r_grid)
+    clauses.append(mk_space.clauses[0])
+    if mk_space.verdict == "fail":
+        return ConditionReport(name, "fail", clauses)
+    failure = _image_order_failure(space, order, F, family, lset, variant == 1, True)
+    clauses.append(Clause("image order", failure is None, failure))
+    return ConditionReport(name, "pass" if failure is None else "fail", clauses)
+
+
+def reference_check_mk_operator(space, order, F, family, lset, delta, kind, r_grid=None):
+    """Exhaustive MK operator check through the per-pair (supplied sample)
+    path; an exhaustive pass reads "pass" instead of "sampled-pass"."""
+    pairs = comparable_product_pairs(space, order, lset, include_equal=True)
+    report = check_mk_operator(
+        space, order, F, family, lset, delta, kind, pairs=pairs, r_grid=r_grid
+    )
+    if report.verdict == "sampled-pass":
+        report.verdict = "pass"
+    return report
+
+
+def reference_enumerate(space, F, family):
+    return [a for a in product_points(space, family.m) if apply_lambda_f(F, family, a) == a]

@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import pytest
 
@@ -66,6 +67,79 @@ start: 0 0
 tol: 1e-8
 rounds: 200
 """
+
+
+
+
+def tripled_file(header, points, value, footer):
+    """A problem file whose operator table maps each argument tuple of the
+    carrier to ``value(tuple)``."""
+    table = [
+        f"{','.join(key)} -> {value(key)}"
+        for key in itertools.product(points.split(), repeat=3)
+    ]
+    return "\n".join([header.strip(), "F:", *table, footer.strip()]) + "\n"
+
+
+# Failing checks whose first witness sits deep in canonical pair order.
+# Outputs are pinned as printed before the exhaustive checks moved onto the
+# integer kernel: witness order and the repr of r must not change.
+GOLDEN_IMAGE_ORDER = tripled_file(
+    """
+points: x0 b1 y2
+dist:
+0 0.5 2.5
+0.2 0 2.5
+1 1 0
+order:
+x0 <= b1
+b1 <= y2
+lambda:
+1 1 2
+2 3 1
+1 2 2
+""",
+    "x0 b1 y2",
+    lambda key: "b1" if key == ("y2", "y2", "y2") else "x0",
+    "L: 2\ndelta linear 0.25",
+)
+
+GOLDEN_CONTRACTION = tripled_file(
+    """
+points: y0 c1 u2
+dist:
+0 3 0.5
+1.25 0 0.7
+0.7 0.5 0
+order:
+u2 <= y0
+y0 <= c1
+lambda: tripled
+""",
+    "y0 c1 u2",
+    lambda key: "y0" if key == ("c1", "c1", "c1") else "u2",
+    "L:\ndelta const 0.15",
+)
+
+GOLDEN_SUM_ROUNDING = tripled_file(
+    """
+points: v0 u1 22
+dist:
+0 2 2
+2.5 0 2.5
+0.7 0.3 0
+order:
+v0 <= u1
+u1 <= 22
+lambda:
+1 2 3
+1 3 1
+2 1 2
+""",
+    "v0 u1 22",
+    lambda key: min(key, key="v0 u1 22".split().index),
+    "L:\ndelta linear 0.25",
+)
 
 
 @pytest.fixture
@@ -232,12 +306,79 @@ class TestGame:
         assert "optimal=no" in capsys.readouterr().out
 
 
+class TestGoldenFailures:
+    @pytest.mark.parametrize(
+        "text, args, stdout, code",
+        [
+            (
+                GOLDEN_IMAGE_ORDER,
+                ["check", "--condition", "omega1"],
+                "FAIL clause: image order; witness: "
+                "(('y2', 'x0', 'x0'), ('y2', 'y2', 'x0'))\n",
+                1,
+            ),
+            (
+                GOLDEN_IMAGE_ORDER,
+                ["verify", "--condition", "omega1"],
+                "INFORMATIONAL (conditions fail: image order); fixed points: [(x0,x0,x0)]\n",
+                0,
+            ),
+            (GOLDEN_IMAGE_ORDER, ["check", "--condition", "mk-op", "--metric", "sum"],
+             "PASS (exhaustive)\n", 0),
+            (
+                GOLDEN_CONTRACTION,
+                ["check", "--condition", "omega1"],
+                "FAIL clause: strict contraction; witness: "
+                "(('c1', 'c1', 'y0'), ('c1', 'u2', 'y0'))\n",
+                1,
+            ),
+            (
+                GOLDEN_CONTRACTION,
+                ["check", "--condition", "mk-op", "--metric", "sum"],
+                "FAIL clause: MK operator condition; witness: "
+                "(('c1', 'c1', 'c1'), ('y0', 'c1', 'c1'), 1.2)\n",
+                1,
+            ),
+            (
+                GOLDEN_CONTRACTION,
+                ["check", "--condition", "mk-op", "--metric", "sum", "--r-grid", "0.25,1"],
+                "FAIL clause: MK operator condition; witness: "
+                "(('c1', 'c1', 'c1'), ('c1', 'c1', 'u2'), 1.0)\n",
+                1,
+            ),
+            (
+                GOLDEN_SUM_ROUNDING,
+                ["check", "--condition", "mk-op", "--metric", "sum"],
+                "FAIL clause: MK operator condition; witness: "
+                "(('u1', 'v0', 'u1'), ('v0', 'v0', 'u1'), 2.0999999999999996)\n",
+                1,
+            ),
+            (
+                GOLDEN_SUM_ROUNDING,
+                ["check", "--condition", "mk-op", "--metric", "sum", "--r-grid", "0.5"],
+                "FAIL clause: MK operator condition; witness: "
+                "(('22', '22', '22'), ('u1', 'u1', '22'), 0.5)\n",
+                1,
+            ),
+        ],
+    )
+    def test_stdout_and_exit_code(self, prob, capsys, text, args, stdout, code):
+        assert main([args[0], prob(text), *args[1:]]) == code
+        assert capsys.readouterr().out == stdout
+
+
 class TestUsageErrors:
     def test_parse_error_exit_two(self, prob, capsys):
         code = main(["classify", prob("points: a b\ndist:\n0 1\nx 0\n")])
         assert code == 2
         err = capsys.readouterr().err
         assert "parse error" in err and "line 4" in err
+
+    def test_nan_distance_exit_two(self, prob, capsys):
+        code = main(["classify", prob("points: a b\ndist:\n0 nan\n1 0\n")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and "line 3" in err
 
     def test_missing_block_exit_two(self, prob, capsys):
         code = main(["solve", prob("space: box 0 1\n")])

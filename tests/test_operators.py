@@ -67,6 +67,12 @@ class TestApplyLambdaF:
         with pytest.raises(EvaluationError):
             MultiOperator.from_table(2, {("a", "a"): "a"}, carrier=["a", "b"])
 
+    def test_table_value_outside_carrier_rejected(self):
+        table = {(x, y): 0 for x in (0, 1) for y in (0, 1)}
+        table[0, 0] = 9
+        with pytest.raises(EvaluationError, match=r"value 9 at \(0, 0\)"):
+            MultiOperator.from_table(2, table, carrier=[0, 1])
+
 
 class TestFixedPointCertificate:
     def test_coupled_linear_fixed_point(self, reals):

@@ -143,6 +143,19 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="sup or sum"):
             parse_problem("metric: max\n")
 
+    def test_operator_value_outside_carrier_carries_line_number(self):
+        text = FINITE_CHAIN.replace("0,1 -> 1\n", "0,1 -> 9\n")
+        line = text.splitlines().index("0,1 -> 9") + 1
+        with pytest.raises(ParseError, match="'9' is not a point") as err:
+            parse_problem(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_distance_carries_line_number(self, entry):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse_problem(f"points: a b\ndist:\n0 1\n{entry} 0\n")
+        assert err.value.line == 4
+
     def test_incomplete_operator_table(self):
         text = FINITE_CHAIN.replace("0,1 -> 1\n", "")
         with pytest.raises(ParseError):

@@ -41,6 +41,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistanceSpace.from_matrix(["a", "b"], [[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_distance(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            DistanceSpace.from_matrix(["a", "b"], [[0, value], [1, 0]])
+
     def test_zero_one_direction_is_allowed(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
         assert space.dist("a", "b") == 0
