@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import UnsupportedInstanceError
 
 Point = Any
@@ -27,26 +29,22 @@ class OrderRelation:
         cls, points: Sequence[Point], pairs: Iterable[tuple[Point, Point]]
     ) -> "OrderRelation":
         points = tuple(points)
-        point_set = set(points)
-        rel = {(p, p) for p in points}
+        index = {p: i for i, p in enumerate(points)}
+        rel = np.eye(len(points), dtype=bool)
         for a, b in pairs:
             for p in (a, b):
-                if p not in point_set:
+                if p not in index:
                     raise ValueError(f"order references unknown point {p!r}")
-            rel.add((a, b))
-        # transitive closure (Warshall over the pair set)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c in points:
-                    if (b, c) in rel and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        for a, b in rel:
-            if a != b and (b, a) in rel:
-                raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
-        return cls(points, frozenset(rel))
+            rel[index[a], index[b]] = True
+        # transitive closure (Warshall): the rows reaching k take k's row
+        for k in range(len(points)):
+            rel[rel[:, k]] |= rel[k]
+        cycle = np.argwhere(np.triu(rel & rel.T, 1))
+        if cycle.size:
+            a, b = (points[i] for i in cycle[0].tolist())
+            raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
+        closed = np.argwhere(rel).tolist()
+        return cls(points, frozenset((points[i], points[j]) for i, j in closed))
 
     @classmethod
     def numeric(cls) -> "OrderRelation":

@@ -89,15 +89,16 @@ class _Lines:
         return None
 
     def peek_header(self) -> bool:
-        """True if the next content line starts a new block."""
+        """True if the next content line opens a block: ``name:`` or ``delta linear|const``."""
         save = self.pos
         item = self.next_content()
         self.pos = save
         if item is None:
             return True
-        _, line = item
-        head = line.split(":", 1)[0].split()[0].lower()
-        return head in _HEADERS
+        head, colon, _ = item[1].lower().partition(":")
+        if colon:
+            return head.strip() in _HEADERS
+        return head.split()[:2] in (["delta", "linear"], ["delta", "const"])
 
 
 _HEADERS = {
@@ -271,8 +272,11 @@ def parse_problem(text: str) -> ProblemFile:
             lhs, rhs = entry.split("->", 1)
             key = tuple(t.strip() for t in lhs.split(","))
             value = rhs.strip()
-            if value not in points:
-                raise ParseError(f"operator value {value!r} is not a point", tln)
+            unknown = [t for t in (*key, value) if t not in points]
+            if unknown:
+                raise ParseError(f"operator entry {entry!r}: {unknown[0]!r} is not a point", tln)
+            if key in table:
+                raise ParseError(f"duplicate operator entry for {lhs.strip()!r}", tln)
             table[key] = value
         arity = len(next(iter(table)))
         if any(len(k) != arity for k in table):

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import CapacityError, UnsupportedInstanceError
 from .spaces import DistanceSpace
 
-Tuple_ = tuple
-
 DEFAULT_CAP = 10**6
 
 

@@ -4,6 +4,7 @@ verdict."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -93,11 +94,12 @@ def picard_solve(
     """Iterate x -> lambdaF(x) from ``start``.
 
     The stopping residual is the symmetric sum rho(x, next) + rho(next, x),
-    which stays meaningful on asymmetric distances.  On finite carriers exact
-    cycle detection replaces the tolerance: reaching a 1-cycle converges,
-    while a longer cycle stops with a cycle annotation.  The trace records
-    the forward step rho(x, next) per iteration; the reported final point is
-    the iterate at which the stop test fired.
+    which stays meaningful on asymmetric distances; a step above the
+    divergence cap or a non-finite residual stops with ``diverged``.  On
+    finite carriers exact cycle detection replaces the tolerance: reaching a
+    1-cycle converges, while a longer cycle stops with a cycle annotation.
+    The trace records the forward step rho(x, next) per iteration; the
+    reported final point is the iterate at which the stop test fired.
     """
     start = tuple(start)
     for c in start:
@@ -132,9 +134,10 @@ def picard_solve(
                     cycle_length=cycle,
                 )
         else:
-            if step > config.divergence_cap:
+            residual = step + rho(nxt, x)
+            if step > config.divergence_cap or not math.isfinite(residual):
                 return SolveReport("diverged", nxt, n, trace, verified, direction)
-            if step + rho(nxt, x) < config.tol:
+            if residual < config.tol:
                 return SolveReport("converged", x, n, trace, verified, direction)
         x = nxt
     return SolveReport(

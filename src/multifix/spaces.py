@@ -141,19 +141,17 @@ class DistanceSpace:
         if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
             i, j = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is not finite")
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] < 0:
-                    raise ValueError(
-                        f"d({labels[i]},{labels[j]}) = {mat[i][j]} is negative"
-                    )
-                s = mat[i][j] + mat[j][i]
-                if i == j and s != 0.0:
-                    raise ValueError(f"d({labels[i]},{labels[i]}) must be 0")
-                if i != j and s == 0.0:
-                    raise ValueError(
-                        f"d({labels[i]},{labels[j]}) + reverse is 0 for distinct points"
-                    )
+        # Mask every violating entry; the first in row-major order takes the
+        # scalar checks in order (negative, diagonal, indistinguishable).
+        both = arr + arr.T
+        bad = (arr < 0) | np.where(np.eye(n, dtype=bool), both != 0.0, both == 0.0)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            if mat[i][j] < 0:
+                raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is negative")
+            if i == j:
+                raise ValueError(f"d({labels[i]},{labels[i]}) must be 0")
+            raise ValueError(f"d({labels[i]},{labels[j]}) + reverse is 0 for distinct points")
         index = {lab: i for i, lab in enumerate(labels)}
 
         def dist(x: Point, y: Point) -> float:
@@ -258,18 +256,19 @@ def classify_finite(
     metric = symmetric and quasimetric
 
     positive = D[D > atol]
-    if epsilon_grid is None:
-        eps_values = sorted(set(positive.tolist()))
-    else:
-        eps_values = sorted(e for e in epsilon_grid)
-        if any(e <= 0 for e in eps_values):
-            raise ValueError("epsilon grid values must be positive")
+    smallest = positive.min() if positive.size else np.inf
+    eps_values = [smallest] if epsilon_grid is None else sorted(epsilon_grid)
+    if any(e <= 0 for e in eps_values):
+        raise ValueError("epsilon grid values must be positive")
     min_eps = eps_values[0] if eps_values else np.inf
 
     # Zero-resolution delta: half the smallest positive realized distance.
-    delta0 = positive.min() / 2.0 if positive.size else 1.0
+    delta0 = smallest / 2.0 if positive.size else 1.0
     A = D <= delta0
-    reach = (A.astype(np.int64) @ A.astype(np.int64)) > 0
+    # reach = A.A as booleans: each y ORs its row into the rows reaching it.
+    reach = np.zeros_like(A)
+    for y in range(n):
+        reach[A[:, y]] |= A[y]
     chained = np.where(reach, D, -np.inf)
     f_distance = bool(np.max(chained) <= min_eps + atol)
     n_distance = bool(np.all(np.max(chained, axis=1) <= min_eps + atol))
@@ -286,11 +285,8 @@ def classify_finite(
 
     # H-distance: distinct points admit disjoint balls.  For the smallest
     # positive radius the ball around x is exactly {w : d(x, w) = 0}, so the
-    # check reduces to those zero-sets being pairwise disjoint.
-    Z = (D <= atol).astype(np.int64)
-    common = Z @ Z.T
-    off_diag = common - np.diag(np.diag(common))
-    h_distance = bool(np.all(off_diag == 0)) if n > 1 else True
+    # check reduces to no w lying in two of those zero-sets.
+    h_distance = bool(np.all(np.count_nonzero(D <= atol, axis=0) <= 1))
 
     return DistanceClass(
         symmetric=symmetric,

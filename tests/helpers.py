@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from multifix import (
+    DistanceClass,
     DistanceSpace,
     MultiOperator,
     OrderRelation,
@@ -217,3 +218,80 @@ def reference_check_mk_operator(space, order, F, family, lset, delta, kind, r_gr
 
 def reference_enumerate(space, F, family):
     return [a for a in product_points(space, family.m) if apply_lambda_f(F, family, a) == a]
+
+
+# -- pure-Python references for the base-space numpy code ---------------------
+
+
+def classify_reference(D, atol, epsilon_grid=None):
+    """The seven DistanceClass fields of ``classify_finite`` by explicit loops
+    over a list-of-lists matrix, with the same floating point operations."""
+    inf = float("inf")
+    pts = range(len(D))
+    T = [[min(D[x][y] + D[y][z] for y in pts) for z in pts] for x in pts]
+    symmetric = all(abs(D[x][z] - D[z][x]) <= atol for x in pts for z in pts)
+    quasimetric = all(D[x][z] <= T[x][z] + atol for x in pts for z in pts)
+    positive = [v for row in D for v in row if v > atol]
+    grid = sorted(set(positive)) if epsilon_grid is None else sorted(epsilon_grid)
+    if any(e <= 0 for e in grid):
+        raise ValueError("epsilon grid values must be positive")
+    bound = (grid[0] if grid else inf) + atol
+    delta0 = min(positive) / 2.0 if positive else 1.0
+    reach = [
+        [any(D[x][y] <= delta0 and D[y][z] <= delta0 for y in pts) for z in pts]
+        for x in pts
+    ]
+    row_max = [max([D[x][z] for z in pts if reach[x][z]], default=-inf) for x in pts]
+    s_distance = None
+    if not any(T[x][z] <= atol < D[x][z] for x in pts for z in pts):
+        ratios = [
+            D[x][z] / max(T[x][z], atol) if T[x][z] > atol and D[x][z] > atol else 0.0
+            for x in pts
+            for z in pts
+        ]
+        s = max(ratios)
+        s_distance = max(s, 1.0) if s > 0 else 1.0
+    zero_sets = [{w for w in pts if D[x][w] <= atol} for x in pts]
+    h_distance = all(
+        not (zero_sets[x] & zero_sets[y]) for x in pts for y in pts if x != y
+    )
+    return DistanceClass(
+        symmetric=symmetric,
+        quasimetric=quasimetric,
+        metric=symmetric and quasimetric,
+        n_distance=all(v <= bound for v in row_max),
+        f_distance=max(row_max) <= bound,
+        s_distance=s_distance,
+        h_distance=h_distance,
+    )
+
+
+def from_matrix_violation(labels, matrix):
+    """Message of the first distance-axiom violation in row-major order, as
+    the entry-by-entry loop of ``DistanceSpace.from_matrix`` words it, or
+    None."""
+    n = len(labels)
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j] < 0:
+                return f"d({labels[i]},{labels[j]}) = {matrix[i][j]} is negative"
+            s = matrix[i][j] + matrix[j][i]
+            if i == j and s != 0.0:
+                return f"d({labels[i]},{labels[i]}) must be 0"
+            if i != j and s == 0.0:
+                return f"d({labels[i]},{labels[j]}) + reverse is 0 for distinct points"
+    return None
+
+
+def closure_reference(points, pairs):
+    """Reflexive-transitive closure of ``pairs`` as a set, by fixpoint."""
+    rel = {(p, p) for p in points} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c in points:
+                if (b, c) in rel and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return rel

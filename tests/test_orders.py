@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import LSet, OrderRelation, chain_order, compare_L
+from helpers import closure_reference
 
 
 class TestOrderRelation:
@@ -15,6 +17,31 @@ class TestOrderRelation:
     def test_antisymmetry_violation_rejected(self):
         with pytest.raises(ValueError, match="antisymmetric"):
             OrderRelation.from_pairs([0, 1], [(0, 1), (1, 0)])
+
+    def test_antisymmetry_witness_is_first_pair_in_carrier_order(self):
+        # every pair of the 3-cycle c -> b -> a -> c is symmetric once closed
+        with pytest.raises(ValueError, match="'a' ~ 'b'"):
+            OrderRelation.from_pairs("abc", [("c", "b"), ("b", "a"), ("a", "c")])
+        with pytest.raises(ValueError, match="'b' ~ 'd'"):
+            OrderRelation.from_pairs("abcd", [("a", "c"), ("d", "b"), ("b", "d")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12),
+            )
+        )
+    )
+    def test_closure_matches_fixpoint_reference(self, case):
+        n, pairs = case
+        want = closure_reference(range(n), pairs)
+        if any(a != b and (b, a) in want for a, b in want):
+            with pytest.raises(ValueError, match="antisymmetric"):
+                OrderRelation.from_pairs(range(n), pairs)
+        else:
+            assert OrderRelation.from_pairs(range(n), pairs).pairs() == want
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

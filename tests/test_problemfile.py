@@ -65,6 +65,17 @@ class TestFiniteParsing:
         pf = parse_problem(noisy)
         assert pf.order.leq("0", "1")
 
+    def test_labels_named_like_block_headers_stay_in_their_block(self):
+        # "f <= l" and "l <= a" read like the F and L headers; only a
+        # "name:" line or a "delta linear|const" line opens a block.
+        text = (
+            "points: a f l\ndist:\n0 1 2\n1 0 1\n2 1 0\n"
+            "order:\na <= f\nf <= l\ndelta linear 0.5\n"
+        )
+        pf = parse_problem(text)
+        assert pf.order.leq("a", "l")
+        assert pf.delta(2.0) == 1.0
+
     def test_explicit_lambda_rows(self):
         text = FINITE_CHAIN.replace("lambda: coupled", "lambda:\n1 2\n2 1")
         pf = parse_problem(text)
@@ -147,6 +158,20 @@ class TestParseErrors:
         text = FINITE_CHAIN.replace("0,1 -> 1\n", "0,1 -> 9\n")
         line = text.splitlines().index("0,1 -> 9") + 1
         with pytest.raises(ParseError, match="'9' is not a point") as err:
+            parse_problem(text)
+        assert err.value.line == line
+
+    def test_operator_key_outside_carrier_carries_line_number(self):
+        text = FINITE_CHAIN.replace("2,2 -> 1\n", "2,2 -> 1\n7,7 -> 1\n")
+        line = text.splitlines().index("7,7 -> 1") + 1
+        with pytest.raises(ParseError, match="'7' is not a point") as err:
+            parse_problem(text)
+        assert err.value.line == line
+
+    def test_duplicate_operator_key_carries_line_number(self):
+        text = FINITE_CHAIN.replace("0,0 -> 1\n", "0,0 -> 1\n0,0 -> 0\n")
+        line = text.splitlines().index("0,0 -> 0") + 1
+        with pytest.raises(ParseError, match="duplicate operator entry for '0,0'") as err:
             parse_problem(text)
         assert err.value.line == line
 

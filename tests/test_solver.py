@@ -84,6 +84,13 @@ class TestPicard:
         report = picard_solve(reals, F, coupled_preset(), (1.0, 0.0))
         assert report.status == "diverged"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_residual_diverges(self, reals, value):
+        F = MultiOperator(2, lambda x, y: value)
+        report = picard_solve(reals, F, coupled_preset(), (0.0, 0.0))
+        assert report.status == "diverged"
+        assert report.iterations == 1
+
     def test_trace_length_matches_iterations(self, reals):
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
         report = picard_solve(reals, F, coupled_preset(), (5.0, -3.0))

@@ -2,18 +2,30 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import (
     CarrierError,
     DistanceClass,
     DistanceSpace,
+    ProductKind,
     UnsupportedInstanceError,
     ball_contains,
     classify_finite,
     converges_to,
     is_cauchy_prefix,
+    product_space,
 )
-from helpers import random_metric, random_quasimetric
+from helpers import (
+    classify_reference,
+    from_matrix_violation,
+    random_metric,
+    random_quasimetric,
+)
+
+
+# Entries for the validation test: negative, signed zeros and positive.
+ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, 0.0, 0.5, 1.0])
 
 
 @pytest.fixture
@@ -45,6 +57,32 @@ class TestConstruction:
     def test_rejects_non_finite_distance(self, value):
         with pytest.raises(ValueError, match="not finite"):
             DistanceSpace.from_matrix(["a", "b"], [[0, value], [1, 0]])
+
+    def test_first_violation_in_row_major_order_is_reported(self):
+        # d(b,b) is nonzero and d(c,b) negative, but row a comes first and
+        # holds the indistinguishable pair (a,c).
+        matrix = [[0, 1, 0], [2, 2, 1], [0, -1, 0]]
+        with pytest.raises(ValueError) as err:
+            DistanceSpace.from_matrix("abc", matrix)
+        assert str(err.value) == "d(a,c) + reverse is 0 for distinct points"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_violation_message_matches_entrywise_loop(self, matrix):
+        labels = "abcd"[: len(matrix)]
+        want = from_matrix_violation(labels, matrix)
+        if want is None:
+            assert DistanceSpace.from_matrix(labels, matrix).matrix().tolist() == matrix
+        else:
+            with pytest.raises(ValueError) as err:
+                DistanceSpace.from_matrix(labels, matrix)
+            assert str(err.value) == want
 
     def test_zero_one_direction_is_allowed(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
@@ -151,6 +189,59 @@ class TestClassify:
                 s_distance=None,
                 h_distance=True,
             )
+
+
+# Off-diagonal distances: zeros (one direction only, so H fails and the
+# quasimetric check can be blocked), tenths whose sums round, and arbitrary
+# nonnegative reals.
+DISTANCES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 7.0]),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def finite_spaces(draw):
+    """A table-backed space, a computed-distance space, or a sup or sum
+    product of a small table-backed space."""
+    shape = draw(st.sampled_from(["table", "computed", "product"]))
+    n = draw(st.integers(1, 3 if shape == "product" else 6))
+    M = [[0.0 if i == j else draw(DISTANCES) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if M[i][j] + M[j][i] == 0:
+            M[i][j] = draw(DISTANCES.filter(bool))
+    if shape == "computed":
+        return DistanceSpace(lambda x, y: M[x][y], points=range(n))
+    space = DistanceSpace.from_matrix(range(n), M)
+    if shape == "product":
+        space = product_space(space, 2, draw(st.sampled_from(list(ProductKind))))
+    return space
+
+
+class TestClassifyDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        finite_spaces(),
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.one_of(st.sampled_from([0.1, 0.5, 1.0, 2.0]), st.floats(1e-3, 10.0)),
+                max_size=4,
+            ),
+        ),
+    )
+    def test_matches_loop_reference(self, space, grid):
+        want = classify_reference(space.matrix().tolist(), space.atol, grid)
+        assert classify_finite(space, grid) == want
+
+    def test_product_spaces_compare_with_tolerance(self):
+        base = DistanceSpace.from_matrix("ab", [[0, 0.1], [0.2, 0]])
+        assert product_space(base, 2, ProductKind.SUM).atol == 1e-12
+        assert product_space(base, 2, ProductKind.SUP).atol == 0.0
+
+    def test_non_positive_grid_rejected(self, path3):
+        with pytest.raises(ValueError, match="positive"):
+            classify_finite(path3, [1.0, 0.0])
 
 
 class TestSequences:
