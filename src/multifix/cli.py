@@ -154,8 +154,7 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "residual"])
-            for i, r in enumerate(report.trace, start=1):
-                writer.writerow([i, _fmt(r)])
+            writer.writerows((i, _fmt(r)) for i, r in enumerate(report.trace, start=1))
     return EXIT_OK if report.status == "converged" else EXIT_FAIL
 
 

@@ -8,17 +8,24 @@ on seeded samples and report a clearly labeled "sampled-pass" verdict.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import UnsupportedInstanceError
 from .kernel import ProductKernel
-from .operators import LambdaFamily, MultiOperator, apply_lambda_f, surjectivity_report
+from .operators import (
+    LambdaFamily,
+    MultiOperator,
+    bind_lambda_f,
+    check_lambda_arity,
+    surjectivity_report,
+)
 from .orders import LSet, OrderRelation
-from .product import ProductKind, product_distance
+from .product import ProductKind, bind_distance, check_pair_arity
 from .spaces import DistanceSpace
 
 Point = Any
@@ -40,23 +47,23 @@ class MeirKeelerModulus:
     label: str = "custom"
 
     def __call__(self, r: float) -> float:
-        if r <= 0:
+        if not r > 0:  # NaN included
             raise ValueError("modulus is only defined for positive r")
         value = self.func(r)
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"modulus must be positive, got delta({r}) = {value}")
         return value
 
     @classmethod
     def linear(cls, c: float) -> "MeirKeelerModulus":
-        if c <= 0:
-            raise ValueError("linear modulus needs a positive coefficient")
+        if not 0 < c < math.inf:
+            raise ValueError("linear modulus needs a positive finite coefficient")
         return cls(lambda r: c * r, f"linear {c}")
 
     @classmethod
     def const(cls, c: float) -> "MeirKeelerModulus":
-        if c <= 0:
-            raise ValueError("constant modulus needs a positive value")
+        if not 0 < c < math.inf:
+            raise ValueError("constant modulus needs a positive finite value")
         return cls(lambda r: c, f"const {c}")
 
 
@@ -259,24 +266,27 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     image_rho[k] < r fails, as (k, r); None if there is none.
 
     The implication "for all r with rho < r + delta(r): image < r" binds only
-    at the smallest premise-satisfying r, so one lookup per pair suffices.
+    at the smallest premise-satisfying r, so one lookup per pair suffices.  A
+    pair with no premise-satisfying r holds vacuously.
     """
-    entries = sorted(((r + delta(r), r) for r in r_grid))
-    thresholds = [t for t, _ in entries]
-    suffix_min = [0.0] * len(entries)
-    running = float("inf")
-    for i in range(len(entries) - 1, -1, -1):
-        running = min(running, entries[i][1])
-        suffix_min[i] = running
-    bounds = np.array(suffix_min + [np.inf])
+    r = np.array(r_grid, dtype=float)
+    t = np.array([v + delta(v) for v in r_grid], dtype=float)
+    order = np.argsort(t)
+    thresholds = t[order]
+    # bounds[i]: the least r among the entries whose threshold ranks i or
+    # later, the trailing inf standing for "no premise holds".  A lookup
+    # lands past a whole run of tied thresholds, so their order is free.
+    bounds = np.append(np.minimum.accumulate(r[order][::-1])[::-1], np.inf)
 
     def first_failure(rho, image_rho, table_backed: bool) -> Optional[tuple[int, float]]:
         i = np.searchsorted(thresholds, rho, side="right")
-        bad = ~_strictly_less(np.asarray(image_rho), bounds[i], table_backed)
+        bad = (i < len(thresholds)) & ~_strictly_less(
+            np.asarray(image_rho), bounds[i], table_backed
+        )
         if not bad.any():
             return None
         k = int(np.argmax(bad))
-        return k, suffix_min[i[k]]
+        return k, float(bounds[i[k]])
 
     return first_failure
 
@@ -314,24 +324,34 @@ def sample_comparable_pairs(
     max_step: Optional[float] = None,
 ) -> list[tuple[tuple, tuple]]:
     """Seeded sample of product-point pairs over [lo, hi]^m that are
-    comparable under the twisted order (forward on L, backward elsewhere)."""
+    comparable under the twisted order (forward on L, backward elsewhere).
+
+    Per pair and coordinate, x_i = uniform(lo, hi) and a step
+    uniform(0, max_step) moves y_i up (on L) or down, clipped to the box; the
+    floats are those of ``random.Random(seed).uniform`` draws in that order.
+    """
     rng = random.Random(seed)
     max_step = (hi - lo) / 4 if max_step is None else max_step
-    pairs = []
-    for _ in range(n):
-        x = []
-        y = []
-        for i in range(1, lset.m + 1):
-            a = rng.uniform(lo, hi)
-            step = rng.uniform(0, max_step)
-            if i in lset.members:
-                b = min(a + step, hi)
-            else:
-                b = max(a - step, lo)
-            x.append(a)
-            y.append(b)
-        pairs.append((tuple(x), tuple(y)))
-    return pairs
+    m = lset.m
+    n = max(n, 0)  # a count of -1 would make fromiter read the endless stream
+    # u[k, i] holds the two draws of pair k, coordinate i, in the order the
+    # per-pair loop drew them (rng.random never returns None, so the iterator
+    # is the endless stream of draws); uniform(a, b) is a + (b - a) * random().
+    u = np.fromiter(iter(rng.random, None), float, count=2 * m * n).reshape(n, m, 2)
+    x = u[:, :, 0]
+    x *= hi - lo
+    x += lo
+    y = u[:, :, 1]
+    y *= max_step
+    forward = np.array([i in lset.members for i in range(1, m + 1)])
+    np.add(x, y, out=y, where=forward)
+    np.subtract(x, y, out=y, where=~forward)
+    # min(b, hi) and max(b, lo) keep b unless the bound is strictly beyond it.
+    np.copyto(y, hi, where=forward & (hi < y))
+    np.copyto(y, lo, where=~forward & (lo > y))
+    xs = x.ravel().tolist()
+    ys = y.ravel().tolist()
+    return list(zip(zip(*[iter(xs)] * m), zip(*[iter(ys)] * m)))
 
 
 def check_mk_operator(
@@ -361,13 +381,14 @@ def check_mk_operator(
     else:
         if not pairs:
             raise ValueError("no comparable pairs to check")
-        rho = product_distance(space, kind)
-        d, d_img = [], []
-        for x, y in pairs:
-            d.append(rho(x, y))
-            d_img.append(rho(apply_lambda_f(F, family, x), apply_lambda_f(F, family, y)))
+        measured = np.fromiter(
+            _pair_distances(space, F, family, kind, pairs),
+            np.dtype((float, 2)),
+            count=len(pairs),
+        )
+        d, d_img = measured[:, 0], measured[:, 1]
         if r_grid is None:
-            r_grid = sorted({v for v in d if v > 0}) or [1.0]
+            r_grid = np.unique(d[d > 0]).tolist() or [1.0]
         found = _binding_r(r_grid, delta)(d, d_img, table)
         failure = None if found is None else (*pairs[found[0]], found[1])
         samples = len(pairs)
@@ -381,6 +402,27 @@ def check_mk_operator(
         seed=seed,
         samples=samples,
     )
+
+
+def _pair_distances(
+    space: DistanceSpace,
+    F: MultiOperator,
+    family: LambdaFamily,
+    kind: ProductKind,
+    pairs: Sequence[tuple],
+) -> Iterator[tuple[float, float]]:
+    """Yield (rho(x, y), rho(lambdaF(x), lambdaF(y))) per supplied pair, each
+    pair's arity checked on entry as sup_distance and apply_lambda_f do."""
+    rho = bind_distance(space, kind)
+    lam = None
+    m = family.m
+    for x, y in pairs:
+        if lam is None or len(x) != m or len(y) != m:
+            check_pair_arity(x, y)
+            check_lambda_arity(F, family, x)
+            check_lambda_arity(F, family, y)
+            lam = bind_lambda_f(F, family)
+        yield rho(x, y), rho(lam(x), lam(y))
 
 
 def _mk_operator_exhaustive(

@@ -8,7 +8,13 @@ import csv
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from .operators import LambdaFamily, MultiOperator, apply_lambda_f
+from .operators import (
+    LambdaFamily,
+    MultiOperator,
+    apply_lambda_f,
+    bind_lambda_f,
+    check_lambda_arity,
+)
 from .orders import OrderRelation
 from .product import sum_distance
 from .spaces import DistanceSpace
@@ -59,8 +65,7 @@ def step(game: GameConfig, x: Sequence[Point]) -> tuple[tuple, tuple]:
     non-convenience d(x_i, next_i)."""
     x = tuple(x)
     nxt = apply_lambda_f(game.F, game.family, x)
-    nonconv = tuple(game.space.dist(a, b) for a, b in zip(x, nxt))
-    return nxt, nonconv
+    return nxt, tuple(map(game.space.dist, x, nxt))
 
 
 def is_optimal_selection(game: GameConfig, x: Sequence[Point], tol: float) -> bool:
@@ -77,9 +82,13 @@ def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
     x = tuple(start)
     for c in x:
         game.space.require(c)
+    check_lambda_arity(game.F, game.family, x)
+    lam = bind_lambda_f(game.F, game.family)
+    dist = game.space.dist
     traj = Trajectory()
     for _ in range(game.rounds):
-        nxt, nonconv = step(game, x)
+        nxt = lam(x)
+        nonconv = tuple(map(dist, x, nxt))  # as in step(), bound once
         traj.rounds.append(Round(x, nonconv))
         if sum(nonconv) <= game.tol:
             traj.terminated_optimal = True
@@ -93,6 +102,8 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "player", "position", "nonconvenience"])
-        for r, rec in enumerate(traj.rounds, start=1):
-            for i, (pos, nc) in enumerate(zip(rec.selection, rec.nonconvenience), 1):
-                writer.writerow([r, i, pos, nc])
+        writer.writerows(
+            (r, i, pos, nc)
+            for r, rec in enumerate(traj.rounds, start=1)
+            for i, (pos, nc) in enumerate(zip(rec.selection, rec.nonconvenience), 1)
+        )

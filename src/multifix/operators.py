@@ -3,6 +3,7 @@ self-map on X^m whose fixed points are the multiple fixed points of F."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -104,18 +105,37 @@ class MultiOperator:
         return cls(m, lambda *args: value)
 
 
-def apply_lambda_f(
-    F: MultiOperator, family: LambdaFamily, x: Sequence[Point]
-) -> tuple:
-    """One application of the induced self-map on X^m.
-
-    Output coordinate i is F evaluated on the row-i rearrangement of x.
-    """
+def check_lambda_arity(F: MultiOperator, family: LambdaFamily, x: Sequence[Point]) -> None:
+    """Raise ValueError unless F, the family and the point x share one arity."""
     if F.m != family.m or len(x) != family.m:
         raise ValueError(
             f"arity mismatch: operator {F.m}, family {family.m}, point {len(x)}"
         )
-    return tuple(F(*(x[j - 1] for j in row)) for row in family.rows)
+
+
+def bind_lambda_f(F: MultiOperator, family: LambdaFamily) -> Callable[[Sequence[Point]], tuple]:
+    """The induced self-map on X^m as one callable ``x -> tuple``.
+
+    Output coordinate i is F evaluated on the row-i rearrangement of x.  The
+    operator and family arities are checked here, once; the map itself
+    checks nothing, so loops call :func:`check_lambda_arity` on each point
+    that enters from outside and feed it only points of that arity.
+    """
+    if F.m != family.m:
+        raise ValueError(f"arity mismatch: operator {F.m}, family {family.m}")
+    f = F._func
+    if family.m == 1:  # a one-index itemgetter returns the item, not a tuple
+        return lambda x: (f(x[0]),)
+    rows = [operator.itemgetter(*(j - 1 for j in row)) for row in family.rows]
+    return lambda x: tuple([f(*row(x)) for row in rows])
+
+
+def apply_lambda_f(
+    F: MultiOperator, family: LambdaFamily, x: Sequence[Point]
+) -> tuple:
+    """One application of the induced self-map on X^m."""
+    check_lambda_arity(F, family, x)
+    return bind_lambda_f(F, family)(x)
 
 
 @dataclass(frozen=True)

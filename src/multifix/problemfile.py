@@ -74,6 +74,24 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _number(text: str, what: str, ln: int) -> float:
+    """A finite real read from a header value, else ParseError at line ``ln``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{what} must be a number, got {text!r}", ln)
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {text!r}", ln)
+    return value
+
+
+def _integer(text: str, what: str, ln: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}", ln)
+
+
 class _Lines:
     def __init__(self, text: str):
         self.raw = text.splitlines()
@@ -119,7 +137,8 @@ def parse_problem(text: str) -> ProblemFile:
     table_lines: list[tuple[int, str]] = []
     family_spec: Optional[tuple[str, list[float]]] = None
     lambda_rows: Optional[list[tuple[int, ...]]] = None
-    start_tokens: Optional[list[str]] = None
+    l_spec: Optional[tuple[int, tuple[int, ...]]] = None  # (line, indices)
+    start_spec: Optional[tuple[int, list[str]]] = None  # (line, tokens)
 
     while True:
         item = lines.next_content()
@@ -172,10 +191,7 @@ def parse_problem(text: str) -> ProblemFile:
             toks = _tokens(rest)
             if len(toks) != 3 or toks[0] != "box":
                 raise ParseError("space block must be 'space: box LO HI'", ln)
-            try:
-                lo, hi = float(toks[1]), float(toks[2])
-            except ValueError:
-                raise ParseError(f"bad box bounds {rest!r}", ln)
+            lo, hi = (_number(t, "box bound", ln) for t in toks[1:])
             box = Box(((lo, hi),))
         elif head == "complete":
             complete = rest.lower() in ("yes", "true", "1")
@@ -201,30 +217,30 @@ def parse_problem(text: str) -> ProblemFile:
             toks = _tokens(rest)
             if not toks:
                 raise ParseError("family block needs a name", ln)
-            try:
-                family_spec = (toks[0], [float(t) for t in toks[1:]])
-            except ValueError:
-                raise ParseError(f"bad family parameters {rest!r}", ln)
+            family_spec = (toks[0], [_number(t, "family parameter", ln) for t in toks[1:]])
         elif head == "l":
-            pf.lset = ("pending", tuple(int(t) for t in _tokens(rest)))
+            l_spec = (ln, tuple(_integer(t, "L index", ln) for t in _tokens(rest)))
         elif head == "delta":
             toks = _tokens(rest)
             if len(toks) != 2 or toks[0] not in ("linear", "const"):
                 raise ParseError("delta block must be 'delta linear C' or 'delta const C'", ln)
-            c = float(toks[1])
-            pf.delta = (
-                MeirKeelerModulus.linear(c)
-                if toks[0] == "linear"
-                else MeirKeelerModulus.const(c)
-            )
+            c = _number(toks[1], f"delta {toks[0]} value", ln)
+            try:
+                pf.delta = (
+                    MeirKeelerModulus.linear(c)
+                    if toks[0] == "linear"
+                    else MeirKeelerModulus.const(c)
+                )
+            except ValueError as exc:
+                raise ParseError(str(exc), ln)
         elif head == "start":
-            start_tokens = _tokens(rest)
+            start_spec = (ln, _tokens(rest))
         elif head == "tol":
-            pf.tol = float(rest)
+            pf.tol = _number(rest, "tol", ln)
         elif head == "max_iter":
-            pf.max_iter = int(rest)
+            pf.max_iter = _integer(rest, "max_iter", ln)
         elif head == "rounds":
-            pf.rounds = int(rest)
+            pf.rounds = _integer(rest, "rounds", ln)
         elif head == "metric":
             if rest.lower() not in ("sup", "sum"):
                 raise ParseError("metric must be sup or sum", ln)
@@ -292,22 +308,21 @@ def parse_problem(text: str) -> ProblemFile:
         except ValueError as exc:
             raise ParseError(str(exc))
 
-    if isinstance(pf.lset, tuple) and pf.lset and pf.lset[0] == "pending":
+    if l_spec is not None:
+        lln, indices = l_spec
         if pf.family is None:
-            raise ParseError("L block needs a lambda block to fix the arity")
+            raise ParseError("L block needs a lambda block to fix the arity", lln)
         try:
-            pf.lset = LSet(pf.family.m, frozenset(pf.lset[1]))
+            pf.lset = LSet(pf.family.m, frozenset(indices))
         except ValueError as exc:
-            raise ParseError(str(exc))
+            raise ParseError(str(exc), lln)
 
-    if start_tokens is not None:
+    if start_spec is not None:
+        sln, tokens = start_spec
         if pf.space is not None and pf.space.is_finite:
-            pf.start = tuple(start_tokens)
+            pf.start = tuple(tokens)
         else:
-            try:
-                pf.start = tuple(float(t) for t in start_tokens)
-            except ValueError:
-                raise ParseError(f"bad start tuple {start_tokens!r}")
+            pf.start = tuple(_number(t, "start coordinate", sln) for t in tokens)
 
     if pf.operator is not None and pf.family is not None:
         if pf.operator.m != pf.family.m:

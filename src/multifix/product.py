@@ -30,24 +30,40 @@ class ProductKind(Enum):
     SUM = "sum"
 
 
-def _check_arity(x: Sequence, y: Sequence) -> None:
+def check_pair_arity(x: Sequence, y: Sequence) -> None:
+    """Raise ValueError unless x and y are product points of one arity >= 1."""
     if len(x) != len(y):
         raise ValueError(f"arity mismatch: {len(x)} vs {len(y)}")
     if len(x) == 0:
         raise ValueError("product points must have arity >= 1")
 
 
+def _sup(dist, x: Sequence, y: Sequence) -> float:
+    return max(map(dist, x, y))
+
+
+def _sum(dist, x: Sequence, y: Sequence) -> float:
+    # Left to right: the builtin ``sum`` rounds differently from Python 3.12 on.
+    return functools.reduce(operator.add, map(dist, x, y))
+
+
 def sup_distance(space: DistanceSpace, x: Sequence, y: Sequence) -> float:
     """Coordinatewise maximum of base distances."""
-    _check_arity(x, y)
-    return max(space.dist(a, b) for a, b in zip(x, y))
+    check_pair_arity(x, y)
+    return _sup(space.dist, x, y)
 
 
 def sum_distance(space: DistanceSpace, x: Sequence, y: Sequence) -> float:
-    """Coordinatewise sum of base distances, added left to right (the
-    builtin ``sum`` rounds differently from Python 3.12 on)."""
-    _check_arity(x, y)
-    return functools.reduce(operator.add, (space.dist(a, b) for a, b in zip(x, y)))
+    """Coordinatewise sum of base distances, added left to right."""
+    check_pair_arity(x, y)
+    return _sum(space.dist, x, y)
+
+
+def bind_distance(space: DistanceSpace, kind: ProductKind):
+    """The product distance as ``(x, y) -> float`` without per-call checks,
+    for loops that check each point entering from outside once with
+    :func:`check_pair_arity`."""
+    return functools.partial(_sup if kind is ProductKind.SUP else _sum, space.dist)
 
 
 def product_distance(space: DistanceSpace, kind: ProductKind):

@@ -18,9 +18,9 @@ from .conditions import (
     check_omega,
 )
 from .kernel import ProductKernel
-from .operators import LambdaFamily, MultiOperator, apply_lambda_f
+from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
 from .orders import LSet, OrderRelation, compare_L
-from .product import ProductKind, product_distance, product_points
+from .product import ProductKind, bind_distance, product_points
 from .spaces import DistanceSpace, classify_finite
 
 Point = Any
@@ -73,8 +73,12 @@ def find_monotone_start(
     """
     if candidates is None:
         candidates = product_points(space, lset.m)
+    lam = None
     for a in candidates:
-        image = apply_lambda_f(F, family, a)
+        if lam is None or len(a) != family.m:
+            check_lambda_arity(F, family, a)
+            lam = bind_lambda_f(F, family)
+        image = lam(a)
         if compare_L(order, lset, a, image):
             return a, "ascending"
         if compare_L(order, lset, image, a):
@@ -104,11 +108,13 @@ def picard_solve(
     start = tuple(start)
     for c in start:
         space.require(c)
-    rho = product_distance(space, config.kind)
+    check_lambda_arity(F, family, start)
+    lam = bind_lambda_f(F, family)
+    rho = bind_distance(space, config.kind)
 
     direction = None
     if order is not None and lset is not None:
-        image = apply_lambda_f(F, family, start)
+        image = lam(start)
         if compare_L(order, lset, start, image):
             direction = "ascending"
         elif compare_L(order, lset, image, start):
@@ -120,7 +126,7 @@ def picard_solve(
     x = start
     trace: list[float] = []
     for n in range(1, config.max_iter + 1):
-        nxt = apply_lambda_f(F, family, x)
+        nxt = lam(x)
         step = rho(x, nxt)
         trace.append(step)
         if finite:

@@ -275,10 +275,16 @@ def classify_finite(
 
     # Minimal feasible s for the relaxed triangle inequality.  For each pair
     # the binding intermediate point is the one minimizing d(x,z)+d(z,y).
+    # A pair is blocked, with no finite s, when d(x,z) is positive but
+    # some path x -> y -> z sums to at most atol, or (``reach``) takes two
+    # steps that are each zero within atol: the classifier reads both as
+    # zero, as the F test above does.
     s_distance: Optional[float] = None
-    blocked = (T <= atol) & (D > atol)
+    blocked = ((T <= atol) | reach) & (D > atol)
     if not blocked.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A ratio above the float maximum overflows to inf, which is its
+        # value here: no finite s relaxes the triangle inequality that far.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = np.where((T > atol) & (D > atol), D / np.maximum(T, atol), 0.0)
         s = float(ratios.max()) if n > 0 else 1.0
         s_distance = max(s, 1.0) if s > 0 else 1.0

@@ -8,6 +8,7 @@ then free of rounding artifacts.
 
 from __future__ import annotations
 
+import math
 import random
 
 from multifix import (
@@ -27,7 +28,10 @@ from multifix import (
     surjectivity_report,
 )
 from multifix.conditions import Clause, ConditionReport, _strictly_less
+from multifix.game import Round, Trajectory
 from multifix.product import product_distance, product_points
+from multifix.solver import SolveReport
+from multifix.spaces import Box
 
 
 def shortest_path_closure(W: list[list[float]]) -> list[list[float]]:
@@ -243,7 +247,7 @@ def classify_reference(D, atol, epsilon_grid=None):
     ]
     row_max = [max([D[x][z] for z in pts if reach[x][z]], default=-inf) for x in pts]
     s_distance = None
-    if not any(T[x][z] <= atol < D[x][z] for x in pts for z in pts):
+    if not any((T[x][z] <= atol or reach[x][z]) and D[x][z] > atol for x in pts for z in pts):
         ratios = [
             D[x][z] / max(T[x][z], atol) if T[x][z] > atol and D[x][z] > atol else 0.0
             for x in pts
@@ -295,3 +299,119 @@ def closure_reference(points, pairs):
                     rel.add((a, c))
                     changed = True
     return rel
+
+
+# -- per-point reference loops for the bound lambdaF and distance ------------
+
+
+def lopsided_line(lo: float, hi: float) -> DistanceSpace:
+    """[lo, hi] with d(x, y) = 2(x - y) downhill and y - x uphill: a
+    quasimetric whose two directions differ."""
+    return DistanceSpace.continuous(
+        lambda x, y: 2 * (x - y) if x > y else y - x, Box(((lo, hi),)), True
+    )
+
+
+def field_reprs(report) -> list[str]:
+    """A report's fields as reprs, lists element by element: NaN matches NaN,
+    and a mismatch names its first field or index."""
+    out = []
+    for name, value in vars(report).items():
+        if isinstance(value, list):
+            out.extend(f"{name}[{k}]={v!r}" for k, v in enumerate(value))
+            out.append(f"len({name})={len(value)}")
+        else:
+            out.append(f"{name}={value!r}")
+    return out
+
+
+def reference_apply_lambda_f(F, family, x):
+    """lambdaF by generator, through the checked ``MultiOperator.__call__``."""
+    if F.m != family.m or len(x) != family.m:
+        raise ValueError(f"arity mismatch: operator {F.m}, family {family.m}, point {len(x)}")
+    return tuple(F(*(x[j - 1] for j in row)) for row in family.rows)
+
+
+def reference_sample_comparable_pairs(lo, hi, lset, n, seed, max_step=None):
+    """The per-pair ``rng.uniform`` sampler."""
+    rng = random.Random(seed)
+    max_step = (hi - lo) / 4 if max_step is None else max_step
+    pairs = []
+    for _ in range(n):
+        x = []
+        y = []
+        for i in range(1, lset.m + 1):
+            a = rng.uniform(lo, hi)
+            step = rng.uniform(0, max_step)
+            b = min(a + step, hi) if i in lset.members else max(a - step, lo)
+            x.append(a)
+            y.append(b)
+        pairs.append((tuple(x), tuple(y)))
+    return pairs
+
+
+def reference_first_failure(r_grid, delta, rho, image_rho, table_backed):
+    """First k whose binding r = min {r : rho[k] < r + delta(r)} exists and
+    image_rho[k] < r fails, as (k, r), by a scan of the whole grid per pair."""
+    for k, (d, d_img) in enumerate(zip(rho, image_rho)):
+        binding = [r for r in r_grid if d < r + delta(r)]
+        if binding and not _strictly_less(d_img, min(binding), table_backed):
+            return k, min(binding)
+    return None
+
+
+def reference_picard_solve(space, F, family, start, config, order=None, lset=None):
+    """Picard iteration one checked call at a time."""
+    start = tuple(start)
+    for c in start:
+        space.require(c)
+    rho = product_distance(space, config.kind)
+    direction = None
+    if order is not None and lset is not None:
+        image = reference_apply_lambda_f(F, family, start)
+        if compare_L(order, lset, start, image):
+            direction = "ascending"
+        elif compare_L(order, lset, image, start):
+            direction = "descending"
+    verified = direction is not None
+    visited = {}
+    x = start
+    trace = []
+    for n in range(1, config.max_iter + 1):
+        nxt = reference_apply_lambda_f(F, family, x)
+        step = rho(x, nxt)
+        trace.append(step)
+        if space.is_finite:
+            if nxt == x:
+                return SolveReport("converged", x, n, trace, verified, direction)
+            visited[x] = n
+            if nxt in visited:
+                return SolveReport(
+                    "max_iter_exceeded", nxt, n, trace, verified, direction,
+                    cycle_length=n + 1 - visited[nxt],
+                )
+        else:
+            residual = step + rho(nxt, x)
+            if step > config.divergence_cap or not math.isfinite(residual):
+                return SolveReport("diverged", nxt, n, trace, verified, direction)
+            if residual < config.tol:
+                return SolveReport("converged", x, n, trace, verified, direction)
+        x = nxt
+    return SolveReport("max_iter_exceeded", x, config.max_iter, trace, verified, direction)
+
+
+def reference_simulate(game, start):
+    """The correction game one checked call at a time."""
+    x = tuple(start)
+    for c in x:
+        game.space.require(c)
+    traj = Trajectory()
+    for _ in range(game.rounds):
+        nxt = reference_apply_lambda_f(game.F, game.family, x)
+        nonconv = tuple(game.space.dist(a, b) for a, b in zip(x, nxt))
+        traj.rounds.append(Round(x, nonconv))
+        if sum(nonconv) <= game.tol:
+            traj.terminated_optimal = True
+            return traj
+        x = nxt
+    return traj

@@ -193,6 +193,27 @@ class TestCheck:
         assert code == 1
         assert "FAIL clause:" in capsys.readouterr().out
 
+    def test_mk_operator_pair_beyond_every_threshold_holds(self, prob, capsys):
+        # image distances overflow to inf, but every sampled distance is at
+        # or above 0.5 + delta(0.5) = 1, so no r binds
+        text = CONTRACTION.replace("0.25 1", "1e308 1")
+        code = main(
+            ["check", prob(text), "--condition", "mk-op", "--samples", "50",
+             "--seed", "1", "--r-grid", "0.5"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "SAMPLED-PASS seed=1 n=50\n"
+
+    def test_mk_operator_negative_sample_count_is_a_usage_error(self, prob, capsys):
+        code = main(["check", prob(CONTRACTION), "--condition", "mk-op", "--samples", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no comparable pairs to check\n"
+
+    def test_mk_operator_nan_radius_is_a_usage_error(self, prob, capsys):
+        code = main(["check", prob(CONTRACTION), "--condition", "mk-op", "--r-grid", "nan"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: modulus is only defined for positive r\n"
+
     def test_mk1_requires_delta_block(self, prob, capsys):
         text = CONSTANT_CHAIN  # no delta block
         code = main(["check", prob(text), "--condition", "mk1"])
@@ -379,6 +400,13 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "parse error" in err and "line 3" in err
+
+    @pytest.mark.parametrize("header", ["tol: abc", "delta linear nan", "max_iter: 1.5"])
+    def test_bad_header_exit_two_with_line(self, prob, capsys, header):
+        code = main(["solve", prob(CONTRACTION + header + "\n")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 6: ")
 
     def test_missing_block_exit_two(self, prob, capsys):
         code = main(["solve", prob("space: box 0 1\n")])

@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
@@ -21,7 +23,13 @@ from multifix import (
     coupled_preset,
     sample_comparable_pairs,
 )
-from helpers import int_chain, random_table_operator
+from multifix.conditions import _binding_r
+from helpers import (
+    int_chain,
+    random_table_operator,
+    reference_first_failure,
+    reference_sample_comparable_pairs,
+)
 
 
 @pytest.fixture
@@ -167,6 +175,12 @@ class TestMeirKeelerSpace:
         with pytest.raises(ValueError, match="positive"):
             delta(1.0)
 
+    def test_nan_radius_and_nan_value_are_rejected(self):
+        with pytest.raises(ValueError, match="positive r"):
+            MeirKeelerModulus.linear(1.0)(float("nan"))
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            MeirKeelerModulus(lambda r: float("nan"))(1.0)
+
 
 class TestMeirKeelerOperator:
     L = LSet.of(2, 1)
@@ -242,6 +256,89 @@ class TestMeirKeelerOperator:
             )
         assert runs[0].verdict == runs[1].verdict == "fail"
         assert runs[0].counterexample == runs[1].counterexample
+
+    def test_pair_whose_distance_passes_every_threshold_holds_vacuously(self):
+        # rho = 20 is at or above every r + delta(r) = 1 of the grid, so no r
+        # binds, whatever the (here infinite) image distance
+        reals = DistanceSpace.reals(-10, 10)
+        F = MultiOperator(2, lambda x, y: 1e308 * (x - y) + 1)
+        pairs = [((-10.0, 10.0), (10.0, -10.0))]
+        report = check_mk_operator(
+            reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+            MeirKeelerModulus.linear(1.0), ProductKind.SUP, pairs=pairs, r_grid=[0.5],
+        )
+        assert report.verdict == "sampled-pass"
+
+    def test_supplied_pair_arity_is_checked(self):
+        reals = DistanceSpace.reals(-10, 10)
+        F = MultiOperator(2, lambda x, y: x)
+        args = (reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+                MeirKeelerModulus.linear(1.0), ProductKind.SUP)
+        with pytest.raises(ValueError, match="arity mismatch: 2 vs 3"):
+            check_mk_operator(*args, pairs=[((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0, 2.0))])
+        with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
+            check_mk_operator(*args, pairs=[((0.0, 1.0, 2.0), (0.0, 1.0, 2.0))])
+
+
+BOUND = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestSamplerDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.tuples(st.just(m), st.sets(st.integers(1, m)))
+        ),
+        BOUND,
+        st.floats(0, 1e3) | st.sampled_from([0.25, 1.0, 20.0]),
+        st.none() | st.floats(0, 1e3) | st.sampled_from([0.5, 5.0]),
+        st.integers(0, 60),
+        st.integers(0, 2**32),
+    )
+    def test_repr_identical_to_uniform_loop(self, m_members, lo, width, max_step, n, seed):
+        m, members = m_members
+        lset = LSet(m, frozenset(members))
+        hi = lo + width
+        got = sample_comparable_pairs(lo, hi, lset, n, seed, max_step)
+        want = reference_sample_comparable_pairs(lo, hi, lset, n, seed, max_step)
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_no_samples_for_a_non_positive_count(self, n):
+        assert sample_comparable_pairs(-10, 10, LSet.of(2, 1), n, 3) == []
+
+    def test_integer_bounds_come_back_as_equal_floats(self):
+        # the loop returned the int bound itself on a clipped coordinate
+        lset = LSet.of(2, 1)
+        got = sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20)
+        want = reference_sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20)
+        assert got == want
+        assert all(type(c) is float for x, y in got for c in (*x, *y))
+
+
+GRID = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.01, 5.0), min_size=1, max_size=6)
+DIST = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0, float("inf")]) | st.floats(0, 10)
+
+
+class TestBindingRDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        GRID,
+        st.sampled_from(
+            [MeirKeelerModulus.linear(1.0), MeirKeelerModulus.const(0.5),
+             MeirKeelerModulus.linear(1e-4), MeirKeelerModulus(lambda r: 3.0 - r if r < 2.9 else 0.1)]
+        ),
+        st.lists(st.tuples(DIST, DIST | st.just(float("nan"))), max_size=12),
+        st.booleans(),
+    )
+    def test_matches_grid_scan(self, grid, delta, pairs, table_backed):
+        rho = [d for d, _ in pairs]
+        image = [d for _, d in pairs]
+        got = _binding_r(grid, delta)(np.array(rho), np.array(image), table_backed)
+        want = reference_first_failure(grid, delta, rho, image, table_backed)
+        assert got == want
+        if got is not None:
+            assert type(got[1]) is float
 
 
 class TestCompositeMK:

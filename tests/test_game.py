@@ -1,6 +1,7 @@
 import csv
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
@@ -15,6 +16,13 @@ from multifix import (
     step,
 )
 from multifix.game import write_trajectory_csv
+from helpers import (
+    field_reprs,
+    int_chain,
+    lopsided_line,
+    random_table_operator,
+    reference_simulate,
+)
 
 
 @pytest.fixture
@@ -127,3 +135,42 @@ class TestTrajectoryCsv:
         # non-convenience column decreases below tol by the last round
         last = float(rows[-1][3])
         assert last <= demo_game.tol
+
+
+class TestSimulateDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(-1.5, 1.5),
+        st.floats(-2, 2),
+        st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+        st.integers(1, 300),
+        st.sampled_from([0.0, 1e-9, 1e-3]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_continuous_matches_checked_loop(self, a, b, start, rounds, tol, nan_far, lopsided):
+        def f(x, y):
+            if nan_far and abs(x) > 20:
+                return float("nan")
+            return a * (x - y) + b
+
+        space = lopsided_line(-10, 10) if lopsided else DistanceSpace.reals(-10, 10)
+        game = GameConfig(
+            space=space, F=MultiOperator(2, f),
+            family=coupled_preset(), rounds=rounds, tol=tol,
+        )
+        assert field_reprs(simulate(game, start)) == field_reprs(reference_simulate(game, start))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.randoms(use_true_random=False), st.integers(1, 30))
+    def test_finite_table_matches_checked_loop(self, n, rnd, rounds):
+        space, order = int_chain(n)
+        F = random_table_operator(rnd, space, 2)
+        game = GameConfig(space=space, F=F, family=coupled_preset(), order=order, rounds=rounds)
+        start = (rnd.randrange(n), rnd.randrange(n))
+        assert field_reprs(simulate(game, start)) == field_reprs(reference_simulate(game, start))
+
+    def test_arity_error_matches_apply_lambda_f(self, demo_game):
+        for call in (simulate, step):
+            with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
+                call(demo_game, (0.0, 0.0, 0.0))

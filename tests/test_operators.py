@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
@@ -12,6 +13,8 @@ from multifix import (
     surjectivity_report,
     tripled_preset,
 )
+from multifix.operators import bind_lambda_f, check_lambda_arity
+from helpers import reference_apply_lambda_f
 
 
 @pytest.fixture
@@ -72,6 +75,54 @@ class TestApplyLambdaF:
         table[0, 0] = 9
         with pytest.raises(EvaluationError, match=r"value 9 at \(0, 0\)"):
             MultiOperator.from_table(2, table, carrier=[0, 1])
+
+
+@st.composite
+def families(draw):
+    """Identity, coupled, tripled or random index families for m = 1..3."""
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["identity", "preset", "random"]))
+    if kind == "identity":
+        return LambdaFamily.identity(m)
+    if kind == "preset" and m > 1:
+        return coupled_preset() if m == 2 else tripled_preset()
+    rows = st.tuples(*[st.integers(1, m)] * m)
+    return LambdaFamily(m, tuple(draw(st.lists(rows, min_size=m, max_size=m))))
+
+
+class TestBoundLambdaF:
+    @settings(max_examples=200, deadline=None)
+    @given(families(), st.data())
+    def test_matches_generator_reference(self, family, data):
+        m = family.m
+        # an argument-order-sensitive F: every slot gets its own weight
+        F = MultiOperator(m, lambda *args: sum(a * 10 ** k for k, a in enumerate(args)))
+        x = data.draw(st.tuples(*[st.integers(-9, 9) | st.floats(-1e3, 1e3)] * m))
+        want = reference_apply_lambda_f(F, family, x)
+        assert bind_lambda_f(F, family)(x) == want
+        assert bind_lambda_f(F, family)(list(x)) == want
+        assert apply_lambda_f(F, family, x) == want
+
+    def test_single_coordinate(self):
+        F = MultiOperator(1, lambda x: x + 1)
+        assert bind_lambda_f(F, LambdaFamily.identity(1))((4,)) == (5,)
+
+    @pytest.mark.parametrize(
+        "F_m, family, x",
+        [(2, tripled_preset(), (1, 2, 3)), (2, coupled_preset(), (1, 2, 3)), (2, coupled_preset(), ())],
+    )
+    def test_arity_messages_match_the_reference(self, F_m, family, x):
+        F = MultiOperator(F_m, lambda *args: 0)
+        with pytest.raises(ValueError) as want:
+            reference_apply_lambda_f(F, family, x)
+        for check in (apply_lambda_f, check_lambda_arity):
+            with pytest.raises(ValueError) as got:
+                check(F, family, x)
+            assert str(got.value) == str(want.value)
+
+    def test_bind_rejects_operator_family_mismatch(self):
+        with pytest.raises(ValueError, match="operator 2, family 3"):
+            bind_lambda_f(MultiOperator(2, min), tripled_preset())
 
 
 class TestFixedPointCertificate:

@@ -181,6 +181,30 @@ class TestParseErrors:
             parse_problem(f"points: a b\ndist:\n0 1\n{entry} 0\n")
         assert err.value.line == 4
 
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("tol: 1e-9", "tol: abc", 7, "tol must be a number, got 'abc'"),
+            ("tol: 1e-9", "tol: nan", 7, "tol must be finite"),
+            ("delta linear 1.0", "delta linear x", 5, "delta linear value must be a number"),
+            ("delta linear 1.0", "delta linear nan", 5, "delta linear value must be finite"),
+            ("delta linear 1.0", "delta const inf", 5, "delta const value must be finite"),
+            ("delta linear 1.0", "delta linear -1", 5, "positive finite coefficient"),
+            ("L: 1", "L: x", 4, "L index must be an integer, got 'x'"),
+            ("L: 1", "L: 3", 4, "L must be a subset of 1..2"),
+            ("max_iter: 500", "max_iter: 1.5", 8, "max_iter must be an integer, got '1.5'"),
+            ("rounds: 50", "rounds: z", 9, "rounds must be an integer, got 'z'"),
+            ("start: 0 0", "start: 0 q", 6, "start coordinate must be a number, got 'q'"),
+            ("start: 0 0", "start: 0 inf", 6, "start coordinate must be finite"),
+            ("box -10 10", "box -inf 10", 1, "box bound must be finite"),
+            ("linear-coupled 0.25 1", "linear-coupled nan 1", 3, "family parameter must be finite"),
+        ],
+    )
+    def test_bad_header_value_carries_line_number(self, old, new, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_problem(CONTINUOUS.replace(old, new))
+        assert err.value.line == line
+
     def test_incomplete_operator_table(self):
         text = FINITE_CHAIN.replace("0,1 -> 1\n", "")
         with pytest.raises(ParseError):

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
+    LambdaFamily,
     LSet,
     MeirKeelerModulus,
     MultiOperator,
@@ -22,7 +24,13 @@ from multifix import (
     tripled_preset,
     verify_uniqueness,
 )
-from helpers import int_chain, random_table_operator
+from helpers import (
+    field_reprs,
+    int_chain,
+    lopsided_line,
+    random_table_operator,
+    reference_picard_solve,
+)
 
 
 @pytest.fixture
@@ -244,3 +252,77 @@ class TestVerifyUniqueness:
         )
         assert report.verdict == "confirmed"
         assert report.fixed_points == [(2, 2, 2)]
+
+
+def continuous_operator(m, a, b, blow_up):
+    """a * (alternating sum of the arguments) + b; NaN once the first
+    argument leaves [-blow_up, blow_up] when ``blow_up`` is set."""
+
+    def f(*args):
+        if blow_up is not None and abs(args[0]) > blow_up:
+            return float("nan")
+        return a * sum(v if k % 2 == 0 else -v for k, v in enumerate(args)) + b
+
+    return MultiOperator(m, f)
+
+
+FAMILIES = {1: LambdaFamily.identity(1), 2: coupled_preset(), 3: tripled_preset()}
+
+
+class TestPicardDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.floats(-1.5, 1.5),
+        st.floats(-2, 2),
+        st.none() | st.floats(1, 50),
+        st.data(),
+        st.sampled_from(list(ProductKind)),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+        st.integers(1, 300),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_continuous_matches_checked_loop(
+        self, m, a, b, blow_up, data, kind, tol, max_iter, with_order, lopsided
+    ):
+        space = lopsided_line(-100, 100) if lopsided else DistanceSpace.reals(-100, 100)
+        F = continuous_operator(m, a, b, blow_up)
+        start = data.draw(st.tuples(*[st.floats(-100, 100)] * m))
+        config = SolveConfig(kind=kind, tol=tol, max_iter=max_iter)
+        extra = {}
+        if with_order:
+            members = data.draw(st.sets(st.integers(1, m)))
+            extra = dict(order=OrderRelation.numeric(), lset=LSet(m, frozenset(members)))
+        got = picard_solve(space, F, FAMILIES[m], start, config, **extra)
+        want = reference_picard_solve(space, F, FAMILIES[m], start, config, **extra)
+        assert field_reprs(got) == field_reprs(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.sampled_from([1, 2, 3]),
+        st.randoms(use_true_random=False),
+        st.integers(1, 40),
+        st.sampled_from(list(ProductKind)),
+        st.booleans(),
+    )
+    def test_finite_table_matches_checked_loop(self, n, m, rnd, max_iter, kind, with_order):
+        space, order = int_chain(n)
+        F = random_table_operator(rnd, space, m)
+        family = LambdaFamily(m, tuple(tuple(rnd.randint(1, m) for _ in range(m)) for _ in range(m)))
+        start = tuple(rnd.randrange(n) for _ in range(m))
+        config = SolveConfig(kind=kind, max_iter=max_iter)
+        extra = dict(order=order, lset=LSet(m, frozenset([1]))) if with_order else {}
+        got = picard_solve(space, F, family, start, config, **extra)
+        want = reference_picard_solve(space, F, family, start, config, **extra)
+        assert field_reprs(got) == field_reprs(want)
+
+    def test_arity_errors_match_the_checked_loop(self, reals):
+        F = MultiOperator(2, lambda x, y: x)
+        for start in [(0.0,), (0.0, 1.0, 2.0), ()]:
+            with pytest.raises(ValueError) as want:
+                reference_picard_solve(reals, F, coupled_preset(), start, SolveConfig())
+            with pytest.raises(ValueError) as got:
+                picard_solve(reals, F, coupled_preset(), start)
+            assert str(got.value) == str(want.value)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +234,25 @@ class TestClassifyDifferential:
     def test_matches_loop_reference(self, space, grid):
         want = classify_reference(space.matrix().tolist(), space.atol, grid)
         assert classify_finite(space, grid) == want
+
+    def test_two_steps_within_tolerance_block_the_s_relaxation(self):
+        # d(2,0) and d(0,1) are zero within atol = 1e-12 while d(2,1) = 0.2:
+        # not an F-distance, so no finite s either (their sum 2e-12 used to
+        # give s = 1e11, and DistanceClass refused the combination)
+        M = [[0.0, 1e-12, 0.0], [0.1, 0.0, 0.1], [1e-12, 0.2, 0.0]]
+        space = DistanceSpace(lambda x, y: M[x][y], points=range(3))
+        cls = classify_finite(space)
+        assert not cls.f_distance and cls.s_distance is None
+        assert cls == classify_reference(M, space.atol)
+
+    def test_subnormal_path_ratio_is_inf_without_warning(self):
+        # d(a,c) / (d(a,b) + d(b,c)) = 1 / 1e-323 is above the float maximum
+        tiny = 5e-324
+        space = DistanceSpace.from_matrix("abc", [[0, tiny, 1], [tiny, 0, tiny], [1, tiny, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cls = classify_finite(space)
+        assert cls.s_distance == float("inf")
 
     def test_product_spaces_compare_with_tolerance(self):
         base = DistanceSpace.from_matrix("ab", [[0, 0.1], [0.2, 0]])
