@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .operators import (
 from .orders import LSet, OrderRelation
 from .product import ProductKind, bind_distance, check_pair_arity
 from .spaces import DistanceSpace
-
-Point = Any
 
 # Margin for strict inequalities on computed (non-table) reals: rounding must
 # not manufacture a pass.
@@ -112,24 +110,11 @@ class LatticeReport:
     counterexample: Optional[tuple] = None
 
 
-def _bound(
-    order: OrderRelation, a: Point, b: Point, upper: bool
-) -> tuple[Optional[Point], bool]:
-    """(least upper / greatest lower) bound of a pair, plus mere existence."""
-    points = order.points
-    if upper:
-        bounds = [c for c in points if order.leq(a, c) and order.leq(b, c)]
-    else:
-        bounds = [c for c in points if order.leq(c, a) and order.leq(c, b)]
-    extremal = None
-    for c in bounds:
-        if all(
-            (order.leq(c, other) if upper else order.leq(other, c))
-            for other in bounds
-        ):
-            extremal = c
-            break
-    return extremal, bool(bounds)
+def _common_bounds(O: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per row a of the order matrix: (a, upper, lower) with upper[b, c] that c
+    is above both a and b, and lower[b, c] that c is below both."""
+    for a in range(len(O)):
+        yield a, O[a] & O, O[:, a] & O.T
 
 
 def check_lattice(order: OrderRelation) -> LatticeReport:
@@ -137,17 +122,25 @@ def check_lattice(order: OrderRelation) -> LatticeReport:
     reuse by downstream checks."""
     if not order.is_finite:
         raise UnsupportedInstanceError("lattice check needs a finite carrier")
+    points = order.points
+    O = order.matrix(points)
+    # A common upper bound c is the join exactly when everything above c is a
+    # common upper bound too: when |up(c)| counts the common upper bounds.
+    # The meet is the dual.
+    up, down = O.sum(axis=1), O.sum(axis=0)
     join: dict = {}
     meet: dict = {}
-    for a in order.points:
-        for b in order.points:
-            j, _ = _bound(order, a, b, upper=True)
-            m, _ = _bound(order, a, b, upper=False)
-            if j is None or m is None:
-                kind = "join" if j is None else "meet"
-                return LatticeReport(False, join, meet, (a, b, kind))
-            join[(a, b)] = j
-            meet[(a, b)] = m
+    for a, upper, lower in _common_bounds(O):
+        joins = upper & (up == upper.sum(axis=1, keepdims=True))
+        meets = lower & (down == lower.sum(axis=1, keepdims=True))
+        ok = joins.any(axis=1) & meets.any(axis=1)
+        stop = len(points) if ok.all() else int(np.argmin(ok))
+        pairs = [(points[a], b) for b in points[:stop]]
+        join.update(zip(pairs, [points[c] for c in joins.argmax(axis=1).tolist()]))
+        meet.update(zip(pairs, [points[c] for c in meets.argmax(axis=1).tolist()]))
+        if stop < len(points):
+            kind = "meet" if joins[stop].any() else "join"
+            return LatticeReport(False, join, meet, (points[a], points[stop], kind))
     return LatticeReport(True, join, meet)
 
 
@@ -155,14 +148,15 @@ def check_bounds_exist(order: OrderRelation) -> ConditionReport:
     """Every pair has some upper and some lower bound (weaker than lattice)."""
     if not order.is_finite:
         raise UnsupportedInstanceError("bounds check needs a finite carrier")
-    for a in order.points:
-        for b in order.points:
-            _, has_up = _bound(order, a, b, upper=True)
-            _, has_lo = _bound(order, a, b, upper=False)
-            if not (has_up and has_lo):
-                kind = "upper" if not has_up else "lower"
-                clause = Clause("pair bounds", False, (a, b, kind))
-                return ConditionReport("bounds", "fail", [clause])
+    points = order.points
+    for a, upper, lower in _common_bounds(order.matrix(points)):
+        has_up, has_lo = upper.any(axis=1), lower.any(axis=1)
+        bad = ~(has_up & has_lo)
+        if bad.any():
+            b = int(np.argmax(bad))
+            kind = "lower" if has_up[b] else "upper"
+            clause = Clause("pair bounds", False, (points[a], points[b], kind))
+            return ConditionReport("bounds", "fail", [clause])
     return ConditionReport("bounds", "pass", [Clause("pair bounds", True)])
 
 
@@ -173,21 +167,18 @@ def check_order_distance_compat(
     not exceed the symmetric sum across the whole chain."""
     if not space.is_finite:
         raise UnsupportedInstanceError("compatibility check needs a finite carrier")
-    for x in space.points:
-        for y in space.points:
-            if not order.leq(x, y):
-                continue
-            for z in space.points:
-                if not order.leq(y, z):
-                    continue
-                near = space.dist(x, y) + space.dist(y, x)
-                far = space.dist(x, z) + space.dist(z, x)
-                if near > far + (0.0 if space.table_backed else STRICT_MARGIN):
-                    clause = Clause("order-distance compatibility", False, (x, y, z))
-                    return ConditionReport("compat", "fail", [clause])
-    return ConditionReport(
-        "compat", "pass", [Clause("order-distance compatibility", True)]
-    )
+    points = space.points
+    O = order.matrix(points)
+    S = space.matrix() + space.matrix().T
+    margin = 0.0 if space.table_backed else STRICT_MARGIN
+    for i, x in enumerate(points):
+        # bad[y, z]: x <= y <= z with d(x,y) + d(y,x) > d(x,z) + d(z,x)
+        bad = O[i, :, None] & O & (S[i, :, None] > S[i] + margin)
+        if bad.any():
+            y, z = np.argwhere(bad)[0].tolist()
+            clause = Clause("order-distance compatibility", False, (x, points[y], points[z]))
+            return ConditionReport("compat", "fail", [clause])
+    return ConditionReport("compat", "pass", [Clause("order-distance compatibility", True)])
 
 
 def check_omega(
@@ -241,7 +232,7 @@ def check_omega(
     table = space.table_backed and kind is ProductKind.SUP
 
     kernel = ProductKernel(space, lset.m)
-    O = kernel.order_matrix(order)
+    O = order.matrix(kernel.labels)
     image = kernel.image(F, family)
     for xs, ys in kernel.comparable_pairs(O, lset, include_equal=False):
         fx, fy = image[xs], image[ys]
@@ -305,12 +296,13 @@ def check_mk_space(
         raise UnsupportedInstanceError("literal MK check needs a finite carrier")
     if not r_grid:
         raise ValueError("r_grid must be nonempty")
-    pairs = [(x, y) for x in space.points for y in space.points if order.leq(x, y)]
-    d = [space.dist(x, y) for x, y in pairs]
+    xs, ys = np.nonzero(order.matrix(space.points))
+    d = space.matrix()[xs, ys]
     found = _binding_r(r_grid, delta)(d, d, space.table_backed)
     if found is not None:
         k, r = found
-        clause = Clause("MK space condition", False, (*pairs[k], r))
+        x, y = space.points[xs[k]], space.points[ys[k]]
+        clause = Clause("MK space condition", False, (x, y, r))
         return ConditionReport("mk-space", "fail", [clause])
     return ConditionReport("mk-space", "pass", [Clause("MK space condition", True)])
 
@@ -440,7 +432,7 @@ def _mk_operator_exhaustive(
     comparable pair, equal pairs included.  The auto r grid is the set of
     distinct positive pair distances."""
     kernel = ProductKernel(space, lset.m)
-    O = kernel.order_matrix(order)
+    O = order.matrix(kernel.labels)
     samples = 0
     distances = []
     for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
@@ -487,14 +479,8 @@ def check_mk(
         return ConditionReport(name, "fail", clauses)
 
     if r_grid is None:
-        r_grid = sorted(
-            {
-                space.dist(x, y)
-                for x in space.points
-                for y in space.points
-                if space.dist(x, y) > 0
-            }
-        ) or [1.0]
+        D = space.matrix()
+        r_grid = np.unique(D[D > 0]).tolist() or [1.0]
     mk_space = check_mk_space(space, order, delta, r_grid)
     clauses.append(mk_space.clauses[0])
     if mk_space.verdict == "fail":
@@ -502,7 +488,7 @@ def check_mk(
 
     isotone = variant == 1
     kernel = ProductKernel(space, lset.m)
-    O = kernel.order_matrix(order)
+    O = order.matrix(kernel.labels)
     image = kernel.image(F, family)
     for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
         fx, fy = image[xs], image[ys]

@@ -2,9 +2,10 @@
 
 Carrier points become indices ``0..n-1`` and the product ``X^m`` becomes the
 ``(N, m)`` array of index tuples, in :func:`product_points` order, so a
-product point is one integer in ``0..N-1``.  The order is an ``n x n``
-boolean matrix, the distance the base ``n x n`` matrix, and ``lambdaF`` one
-index map over the ``N`` tuples.
+product point is one integer in ``0..N-1``.  The order is the order's own
+closed ``n x n`` boolean matrix re-indexed to the carrier
+(:meth:`OrderRelation.matrix`), the distance the base ``n x n`` matrix, and
+``lambdaF`` one index map over the ``N`` tuples.
 
 Comparable pairs under ``<=_L`` come out in row blocks of about
 ``BLOCK_ENTRIES`` candidate pairs, in canonical order (``x`` in product
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .operators import LambdaFamily, MultiOperator
-from .orders import LSet, OrderRelation
+from .orders import LSet
 from .product import ProductKind, product_size
 from .spaces import DistanceSpace
 
@@ -51,11 +52,6 @@ class ProductKernel:
     def point(self, k) -> tuple:
         """Decode product index ``k`` to its tuple of carrier labels."""
         return tuple(self.labels[c] for c in self.coords[k])
-
-    def order_matrix(self, order: OrderRelation) -> np.ndarray:
-        return np.array(
-            [[order.leq(a, b) for b in self.labels] for a in self.labels], dtype=bool
-        ).reshape(self.n, self.n)
 
     def image(self, F: MultiOperator, family: LambdaFamily) -> np.ndarray:
         """lambdaF as an index map: ``image[k]`` codes lambdaF(point(k)).

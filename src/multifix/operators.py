@@ -96,9 +96,7 @@ class MultiOperator:
             except KeyError:
                 raise EvaluationError(f"operator table missing entry for {args}")
 
-        op = cls(m, func)
-        op.table = table
-        return op
+        return cls(m, func)
 
     @classmethod
     def constant(cls, m: int, value: Point) -> "MultiOperator":
@@ -181,17 +179,14 @@ def is_multiple_fixed_point(
 class SurjectivityReport:
     """Per-row surjectivity data for a lambda family.
 
-    ``preimage_union_sizes`` is the literal union-of-preimages cardinality;
-    it equals m for every total map (the preimages partition the domain), so
-    it is reported with a vacuity warning and checkers rely on per-row
-    surjectivity or on the union of row images instead.
+    The literal union-of-preimages cardinality is m for every total map (the
+    preimages partition the domain), so it is not reported; checkers rely on
+    per-row surjectivity or on the union of row images instead.
     """
 
     rows_surjective: tuple[bool, ...]
     row_images: tuple[frozenset, ...]
-    preimage_union_sizes: tuple[int, ...]
     union_of_images_full: bool
-    literal_condition_vacuous: bool = True
 
     @property
     def all_rows_surjective(self) -> bool:
@@ -203,14 +198,9 @@ def surjectivity_report(family: LambdaFamily) -> SurjectivityReport:
     full = set(range(1, m + 1))
     images = tuple(frozenset(row) for row in family.rows)
     rows_surjective = tuple(set(img) == full for img in images)
-    preimage_sizes = tuple(
-        len({j for j in range(1, m + 1) if row[j - 1] in full})
-        for row in family.rows
-    )
     union = set().union(*images) if images else set()
     return SurjectivityReport(
         rows_surjective=rows_surjective,
         row_images=images,
-        preimage_union_sizes=preimage_sizes,
         union_of_images_full=union == full,
     )

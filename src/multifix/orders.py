@@ -13,16 +13,19 @@ Point = Any
 
 
 class OrderRelation:
-    """Decidable partial order: pair table (finite) or numeric <= (continuous).
+    """Decidable partial order: closed boolean matrix (finite) or numeric <=
+    (continuous).
 
     Finite relations are built from generating pairs; the reflexive-transitive
     closure is taken and antisymmetry of the closed relation is validated, so
-    callers may supply covering pairs only.
+    callers may supply covering pairs only.  Entry ``(i, j)`` of the matrix
+    says ``points[i] <= points[j]``.
     """
 
-    def __init__(self, points: Optional[Sequence[Point]], pairs: Optional[frozenset]):
+    def __init__(self, points: Optional[Sequence[Point]], matrix: Optional[np.ndarray]):
         self.points = tuple(points) if points is not None else None
-        self._pairs = pairs
+        self._matrix = matrix
+        self._index = None if matrix is None else {p: i for i, p in enumerate(self.points)}
 
     @classmethod
     def from_pairs(
@@ -43,8 +46,7 @@ class OrderRelation:
         if cycle.size:
             a, b = (points[i] for i in cycle[0].tolist())
             raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
-        closed = np.argwhere(rel).tolist()
-        return cls(points, frozenset((points[i], points[j]) for i, j in closed))
+        return cls(points, rel)
 
     @classmethod
     def numeric(cls) -> "OrderRelation":
@@ -53,11 +55,14 @@ class OrderRelation:
 
     @property
     def is_finite(self) -> bool:
-        return self._pairs is not None
+        return self._matrix is not None
 
     def leq(self, x: Point, y: Point) -> bool:
-        if self._pairs is not None:
-            return (x, y) in self._pairs
+        if self._matrix is not None:
+            try:
+                return self._matrix.item(self._index[x], self._index[y])
+            except KeyError:  # a point outside the order compares to nothing
+                return False
         if isinstance(x, (tuple, list)):
             return all(a <= b for a, b in zip(x, y))
         return x <= y
@@ -66,9 +71,25 @@ class OrderRelation:
         return self.leq(x, y) or self.leq(y, x)
 
     def pairs(self) -> frozenset:
-        if self._pairs is None:
+        if self._matrix is None:
             raise UnsupportedInstanceError("numeric order has no finite pair table")
-        return self._pairs
+        return frozenset(
+            (self.points[i], self.points[j]) for i, j in np.argwhere(self._matrix).tolist()
+        )
+
+    def matrix(self, labels: Sequence[Point]) -> np.ndarray:
+        """The order re-indexed to ``labels``: entry ``(i, j)`` is
+        ``leq(labels[i], labels[j])``, so a label the order does not contain
+        compares to nothing, itself included."""
+        n = len(labels)
+        if self._matrix is None:
+            leq = [[self.leq(a, b) for b in labels] for a in labels]
+            return np.array(leq, dtype=bool).reshape(n, n)
+        rows = np.array([self._index.get(p, -1) for p in labels], dtype=np.intp)
+        known = np.flatnonzero(rows >= 0)
+        out = np.zeros((n, n), dtype=bool)
+        out[np.ix_(known, known)] = self._matrix[np.ix_(rows[known], rows[known])]
+        return out
 
 
 def chain_order(points: Sequence[Point]) -> OrderRelation:

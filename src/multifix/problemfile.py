@@ -70,10 +70,6 @@ def make_family_operator(name: str, args: list[float]) -> tuple[MultiOperator, i
     raise ValueError(f"unknown operator family {name!r}")
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def _number(text: str, what: str, ln: int) -> float:
     """A finite real read from a header value, else ParseError at line ``ln``."""
     try:
@@ -128,10 +124,11 @@ _HEADERS = {
 def parse_problem(text: str) -> ProblemFile:
     lines = _Lines(text)
     pf = ProblemFile()
+    # Each block's header line, for errors found once the file is read.
+    block_line: dict[str, int] = {}
     labels: Optional[tuple] = None
     matrix: Optional[list[list[float]]] = None
     order_pairs: list[tuple] = []
-    saw_order = False
     box: Optional[Box] = None
     complete = None
     table_lines: list[tuple[int, str]] = []
@@ -151,9 +148,10 @@ def parse_problem(text: str) -> ProblemFile:
             head, rest = line.split(None, 1) if " " in line else (line, "")
         head = head.strip().lower()
         rest = rest.strip()
+        block_line.setdefault(head, ln)
 
         if head == "points":
-            labels = tuple(_tokens(rest))
+            labels = tuple(rest.split())
             if not labels:
                 raise ParseError("points block lists no labels", ln)
         elif head == "dist":
@@ -166,7 +164,7 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ParseError("dist block is truncated", ln)
                 rln, row_line = row_item
                 try:
-                    row = [float(t) for t in _tokens(row_line)]
+                    row = [float(t) for t in row_line.split()]
                 except ValueError:
                     raise ParseError(f"bad distance row {row_line!r}", rln)
                 if len(row) != len(labels):
@@ -180,7 +178,6 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ParseError(f"distance row {row_line!r} is not finite", rln)
                 matrix.append(row)
         elif head == "order":
-            saw_order = True
             while not lines.peek_header():
                 pln, pair_line = lines.next_content()
                 parts = pair_line.split("<=")
@@ -188,7 +185,7 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ParseError(f"expected 'a <= b', got {pair_line!r}", pln)
                 order_pairs.append((parts[0].strip(), parts[1].strip()))
         elif head == "space":
-            toks = _tokens(rest)
+            toks = rest.split()
             if len(toks) != 3 or toks[0] != "box":
                 raise ParseError("space block must be 'space: box LO HI'", ln)
             lo, hi = (_number(t, "box bound", ln) for t in toks[1:])
@@ -207,21 +204,21 @@ def parse_problem(text: str) -> ProblemFile:
                 while not lines.peek_header():
                     rln, row_line = lines.next_content()
                     try:
-                        lambda_rows.append(tuple(int(t) for t in _tokens(row_line)))
+                        lambda_rows.append(tuple(int(t) for t in row_line.split()))
                     except ValueError:
                         raise ParseError(f"bad lambda row {row_line!r}", rln)
         elif head == "f":
             while not lines.peek_header():
                 table_lines.append(lines.next_content())
         elif head == "family":
-            toks = _tokens(rest)
+            toks = rest.split()
             if not toks:
                 raise ParseError("family block needs a name", ln)
             family_spec = (toks[0], [_number(t, "family parameter", ln) for t in toks[1:]])
         elif head == "l":
-            l_spec = (ln, tuple(_integer(t, "L index", ln) for t in _tokens(rest)))
+            l_spec = (ln, tuple(_integer(t, "L index", ln) for t in rest.split()))
         elif head == "delta":
-            toks = _tokens(rest)
+            toks = rest.split()
             if len(toks) != 2 or toks[0] not in ("linear", "const"):
                 raise ParseError("delta block must be 'delta linear C' or 'delta const C'", ln)
             c = _number(toks[1], f"delta {toks[0]} value", ln)
@@ -234,7 +231,7 @@ def parse_problem(text: str) -> ProblemFile:
             except ValueError as exc:
                 raise ParseError(str(exc), ln)
         elif head == "start":
-            start_spec = (ln, _tokens(rest))
+            start_spec = (ln, rest.split())
         elif head == "tol":
             pf.tol = _number(rest, "tol", ln)
         elif head == "max_iter":
@@ -252,16 +249,16 @@ def parse_problem(text: str) -> ProblemFile:
 
     if labels is not None:
         if matrix is None:
-            raise ParseError("points block without a dist block")
+            raise ParseError("points block without a dist block", block_line["points"])
         try:
             pf.space = DistanceSpace.from_matrix(labels, matrix)
         except ValueError as exc:
-            raise ParseError(str(exc))
-        if saw_order:
+            raise ParseError(str(exc), block_line["dist"])
+        if "order" in block_line:
             try:
                 pf.order = OrderRelation.from_pairs(labels, order_pairs)
             except ValueError as exc:
-                raise ParseError(str(exc))
+                raise ParseError(str(exc), block_line["order"])
     elif box is not None:
         pf.space = DistanceSpace.continuous(
             lambda x, y: abs(x - y),
@@ -274,12 +271,12 @@ def parse_problem(text: str) -> ProblemFile:
         try:
             pf.operator, m = make_family_operator(*family_spec)
         except ValueError as exc:
-            raise ParseError(str(exc))
+            raise ParseError(str(exc), block_line["family"])
         if pf.family is None:
             pf.family = coupled_preset() if m == 2 else tripled_preset()
     elif table_lines:
         if labels is None:
-            raise ParseError("operator tables need a finite carrier")
+            raise ParseError("operator tables need a finite carrier", block_line["f"])
         table = {}
         points = set(labels)
         for tln, entry in table_lines:
@@ -296,17 +293,17 @@ def parse_problem(text: str) -> ProblemFile:
             table[key] = value
         arity = len(next(iter(table)))
         if any(len(k) != arity for k in table):
-            raise ParseError("operator table rows have inconsistent arity")
+            raise ParseError("operator table rows have inconsistent arity", block_line["f"])
         try:
             pf.operator = MultiOperator.from_table(arity, table, labels)
         except Exception as exc:
-            raise ParseError(str(exc))
+            raise ParseError(str(exc), block_line["f"])
 
     if lambda_rows is not None:
         try:
             pf.family = LambdaFamily(len(lambda_rows), tuple(lambda_rows))
         except ValueError as exc:
-            raise ParseError(str(exc))
+            raise ParseError(str(exc), block_line["lambda"])
 
     if l_spec is not None:
         lln, indices = l_spec
@@ -327,7 +324,8 @@ def parse_problem(text: str) -> ProblemFile:
     if pf.operator is not None and pf.family is not None:
         if pf.operator.m != pf.family.m:
             raise ParseError(
-                f"operator arity {pf.operator.m} does not match lambda arity {pf.family.m}"
+                f"operator arity {pf.operator.m} does not match lambda arity {pf.family.m}",
+                block_line["lambda"],
             )
     return pf
 

@@ -44,7 +44,7 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    status: str  # "converged" | "max_iter_exceeded" | "diverged"
+    status: str  # "converged" | "cycle" | "max_iter_exceeded" | "diverged"
     final: tuple
     iterations: int
     trace: list[float] = field(default_factory=list)
@@ -101,7 +101,8 @@ def picard_solve(
     which stays meaningful on asymmetric distances; a step above the
     divergence cap or a non-finite residual stops with ``diverged``.  On
     finite carriers exact cycle detection replaces the tolerance: reaching a
-    1-cycle converges, while a longer cycle stops with a cycle annotation.
+    1-cycle converges, while a longer cycle stops with status ``cycle`` and
+    its length.
     The trace records the forward step rho(x, next) per iteration; the
     reported final point is the iterate at which the stop test fired.
     """
@@ -136,8 +137,7 @@ def picard_solve(
             if nxt in visited:
                 cycle = n + 1 - visited[nxt]
                 return SolveReport(
-                    "max_iter_exceeded", nxt, n, trace, verified, direction,
-                    cycle_length=cycle,
+                    "cycle", nxt, n, trace, verified, direction, cycle_length=cycle
                 )
         else:
             residual = step + rho(nxt, x)

@@ -271,7 +271,10 @@ def classify_finite(
         reach[A[:, y]] |= A[y]
     chained = np.where(reach, D, -np.inf)
     f_distance = bool(np.max(chained) <= min_eps + atol)
-    n_distance = bool(np.all(np.max(chained, axis=1) <= min_eps + atol))
+    # N asks for a delta per point, F for one delta for all; on a finite
+    # carrier the minimum of the per-point deltas serves every point, so N
+    # and F coincide.
+    n_distance = f_distance
 
     # Minimal feasible s for the relaxed triangle inequality.  For each pair
     # the binding intermediate point is the one minimizing d(x,z)+d(z,y).

@@ -19,15 +19,17 @@ from multifix import (
     ProductKind,
     apply_lambda_f,
     chain_order,
-    check_bounds_exist,
-    check_lattice,
     check_mk_operator,
-    check_mk_space,
-    check_order_distance_compat,
     compare_L,
     surjectivity_report,
 )
-from multifix.conditions import Clause, ConditionReport, _strictly_less
+from multifix.conditions import (
+    STRICT_MARGIN,
+    Clause,
+    ConditionReport,
+    LatticeReport,
+    _strictly_less,
+)
 from multifix.game import Round, Trajectory
 from multifix.product import product_distance, product_points
 from multifix.solver import SolveReport
@@ -118,8 +120,84 @@ def random_table_operator(
 
 # -- per-pair reference loops -------------------------------------------------
 #
-# Pure-Python forms of the exhaustive checks that run on the integer kernel,
-# kept as the reference for the differential tests.
+# Pure-Python forms of the exhaustive checks that run on the integer kernel
+# and on the order matrix, kept as the reference for the differential tests.
+
+
+def reference_bound(order, a, b, upper):
+    """(least upper / greatest lower) bound of a pair, plus mere existence."""
+    points = order.points
+    if upper:
+        bounds = [c for c in points if order.leq(a, c) and order.leq(b, c)]
+    else:
+        bounds = [c for c in points if order.leq(c, a) and order.leq(c, b)]
+    extremal = None
+    for c in bounds:
+        if all((order.leq(c, other) if upper else order.leq(other, c)) for other in bounds):
+            extremal = c
+            break
+    return extremal, bool(bounds)
+
+
+def reference_check_lattice(order):
+    join = {}
+    meet = {}
+    for a in order.points:
+        for b in order.points:
+            j, _ = reference_bound(order, a, b, upper=True)
+            m, _ = reference_bound(order, a, b, upper=False)
+            if j is None or m is None:
+                kind = "join" if j is None else "meet"
+                return LatticeReport(False, join, meet, (a, b, kind))
+            join[(a, b)] = j
+            meet[(a, b)] = m
+    return LatticeReport(True, join, meet)
+
+
+def reference_check_bounds_exist(order):
+    for a in order.points:
+        for b in order.points:
+            _, has_up = reference_bound(order, a, b, upper=True)
+            _, has_lo = reference_bound(order, a, b, upper=False)
+            if not (has_up and has_lo):
+                kind = "upper" if not has_up else "lower"
+                clause = Clause("pair bounds", False, (a, b, kind))
+                return ConditionReport("bounds", "fail", [clause])
+    return ConditionReport("bounds", "pass", [Clause("pair bounds", True)])
+
+
+def reference_check_order_distance_compat(space, order):
+    for x in space.points:
+        for y in space.points:
+            if not order.leq(x, y):
+                continue
+            for z in space.points:
+                if not order.leq(y, z):
+                    continue
+                near = space.dist(x, y) + space.dist(y, x)
+                far = space.dist(x, z) + space.dist(z, x)
+                if near > far + (0.0 if space.table_backed else STRICT_MARGIN):
+                    clause = Clause("order-distance compatibility", False, (x, y, z))
+                    return ConditionReport("compat", "fail", [clause])
+    return ConditionReport("compat", "pass", [Clause("order-distance compatibility", True)])
+
+
+def reference_check_mk_space(space, order, delta, r_grid):
+    pairs = [(x, y) for x in space.points for y in space.points if order.leq(x, y)]
+    d = [space.dist(x, y) for x, y in pairs]
+    found = reference_first_failure(r_grid, delta, d, d, space.table_backed)
+    if found is not None:
+        k, r = found
+        clause = Clause("MK space condition", False, (*pairs[k], r))
+        return ConditionReport("mk-space", "fail", [clause])
+    return ConditionReport("mk-space", "pass", [Clause("MK space condition", True)])
+
+
+def reference_r_grid(space):
+    """check_mk's automatic grid: the distinct positive base distances."""
+    return sorted(
+        {space.dist(x, y) for x in space.points for y in space.points if space.dist(x, y) > 0}
+    ) or [1.0]
 
 
 def comparable_product_pairs(space, order, lset, include_equal=False):
@@ -144,11 +222,11 @@ def _image_order_failure(space, order, F, family, lset, isotone, include_equal):
 def reference_check_omega(space, order, F, family, lset, variant):
     name = f"omega{variant}"
     clauses = []
-    lat = check_lattice(order)
+    lat = reference_check_lattice(order)
     clauses.append(Clause("lattice", lat.is_lattice, lat.counterexample))
     if not lat.is_lattice:
         return ConditionReport(name, "fail", clauses)
-    compat = check_order_distance_compat(space, order)
+    compat = reference_check_order_distance_compat(space, order)
     clauses.append(compat.clauses[0])
     if compat.verdict == "fail":
         return ConditionReport(name, "fail", clauses)
@@ -191,15 +269,13 @@ def reference_check_omega(space, order, F, family, lset, variant):
 def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=None):
     name = f"mk{variant}"
     clauses = []
-    bounds = check_bounds_exist(order)
+    bounds = reference_check_bounds_exist(order)
     clauses.append(bounds.clauses[0])
     if bounds.verdict == "fail":
         return ConditionReport(name, "fail", clauses)
     if r_grid is None:
-        r_grid = sorted(
-            {space.dist(x, y) for x in space.points for y in space.points if space.dist(x, y) > 0}
-        ) or [1.0]
-    mk_space = check_mk_space(space, order, delta, r_grid)
+        r_grid = reference_r_grid(space)
+    mk_space = reference_check_mk_space(space, order, delta, r_grid)
     clauses.append(mk_space.clauses[0])
     if mk_space.verdict == "fail":
         return ConditionReport(name, "fail", clauses)
@@ -387,7 +463,7 @@ def reference_picard_solve(space, F, family, start, config, order=None, lset=Non
             visited[x] = n
             if nxt in visited:
                 return SolveReport(
-                    "max_iter_exceeded", nxt, n, trace, verified, direction,
+                    "cycle", nxt, n, trace, verified, direction,
                     cycle_length=n + 1 - visited[nxt],
                 )
         else:

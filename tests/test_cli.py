@@ -71,12 +71,12 @@ rounds: 200
 
 
 
-def tripled_file(header, points, value, footer):
-    """A problem file whose operator table maps each argument tuple of the
+def table_file(header, points, value, footer, m=3):
+    """A problem file whose operator table maps each argument m-tuple of the
     carrier to ``value(tuple)``."""
     table = [
         f"{','.join(key)} -> {value(key)}"
-        for key in itertools.product(points.split(), repeat=3)
+        for key in itertools.product(points.split(), repeat=m)
     ]
     return "\n".join([header.strip(), "F:", *table, footer.strip()]) + "\n"
 
@@ -84,7 +84,7 @@ def tripled_file(header, points, value, footer):
 # Failing checks whose first witness sits deep in canonical pair order.
 # Outputs are pinned as printed before the exhaustive checks moved onto the
 # integer kernel: witness order and the repr of r must not change.
-GOLDEN_IMAGE_ORDER = tripled_file(
+GOLDEN_IMAGE_ORDER = table_file(
     """
 points: x0 b1 y2
 dist:
@@ -104,7 +104,7 @@ lambda:
     "L: 2\ndelta linear 0.25",
 )
 
-GOLDEN_CONTRACTION = tripled_file(
+GOLDEN_CONTRACTION = table_file(
     """
 points: y0 c1 u2
 dist:
@@ -121,7 +121,7 @@ lambda: tripled
     "L:\ndelta const 0.15",
 )
 
-GOLDEN_SUM_ROUNDING = tripled_file(
+GOLDEN_SUM_ROUNDING = table_file(
     """
 points: v0 u1 22
 dist:
@@ -139,6 +139,97 @@ lambda:
     "v0 u1 22",
     lambda key: min(key, key="v0 u1 22".split().index),
     "L:\ndelta linear 0.25",
+)
+
+
+def coupled_file(header, points, footer):
+    """A coupled problem file with F(x, y) the later of x, y in the points
+    line."""
+    later = points.split().index
+    return table_file(header, points, lambda key: max(key, key=later), footer, m=2)
+
+
+# Failing order clauses, first witnesses pinned as printed while the clauses
+# still looped over labels with order.leq.
+GOLDEN_LATTICE = coupled_file(
+    """
+points: w u 7 l f
+dist:
+0 1 3 1 1
+0.5 0 3 1 1
+3 1.5 0 3 1
+1.5 1.5 1 0 1
+1.5 1.5 3 0.5 0
+order:
+l <= u
+l <= 7
+f <= u
+u <= 7
+7 <= w
+lambda: coupled
+""",
+    "w u 7 l f",
+    "L: 1\ndelta linear 0.5",
+)
+
+GOLDEN_COMPAT = coupled_file(
+    """
+points: l f 7 w u
+dist:
+0 0.5 3 3 3
+0.5 0 1 3 2
+2 1.5 0 3 1
+3 2 1 0 1.5
+2 2 1 1 0
+order:
+u <= w
+w <= 7
+7 <= f
+f <= l
+lambda: coupled
+""",
+    "l f 7 w u",
+    "L: 1\ndelta linear 1.0",
+)
+
+GOLDEN_BOUNDS = coupled_file(
+    """
+points: w l f u 7
+dist:
+0 1.5 0.5 1.5 1
+1.5 0 1.5 1.5 3
+1 0.5 0 3 2
+1.5 1.5 3 0 2
+1.5 3 1.5 1.5 0
+order:
+u <= l
+7 <= l
+l <= w
+w <= f
+lambda: coupled
+""",
+    "w l f u 7",
+    "L: 1\ndelta linear 0.5",
+)
+
+GOLDEN_MK_SPACE = coupled_file(
+    """
+points: w l u f 7
+dist:
+0 3 1.5 1.5 2
+2 0 1 0.5 0.5
+2 1.5 0 1 1
+3 1 2 0 0.5
+1 2 1.5 1 0
+order:
+l <= u
+u <= 7
+7 <= f
+f <= w
+lambda: coupled
+""",
+    "w l u f 7",
+    "L: 1\ndelta linear 0.25",
 )
 
 
@@ -256,6 +347,12 @@ class TestSolve:
         code = main(["solve", prob(EXPANSION)])
         assert code == 1
         assert "status=diverged" in capsys.readouterr().out
+
+    def test_cycle_exits_one(self, prob, capsys):
+        code = main(["solve", prob(SWAP_ANTICHAIN + "start: a a\n")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "status=cycle\n" in out and "cycle=2\n" in out
 
     def test_explicit_start_override(self, prob, capsys):
         code = main(["solve", prob(CONTRACTION), "--start", "5,-5"])
@@ -381,6 +478,58 @@ class TestGoldenFailures:
                 "(('22', '22', '22'), ('u1', 'u1', '22'), 0.5)\n",
                 1,
             ),
+            (
+                GOLDEN_LATTICE,
+                ["check", "--condition", "omega1"],
+                "FAIL clause: lattice; witness: ('l', 'f', 'meet')\n",
+                1,
+            ),
+            (
+                GOLDEN_LATTICE,
+                ["verify", "--condition", "mk1"],
+                "INFORMATIONAL (conditions fail: pair bounds); "
+                "fixed points: [(w,w), (u,u), (7,7), (l,l), (f,f)]\n",
+                0,
+            ),
+            (
+                GOLDEN_COMPAT,
+                ["check", "--condition", "omega1"],
+                "FAIL clause: order-distance compatibility; witness: ('u', 'w', '7')\n",
+                1,
+            ),
+            (
+                GOLDEN_COMPAT,
+                ["verify", "--condition", "mk1"],
+                "INFORMATIONAL (conditions fail: MK space condition); "
+                "fixed points: [(l,l), (f,f), (7,7), (w,w), (u,u)]\n",
+                0,
+            ),
+            (
+                GOLDEN_BOUNDS,
+                ["check", "--condition", "mk1"],
+                "FAIL clause: pair bounds; witness: ('u', '7', 'lower')\n",
+                1,
+            ),
+            (
+                GOLDEN_BOUNDS,
+                ["verify", "--condition", "mk1"],
+                "INFORMATIONAL (conditions fail: pair bounds); "
+                "fixed points: [(w,w), (l,l), (f,f), (u,u), (7,7)]\n",
+                0,
+            ),
+            (
+                GOLDEN_MK_SPACE,
+                ["check", "--condition", "mk1"],
+                "FAIL clause: MK space condition; witness: ('l', 'w', 2.0)\n",
+                1,
+            ),
+            (
+                GOLDEN_MK_SPACE,
+                ["verify", "--condition", "mk1"],
+                "INFORMATIONAL (conditions fail: MK space condition); "
+                "fixed points: [(w,w), (l,l), (u,u), (f,f), (7,7)]\n",
+                0,
+            ),
         ],
     )
     def test_stdout_and_exit_code(self, prob, capsys, text, args, stdout, code):
@@ -412,3 +561,45 @@ class TestUsageErrors:
         code = main(["solve", prob("space: box 0 1\n")])
         assert code == 2
         assert "parse error" in capsys.readouterr().err
+
+
+# Lines 1-12: points, dist (2), order (5), lambda (7), F (8).
+TWO_POINTS = """\
+points: a b
+dist:
+0 1
+1 0
+order:
+a <= b
+lambda: coupled
+F:
+a,a -> a
+a,b -> a
+b,a -> b
+b,b -> b
+"""
+
+
+class TestAssemblyErrorLines:
+    """Errors found once the whole file is read name the block they concern."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (TWO_POINTS.replace("a <= b", "a <= b\nb <= a"), 5, "not antisymmetric"),
+            (TWO_POINTS.replace("a <= b", "a <= c"), 5, "unknown point 'c'"),
+            ("points: a b\norder:\na <= b\n", 1, "without a dist block"),
+            (TWO_POINTS.replace("points: a b", "points: a a"), 2, "must be distinct"),
+            (TWO_POINTS.replace("0 1\n", "0 -1\n"), 2, "is negative"),
+            (TWO_POINTS.replace("lambda: coupled", "lambda:\n1 3\n2 1"), 7, "outside 1..2"),
+            (TWO_POINTS.replace("lambda: coupled", "lambda: tripled"), 7, "does not match"),
+            (TWO_POINTS.replace("a,a -> a", "a -> a"), 8, "inconsistent arity"),
+            (TWO_POINTS.replace("b,b -> b\n", ""), 8, "missing entry"),
+            ("space: box 0 1\nfamily: linear-coupled 1\n", 2, "takes: alpha beta"),
+            ("space: box 0 1\nfamily: nope 1\n", 2, "unknown operator family"),
+        ],
+    )
+    def test_parse_error_names_the_block_line(self, prob, capsys, text, line, message):
+        assert main(["check", prob(text), "--condition", "omega1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: line {line}: ") and message in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
+    LambdaFamily,
     LSet,
     MeirKeelerModulus,
     MultiOperator,
@@ -25,9 +26,17 @@ from multifix import (
 )
 from multifix.conditions import _binding_r
 from helpers import (
+    closure_reference,
     int_chain,
     random_table_operator,
+    reference_check_bounds_exist,
+    reference_check_lattice,
+    reference_check_mk,
+    reference_check_mk_space,
+    reference_check_omega,
+    reference_check_order_distance_compat,
     reference_first_failure,
+    reference_r_grid,
     reference_sample_comparable_pairs,
 )
 
@@ -101,6 +110,17 @@ class TestOrderDistanceCompat:
         space = DistanceSpace.from_matrix([0, 1], [[0, 3], [3, 0]])
         order = OrderRelation.from_pairs([0, 1], [])
         assert check_order_distance_compat(space, order).passed
+
+    def test_computed_distances_compare_with_margin(self):
+        # near = 0.1 + 0.2 rounds above far = 0.3 + 0: a table compares
+        # exactly, computed distances forgive the rounding
+        table = DistanceSpace.from_matrix(
+            [0, 1, 2], [[0, 0.1, 0.3], [0.2, 0, 0.1], [0, 0.1, 0]]
+        )
+        computed = DistanceSpace(table.dist, points=table.points)
+        order = chain_order([0, 1, 2])
+        assert check_order_distance_compat(table, order).counterexample == (0, 1, 2)
+        assert check_order_distance_compat(computed, order).passed
 
 
 class TestOmega:
@@ -372,3 +392,114 @@ class TestCompositeMK:
         )
         assert report.verdict == "fail"
         assert report.failing_clause().name == "image order"
+
+
+# Labels of mixed types, some spelled like block headers or separators.
+ORDER_LABELS = st.lists(
+    st.one_of(
+        st.integers(-3, 12),
+        st.sampled_from(["f", "l", "F", "L", "<=", "a,b", "->"]),
+        st.tuples(st.integers(0, 2), st.sampled_from("fl")),
+    ),
+    min_size=3,
+    max_size=7,
+    unique=True,
+)
+
+
+@st.composite
+def ordered_spaces(draw):
+    """A finite space and an order over its labels, reshuffled, perhaps
+    without one of them and perhaps with a label the space lacks: a chain, a
+    random poset, or a random poset given a bottom and a top."""
+    labels = draw(ORDER_LABELS)
+    n = len(labels)
+    points = draw(st.permutations(labels))
+    if draw(st.booleans()):
+        points.pop(draw(st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        points.insert(draw(st.integers(0, len(points))), "only-in-order")
+    shape = draw(st.sampled_from(["chain", "poset", "bounded"]))
+    rank = draw(st.permutations(points))
+    pairs = [
+        (rank[i], rank[j])
+        for i, j in itertools.combinations(range(len(rank)), 2)
+        if (j == i + 1 if shape == "chain" else draw(st.booleans()))
+    ]
+    if shape == "bounded" and len(rank) > 1:
+        pairs += [(rank[0], p) for p in rank[1:]] + [(p, rank[-1]) for p in rank[:-1]]
+        if len(rank) >= 6 and draw(st.booleans()):
+            # a bowtie inside: two pairs with two minimal common bounds
+            pairs += [(rank[i], rank[j]) for i in (1, 2) for j in (3, 4)]
+    order = OrderRelation.from_pairs(points, pairs)
+    dist = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5, 3.0])
+    matrix = [[0.0 if i == j else draw(dist) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if matrix[i][j] + matrix[j][i] == 0:
+            matrix[i][j] = 0.1
+    space = DistanceSpace.from_matrix(labels, matrix)
+    if draw(st.booleans()):  # computed distances compare with a margin
+        space = DistanceSpace(space.dist, points=labels)
+    return space, order, points, pairs
+
+
+def same_report(got, want):
+    assert got.verdict == want.verdict
+    assert [(c.name, c.ok, c.witness) for c in got.clauses] == [
+        (c.name, c.ok, c.witness) for c in want.clauses
+    ]
+    assert got.counterexample == want.counterexample
+
+
+class TestOrderClausesMatchReference:
+    """The order clauses on the closed order matrix against the label loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ordered_spaces(),
+        st.sampled_from([MeirKeelerModulus.linear(0.5), MeirKeelerModulus.const(1.0)]),
+    )
+    def test_clauses(self, instance, delta):
+        space, order, points, pairs = instance
+        closure = closure_reference(points, pairs)
+        assert order.pairs() == closure
+        labels = space.points
+        assert order.matrix(labels).tolist() == [
+            [(a, b) in closure for b in labels] for a in labels
+        ]
+
+        got, want = check_lattice(order), reference_check_lattice(order)
+        assert (got.is_lattice, got.counterexample) == (want.is_lattice, want.counterexample)
+        assert list(got.join.items()) == list(want.join.items())
+        assert list(got.meet.items()) == list(want.meet.items())
+        same_report(check_bounds_exist(order), reference_check_bounds_exist(order))
+        same_report(
+            check_order_distance_compat(space, order),
+            reference_check_order_distance_compat(space, order),
+        )
+        grid = reference_r_grid(space)
+        same_report(
+            check_mk_space(space, order, delta, grid),
+            reference_check_mk_space(space, order, delta, grid),
+        )
+        F = MultiOperator.constant(1, labels[0])
+        family, lset = LambdaFamily.identity(1), LSet.of(1, 1)
+        same_report(
+            check_omega(space, order, F, family, lset, 1),
+            reference_check_omega(space, order, F, family, lset, 1),
+        )
+        same_report(
+            check_mk(space, order, F, family, lset, delta, 1),
+            reference_check_mk(space, order, F, family, lset, delta, 1),
+        )
+
+    def test_numeric_order_on_a_finite_carrier(self):
+        space = DistanceSpace.from_matrix([2, 0, 1], [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+        order = OrderRelation.numeric()
+        assert order.matrix(space.points).tolist() == [
+            [True, False, False], [True, True, True], [True, False, True]
+        ]
+        same_report(
+            check_order_distance_compat(space, order),
+            reference_check_order_distance_compat(space, order),
+        )

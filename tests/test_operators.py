@@ -174,10 +174,3 @@ class TestSurjectivity:
         report = surjectivity_report(fam)
         assert report.rows_surjective == (False, False)
         assert not report.union_of_images_full
-
-    def test_literal_preimage_union_is_vacuous(self):
-        # the printed union-of-preimages cardinality equals m for any total map
-        for fam in (coupled_preset(), tripled_preset(), LambdaFamily(2, ((1, 1), (2, 2)))):
-            report = surjectivity_report(fam)
-            assert all(size == fam.m for size in report.preimage_union_sizes)
-            assert report.literal_condition_vacuous

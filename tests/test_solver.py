@@ -108,7 +108,7 @@ class TestPicard:
         bits = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         F = MultiOperator(2, lambda x, y: 1 - x)  # induced map is a 2-cycle swap
         report = picard_solve(bits, F, coupled_preset(), (0, 0))
-        assert report.status == "max_iter_exceeded"
+        assert report.status == "cycle"
         assert report.cycle_length == 2
 
     def test_finite_exact_convergence(self):
