@@ -10,12 +10,7 @@ import argparse
 import csv
 import sys
 
-from .conditions import (
-    check_mk,
-    check_mk_operator,
-    check_omega,
-    sample_comparable_pairs,
-)
+from .conditions import CONDITIONS, sample_comparable_pairs
 from .errors import CapacityError, MultifixError, ParseError
 from .game import GameConfig, simulate, write_trajectory_csv
 from .orders import LSet
@@ -85,6 +80,10 @@ def _print_report(report) -> int:
     return EXIT_FAIL
 
 
+def _delta(pf, condition):
+    return pf.require("delta") if condition.needs_delta else None
+
+
 def cmd_check(args) -> int:
     pf = load_problem(args.file)
     space = pf.require("space")
@@ -92,29 +91,15 @@ def cmd_check(args) -> int:
     F = pf.require("operator")
     family = pf.require("family")
     lset = _default_lset(pf)
-    kind = ProductKind.SUP if args.metric == "sup" else ProductKind.SUM
-    r_grid = _parse_r_grid(args.r_grid)
-
-    if args.condition.startswith("omega"):
-        report = check_omega(space, order, F, family, lset, int(args.condition[-1]))
-    elif args.condition in ("mk1", "mk2"):
-        delta = pf.require("delta")
-        report = check_mk(
-            space, order, F, family, lset, delta, int(args.condition[-1]), r_grid
-        )
-    else:  # mk-op
-        delta = pf.require("delta")
-        pairs = None
-        seed = None
+    condition = CONDITIONS[args.condition]
+    options = {"r_grid": _parse_r_grid(args.r_grid), "delta": _delta(pf, condition)}
+    if condition.picks_metric:
+        options["kind"] = ProductKind(args.metric)
         if not space.is_finite:
             lo, hi = space.box.bounds[0]
-            seed = args.seed
-            pairs = sample_comparable_pairs(lo, hi, lset, args.samples, seed)
-        report = check_mk_operator(
-            space, order, F, family, lset, delta, kind,
-            pairs=pairs, r_grid=r_grid, seed=seed,
-        )
-    return _print_report(report)
+            options["seed"] = args.seed
+            options["pairs"] = sample_comparable_pairs(lo, hi, lset, args.samples, args.seed)
+    return _print_report(condition.check(space, order, F, family, lset, **options))
 
 
 def cmd_solve(args) -> int:
@@ -177,7 +162,7 @@ def cmd_verify(args) -> int:
         pf.require("family"),
         _default_lset(pf),
         condition=args.condition,
-        delta=pf.delta,
+        delta=_delta(pf, CONDITIONS[args.condition]),
     )
     points = ", ".join(format_product_point(p) for p in report.fixed_points)
     if report.verdict == "confirmed":
@@ -232,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--condition",
         required=True,
-        choices=["omega1", "omega2", "omega3", "omega4", "mk1", "mk2", "mk-op"],
+        choices=list(CONDITIONS),
     )
     p.add_argument("--metric", choices=["sup", "sum"], default="sup")
     p.add_argument("--r-grid", default="auto")
@@ -257,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--condition",
         default="omega1",
-        choices=["omega1", "omega2", "omega3", "omega4", "mk1", "mk2"],
+        choices=[name for name, c in CONDITIONS.items() if c.verifiable],
     )
     p.set_defaults(func=cmd_verify)
 

@@ -39,10 +39,6 @@ class GameConfig:
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
 
-    @property
-    def players(self) -> int:
-        return self.family.m
-
 
 @dataclass
 class Round:

@@ -67,9 +67,6 @@ class OrderRelation:
             return all(a <= b for a, b in zip(x, y))
         return x <= y
 
-    def comparable(self, x: Point, y: Point) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
     def pairs(self) -> frozenset:
         if self._matrix is None:
             raise UnsupportedInstanceError("numeric order has no finite pair table")

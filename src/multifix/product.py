@@ -66,12 +66,6 @@ def bind_distance(space: DistanceSpace, kind: ProductKind):
     return functools.partial(_sup if kind is ProductKind.SUP else _sum, space.dist)
 
 
-def product_distance(space: DistanceSpace, kind: ProductKind):
-    if kind is ProductKind.SUP:
-        return lambda x, y: sup_distance(space, x, y)
-    return lambda x, y: sum_distance(space, x, y)
-
-
 def product_size(space: DistanceSpace, m: int, cap: Optional[int] = None) -> int:
     """|X|^m for a finite carrier, refused above the materialization cap."""
     if not space.is_finite:
@@ -100,7 +94,7 @@ def product_space(
     """
     if m < 1:
         raise ValueError("arity must be at least 1")
-    dist = product_distance(space, kind)
+    dist = functools.partial(sup_distance if kind is ProductKind.SUP else sum_distance, space)
     table_backed = space.table_backed and kind is ProductKind.SUP
 
     def contains(p: Any) -> bool:

@@ -10,13 +10,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .conditions import (
-    Clause,
-    ConditionReport,
-    MeirKeelerModulus,
-    check_mk,
-    check_omega,
-)
+from .conditions import CONDITIONS, Clause, ConditionReport, MeirKeelerModulus
 from .kernel import ProductKernel
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
 from .orders import LSet, OrderRelation, compare_L
@@ -25,21 +19,21 @@ from .spaces import DistanceSpace, classify_finite
 
 Point = Any
 
+# A continuous Picard step longer than this stops the iteration as diverged.
+DIVERGENCE_CAP = 1e12
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     kind: ProductKind = ProductKind.SUP
     tol: float = 1e-9
     max_iter: int = 10_000
-    divergence_cap: float = 1e12
 
     def __post_init__(self):
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.divergence_cap <= 0:
-            raise ValueError("divergence_cap must be positive")
 
 
 @dataclass
@@ -141,7 +135,7 @@ def picard_solve(
                 )
         else:
             residual = step + rho(nxt, x)
-            if step > config.divergence_cap or not math.isfinite(residual):
+            if step > DIVERGENCE_CAP or not math.isfinite(residual):
                 return SolveReport("diverged", nxt, n, trace, verified, direction)
             if residual < config.tol:
                 return SolveReport("converged", x, n, trace, verified, direction)
@@ -193,21 +187,18 @@ def verify_uniqueness(
     MK variants additionally require the base space to separate distinct
     points by disjoint balls, which is checked via classification.
     """
-    if condition.startswith("omega"):
-        variant = int(condition[-1])
-        report = check_omega(space, order, F, family, lset, variant)
-    elif condition in ("mk1", "mk2"):
-        if delta is None:
-            raise ValueError("MK conditions need a modulus")
-        variant = int(condition[-1])
-        report = check_mk(space, order, F, family, lset, delta, variant, r_grid)
+    entry = CONDITIONS.get(condition)
+    if entry is None or not entry.verifiable:
+        raise ValueError(f"unknown condition selector {condition!r}")
+    if entry.needs_delta and delta is None:
+        raise ValueError(f"{condition} needs a Meir-Keeler modulus")
+    report = entry.check(space, order, F, family, lset, delta=delta, r_grid=r_grid)
+    if entry.needs_h_distance:
         h_ok = classify_finite(space).h_distance
         report.clauses.append(Clause("H-distance base space", h_ok))
         if not h_ok and report.verdict != "fail":
             report.verdict = "fail"
             report.counterexample = None
-    else:
-        raise ValueError(f"unknown condition selector {condition!r}")
 
     fps = enumerate_fixed_points(space, F, family)
     if not report.passed:

@@ -31,9 +31,15 @@ from multifix.conditions import (
     _strictly_less,
 )
 from multifix.game import Round, Trajectory
-from multifix.product import product_distance, product_points
-from multifix.solver import SolveReport
+from multifix.product import product_points, sum_distance, sup_distance
+from multifix.solver import DIVERGENCE_CAP, SolveReport
 from multifix.spaces import Box
+
+
+def checked_distance(space, kind):
+    """The product distance of ``kind``, checking each call's arity."""
+    scalar = sup_distance if kind is ProductKind.SUP else sum_distance
+    return lambda x, y: scalar(space, x, y)
 
 
 def shortest_path_closure(W: list[list[float]]) -> list[list[float]]:
@@ -233,21 +239,14 @@ def reference_check_omega(space, order, F, family, lset, variant):
     if variant in (3, 4):
         surj = surjectivity_report(family)
         ok = surj.all_rows_surjective or surj.union_of_images_full
-        note = (
-            "per-row surjectivity"
-            if surj.all_rows_surjective
-            else "union of row images covers 1..m"
-            if surj.union_of_images_full
-            else ""
-        )
         clauses.append(
-            Clause("lambda surjectivity", ok, None if ok else tuple(surj.rows_surjective), note)
+            Clause("lambda surjectivity", ok, None if ok else tuple(surj.rows_surjective))
         )
         if not ok:
             return ConditionReport(name, "fail", clauses)
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
-    rho = product_distance(space, kind)
+    rho = checked_distance(space, kind)
     isotone = variant in (1, 3)
     table = space.table_backed and kind is ProductKind.SUP
     images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
@@ -441,7 +440,7 @@ def reference_picard_solve(space, F, family, start, config, order=None, lset=Non
     start = tuple(start)
     for c in start:
         space.require(c)
-    rho = product_distance(space, config.kind)
+    rho = checked_distance(space, config.kind)
     direction = None
     if order is not None and lset is not None:
         image = reference_apply_lambda_f(F, family, start)
@@ -468,7 +467,7 @@ def reference_picard_solve(space, F, family, start, config, order=None, lset=Non
                 )
         else:
             residual = step + rho(nxt, x)
-            if step > config.divergence_cap or not math.isfinite(residual):
+            if step > DIVERGENCE_CAP or not math.isfinite(residual):
                 return SolveReport("diverged", nxt, n, trace, verified, direction)
             if residual < config.tol:
                 return SolveReport("converged", x, n, trace, verified, direction)

@@ -233,6 +233,27 @@ lambda: coupled
 )
 
 
+# d(a, b) = 0 with a <= b: every comparable pair has distance 0, so the MK
+# conditions pass, but a lies in both zero-sets, so the space is no
+# H-distance and verify's MK theorems do not apply.
+GOLDEN_NOT_H = """\
+points: a b
+dist:
+0 0
+1 0
+order:
+a <= b
+lambda: coupled
+F:
+a,a -> a
+a,b -> a
+b,a -> a
+b,b -> a
+L: 1
+delta linear 1.0
+"""
+
+
 @pytest.fixture
 def prob(tmp_path):
     def write(text, name="problem.prob"):
@@ -530,10 +551,80 @@ class TestGoldenFailures:
                 "fixed points: [(w,w), (l,l), (u,u), (f,f), (7,7)]\n",
                 0,
             ),
+            # Every condition name through both commands, pinned before the
+            # name -> checker dispatch moved into one table.
+            (GOLDEN_NOT_H, ["check", "--condition", "mk1"], "PASS (exhaustive)\n", 0),
+            (GOLDEN_NOT_H, ["check", "--condition", "mk2"], "PASS (exhaustive)\n", 0),
+            (
+                GOLDEN_NOT_H,
+                ["verify", "--condition", "mk1"],
+                "INFORMATIONAL (conditions fail: H-distance base space); "
+                "fixed points: [(a,a)]\n",
+                0,
+            ),
+            (
+                GOLDEN_NOT_H,
+                ["verify", "--condition", "mk2"],
+                "INFORMATIONAL (conditions fail: H-distance base space); "
+                "fixed points: [(a,a)]\n",
+                0,
+            ),
+            (
+                GOLDEN_CONTRACTION,
+                ["check", "--condition", "omega2"],
+                "FAIL clause: image order; witness: "
+                "(('c1', 'c1', 'y0'), ('y0', 'y0', 'y0'))\n",
+                1,
+            ),
+            (
+                GOLDEN_CONTRACTION,
+                ["check", "--condition", "omega3"],
+                "FAIL clause: strict contraction; witness: "
+                "(('c1', 'c1', 'y0'), ('c1', 'u2', 'y0'))\n",
+                1,
+            ),
+            (
+                GOLDEN_IMAGE_ORDER,
+                ["check", "--condition", "omega4"],
+                "FAIL clause: image order; witness: "
+                "(('y2', 'x0', 'y2'), ('y2', 'y2', 'y2'))\n",
+                1,
+            ),
+            (
+                GOLDEN_MK_SPACE,
+                ["check", "--condition", "mk2"],
+                "FAIL clause: MK space condition; witness: ('l', 'w', 2.0)\n",
+                1,
+            ),
+            (
+                GOLDEN_CONTRACTION,
+                ["verify", "--condition", "omega2"],
+                "INFORMATIONAL (conditions fail: image order); fixed points: [(u2,u2,u2)]\n",
+                0,
+            ),
+            (
+                GOLDEN_CONTRACTION,
+                ["verify", "--condition", "omega3"],
+                "INFORMATIONAL (conditions fail: strict contraction); "
+                "fixed points: [(u2,u2,u2)]\n",
+                0,
+            ),
+            (
+                GOLDEN_NOT_H,
+                ["verify", "--condition", "omega4"],
+                "THEOREM CONFIRMED, unique fixed point (a,a)\n",
+                0,
+            ),
+            # verify grades no theorem for the operator form: argparse refuses it.
+            (GOLDEN_NOT_H, ["verify", "--condition", "mk-op"], "", 2),
         ],
     )
     def test_stdout_and_exit_code(self, prob, capsys, text, args, stdout, code):
-        assert main([args[0], prob(text), *args[1:]]) == code
+        try:
+            got = main([args[0], prob(text), *args[1:]])
+        except SystemExit as exc:  # argparse usage errors exit directly
+            got = exc.code
+        assert got == code
         assert capsys.readouterr().out == stdout
 
 
@@ -561,6 +652,14 @@ class TestUsageErrors:
         code = main(["solve", prob("space: box 0 1\n")])
         assert code == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_verify_missing_delta_is_the_check_parse_error(self, prob, capsys):
+        path = prob(CONSTANT_CHAIN)  # no delta block
+        assert main(["check", path, "--condition", "mk1"]) == 2
+        check_err = capsys.readouterr().err
+        assert main(["verify", path, "--condition", "mk1"]) == 2
+        assert capsys.readouterr().err == check_err
+        assert check_err == "parse error: problem file is missing the 'delta' block\n"
 
 
 # Lines 1-12: points, dist (2), order (5), lambda (7), F (8).

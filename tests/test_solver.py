@@ -244,6 +244,15 @@ class TestVerifyUniqueness:
                 space, order, F, coupled_preset(), LSet.of(2, 1), "mk1"
             )
 
+    def test_operator_form_grades_no_theorem(self):
+        space, order = int_chain(2)
+        F = MultiOperator.constant(2, 0)
+        with pytest.raises(ValueError, match="unknown condition selector 'mk-op'"):
+            verify_uniqueness(
+                space, order, F, coupled_preset(), LSet.of(2, 1), "mk-op",
+                delta=MeirKeelerModulus.const(1.0),
+            )
+
     def test_tripled_constant_confirmed(self):
         space, order = int_chain(3)
         F = MultiOperator.constant(3, 2)
