@@ -54,8 +54,8 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_r_grid(text: str):
-    if text == "auto":
+def _parse_r_grid(text):
+    if text is None or text == "auto":
         return None
     return [float(t) for t in text.split(",")]
 
@@ -69,7 +69,7 @@ def _default_lset(pf) -> LSet:
 
 def _print_report(report) -> int:
     if report.verdict == "pass":
-        print("PASS (exhaustive)")
+        print("PASS (exhaustive pairs, r in grid)" if report.grid_bound else "PASS (exhaustive)")
         return EXIT_OK
     if report.verdict == "sampled-pass":
         print(f"SAMPLED-PASS seed={report.seed} n={report.samples}")
@@ -85,20 +85,28 @@ def _delta(pf, condition):
 
 
 def cmd_check(args) -> int:
+    condition = CONDITIONS[args.condition]
+    for name in ("metric", "r_grid", "seed", "samples"):
+        if getattr(args, name) is not None and name not in condition.reads:
+            args.usage_error(
+                f"--{name.replace('_', '-')} is not read by --condition {args.condition}"
+            )
     pf = load_problem(args.file)
     space = pf.require("space")
     order = pf.require("order")
     F = pf.require("operator")
     family = pf.require("family")
     lset = _default_lset(pf)
-    condition = CONDITIONS[args.condition]
     options = {"r_grid": _parse_r_grid(args.r_grid), "delta": _delta(pf, condition)}
-    if condition.picks_metric:
-        options["kind"] = ProductKind(args.metric)
+    if "metric" in condition.reads:
+        options["kind"] = ProductKind(args.metric or "sup")
+        if space.is_finite and (args.seed, args.samples) != (None, None):
+            args.usage_error("--seed and --samples are read only on a continuous carrier")
         if not space.is_finite:
             lo, hi = space.box.bounds[0]
-            options["seed"] = args.seed
-            options["pairs"] = sample_comparable_pairs(lo, hi, lset, args.samples, args.seed)
+            options["seed"] = seed = args.seed or 0
+            samples = 10_000 if args.samples is None else args.samples
+            options["pairs"] = sample_comparable_pairs(lo, hi, lset, samples, seed)
     return _print_report(condition.check(space, order, F, family, lset, **options))
 
 
@@ -219,11 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(CONDITIONS),
     )
-    p.add_argument("--metric", choices=["sup", "sum"], default="sup")
-    p.add_argument("--r-grid", default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.set_defaults(func=cmd_check)
+    # Each defaults to None, so that a condition set refuses one it never reads.
+    p.add_argument("--metric", choices=["sup", "sum"], help="product distance (default sup)")
+    p.add_argument("--r-grid", help="comma-separated r values, or 'auto' (the default)")
+    p.add_argument("--seed", type=int, help="sample seed (default 0)")
+    p.add_argument("--samples", type=int, help="sample count (default 10000)")
+    p.set_defaults(func=cmd_check, usage_error=p.error)
 
     p = sub.add_parser("solve", help="Picard-iterate to a multiple fixed point")
     p.add_argument("file")

@@ -8,7 +8,9 @@ on seeded samples and report a clearly labeled "sampled-pass" verdict.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -20,12 +22,11 @@ from .kernel import ProductKernel
 from .operators import (
     LambdaFamily,
     MultiOperator,
-    bind_lambda_f,
     check_lambda_arity,
     surjectivity_report,
 )
 from .orders import LSet, OrderRelation
-from .product import ProductKind, bind_distance, check_pair_arity
+from .product import ProductKind, check_pair_arity
 from .spaces import DistanceSpace
 
 # Margin for strict inequalities on computed (non-table) reals: rounding must
@@ -39,10 +40,16 @@ def _strictly_less(a: float, b: float, table_backed: bool) -> bool:
 
 @dataclass(frozen=True)
 class MeirKeelerModulus:
-    """Evaluable modulus delta: (0, inf) -> (0, inf)."""
+    """Evaluable modulus delta: (0, inf) -> (0, inf).
+
+    ``monotone`` marks a modulus with r + delta(r) nondecreasing in r whose
+    ``func`` also takes a float array; the operator check then decides every
+    r > 0 in closed form instead of a grid.  Both built-in moduli are.
+    """
 
     func: Callable[[float], float]
     label: str = "custom"
+    monotone: bool = False
 
     def __call__(self, r: float) -> float:
         if not r > 0:  # NaN included
@@ -52,17 +59,29 @@ class MeirKeelerModulus:
             raise ValueError(f"modulus must be positive, got delta({r}) = {value}")
         return value
 
+    def values(self, r: np.ndarray) -> np.ndarray:
+        """delta at every entry of a float array, with the checks of a call."""
+        if not (r > 0).all():
+            raise ValueError("modulus is only defined for positive r")
+        value = np.broadcast_to(self.func(r), r.shape)
+        if not (value > 0).all():
+            k = int(np.argmin(value > 0))
+            raise ValueError(
+                f"modulus must be positive, got delta({float(r[k])}) = {float(value[k])}"
+            )
+        return value
+
     @classmethod
     def linear(cls, c: float) -> "MeirKeelerModulus":
         if not 0 < c < math.inf:
             raise ValueError("linear modulus needs a positive finite coefficient")
-        return cls(lambda r: c * r, f"linear {c}")
+        return cls(lambda r: c * r, f"linear {c}", monotone=True)
 
     @classmethod
     def const(cls, c: float) -> "MeirKeelerModulus":
         if not 0 < c < math.inf:
             raise ValueError("constant modulus needs a positive finite value")
-        return cls(lambda r: c, f"const {c}")
+        return cls(lambda r: c, f"const {c}", monotone=True)
 
 
 @dataclass
@@ -82,6 +101,7 @@ class ConditionReport:
     counterexample: Optional[tuple] = None
     seed: Optional[int] = None
     samples: Optional[int] = None
+    grid_bound: bool = False  # r ranged over a finite grid, not every r > 0
 
     def __post_init__(self):
         if self.verdict == "fail" and self.counterexample is None:
@@ -272,6 +292,39 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     return first_failure
 
 
+def _all_r_failure(delta: MeirKeelerModulus):
+    """first_failure as :func:`_binding_r` returns it, over every r > 0 for a
+    monotone modulus.
+
+    The premise rho < r + delta(r) holds on an up-ray of r and the conclusion
+    image_rho < r fails exactly for r <= image_rho, so a pair fails exactly
+    when image_rho > 0 and rho < g + delta(g) at g = image_rho; r = image_rho
+    is the witness.  A NaN image distance is below no r, like inf.  On
+    computed reals the conclusion is image_rho < r - STRICT_MARGIN, so g =
+    image_rho + STRICT_MARGIN: the margin can fail a borderline pair, never
+    pass one, and the witness r is image_rho whenever that r fails already.
+    """
+
+    def first_failure(rho, image_rho, table_backed: bool) -> Optional[tuple[int, float]]:
+        image = np.where(np.isnan(image_rho), np.inf, image_rho)
+        candidates = np.flatnonzero(image > 0)
+        g = image[candidates] + (0.0 if table_backed else STRICT_MARGIN)
+        with np.errstate(over="ignore"):
+            bad = rho[candidates] < g + delta.values(g)
+        if not bad.any():
+            return None
+        j = int(np.argmax(bad))
+        k, r = int(candidates[j]), float(image[candidates[j]])
+        return k, r if rho[k] < r + delta(r) else float(g[j])
+
+    return first_failure
+
+
+def _first_failure(delta: MeirKeelerModulus, r_grid: Optional[Sequence[float]]):
+    """The closed form over every r > 0 without a grid, else the grid scan."""
+    return _all_r_failure(delta) if r_grid is None else _binding_r(r_grid, delta)
+
+
 def check_mk_space(
     space: DistanceSpace,
     order: OrderRelation,
@@ -304,9 +357,10 @@ def sample_comparable_pairs(
     n: int,
     seed: int,
     max_step: Optional[float] = None,
-) -> list[tuple[tuple, tuple]]:
+) -> np.ndarray:
     """Seeded sample of product-point pairs over [lo, hi]^m that are
-    comparable under the twisted order (forward on L, backward elsewhere).
+    comparable under the twisted order (forward on L, backward elsewhere),
+    as an (n, 2, m) float array: entry [k, 0] is x and [k, 1] is y.
 
     Per pair and coordinate, x_i = uniform(lo, hi) and a step
     uniform(0, max_step) moves y_i up (on L) or down, clipped to the box; the
@@ -331,9 +385,7 @@ def sample_comparable_pairs(
     # min(b, hi) and max(b, lo) keep b unless the bound is strictly beyond it.
     np.copyto(y, hi, where=forward & (hi < y))
     np.copyto(y, lo, where=~forward & (lo > y))
-    xs = x.ravel().tolist()
-    ys = y.ravel().tolist()
-    return list(zip(zip(*[iter(xs)] * m), zip(*[iter(ys)] * m)))
+    return u.transpose(0, 2, 1)
 
 
 def check_mk_operator(
@@ -344,67 +396,110 @@ def check_mk_operator(
     lset: LSet,
     delta: MeirKeelerModulus,
     kind: ProductKind,
-    pairs: Optional[Sequence[tuple]] = None,
+    pairs: Optional[Sequence] = None,
     r_grid: Optional[Sequence[float]] = None,
     seed: Optional[int] = None,
 ) -> ConditionReport:
     """Operator-image Meir-Keeler condition: for comparable pairs and every
-    grid r with rho(x, y) < r + delta(r), the images satisfy
+    r > 0 with rho(x, y) < r + delta(r), the images satisfy
     rho(lambdaF(x), lambdaF(y)) < r.
 
+    A monotone modulus without an explicit ``r_grid`` is decided over every
+    r > 0 in closed form; otherwise r ranges over the grid (by default the
+    distinct positive pair distances) and the report is ``grid_bound``.
     Finite instances with no explicit sample are exhausted and may report
-    "pass"; supplied samples yield at most "sampled-pass".
+    "pass"; supplied pairs, an (n, 2, m) array as
+    :func:`sample_comparable_pairs` returns or any sequence of (x, y), yield
+    at most "sampled-pass".
     """
     table = space.table_backed and kind is ProductKind.SUP
+    grid_bound = r_grid is not None or not delta.monotone
     if pairs is None:
         failure, samples = _mk_operator_exhaustive(
             space, order, F, family, lset, delta, kind, r_grid, table
         )
     else:
-        if not pairs:
+        if len(pairs) == 0:
             raise ValueError("no comparable pairs to check")
-        measured = np.fromiter(
-            _pair_distances(space, F, family, kind, pairs),
-            np.dtype((float, 2)),
-            count=len(pairs),
-        )
-        d, d_img = measured[:, 0], measured[:, 1]
-        if r_grid is None:
+        points = _pair_array(pairs, F, family)
+        d, d_img = _column_distances(space, F, family, kind, points)
+        if grid_bound and r_grid is None:
             r_grid = np.unique(d[d > 0]).tolist() or [1.0]
-        found = _binding_r(r_grid, delta)(d, d_img, table)
-        failure = None if found is None else (*pairs[found[0]], found[1])
-        samples = len(pairs)
+        found = _first_failure(delta, r_grid)(d, d_img, table)
+        failure = None
+        if found is not None:
+            k, r = found
+            failure = (tuple(points[k, 0].tolist()), tuple(points[k, 1].tolist()), r)
+        samples = len(points)
+    verdict = "pass" if pairs is None else "sampled-pass"
     if failure is not None:
-        clause = Clause("MK operator condition", False, failure)
-        return ConditionReport("mk-operator", "fail", [clause], seed=seed, samples=samples)
+        verdict = "fail"
+    clause = Clause("MK operator condition", failure is None, failure)
     return ConditionReport(
-        "mk-operator",
-        "pass" if pairs is None else "sampled-pass",
-        [Clause("MK operator condition", True)],
-        seed=seed,
-        samples=samples,
+        "mk-operator", verdict, [clause], seed=seed, samples=samples, grid_bound=grid_bound
     )
 
 
-def _pair_distances(
+def _pair_array(pairs: Sequence, F: MultiOperator, family: LambdaFamily) -> np.ndarray:
+    """The supplied pairs as one (n, 2, m) array, each pair's arity checked
+    on entry as sup_distance and apply_lambda_f do.  An (n, 2, m) array
+    passes as it is; any other sequence becomes an object array, so labels
+    that are themselves tuples stay whole."""
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 3 and pairs.shape[1] == 2:
+        check_pair_arity(pairs[0, 0], pairs[0, 1])
+        check_lambda_arity(F, family, pairs[0, 0])
+        return pairs
+    m = family.m
+
+    def coordinates():
+        checked = False
+        for x, y in pairs:
+            if not checked or len(x) != m or len(y) != m:
+                check_pair_arity(x, y)
+                check_lambda_arity(F, family, x)
+                check_lambda_arity(F, family, y)
+                checked = True
+            yield from x
+            yield from y
+
+    flat = np.fromiter(coordinates(), object, count=2 * m * len(pairs))
+    return flat.reshape(len(pairs), 2, m)
+
+
+def _column_distances(
     space: DistanceSpace,
     F: MultiOperator,
     family: LambdaFamily,
     kind: ProductKind,
-    pairs: Sequence[tuple],
-) -> Iterator[tuple[float, float]]:
-    """Yield (rho(x, y), rho(lambdaF(x), lambdaF(y))) per supplied pair, each
-    pair's arity checked on entry as sup_distance and apply_lambda_f do."""
-    rho = bind_distance(space, kind)
-    lam = None
-    m = family.m
-    for x, y in pairs:
-        if lam is None or len(x) != m or len(y) != m:
-            check_pair_arity(x, y)
-            check_lambda_arity(F, family, x)
-            check_lambda_arity(F, family, y)
-            lam = bind_lambda_f(F, family)
-        yield rho(x, y), rho(lam(x), lam(y))
+    points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rho(x, y), rho(lambdaF(x), lambdaF(y))) for every pair of an (n, 2, m)
+    array whose arities :func:`_pair_array` checked, one coordinate column at
+    a time.
+
+    F and the base distance run through ``np.frompyfunc``, so each call gets
+    the Python scalars or labels a per-pair loop passes.  The sup replaces
+    only on a strictly greater value, as ``max`` does (NaN included), and the
+    sum adds left to right, both on the returned Python objects before one
+    conversion to float.  Python scalar arithmetic never warns, so the
+    overflow and invalid flags it leaves must not become numpy warnings.
+    """
+    f = np.frompyfunc(F._func, family.m, 1)
+    dist = np.frompyfunc(space.dist, 2, 1)
+    if kind is ProductKind.SUP:
+        def combine(total, column):
+            return np.where(column > total, column, total)
+    else:
+        combine = operator.add
+
+    def rho(xs, ys) -> np.ndarray:
+        return functools.reduce(combine, map(dist, xs, ys)).astype(float)
+
+    xs, ys = points[:, 0].T, points[:, 1].T  # row i: coordinate column i
+    with np.errstate(all="ignore"):
+        fxs = [f(*(xs[j - 1] for j in row)) for row in family.rows]
+        fys = [f(*(ys[j - 1] for j in row)) for row in family.rows]
+        return rho(xs, ys), rho(fxs, fys)
 
 
 def _mk_operator_exhaustive(
@@ -419,15 +514,16 @@ def _mk_operator_exhaustive(
     table_backed: bool,
 ) -> tuple[Optional[tuple], int]:
     """(first failing (x, y, r) or None, number of comparable pairs) over every
-    comparable pair, equal pairs included.  The auto r grid is the set of
-    distinct positive pair distances; ``<=_L`` is a product relation, so both
-    come from the per-coordinate order pairs (reversed off L) without a sweep."""
+    comparable pair, equal pairs included.  The auto r grid, needed only for
+    a modulus that is not monotone, is the set of distinct positive pair
+    distances; ``<=_L`` is a product relation, so both come from the
+    per-coordinate order pairs (reversed off L) without a sweep."""
     kernel = ProductKernel(space, lset.m)
     O = order.matrix(kernel.labels)
     samples = int(O.sum()) ** lset.m
     if not samples:
         raise ValueError("no comparable pairs to check")
-    if r_grid is None:
+    if r_grid is None and not delta.monotone:
         # Starting from {0} changes neither a maximum nor a left-to-right sum.
         D, values = space.matrix(), np.zeros(1)
         combine = np.maximum.outer if kind is ProductKind.SUP else np.add.outer
@@ -436,7 +532,7 @@ def _mk_operator_exhaustive(
             values = np.unique(combine(values, coordinate))
         r_grid = values[values > 0].tolist() or [1.0]
     image = kernel.image(F, family)
-    first_failure = _binding_r(r_grid, delta)
+    first_failure = _first_failure(delta, r_grid)
     for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
         d = kernel.distance(kind, xs, ys)
         d_img = kernel.distance(kind, image[xs], image[ys])
@@ -497,12 +593,12 @@ def check_mk(
 class ConditionSet:
     """A named condition set: its checker with the variant bound, called as
     ``check(space, order, F, family, lset, delta=..., r_grid=...)`` plus, when
-    ``picks_metric``, the product ``kind`` and any sampled ``pairs`` and
+    it reads ``metric``, the product ``kind`` and any sampled ``pairs`` and
     ``seed``; the omega checkers ignore ``delta`` and ``r_grid``."""
 
     check: Callable[..., ConditionReport]
+    reads: frozenset[str] = frozenset()  # the ``check`` command options it reads
     needs_delta: bool = False
-    picks_metric: bool = False
     needs_h_distance: bool = False  # verify's theorem also needs an H-distance base
     verifiable: bool = True  # verify grades a uniqueness theorem for it
 
@@ -514,6 +610,7 @@ def _omega(variant: int) -> ConditionSet:
 def _mk(variant: int) -> ConditionSet:
     return ConditionSet(
         lambda *base, **options: check_mk(*base, variant=variant, **options),
+        reads=frozenset({"r_grid"}),
         needs_delta=True,
         needs_h_distance=True,
     )
@@ -528,10 +625,12 @@ CONDITIONS: dict[str, ConditionSet] = {
     "omega4": _omega(4),
     "mk1": _mk(1),
     "mk2": _mk(2),
+    # --metric picks the product kind; on a continuous carrier the check runs
+    # on --samples pairs drawn from --seed.
     "mk-op": ConditionSet(
         lambda *base, **options: check_mk_operator(*base, **options),
+        reads=frozenset({"metric", "r_grid", "seed", "samples"}),
         needs_delta=True,
-        picks_metric=True,
         verifiable=False,
     ),
 }

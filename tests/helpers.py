@@ -19,7 +19,6 @@ from multifix import (
     ProductKind,
     apply_lambda_f,
     chain_order,
-    check_mk_operator,
     compare_L,
     surjectivity_report,
 )
@@ -31,7 +30,14 @@ from multifix.conditions import (
     _strictly_less,
 )
 from multifix.game import Round, Trajectory
-from multifix.product import product_points, sum_distance, sup_distance
+from multifix.operators import bind_lambda_f, check_lambda_arity
+from multifix.product import (
+    bind_distance,
+    check_pair_arity,
+    product_points,
+    sum_distance,
+    sup_distance,
+)
 from multifix.solver import DIVERGENCE_CAP, SolveReport
 from multifix.spaces import Box
 
@@ -283,16 +289,72 @@ def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=Non
     return ConditionReport(name, "pass" if failure is None else "fail", clauses)
 
 
-def reference_check_mk_operator(space, order, F, family, lset, delta, kind, r_grid=None):
-    """Exhaustive MK operator check through the per-pair (supplied sample)
-    path; an exhaustive pass reads "pass" instead of "sampled-pass"."""
-    pairs = comparable_product_pairs(space, order, lset, include_equal=True)
-    report = check_mk_operator(
-        space, order, F, family, lset, delta, kind, pairs=pairs, r_grid=r_grid
+def reference_pair_distances(space, F, family, kind, pairs):
+    """Yield (rho(x, y), rho(lambdaF(x), lambdaF(y))) per pair, each pair's
+    arity checked on entry as sup_distance and apply_lambda_f do."""
+    rho = bind_distance(space, kind)
+    lam = None
+    m = family.m
+    for x, y in pairs:
+        if lam is None or len(x) != m or len(y) != m:
+            check_pair_arity(x, y)
+            check_lambda_arity(F, family, x)
+            check_lambda_arity(F, family, y)
+            lam = bind_lambda_f(F, family)
+        yield rho(x, y), rho(lam(x), lam(y))
+
+
+def reference_all_r_failure(delta, d, d_img, table_backed):
+    """The r > 0 at which "d < r + delta(r) implies d_img < r" fails, or None,
+    for a monotone modulus: r = d_img when the premise holds there (a NaN
+    image distance read as inf), else d_img + STRICT_MARGIN on computed reals
+    when the premise holds there."""
+    img = math.inf if math.isnan(d_img) else d_img
+    if not img > 0:
+        return None
+    if d < img + delta(img):
+        return img
+    if not table_backed and d < img + STRICT_MARGIN + delta(img + STRICT_MARGIN):
+        return img + STRICT_MARGIN
+    return None
+
+
+def reference_check_mk_operator(
+    space, order, F, family, lset, delta, kind, pairs=None, r_grid=None, seed=None
+):
+    """The MK operator check one pair at a time, over every comparable pair
+    (equal pairs included) or over the supplied pairs; every r > 0 for a
+    monotone modulus without a grid, else the grid scan."""
+    exhaustive = pairs is None
+    if exhaustive:
+        pairs = comparable_product_pairs(space, order, lset, include_equal=True)
+    if not pairs:
+        raise ValueError("no comparable pairs to check")
+    measured = list(reference_pair_distances(space, F, family, kind, pairs))
+    table = space.table_backed and kind is ProductKind.SUP
+    grid_bound = r_grid is not None or not delta.monotone
+    if grid_bound and r_grid is None:
+        r_grid = sorted({d for d, _ in measured if d > 0}) or [1.0]
+    for (x, y), (d, d_img) in zip(pairs, measured):
+        if grid_bound:
+            found = reference_first_failure(r_grid, delta, [d], [d_img], table)
+            r = None if found is None else found[1]
+        else:
+            r = reference_all_r_failure(delta, d, d_img, table)
+        if r is not None:
+            clause = Clause("MK operator condition", False, (tuple(x), tuple(y), r))
+            return ConditionReport(
+                "mk-operator", "fail", [clause],
+                seed=seed, samples=len(pairs), grid_bound=grid_bound,
+            )
+    return ConditionReport(
+        "mk-operator",
+        "pass" if exhaustive else "sampled-pass",
+        [Clause("MK operator condition", True)],
+        seed=seed,
+        samples=len(pairs),
+        grid_bound=grid_bound,
     )
-    if report.verdict == "sampled-pass":
-        report.verdict = "pass"
-    return report
 
 
 def reference_enumerate(space, F, family):

@@ -60,6 +60,9 @@ delta linear 1.0
 start: 1 0
 """
 
+# CONTRACTION with an expanding family: sampled mk-op fails.
+SAMPLED_EXPANSION = CONTRACTION.replace("0.25 1", "1.1 0")
+
 GAME_DEMO = """\
 space: box 0 1
 family: affine-coupled 0 0.5 0.25
@@ -233,6 +236,30 @@ lambda: coupled
 )
 
 
+# d(p, q) = 1 with p <= q and images at d(r, s) = 0.6 under delta linear 1:
+# r = 0.55 meets the premise 1 < r + r but not 0.6 < r, so mk-op fails,
+# though no r of the default grid {1} shows it.
+MK_ALL_R_PROBE = """\
+points: p q r s
+dist:
+0 1 1 1
+1 0 1 1
+1 1 0 0.6
+1 1 0.6 0
+order:
+p <= q
+lambda:
+1
+F:
+p -> r
+q -> s
+r -> r
+s -> s
+L: 1
+delta linear 1
+"""
+
+
 # d(a, b) = 0 with a <= b: every comparable pair has distance 0, so the MK
 # conditions pass, but a lies in both zero-sets, so the space is no
 # H-distance and verify's MK theorems do not apply.
@@ -325,6 +352,14 @@ class TestCheck:
         code = main(["check", prob(CONTRACTION), "--condition", "mk-op", "--r-grid", "nan"])
         assert code == 2
         assert capsys.readouterr().err == "error: modulus is only defined for positive r\n"
+
+    def test_unread_option_is_a_usage_error(self, prob, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", prob(GOLDEN_CONTRACTION), "--condition", "omega1", "--metric", "sum"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: multifix check ")
+        assert err.endswith("error: --metric is not read by --condition omega1\n")
 
     def test_mk1_requires_delta_block(self, prob, capsys):
         text = CONSTANT_CHAIN  # no delta block
@@ -475,7 +510,7 @@ class TestGoldenFailures:
                 GOLDEN_CONTRACTION,
                 ["check", "--condition", "mk-op", "--metric", "sum"],
                 "FAIL clause: MK operator condition; witness: "
-                "(('c1', 'c1', 'c1'), ('y0', 'c1', 'c1'), 1.2)\n",
+                "(('c1', 'c1', 'c1'), ('y0', 'c1', 'c1'), 1.5)\n",
                 1,
             ),
             (
@@ -489,7 +524,7 @@ class TestGoldenFailures:
                 GOLDEN_SUM_ROUNDING,
                 ["check", "--condition", "mk-op", "--metric", "sum"],
                 "FAIL clause: MK operator condition; witness: "
-                "(('u1', 'v0', 'u1'), ('v0', 'v0', 'u1'), 2.0999999999999996)\n",
+                "(('u1', 'v0', 'u1'), ('v0', 'v0', 'u1'), 2.5)\n",
                 1,
             ),
             (
@@ -615,6 +650,60 @@ class TestGoldenFailures:
                 "THEOREM CONFIRMED, unique fixed point (a,a)\n",
                 0,
             ),
+            # A sampled failure over an explicit grid, pinned before the
+            # sampled pairs moved onto column arrays: the witness prints
+            # Python floats.
+            (
+                SAMPLED_EXPANSION,
+                ["check", "--condition", "mk-op", "--seed", "3", "--samples", "500",
+                 "--r-grid", "0.5,2"],
+                "FAIL clause: MK operator condition; witness: "
+                "((-5.240707458162173, -2.6008966690384145), "
+                "(-2.5195613316824135, -5.620496862019387), 2.0)\n",
+                1,
+            ),
+            (
+                SAMPLED_EXPANSION,
+                ["check", "--condition", "mk-op", "--seed", "3", "--samples", "500",
+                 "--r-grid", "1"],
+                "FAIL clause: MK operator condition; witness: "
+                "((7.577333206760834, -7.280622795986622), "
+                "(8.06460475541522, -8.365557502152308), 1.0)\n",
+                1,
+            ),
+            # mk-op over every r > 0: the first failing pair's image distance
+            # is the witness r; an explicit grid only bounds the pass.
+            (
+                MK_ALL_R_PROBE,
+                ["check", "--condition", "mk-op"],
+                "FAIL clause: MK operator condition; witness: (('p',), ('q',), 0.6)\n",
+                1,
+            ),
+            (
+                MK_ALL_R_PROBE,
+                ["check", "--condition", "mk-op", "--r-grid", "1"],
+                "PASS (exhaustive pairs, r in grid)\n",
+                0,
+            ),
+            (
+                SAMPLED_EXPANSION,
+                ["check", "--condition", "mk-op", "--seed", "3", "--samples", "500"],
+                "FAIL clause: MK operator condition; witness: "
+                "((-5.240707458162173, -2.6008966690384145), "
+                "(-2.5195613316824135, -5.620496862019387), 6.314820951406805)\n",
+                1,
+            ),
+            # check refuses an option the chosen condition set never reads.
+            (GOLDEN_CONTRACTION, ["check", "--condition", "omega1", "--metric", "sum"], "", 2),
+            (GOLDEN_CONTRACTION, ["check", "--condition", "omega3", "--r-grid", "auto"], "", 2),
+            (GOLDEN_MK_SPACE, ["check", "--condition", "mk1", "--metric", "sup"], "", 2),
+            (GOLDEN_MK_SPACE, ["check", "--condition", "mk2", "--seed", "0"], "", 2),
+            (GOLDEN_MK_SPACE, ["check", "--condition", "mk1", "--samples", "10"], "", 2),
+            (GOLDEN_NOT_H, ["check", "--condition", "mk1", "--r-grid", "0.5"], "PASS (exhaustive)\n", 0),
+            (GOLDEN_NOT_H, ["check", "--condition", "mk-op"], "PASS (exhaustive)\n", 0),
+            # mk-op samples only a continuous carrier
+            (GOLDEN_NOT_H, ["check", "--condition", "mk-op", "--seed", "1"], "", 2),
+            (GOLDEN_NOT_H, ["check", "--condition", "mk-op", "--samples", "5"], "", 2),
             # verify grades no theorem for the operator form: argparse refuses it.
             (GOLDEN_NOT_H, ["verify", "--condition", "mk-op"], "", 2),
         ],

@@ -24,18 +24,28 @@ from multifix import (
     coupled_preset,
     sample_comparable_pairs,
 )
-from multifix.conditions import _binding_r
+from multifix.conditions import (
+    STRICT_MARGIN,
+    _all_r_failure,
+    _binding_r,
+    _column_distances,
+    _pair_array,
+)
 from helpers import (
     closure_reference,
+    field_reprs,
     int_chain,
     random_table_operator,
+    reference_all_r_failure,
     reference_check_bounds_exist,
     reference_check_lattice,
     reference_check_mk,
+    reference_check_mk_operator,
     reference_check_mk_space,
     reference_check_omega,
     reference_check_order_distance_compat,
     reference_first_failure,
+    reference_pair_distances,
     reference_r_grid,
     reference_sample_comparable_pairs,
 )
@@ -321,19 +331,26 @@ class TestSamplerDifferential:
         hi = lo + width
         got = sample_comparable_pairs(lo, hi, lset, n, seed, max_step)
         want = reference_sample_comparable_pairs(lo, hi, lset, n, seed, max_step)
-        assert [repr(p) for p in got] == [repr(p) for p in want]
+        assert got.shape == (n, 2, m)
+        assert repr(got.tolist()) == repr(as_lists(want))
 
     @pytest.mark.parametrize("n", [0, -1, -5])
     def test_no_samples_for_a_non_positive_count(self, n):
-        assert sample_comparable_pairs(-10, 10, LSet.of(2, 1), n, 3) == []
+        got = sample_comparable_pairs(-10, 10, LSet.of(2, 1), n, 3)
+        assert got.shape == (0, 2, 2) and got.tolist() == []
 
     def test_integer_bounds_come_back_as_equal_floats(self):
         # the loop returned the int bound itself on a clipped coordinate
         lset = LSet.of(2, 1)
-        got = sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20)
+        got = sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20).tolist()
         want = reference_sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20)
-        assert got == want
+        assert got == as_lists(want)
         assert all(type(c) is float for x, y in got for c in (*x, *y))
+
+
+def as_lists(pairs):
+    """Pairs of tuples as the nested lists of an array's ``tolist``."""
+    return [[list(x), list(y)] for x, y in pairs]
 
 
 GRID = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.01, 5.0), min_size=1, max_size=6)
@@ -359,6 +376,197 @@ class TestBindingRDifferential:
         assert got == want
         if got is not None:
             assert type(got[1]) is float
+
+
+# The two built-in shapes of modulus the closed form covers.
+MONOTONE = [MeirKeelerModulus.linear(1.0), MeirKeelerModulus.linear(0.3), MeirKeelerModulus.const(0.2)]
+FINITE_DIST = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]) | st.floats(1e-6, 10)
+
+
+def all_r(delta, rho, image, table_backed):
+    return _all_r_failure(delta)(np.array(rho), np.array(image), table_backed)
+
+
+class TestAllRClosedForm:
+    """The closed form over every r > 0 against the grid scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(MONOTONE),
+        st.lists(st.tuples(FINITE_DIST, FINITE_DIST), min_size=1, max_size=12),
+        GRID,
+    )
+    def test_matches_binding_r_on_a_grid_holding_every_image_distance(
+        self, delta, pairs, extra
+    ):
+        rho = [d for d, _ in pairs]
+        image = [d for _, d in pairs]
+        grid = sorted({*extra, *(d for d in image if d > 0)})
+        first = _binding_r(grid, delta)
+        for d, d_img in pairs:
+            closed = all_r(delta, [d], [d_img], True)
+            scanned = first(np.array([d]), np.array([d_img]), True)
+            assert (closed is None) == (scanned is None)
+            if closed is not None:
+                # r = d_img fails, and the grid's binding r is no larger
+                assert closed == (0, d_img) and scanned[1] <= d_img
+        got = all_r(delta, rho, image, True)
+        want = first(np.array(rho), np.array(image), True)
+        assert (None if got is None else got[0]) == (None if want is None else want[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(MONOTONE),
+        FINITE_DIST,
+        FINITE_DIST | st.floats(0, 1e-9),
+        st.floats(-3e-12, 3e-12),
+    )
+    def test_margin_only_adds_borderline_failures(self, delta, d_img, offset, jitter):
+        # rho near img + delta(img): on computed reals the margin may fail the
+        # pair, and never passes a pair that fails on exact comparisons
+        rho = d_img + delta(d_img) + offset + jitter if d_img > 0 else offset
+        exact = all_r(delta, [rho], [d_img], True)
+        computed = all_r(delta, [rho], [d_img], False)
+        want = reference_all_r_failure(delta, rho, d_img, False)
+        assert computed == (None if want is None else (0, want))
+        if exact is not None:
+            assert computed == exact
+        elif computed is not None:
+            k, r = computed
+            assert rho >= d_img + delta(d_img)
+            assert r == d_img + STRICT_MARGIN and rho < r + delta(r)
+
+    @pytest.mark.parametrize("delta", MONOTONE)
+    @pytest.mark.parametrize("table_backed", [True, False])
+    def test_equal_pair_passes(self, delta, table_backed):
+        assert all_r(delta, [0.0], [0.0], table_backed) is None
+
+    @pytest.mark.parametrize("image", [float("inf"), float("nan")])
+    def test_image_beyond_every_r_fails_unless_rho_is_infinite(self, image):
+        delta = MeirKeelerModulus.linear(1.0)
+        assert all_r(delta, [0.0, 3.0], [image, image], True) == (0, float("inf"))
+        assert all_r(delta, [float("inf"), float("nan")], [image, image], True) is None
+
+    def test_probe_fails_between_grid_points(self):
+        # d(p, q) = 1 maps to d(r, s) = 0.6: r = 0.55 meets 1 < 2r, not 0.6 < r
+        delta = MeirKeelerModulus.linear(1.0)
+        assert _binding_r([1.0], delta)(np.array([1.0]), np.array([0.6]), True) is None
+        assert all_r(delta, [1.0], [0.6], True) == (0, 0.6)
+
+    def test_equal_pairs_pass_on_computed_reals(self):
+        # the sum product distance is a computed real even over a table
+        space, order = int_chain(3)
+        F = MultiOperator.constant(2, 1)
+        args = (space, order, F, coupled_preset(), LSet.of(2, 1),
+                MeirKeelerModulus.linear(1.0), ProductKind.SUM)
+        assert check_mk_operator(*args).verdict == "pass"
+        reals = DistanceSpace.reals(-10, 10)
+        same = [((1.5, -2.0), (1.5, -2.0))]
+        report = check_mk_operator(
+            reals, OrderRelation.numeric(), MultiOperator(2, lambda x, y: x - y),
+            *args[3:], pairs=same,
+        )
+        assert report.verdict == "sampled-pass" and not report.grid_bound
+
+    def test_values_checks_like_a_call(self):
+        delta = MeirKeelerModulus.linear(0.5)
+        assert delta.values(np.array([1.0, 4.0])).tolist() == [0.5, 2.0]
+        assert MeirKeelerModulus.const(0.2).values(np.array([1.0, 4.0])).tolist() == [0.2, 0.2]
+        with pytest.raises(ValueError, match="positive r"):
+            delta.values(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"got delta\(5e-324\) = 0.0"):
+            delta.values(np.array([1.0, 5e-324]))
+
+
+# Labels of three types; the tuple labels must reach F and the distance whole.
+PAIR_LABELS = st.lists(
+    st.one_of(
+        st.integers(-3, 12),
+        st.sampled_from(["f", "l", "a,b", "->"]),
+        st.tuples(st.integers(0, 2), st.sampled_from("fl")),
+    ),
+    min_size=2,
+    max_size=4,
+    unique=True,
+)
+MK_DELTAS = st.sampled_from(
+    MONOTONE + [MeirKeelerModulus(lambda r: 3.0 - r if r < 2.9 else 0.1)]
+)
+R_GRIDS = st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1, max_size=3)
+
+
+@st.composite
+def finite_pair_instances(draw):
+    """A finite space over mixed labels, a random table operator, and random
+    (not necessarily comparable) pairs of product points."""
+    labels = draw(PAIR_LABELS)
+    n = len(labels)
+    dist = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.5])
+    # Zeros of both signs on the diagonal tell the first of equal maxima
+    # from the last.
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    matrix = [[zeros[i] if i == j else draw(dist) for j in range(n)] for i in range(n)]
+    space = DistanceSpace.from_matrix(labels, matrix)
+    if draw(st.booleans()):  # computed distances compare with a margin
+        space = DistanceSpace(space.dist, points=labels)
+    m = draw(st.integers(1, 3))
+    family = LambdaFamily(
+        m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
+    )
+    keys = list(itertools.product(labels, repeat=m))
+    values = draw(st.lists(st.sampled_from(labels), min_size=len(keys), max_size=len(keys)))
+    F = MultiOperator.from_table(m, dict(zip(keys, values)), labels)
+    point = st.tuples(*[st.sampled_from(labels)] * m)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=20))
+    return space, F, family, pairs
+
+
+@st.composite
+def continuous_pair_instances(draw):
+    """Reals with an affine operator that may overflow to inf (or, through
+    inf - inf, to NaN), and sampled pairs."""
+    reals = DistanceSpace.reals(-1e300, 1e300)
+    m = draw(st.integers(1, 3))
+    family = LambdaFamily(
+        m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
+    )
+    a = draw(st.sampled_from([0.25, 0.5, 1.1, 1e308, -1e308]))
+    b = draw(st.sampled_from([0.0, 1.0, float("inf")]))
+    F = MultiOperator(m, lambda *args: a * (args[0] - args[-1]) + b * args[-1])
+    lset = LSet(m, frozenset(draw(st.sets(st.integers(1, m)))))
+    lo = draw(st.sampled_from([-10.0, -1e300]))
+    pairs = sample_comparable_pairs(lo, -lo, lset, draw(st.integers(1, 30)), draw(st.integers(0, 99)))
+    return reals, F, family, pairs
+
+
+class TestColumnPathMatchesLoop:
+    """check_mk_operator on supplied pairs against the per-pair loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        finite_pair_instances() | continuous_pair_instances(),
+        st.sampled_from(ProductKind),
+        MK_DELTAS,
+        R_GRIDS,
+    )
+    def test_values_and_reports(self, instance, kind, delta, r_grid):
+        space, F, family, pairs = instance
+        loop_pairs = (
+            [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
+            if isinstance(pairs, np.ndarray) else pairs
+        )
+        points = _pair_array(pairs, F, family)
+        got = _column_distances(space, F, family, kind, points)
+        want = list(reference_pair_distances(space, F, family, kind, loop_pairs))
+        assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
+        assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
+        args = (space, OrderRelation.numeric(), F, family, LSet.of(family.m), delta, kind)
+        report = check_mk_operator(*args, pairs=pairs, r_grid=r_grid, seed=5)
+        assert field_reprs(report) == field_reprs(
+            reference_check_mk_operator(*args, pairs=loop_pairs, r_grid=r_grid, seed=5)
+        )
+        for c in report.clauses:
+            assert not any(isinstance(v, np.generic) for v in (c.witness or ()))
 
 
 class TestCompositeMK:

@@ -97,7 +97,9 @@ def instances(draw):
     delta = draw(
         st.sampled_from(
             [MeirKeelerModulus.linear(0.5), MeirKeelerModulus.linear(2.0),
-             MeirKeelerModulus.const(0.15), MeirKeelerModulus.const(1.0)]
+             MeirKeelerModulus.const(0.15), MeirKeelerModulus.const(1.0),
+             # not monotone: mk-op falls back to the auto grid
+             MeirKeelerModulus(lambda r: 2.5 - r if r < 2.4 else 0.1)]
         )
     )
     r_grid = draw(
@@ -117,6 +119,7 @@ def same(got, want):
     ]
     assert got.counterexample == want.counterexample
     assert got.samples == want.samples
+    assert got.grid_bound == want.grid_bound
     # Witness r values stay Python numbers, so CLI output shows no numpy repr.
     for c in got.clauses:
         assert not any(isinstance(v, np.generic) for v in (c.witness or ()))
@@ -141,7 +144,7 @@ def test_kernel_matches_reference(instance):
             same(
                 check_mk_operator(space, order, F, family, lset, delta, kind, r_grid=r_grid),
                 reference_check_mk_operator(
-                    space, order, F, family, lset, delta, kind, r_grid
+                    space, order, F, family, lset, delta, kind, r_grid=r_grid
                 ),
             )
         assert enumerate_fixed_points(space, F, family) == reference_enumerate(space, F, family)
