@@ -15,7 +15,7 @@ from .kernel import ProductKernel
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
 from .orders import LSet, OrderRelation, compare_L
 from .product import ProductKind, bind_distance, product_points
-from .spaces import DistanceSpace, classify_finite
+from .spaces import DistanceSpace, is_h_distance
 
 Point = Any
 
@@ -185,7 +185,7 @@ def verify_uniqueness(
     the uniqueness claim against the enumeration oracle.
 
     MK variants additionally require the base space to separate distinct
-    points by disjoint balls, which is checked via classification.
+    points by disjoint balls, which is checked by ``is_h_distance``.
     """
     entry = CONDITIONS.get(condition)
     if entry is None or not entry.verifiable:
@@ -194,7 +194,7 @@ def verify_uniqueness(
         raise ValueError(f"{condition} needs a Meir-Keeler modulus")
     report = entry.check(space, order, F, family, lset, delta=delta, r_grid=r_grid)
     if entry.needs_h_distance:
-        h_ok = classify_finite(space).h_distance
+        h_ok = is_h_distance(space)
         report.clauses.append(Clause("H-distance base space", h_ok))
         if not h_ok and report.verdict != "fail":
             report.verdict = "fail"

@@ -8,6 +8,8 @@ axioms a given finite space happens to satisfy.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -19,6 +21,10 @@ from .errors import CarrierError, UnsupportedInstanceError
 # floating point arithmetic (as opposed to values read from a table, which
 # compare exactly).
 COMPUTED_ATOL = 1e-12
+
+# Rows of the min-plus product per block: a 64-row block of T, its slice of
+# D and one buffer stay in cache at the classifier's n = 512.
+MIN_PLUS_BLOCK = 64
 
 Point = Any
 DistFn = Callable[[Point, Point], float]
@@ -60,7 +66,9 @@ class DistanceSpace:
         table_backed: bool = False,
         matrix: Optional[np.ndarray] = None,
     ):
-        self._dist = dist
+        # An instance attribute, not a method: the per-point loops call
+        # ``space.dist`` without an extra frame.
+        self.dist = dist
         self.points = tuple(points) if points is not None else None
         self._point_set = set(self.points) if self.points is not None else None
         self.box = box
@@ -95,9 +103,6 @@ class DistanceSpace:
 
     # -- distance -----------------------------------------------------------
 
-    def dist(self, x: Point, y: Point) -> float:
-        return self._dist(x, y)
-
     @property
     def atol(self) -> float:
         return 0.0 if self.table_backed else COMPUTED_ATOL
@@ -109,7 +114,7 @@ class DistanceSpace:
         if self._matrix is None:
             n = len(self.points)
             self._matrix = np.array(
-                [[float(self._dist(self.points[i], self.points[j])) for j in range(n)]
+                [[float(self.dist(self.points[i], self.points[j])) for j in range(n)]
                  for i in range(n)]
             )
         return self._matrix
@@ -137,13 +142,15 @@ class DistanceSpace:
             raise ValueError(f"distance matrix must be {n}x{n}")
         arr = np.array(mat).reshape(n, n)
         # A finite sum clears the matrix without a temporary array; it can
-        # only be non-finite through a non-finite entry or an overflow.
-        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is not finite")
+        # only be non-finite through a non-finite entry or an overflow.  An
+        # overflow of either sum to inf is a valid value, not a warning.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+                i, j = np.argwhere(~np.isfinite(arr))[0]
+                raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is not finite")
+            both = arr + arr.T
         # Mask every violating entry; the first in row-major order takes the
         # scalar checks in order (negative, diagonal, indistinguishable).
-        both = arr + arr.T
         bad = (arr < 0) | np.where(np.eye(n, dtype=bool), both != 0.0, both == 0.0)
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
@@ -222,12 +229,72 @@ def ball_contains(space: DistanceSpace, center: Point, radius: float, y: Point) 
     return space.dist(center, y) < radius
 
 
+def is_h_distance(space: DistanceSpace) -> bool:
+    """Whether distinct points of a finite space admit disjoint balls.
+
+    For the smallest positive radius the ball around x is exactly
+    {w : d(x, w) = 0}, so the check reduces to no w lying in two of those
+    zero-sets: O(n^2), with no min-plus product.
+    """
+    if not space.is_finite:
+        raise UnsupportedInstanceError("classification is finite-only")
+    D = space.matrix()
+    return bool(np.all(np.count_nonzero(D <= space.atol, axis=0) <= 1))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _min_plus_blocks(D: np.ndarray, T: np.ndarray, starts: Sequence[int]) -> None:
+    """Fill the row blocks of T that begin at ``starts``."""
+    n = D.shape[0]
+    # numpy's error state is per thread, so each worker enters its own.  A
+    # sum above the float maximum is inf, which is its value here.
+    with np.errstate(over="ignore"):
+        for lo in starts:
+            D_blk = D[lo:lo + MIN_PLUS_BLOCK]
+            T_blk = T[lo:lo + MIN_PLUS_BLOCK]
+            buf = np.empty_like(T_blk)
+            for y in range(n):
+                np.add(D_blk[:, y, None], D[y], out=buf)
+                np.minimum(T_blk, buf, out=T_blk)
+
+
 def _min_plus(D: np.ndarray) -> np.ndarray:
-    """T[x, z] = min over y of D[x, y] + D[y, z]."""
+    """T[x, z] = min over y of D[x, y] + D[y, z].
+
+    Row blocks are shared among up to one thread per usable CPU; numpy's
+    ufuncs release the GIL.  Blocks write disjoint rows and each takes the
+    minimum over y in the same order, so T does not depend on the thread
+    count.
+    """
     n = D.shape[0]
     T = np.full_like(D, np.inf)
-    for y in range(n):
-        np.minimum(T, D[:, y, None] + D[None, y, :], out=T)
+    starts = range(0, n, MIN_PLUS_BLOCK)
+    # The calling thread takes the first share; with k = 1 no thread starts.
+    k = max(1, min(_usable_cpus(), len(starts)))
+    errors: list[BaseException] = []
+
+    def work(share: Sequence[int]) -> None:
+        try:
+            _min_plus_blocks(D, T, share)
+        except BaseException as exc:  # re-raised by the caller after the joins
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(starts[i::k],)) for i in range(1, k)]
+    for thread in threads:
+        thread.start()
+    try:
+        _min_plus_blocks(D, T, starts[0::k])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return T
 
 
@@ -292,11 +359,6 @@ def classify_finite(
         s = float(ratios.max()) if n > 0 else 1.0
         s_distance = max(s, 1.0) if s > 0 else 1.0
 
-    # H-distance: distinct points admit disjoint balls.  For the smallest
-    # positive radius the ball around x is exactly {w : d(x, w) = 0}, so the
-    # check reduces to no w lying in two of those zero-sets.
-    h_distance = bool(np.all(np.count_nonzero(D <= atol, axis=0) <= 1))
-
     return DistanceClass(
         symmetric=symmetric,
         quasimetric=quasimetric,
@@ -304,7 +366,7 @@ def classify_finite(
         n_distance=n_distance,
         f_distance=f_distance,
         s_distance=s_distance,
-        h_distance=h_distance,
+        h_distance=is_h_distance(space),
     )
 
 

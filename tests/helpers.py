@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from multifix import (
     DistanceClass,
     DistanceSpace,
@@ -362,6 +364,15 @@ def reference_enumerate(space, F, family):
 
 
 # -- pure-Python references for the base-space numpy code ---------------------
+
+
+def min_plus_reference(D):
+    """``spaces._min_plus`` as one serial loop over y on the whole matrix."""
+    T = np.full_like(D, np.inf)
+    with np.errstate(over="ignore"):
+        for y in range(D.shape[0]):
+            np.minimum(T, D[:, y, None] + D[None, y, :], out=T)
+    return T
 
 
 def classify_reference(D, atol, epsilon_grid=None):

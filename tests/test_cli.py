@@ -1,8 +1,13 @@
 import csv
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multifix
 from multifix.cli import main
 
 CONSTANT_CHAIN = """\
@@ -308,6 +313,21 @@ class TestClassify:
         assert "symmetric: no" in out
         assert "quasimetric: yes" in out
         assert "metric: no" in out
+
+    def test_sums_above_the_float_maximum_leave_stderr_empty(self, prob):
+        # Run as its own process, where a numpy overflow warning would be
+        # printed, not raised as under this suite's warning filter.
+        text = "points: a b c\ndist:\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(multifix.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "multifix.cli", "classify", prob(text)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            "symmetric: yes\nquasimetric: yes\nmetric: yes\nn_distance: yes\n"
+            "f_distance: yes\ns: 1\nh_distance: yes\n"
+        )
 
 
 class TestCheck:

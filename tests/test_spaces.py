@@ -1,7 +1,10 @@
 import itertools
 import random
+import sys
+import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +20,11 @@ from multifix import (
     is_cauchy_prefix,
     product_space,
 )
+from multifix import spaces
 from helpers import (
     classify_reference,
     from_matrix_violation,
+    min_plus_reference,
     random_metric,
     random_quasimetric,
 )
@@ -155,6 +160,8 @@ class TestClassify:
     def test_continuous_carrier_rejected(self):
         with pytest.raises(UnsupportedInstanceError):
             classify_finite(DistanceSpace.reals())
+        with pytest.raises(UnsupportedInstanceError):
+            spaces.is_h_distance(DistanceSpace.reals())
 
     def test_label_permutation_invariance(self):
         rng = random.Random(3)
@@ -262,6 +269,106 @@ class TestClassifyDifferential:
     def test_non_positive_grid_rejected(self, path3):
         with pytest.raises(ValueError, match="positive"):
             classify_finite(path3, [1.0, 0.0])
+
+
+def min_plus_input(n, seed):
+    """A random nonnegative n x n matrix with a zero diagonal, some zeros,
+    tenths whose sums round, and one row of 1e308 whose sums overflow."""
+    rng = np.random.default_rng(seed)
+    D = rng.choice([0.0, 0.1, 0.2, 0.3, 1.0, 2.5], size=(n, n)) + rng.random((n, n)) * (
+        rng.random((n, n)) < 0.5
+    )
+    D[n // 2] = 1e308
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+class TestMinPlus:
+    # 1 CPU takes the serial path; 4 CPUs give more workers than 130 rows
+    # have blocks, so the block count caps the worker count.
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_matches_serial_loop(self, n, cpus, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started on one CPU")
+
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: cpus)
+        if cpus == 1:
+            monkeypatch.setattr(spaces.threading, "Thread", no_thread)
+        D = min_plus_input(n, seed=n)
+        assert np.array_equal(spaces._min_plus(D), min_plus_reference(D))
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Six workers, one per block, switching threads every microsecond: a
+        # block written by two workers or left unwritten would show.
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: 6)
+        D = min_plus_input(6 * spaces.MIN_PLUS_BLOCK, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            T = spaces._min_plus(D)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(T, min_plus_reference(D))
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(spaces.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(spaces.os, "cpu_count", lambda: 3)
+        assert spaces._usable_cpus() == 3
+        monkeypatch.setattr(spaces.os, "cpu_count", lambda: None)
+        assert spaces._usable_cpus() == 1
+
+    @pytest.mark.parametrize("failing_start", [0, 64])
+    def test_block_error_reaches_the_caller(self, failing_start, monkeypatch):
+        # Two workers over 130 rows: the caller runs the blocks at 0 and 128,
+        # the second thread the block at 64.
+        blocks = spaces._min_plus_blocks
+        started = []
+        hooked = []
+
+        class RecordedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def flaky(D, T, starts):
+            if failing_start in starts:
+                raise RuntimeError(f"block {failing_start}")
+            blocks(D, T, starts)
+
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spaces, "_min_plus_blocks", flaky)
+        monkeypatch.setattr(spaces.threading, "Thread", RecordedThread)
+        monkeypatch.setattr(spaces.threading, "excepthook", hooked.append)
+        with pytest.raises(RuntimeError, match=f"block {failing_start}"):
+            spaces._min_plus(min_plus_input(130, seed=2))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert hooked == []
+
+    def test_classify_matches_loop_reference_beyond_one_block(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: 2)
+        M = min_plus_input(70, seed=5)
+        M[(M == 0) & (M.T == 0) & ~np.eye(70, dtype=bool)] = 0.5
+        space = DistanceSpace.from_matrix(range(70), M.tolist())
+        assert classify_finite(space) == classify_reference(M.tolist(), space.atol)
+
+    def test_sums_above_the_float_maximum_are_inf_without_warning(self, monkeypatch):
+        # Under the suite's error::RuntimeWarning filter an overflow raises,
+        # in from_matrix's checks and in every min-plus worker.
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: 2, raising=False)
+        n = 130
+        M = np.full((n, n), 1e308)
+        np.fill_diagonal(M, 0.0)
+        cls = classify_finite(DistanceSpace.from_matrix(range(n), M.tolist()))
+        assert cls == DistanceClass(
+            symmetric=True,
+            quasimetric=True,
+            metric=True,
+            n_distance=True,
+            f_distance=True,
+            s_distance=1.0,
+            h_distance=True,
+        )
 
 
 class TestSequences:
