@@ -110,15 +110,21 @@ def cmd_check(args) -> int:
     return _print_report(condition.check(space, order, F, family, lset, **options))
 
 
+def _settings(args, pf, *names) -> dict:
+    """Each named setting from its option, else from the file's header; one
+    given by neither is left to the config's own default."""
+    values = {name: getattr(args, name) for name in names}
+    values = {name: getattr(pf, name) if v is None else v for name, v in values.items()}
+    return {name: v for name, v in values.items() if v is not None}
+
+
 def cmd_solve(args) -> int:
     pf = load_problem(args.file)
     space = pf.require("space")
     F = pf.require("operator")
     family = pf.require("family")
     config = SolveConfig(
-        kind=pf.metric or ProductKind.SUP,
-        tol=args.tol if args.tol is not None else (pf.tol or 1e-9),
-        max_iter=args.max_iter if args.max_iter is not None else (pf.max_iter or 10_000),
+        kind=pf.metric or ProductKind.SUP, **_settings(args, pf, "tol", "max_iter")
     )
     if args.start == "auto":
         order = pf.require("order")
@@ -195,8 +201,7 @@ def cmd_game(args) -> int:
         F=pf.require("operator"),
         family=pf.require("family"),
         order=pf.order,
-        rounds=args.rounds if args.rounds is not None else (pf.rounds or 100),
-        tol=args.tol if args.tol is not None else (pf.tol or 1e-9),
+        **_settings(args, pf, "rounds", "tol"),
     )
     traj = simulate(game, pf.require("start"))
     if args.out:

@@ -8,9 +8,7 @@ on seeded samples and report a clearly labeled "sampled-pass" verdict.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -26,7 +24,7 @@ from .operators import (
     surjectivity_report,
 )
 from .orders import LSet, OrderRelation
-from .product import ProductKind, check_pair_arity
+from .product import ProductKind, check_pair_arity, combine
 from .spaces import DistanceSpace
 
 # Margin for strict inequalities on computed (non-table) reals: rounding must
@@ -242,11 +240,11 @@ def check_omega(
     table = space.table_backed and kind is ProductKind.SUP
 
     kernel = ProductKernel(space, lset.m)
-    O = order.matrix(kernel.labels)
+    orders = lset.orient(order.matrix(kernel.labels))
     image = kernel.image(F, family)
-    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=False):
+    for xs, ys in kernel.comparable_pairs(orders, include_equal=False):
         fx, fy = image[xs], image[ys]
-        ordered = kernel.leq_L(O, lset, fx, fy) if isotone else kernel.leq_L(O, lset, fy, fx)
+        ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
         lhs = kernel.distance(kind, fx, fy) + kernel.distance(kind, fy, fx)
         rhs = kernel.distance(kind, xs, ys) + kernel.distance(kind, ys, xs)
         bad = ~ordered | ~_strictly_less(lhs, rhs, table)
@@ -379,7 +377,7 @@ def sample_comparable_pairs(
     x += lo
     y = u[:, :, 1]
     y *= max_step
-    forward = np.array([i in lset.members for i in range(1, m + 1)])
+    forward = np.array(lset.forward)
     np.add(x, y, out=y, where=forward)
     np.subtract(x, y, out=y, where=~forward)
     # min(b, hi) and max(b, lo) keep b unless the bound is strictly beyond it.
@@ -478,22 +476,16 @@ def _column_distances(
     a time.
 
     F and the base distance run through ``np.frompyfunc``, so each call gets
-    the Python scalars or labels a per-pair loop passes.  The sup replaces
-    only on a strictly greater value, as ``max`` does (NaN included), and the
-    sum adds left to right, both on the returned Python objects before one
-    conversion to float.  Python scalar arithmetic never warns, so the
-    overflow and invalid flags it leaves must not become numpy warnings.
+    the Python scalars or labels a per-pair loop passes, and :func:`combine`
+    runs on the returned Python objects before one conversion to float.
+    Python scalar arithmetic never warns, so the overflow and invalid flags
+    it leaves must not become numpy warnings.
     """
     f = np.frompyfunc(F._func, family.m, 1)
     dist = np.frompyfunc(space.dist, 2, 1)
-    if kind is ProductKind.SUP:
-        def combine(total, column):
-            return np.where(column > total, column, total)
-    else:
-        combine = operator.add
 
     def rho(xs, ys) -> np.ndarray:
-        return functools.reduce(combine, map(dist, xs, ys)).astype(float)
+        return combine(kind, map(dist, xs, ys)).astype(float)
 
     xs, ys = points[:, 0].T, points[:, 1].T  # row i: coordinate column i
     with np.errstate(all="ignore"):
@@ -517,23 +509,21 @@ def _mk_operator_exhaustive(
     comparable pair, equal pairs included.  The auto r grid, needed only for
     a modulus that is not monotone, is the set of distinct positive pair
     distances; ``<=_L`` is a product relation, so both come from the
-    per-coordinate order pairs (reversed off L) without a sweep."""
+    per-coordinate order pairs without a sweep."""
     kernel = ProductKernel(space, lset.m)
-    O = order.matrix(kernel.labels)
-    samples = int(O.sum()) ** lset.m
+    orders = lset.orient(order.matrix(kernel.labels))
+    samples = int(orders[0].sum()) ** lset.m
     if not samples:
         raise ValueError("no comparable pairs to check")
     if r_grid is None and not delta.monotone:
         # Starting from {0} changes neither a maximum nor a left-to-right sum.
-        D, values = space.matrix(), np.zeros(1)
-        combine = np.maximum.outer if kind is ProductKind.SUP else np.add.outer
-        for i in range(1, lset.m + 1):
-            coordinate = np.unique(D[O] if i in lset.members else D[O.T])
-            values = np.unique(combine(values, coordinate))
+        values = np.zeros(1)
+        for Oi in orders:
+            values = np.unique(combine(kind, (values[:, None], np.unique(kernel.D[Oi]))))
         r_grid = values[values > 0].tolist() or [1.0]
     image = kernel.image(F, family)
     first_failure = _first_failure(delta, r_grid)
-    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
+    for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
         d = kernel.distance(kind, xs, ys)
         d_img = kernel.distance(kind, image[xs], image[ys])
         found = first_failure(d, d_img, table_backed)
@@ -575,11 +565,11 @@ def check_mk(
 
     isotone = variant == 1
     kernel = ProductKernel(space, lset.m)
-    O = order.matrix(kernel.labels)
+    orders = lset.orient(order.matrix(kernel.labels))
     image = kernel.image(F, family)
-    for xs, ys in kernel.comparable_pairs(O, lset, include_equal=True):
+    for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
         fx, fy = image[xs], image[ys]
-        ordered = kernel.leq_L(O, lset, fx, fy) if isotone else kernel.leq_L(O, lset, fy, fx)
+        ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
         if not ordered.all():
             k = int(np.argmin(ordered))
             witness = (kernel.point(xs[k]), kernel.point(ys[k]))

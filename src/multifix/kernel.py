@@ -2,10 +2,10 @@
 
 Carrier points become indices ``0..n-1`` and the product ``X^m`` becomes the
 ``(N, m)`` array of index tuples, in :func:`product_points` order, so a
-product point is one integer in ``0..N-1``.  The order is the order's own
-closed ``n x n`` boolean matrix re-indexed to the carrier
-(:meth:`OrderRelation.matrix`), the distance the base ``n x n`` matrix, and
-``lambdaF`` one index map over the ``N`` tuples.
+product point is one integer in ``0..N-1``.  The order comes as one closed
+``n x n`` boolean matrix per coordinate, the carrier's order or its
+transpose as :meth:`LSet.orient` gives them, the distance is the base
+``n x n`` matrix, and ``lambdaF`` one index map over the ``N`` tuples.
 
 Comparable pairs under ``<=_L`` come out in row blocks of about
 ``BLOCK_ENTRIES`` candidate pairs, in canonical order (``x`` in product
@@ -14,14 +14,15 @@ order, then ``y``), so memory stays ``O(block x N)`` and never ``O(N^2)``.
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+import operator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import EvaluationError
 from .operators import LambdaFamily, MultiOperator
-from .orders import LSet
-from .product import ProductKind, product_size
+from .product import ProductKind, combine, product_size
 from .spaces import DistanceSpace
 
 # Candidate (x, y) pairs tested per block: 1 MB of booleans.
@@ -43,7 +44,7 @@ class ProductKernel:
         self.m = m
         self.shape = (self.n,) * m
         self.coords = np.stack(np.unravel_index(np.arange(size), self.shape), axis=1)
-        self.space = space
+        self.D = space.matrix()
 
     @property
     def size(self) -> int:
@@ -85,18 +86,16 @@ class ProductKernel:
         image_coords = values[args]
         return np.ravel_multi_index(tuple(image_coords.T), self.shape)
 
-    def leq_L(self, O: np.ndarray, lset: LSet, xs, ys) -> np.ndarray:
+    def leq_L(self, orders: Sequence[np.ndarray], xs, ys) -> np.ndarray:
         """Elementwise ``x <=_L y`` over broadcastable arrays of product
-        indices: forward on L coordinates, backward elsewhere."""
-        ok = None
-        for i in range(self.m):
-            a, b = self.coords[xs, i], self.coords[ys, i]
-            step = O[a, b] if i + 1 in lset.members else O[b, a]
-            ok = step if ok is None else ok & step
-        return ok
+        indices, ``orders[i]`` deciding coordinate ``i``."""
+        c = self.coords
+        return functools.reduce(
+            operator.and_, (Oi[c[xs, i], c[ys, i]] for i, Oi in enumerate(orders))
+        )
 
     def comparable_pairs(
-        self, O: np.ndarray, lset: LSet, include_equal: bool
+        self, orders: Sequence[np.ndarray], include_equal: bool
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks ``(xs, ys)`` of comparable pairs ``x <=_L y``, in canonical
         order."""
@@ -105,7 +104,7 @@ class ProductKernel:
         height = max(1, BLOCK_ENTRIES // max(N, 1))
         for start in range(0, N, height):
             rows = np.arange(start, min(start + height, N))
-            mask = self.leq_L(O, lset, rows[:, None], every[None, :])
+            mask = self.leq_L(orders, rows[:, None], every[None, :])
             if not include_equal:
                 mask[np.arange(len(rows)), rows] = False
             r, c = np.nonzero(mask)
@@ -113,11 +112,6 @@ class ProductKernel:
                 yield rows[r], c
 
     def distance(self, kind: ProductKind, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Product distances of index pairs; the sum adds coordinates left to
-        right exactly like :func:`sum_distance`."""
-        D = self.space.matrix()
-        total = D[self.coords[xs, 0], self.coords[ys, 0]]
-        for i in range(1, self.m):
-            d = D[self.coords[xs, i], self.coords[ys, i]]
-            total = np.maximum(total, d) if kind is ProductKind.SUP else total + d
-        return total
+        """Product distances of index pairs, combined as :func:`combine` does."""
+        c = self.coords
+        return combine(kind, (self.D[c[xs, i], c[ys, i]] for i in range(self.m)))

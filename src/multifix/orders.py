@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -117,6 +118,16 @@ class LSet:
     def of(cls, m: int, *indices: int) -> "LSet":
         return cls(m, frozenset(indices))
 
+    @functools.cached_property  # compare_L reads it on every call
+    def forward(self) -> tuple[bool, ...]:
+        """Per coordinate, whether ``<=_L`` compares it forward (it is in L)."""
+        return tuple(i in self.members for i in range(1, self.m + 1))
+
+    def orient(self, O: np.ndarray) -> list[np.ndarray]:
+        """Per coordinate, the order matrix that decides it under ``<=_L``:
+        ``O`` on L coordinates, its transpose elsewhere."""
+        return [O if f else O.T for f in self.forward]
+
     def complement(self) -> "LSet":
         return LSet(self.m, frozenset(range(1, self.m + 1)) - self.members)
 
@@ -129,9 +140,7 @@ def compare_L(order: OrderRelation, lset: LSet, x: Sequence, y: Sequence) -> boo
     """Twisted order on tuples: forward on L coordinates, backward elsewhere."""
     if len(x) != lset.m or len(y) != lset.m:
         raise ValueError(f"tuple arity must be {lset.m}")
-    for i in range(1, lset.m + 1):
-        a, b = x[i - 1], y[i - 1]
-        ok = order.leq(a, b) if i in lset.members else order.leq(b, a)
-        if not ok:
+    for forward, a, b in zip(lset.forward, x, y):
+        if not (order.leq(a, b) if forward else order.leq(b, a)):
             return False
     return True

@@ -9,7 +9,7 @@ import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,17 @@ def check_pair_arity(x: Sequence, y: Sequence) -> None:
         raise ValueError(f"arity mismatch: {len(x)} vs {len(y)}")
     if len(x) == 0:
         raise ValueError("product points must have arity >= 1")
+
+
+def _sup_step(total, column):
+    return np.where(column > total, column, total)
+
+
+def combine(kind: ProductKind, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise product distance of per-coordinate distance arrays: the
+    sup keeps the first of equal maxima as ``max`` does (NaN included), and
+    the sum adds in coordinate order as :func:`sum_distance` does."""
+    return functools.reduce(_sup_step if kind is ProductKind.SUP else operator.add, columns)
 
 
 def _sup(dist, x: Sequence, y: Sequence) -> float:
@@ -111,15 +122,6 @@ def product_space(
         if len(space.points) ** m <= cap_val:
             points = product_points(space, m, cap_val)
             matrix = _product_matrix(space.matrix(), m, kind)
-            index = {p: i for i, p in enumerate(points)}
-            coordinate_dist = dist
-
-            def dist(x, y, _idx=index, _mat=matrix, _fallback=coordinate_dist):
-                i = _idx.get(x)
-                j = _idx.get(y)
-                if i is None or j is None:
-                    return _fallback(x, y)
-                return float(_mat[i, j])
 
     return DistanceSpace(
         dist,
@@ -132,15 +134,12 @@ def product_space(
 
 
 def _product_matrix(D: np.ndarray, m: int, kind: ProductKind) -> np.ndarray:
-    """Product distance matrix over m-tuples, ordered like product_points."""
-    n = D.shape[0]
+    """Product distance matrix over m-tuples, ordered like product_points;
+    one broadcast coordinate per step keeps peak memory near its size."""
     out = D
     for _ in range(m - 1):
-        N = out.shape[0]
-        left = out[:, None, :, None]
-        right = D[None, :, None, :]
-        combined = np.maximum(left, right) if kind is ProductKind.SUP else left + right
-        out = combined.reshape(N * n, N * n)
+        N = out.shape[0] * D.shape[0]
+        out = combine(kind, (out[:, None, :, None], D[None, :, None, :])).reshape(N, N)
     return out
 
 

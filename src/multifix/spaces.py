@@ -8,6 +8,7 @@ axioms a given finite space happens to satisfy.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -137,25 +138,27 @@ class DistanceSpace:
         n = len(labels)
         if len(set(labels)) != n:
             raise ValueError("carrier labels must be distinct")
-        mat = [list(map(float, row)) for row in matrix]
-        if len(mat) != n or any(len(row) != n for row in mat):
+        # float() takes the entries in row-major order, so the first one it
+        # refuses raises before the shape check.
+        arr = np.fromiter(map(float, itertools.chain.from_iterable(matrix)), float)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"distance matrix must be {n}x{n}")
-        arr = np.array(mat).reshape(n, n)
+        arr = arr.reshape(n, n)
         # A finite sum clears the matrix without a temporary array; it can
         # only be non-finite through a non-finite entry or an overflow.  An
         # overflow of either sum to inf is a valid value, not a warning.
         with np.errstate(over="ignore"):
             if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
                 i, j = np.argwhere(~np.isfinite(arr))[0]
-                raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is not finite")
+                raise ValueError(f"d({labels[i]},{labels[j]}) = {arr.item(i, j)} is not finite")
             both = arr + arr.T
         # Mask every violating entry; the first in row-major order takes the
         # scalar checks in order (negative, diagonal, indistinguishable).
         bad = (arr < 0) | np.where(np.eye(n, dtype=bool), both != 0.0, both == 0.0)
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
-            if mat[i][j] < 0:
-                raise ValueError(f"d({labels[i]},{labels[j]}) = {mat[i][j]} is negative")
+            if arr.item(i, j) < 0:
+                raise ValueError(f"d({labels[i]},{labels[j]}) = {arr.item(i, j)} is negative")
             if i == j:
                 raise ValueError(f"d({labels[i]},{labels[i]}) must be 0")
             raise ValueError(f"d({labels[i]},{labels[j]}) + reverse is 0 for distinct points")
@@ -163,7 +166,7 @@ class DistanceSpace:
 
         def dist(x: Point, y: Point) -> float:
             try:
-                return mat[index[x]][index[y]]
+                return arr.item(index[x], index[y])
             except KeyError as exc:
                 raise CarrierError(f"point {exc.args[0]!r} is not in the carrier")
 
@@ -206,7 +209,6 @@ class DistanceClass:
     symmetric: bool
     quasimetric: bool
     metric: bool
-    n_distance: bool
     f_distance: bool
     s_distance: Optional[float]
     h_distance: bool
@@ -216,8 +218,13 @@ class DistanceClass:
             raise ValueError("metric flag requires symmetric and quasimetric")
         if self.s_distance is not None and not self.f_distance:
             raise ValueError("an s-distance must also be an F-distance")
-        if self.f_distance and not self.n_distance:
-            raise ValueError("an F-distance must also be an N-distance")
+
+    @property
+    def n_distance(self) -> bool:
+        """N asks for a delta per point, F for one delta for all; on a finite
+        carrier the minimum of the per-point deltas serves every point, so N
+        and F coincide."""
+        return self.f_distance
 
 
 def ball_contains(space: DistanceSpace, center: Point, radius: float, y: Point) -> bool:
@@ -338,10 +345,6 @@ def classify_finite(
         reach[A[:, y]] |= A[y]
     chained = np.where(reach, D, -np.inf)
     f_distance = bool(np.max(chained) <= min_eps + atol)
-    # N asks for a delta per point, F for one delta for all; on a finite
-    # carrier the minimum of the per-point deltas serves every point, so N
-    # and F coincide.
-    n_distance = f_distance
 
     # Minimal feasible s for the relaxed triangle inequality.  For each pair
     # the binding intermediate point is the one minimizing d(x,z)+d(z,y).
@@ -363,7 +366,6 @@ def classify_finite(
         symmetric=symmetric,
         quasimetric=quasimetric,
         metric=metric,
-        n_distance=n_distance,
         f_distance=f_distance,
         s_distance=s_distance,
         h_distance=is_h_distance(space),

@@ -411,7 +411,6 @@ def classify_reference(D, atol, epsilon_grid=None):
         symmetric=symmetric,
         quasimetric=quasimetric,
         metric=symmetric and quasimetric,
-        n_distance=all(v <= bound for v in row_max),
         f_distance=max(row_max) <= bound,
         s_distance=s_distance,
         h_distance=h_distance,

@@ -500,6 +500,43 @@ class TestGame:
         assert "optimal=no" in capsys.readouterr().out
 
 
+class TestZeroValuedHeaders:
+    """A header set to 0 is read as 0, never replaced by the default."""
+
+    @pytest.mark.parametrize(
+        "command, text, stdout, stderr, code",
+        [
+            # tol 0: the strict residual < tol test never holds.
+            (
+                "solve",
+                CONTRACTION + "tol: 0\nmax_iter: 50\n",
+                "status=max_iter_exceeded\niters=50\npoint=(1.0,1.0)\nresidual=0\n",
+                "",
+                1,
+            ),
+            (
+                "game",
+                GAME_DEMO.replace("tol: 1e-8", "tol: 0"),
+                "optimal=yes rounds=55 final=(0.5,0.5)\n",
+                "",
+                0,
+            ),
+            ("solve", CONTRACTION + "max_iter: 0\n", "", "error: max_iter must be at least 1\n", 2),
+            (
+                "game",
+                GAME_DEMO.replace("rounds: 200", "rounds: 0"),
+                "",
+                "error: rounds must be at least 1\n",
+                2,
+            ),
+        ],
+        ids=["solve-tol", "game-tol", "solve-max-iter", "game-rounds"],
+    )
+    def test_output_and_exit_code(self, prob, capsys, command, text, stdout, stderr, code):
+        assert main([command, prob(text)]) == code
+        assert capsys.readouterr() == (stdout, stderr)
+
+
 class TestGoldenFailures:
     @pytest.mark.parametrize(
         "text, args, stdout, code",

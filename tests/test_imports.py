@@ -1,0 +1,38 @@
+"""Every name a package module imports is used in that module; the package's
+``__init__`` may import a name only to re-export it through ``__all__``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import multifix
+
+PACKAGE = Path(multifix.__file__).parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a; "from m import x as y" binds y.
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(multifix.__all__)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os\nimport numpy as np\nfrom typing import Any, Optional\nx: Any = np.e\n")
+    assert unused_imports(module) == ["module.py:1 os", "module.py:3 Optional"]

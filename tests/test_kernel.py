@@ -22,10 +22,12 @@ from multifix import (
     check_omega,
     coupled_preset,
     enumerate_fixed_points,
+    product_space,
     sum_distance,
     sup_distance,
 )
 from multifix import kernel
+from multifix.product import _product_matrix
 from helpers import (
     int_chain,
     reference_check_mk,
@@ -158,6 +160,9 @@ def test_product_distances_round_like_the_scalar_forms():
     for kind, scalar in ((ProductKind.SUP, sup_distance), (ProductKind.SUM, sum_distance)):
         want = [scalar(space, points[x], points[y]) for x, y in zip(xs, ys)]
         assert k.distance(kind, xs, ys).tolist() == want
+        assert _product_matrix(space.matrix(), 3, kind).ravel().tolist() == want
+        dist = product_space(space, 3, kind).dist
+        assert [dist(points[x], points[y]) for x, y in zip(xs, ys)] == want
 
 
 def test_canonical_order_witness_across_blocks():

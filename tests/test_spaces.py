@@ -90,10 +90,27 @@ class TestConstruction:
                 DistanceSpace.from_matrix(labels, matrix)
             assert str(err.value) == want
 
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            ([[0, 1], [1]], ValueError, "distance matrix must be 2x2"),
+            ([[0, 1, 2], [1, 0]], ValueError, "distance matrix must be 2x2"),
+            # float() takes every entry, row by row, before the shape check.
+            ([[0, "x"], [1]], ValueError, "could not convert string to float: 'x'"),
+            ([[0, None], [1, 0]], TypeError, "not 'NoneType'"),
+            ([[0, [1]], [1, 0]], TypeError, "not 'list'"),
+        ],
+    )
+    def test_entries_convert_before_the_shape_check(self, matrix, error, message):
+        with pytest.raises(error) as err:
+            DistanceSpace.from_matrix(["a", "b"], matrix)
+        assert message in str(err.value)
+
     def test_zero_one_direction_is_allowed(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
         assert space.dist("a", "b") == 0
         assert space.dist("b", "a") == 1
+        assert type(space.dist("b", "a")) is float
 
 
 class TestBall:
@@ -192,7 +209,6 @@ class TestClassify:
                 symmetric=False,
                 quasimetric=False,
                 metric=True,
-                n_distance=True,
                 f_distance=True,
                 s_distance=None,
                 h_distance=True,
@@ -364,7 +380,6 @@ class TestMinPlus:
             symmetric=True,
             quasimetric=True,
             metric=True,
-            n_distance=True,
             f_distance=True,
             s_distance=1.0,
             h_distance=True,
