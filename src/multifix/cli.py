@@ -75,8 +75,7 @@ def _print_report(report) -> int:
         print(f"SAMPLED-PASS seed={report.seed} n={report.samples}")
         return EXIT_OK
     clause = report.failing_clause()
-    witness = clause.witness if clause else report.counterexample
-    print(f"FAIL clause: {clause.name if clause else '?'}; witness: {witness}")
+    print(f"FAIL clause: {clause.name}; witness: {clause.witness}")
     return EXIT_FAIL
 
 
@@ -135,14 +134,12 @@ def cmd_solve(args) -> int:
             return EXIT_NO_START
         start, direction = found
         print(f"start={format_product_point(start)} direction={direction}")
-        report = picard_solve(space, F, family, start, config, order, lset)
+    elif args.start is not None:
+        tokens = args.start.split(",")
+        start = tuple(tokens) if space.is_finite else tuple(float(t) for t in tokens)
     else:
-        if args.start is not None:
-            tokens = args.start.split(",")
-            start = tuple(tokens) if space.is_finite else tuple(float(t) for t in tokens)
-        else:
-            start = pf.require("start")
-        report = picard_solve(space, F, family, start, config)
+        start = pf.require("start")
+    report = picard_solve(space, F, family, start, config)
     print(f"status={report.status}")
     print(f"iters={report.iterations}")
     print(f"point={format_product_point(report.final)}")
@@ -183,8 +180,7 @@ def cmd_verify(args) -> int:
         print(f"THEOREM CONFIRMED, unique fixed point {points}")
         return EXIT_OK
     if report.verdict == "informational":
-        clause = report.condition_report.failing_clause()
-        name = clause.name if clause else "?"
+        name = report.condition_report.failing_clause().name
         print(f"INFORMATIONAL (conditions fail: {name}); fixed points: [{points}]")
         return EXIT_OK
     if report.verdict == "hypothesis-unmet":

@@ -3,7 +3,9 @@ sets, the Meir-Keeler space and operator conditions, and their shared
 order-theoretic clauses.
 
 Finite instances are checked exhaustively; continuous instances are checked
-on seeded samples and report a clearly labeled "sampled-pass" verdict.
+on seeded samples and report a clearly labeled "sampled-pass" verdict.  A
+strict inequality a < b on distances is tested as a < b - atol, with atol
+from :attr:`DistanceSpace.atol` or :func:`product_atol`.
 """
 
 from __future__ import annotations
@@ -24,17 +26,8 @@ from .operators import (
     surjectivity_report,
 )
 from .orders import LSet, OrderRelation
-from .product import ProductKind, check_pair_arity, combine
+from .product import ProductKind, check_pair_arity, combine, product_atol
 from .spaces import DistanceSpace
-
-# Margin for strict inequalities on computed (non-table) reals: rounding must
-# not manufacture a pass.
-STRICT_MARGIN = 1e-12
-
-
-def _strictly_less(a: float, b: float, table_backed: bool) -> bool:
-    return a < b if table_backed else a < b - STRICT_MARGIN
-
 
 @dataclass(frozen=True)
 class MeirKeelerModulus:
@@ -91,32 +84,40 @@ class Clause:
 
 @dataclass
 class ConditionReport:
-    """Clause-by-clause verdict for one named condition set."""
+    """Clause-by-clause report for one named condition set.
+
+    The verdict derives from the clauses: "fail" when one fails, with the
+    first failing clause's witness as the counterexample, else "pass", or
+    "sampled-pass" when the pairs were ``sampled`` rather than exhausted.
+    """
 
     condition: str
-    verdict: str  # "pass" | "fail" | "sampled-pass"
     clauses: list[Clause] = field(default_factory=list)
-    counterexample: Optional[tuple] = None
+    sampled: bool = False
     seed: Optional[int] = None
     samples: Optional[int] = None
     grid_bound: bool = False  # r ranged over a finite grid, not every r > 0
-
-    def __post_init__(self):
-        if self.verdict == "fail" and self.counterexample is None:
-            for cl in self.clauses:
-                if not cl.ok:
-                    self.counterexample = cl.witness
-                    break
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("pass", "sampled-pass")
 
     def failing_clause(self) -> Optional[Clause]:
         for cl in self.clauses:
             if not cl.ok:
                 return cl
         return None
+
+    @property
+    def passed(self) -> bool:
+        return self.failing_clause() is None
+
+    @property
+    def verdict(self) -> str:
+        if not self.passed:
+            return "fail"
+        return "sampled-pass" if self.sampled else "pass"
+
+    @property
+    def counterexample(self) -> Optional[tuple]:
+        clause = self.failing_clause()
+        return None if clause is None else clause.witness
 
 
 @dataclass
@@ -173,8 +174,8 @@ def check_bounds_exist(order: OrderRelation) -> ConditionReport:
             b = int(np.argmax(bad))
             kind = "lower" if has_up[b] else "upper"
             clause = Clause("pair bounds", False, (points[a], points[b], kind))
-            return ConditionReport("bounds", "fail", [clause])
-    return ConditionReport("bounds", "pass", [Clause("pair bounds", True)])
+            return ConditionReport("bounds", [clause])
+    return ConditionReport("bounds", [Clause("pair bounds", True)])
 
 
 def check_order_distance_compat(
@@ -187,15 +188,14 @@ def check_order_distance_compat(
     points = space.points
     O = order.matrix(points)
     S = space.matrix() + space.matrix().T
-    margin = 0.0 if space.table_backed else STRICT_MARGIN
     for i, x in enumerate(points):
         # bad[y, z]: x <= y <= z with d(x,y) + d(y,x) > d(x,z) + d(z,x)
-        bad = O[i, :, None] & O & (S[i, :, None] > S[i] + margin)
+        bad = O[i, :, None] & O & (S[i, :, None] > S[i] + space.atol)
         if bad.any():
             y, z = np.argwhere(bad)[0].tolist()
             clause = Clause("order-distance compatibility", False, (x, points[y], points[z]))
-            return ConditionReport("compat", "fail", [clause])
-    return ConditionReport("compat", "pass", [Clause("order-distance compatibility", True)])
+            return ConditionReport("compat", [clause])
+    return ConditionReport("compat", [Clause("order-distance compatibility", True)])
 
 
 def check_omega(
@@ -221,23 +221,23 @@ def check_omega(
     lat = check_lattice(order)
     clauses.append(Clause("lattice", lat.is_lattice, lat.counterexample))
     if not lat.is_lattice:
-        return ConditionReport(name, "fail", clauses)
+        return ConditionReport(name, clauses)
 
     compat = check_order_distance_compat(space, order)
     clauses.append(compat.clauses[0])
-    if compat.verdict == "fail":
-        return ConditionReport(name, "fail", clauses)
+    if not compat.passed:
+        return ConditionReport(name, clauses)
 
     if variant in (3, 4):
         surj = surjectivity_report(family)
         ok = surj.union_of_images_full  # a surjective row already covers 1..m
         clauses.append(Clause("lambda surjectivity", ok, None if ok else surj.rows_surjective))
         if not ok:
-            return ConditionReport(name, "fail", clauses)
+            return ConditionReport(name, clauses)
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     isotone = variant in (1, 3)
-    table = space.table_backed and kind is ProductKind.SUP
+    atol = product_atol(space, kind)
 
     kernel = ProductKernel(space, lset.m)
     orders = lset.orient(order.matrix(kernel.labels))
@@ -247,22 +247,22 @@ def check_omega(
         ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
         lhs = kernel.distance(kind, fx, fy) + kernel.distance(kind, fy, fx)
         rhs = kernel.distance(kind, xs, ys) + kernel.distance(kind, ys, xs)
-        bad = ~ordered | ~_strictly_less(lhs, rhs, table)
+        bad = ~ordered | ~(lhs < rhs - atol)
         if bad.any():
             k = int(np.argmax(bad))
             clause = "image order" if not ordered[k] else "strict contraction"
             witness = (kernel.point(xs[k]), kernel.point(ys[k]))
             clauses.append(Clause(clause, False, witness))
-            return ConditionReport(name, "fail", clauses)
+            return ConditionReport(name, clauses)
     clauses.append(Clause("image order", True))
     clauses.append(Clause("strict contraction", True))
-    return ConditionReport(name, "pass", clauses)
+    return ConditionReport(name, clauses)
 
 
 def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
-    """Return first_failure(rho, image_rho, table_backed): the first position
-    k whose binding r = min {r in grid : rho[k] < r + delta(r)} exists while
-    image_rho[k] < r fails, as (k, r); None if there is none.
+    """Return first_failure(rho, image_rho, atol): the first position k
+    whose binding r = min {r in grid : rho[k] < r + delta(r)} exists while
+    image_rho[k] < r - atol fails, as (k, r); None if there is none.
 
     The implication "for all r with rho < r + delta(r): image < r" binds only
     at the smallest premise-satisfying r, so one lookup per pair suffices.  A
@@ -277,11 +277,9 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     # lands past a whole run of tied thresholds, so their order is free.
     bounds = np.append(np.minimum.accumulate(r[order][::-1])[::-1], np.inf)
 
-    def first_failure(rho, image_rho, table_backed: bool) -> Optional[tuple[int, float]]:
+    def first_failure(rho, image_rho, atol: float) -> Optional[tuple[int, float]]:
         i = np.searchsorted(thresholds, rho, side="right")
-        bad = (i < len(thresholds)) & ~_strictly_less(
-            np.asarray(image_rho), bounds[i], table_backed
-        )
+        bad = (i < len(thresholds)) & ~(np.asarray(image_rho) < bounds[i] - atol)
         if not bad.any():
             return None
         k = int(np.argmax(bad))
@@ -297,16 +295,16 @@ def _all_r_failure(delta: MeirKeelerModulus):
     The premise rho < r + delta(r) holds on an up-ray of r and the conclusion
     image_rho < r fails exactly for r <= image_rho, so a pair fails exactly
     when image_rho > 0 and rho < g + delta(g) at g = image_rho; r = image_rho
-    is the witness.  A NaN image distance is below no r, like inf.  On
-    computed reals the conclusion is image_rho < r - STRICT_MARGIN, so g =
-    image_rho + STRICT_MARGIN: the margin can fail a borderline pair, never
-    pass one, and the witness r is image_rho whenever that r fails already.
+    is the witness.  A NaN image distance is below no r, like inf.  The
+    conclusion is image_rho < r - atol, so g = image_rho + atol: a positive
+    margin can fail a borderline pair, never pass one, and the witness r is
+    image_rho whenever that r fails already.
     """
 
-    def first_failure(rho, image_rho, table_backed: bool) -> Optional[tuple[int, float]]:
+    def first_failure(rho, image_rho, atol: float) -> Optional[tuple[int, float]]:
         image = np.where(np.isnan(image_rho), np.inf, image_rho)
         candidates = np.flatnonzero(image > 0)
-        g = image[candidates] + (0.0 if table_backed else STRICT_MARGIN)
+        g = image[candidates] + atol
         with np.errstate(over="ignore"):
             bad = rho[candidates] < g + delta.values(g)
         if not bad.any():
@@ -339,13 +337,13 @@ def check_mk_space(
         raise ValueError("r_grid must be nonempty")
     xs, ys = np.nonzero(order.matrix(space.points))
     d = space.matrix()[xs, ys]
-    found = _binding_r(r_grid, delta)(d, d, space.table_backed)
+    found = _binding_r(r_grid, delta)(d, d, space.atol)
     if found is not None:
         k, r = found
         x, y = space.points[xs[k]], space.points[ys[k]]
         clause = Clause("MK space condition", False, (x, y, r))
-        return ConditionReport("mk-space", "fail", [clause])
-    return ConditionReport("mk-space", "pass", [Clause("MK space condition", True)])
+        return ConditionReport("mk-space", [clause])
+    return ConditionReport("mk-space", [Clause("MK space condition", True)])
 
 
 def sample_comparable_pairs(
@@ -410,11 +408,11 @@ def check_mk_operator(
     :func:`sample_comparable_pairs` returns or any sequence of (x, y), yield
     at most "sampled-pass".
     """
-    table = space.table_backed and kind is ProductKind.SUP
+    atol = product_atol(space, kind)
     grid_bound = r_grid is not None or not delta.monotone
     if pairs is None:
         failure, samples = _mk_operator_exhaustive(
-            space, order, F, family, lset, delta, kind, r_grid, table
+            space, order, F, family, lset, delta, kind, r_grid, atol
         )
     else:
         if len(pairs) == 0:
@@ -423,18 +421,16 @@ def check_mk_operator(
         d, d_img = _column_distances(space, F, family, kind, points)
         if grid_bound and r_grid is None:
             r_grid = np.unique(d[d > 0]).tolist() or [1.0]
-        found = _first_failure(delta, r_grid)(d, d_img, table)
+        found = _first_failure(delta, r_grid)(d, d_img, atol)
         failure = None
         if found is not None:
             k, r = found
             failure = (tuple(points[k, 0].tolist()), tuple(points[k, 1].tolist()), r)
         samples = len(points)
-    verdict = "pass" if pairs is None else "sampled-pass"
-    if failure is not None:
-        verdict = "fail"
     clause = Clause("MK operator condition", failure is None, failure)
     return ConditionReport(
-        "mk-operator", verdict, [clause], seed=seed, samples=samples, grid_bound=grid_bound
+        "mk-operator", [clause], sampled=pairs is not None,
+        seed=seed, samples=samples, grid_bound=grid_bound,
     )
 
 
@@ -503,7 +499,7 @@ def _mk_operator_exhaustive(
     delta: MeirKeelerModulus,
     kind: ProductKind,
     r_grid: Optional[Sequence[float]],
-    table_backed: bool,
+    atol: float,
 ) -> tuple[Optional[tuple], int]:
     """(first failing (x, y, r) or None, number of comparable pairs) over every
     comparable pair, equal pairs included.  The auto r grid, needed only for
@@ -526,7 +522,7 @@ def _mk_operator_exhaustive(
     for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
         d = kernel.distance(kind, xs, ys)
         d_img = kernel.distance(kind, image[xs], image[ys])
-        found = first_failure(d, d_img, table_backed)
+        found = first_failure(d, d_img, atol)
         if found is not None:
             k, r = found
             return (kernel.point(xs[k]), kernel.point(ys[k]), r), samples
@@ -552,16 +548,16 @@ def check_mk(
 
     bounds = check_bounds_exist(order)
     clauses.append(bounds.clauses[0])
-    if bounds.verdict == "fail":
-        return ConditionReport(name, "fail", clauses)
+    if not bounds.passed:
+        return ConditionReport(name, clauses)
 
     if r_grid is None:
         D = space.matrix()
         r_grid = np.unique(D[D > 0]).tolist() or [1.0]
     mk_space = check_mk_space(space, order, delta, r_grid)
     clauses.append(mk_space.clauses[0])
-    if mk_space.verdict == "fail":
-        return ConditionReport(name, "fail", clauses)
+    if not mk_space.passed:
+        return ConditionReport(name, clauses)
 
     isotone = variant == 1
     kernel = ProductKernel(space, lset.m)
@@ -574,9 +570,9 @@ def check_mk(
             k = int(np.argmin(ordered))
             witness = (kernel.point(xs[k]), kernel.point(ys[k]))
             clauses.append(Clause("image order", False, witness))
-            return ConditionReport(name, "fail", clauses)
+            return ConditionReport(name, clauses)
     clauses.append(Clause("image order", True))
-    return ConditionReport(name, "pass", clauses)
+    return ConditionReport(name, clauses)
 
 
 @dataclass(frozen=True)

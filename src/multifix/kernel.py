@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EvaluationError
-from .operators import LambdaFamily, MultiOperator
+from .operators import LambdaFamily, MultiOperator, check_lambda_arity
 from .product import ProductKind, combine, product_size
 from .spaces import DistanceSpace
 
@@ -60,10 +60,7 @@ class ProductKernel:
         F is called once per distinct argument tuple, in the order a
         point-by-point sweep would first need it.
         """
-        if F.m != family.m or self.m != family.m:
-            raise ValueError(
-                f"arity mismatch: operator {F.m}, family {family.m}, point {self.m}"
-            )
+        check_lambda_arity(F, family, self.shape)
         # args[k, i] codes the argument tuple of F for output coordinate i.
         args = np.stack(
             [

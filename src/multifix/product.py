@@ -14,7 +14,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, UnsupportedInstanceError
-from .spaces import DistanceSpace
+from .spaces import COMPUTED_ATOL, DistanceSpace
 
 DEFAULT_CAP = 10**6
 
@@ -47,6 +47,13 @@ def combine(kind: ProductKind, columns: Iterable[np.ndarray]) -> np.ndarray:
     sup keeps the first of equal maxima as ``max`` does (NaN included), and
     the sum adds in coordinate order as :func:`sum_distance` does."""
     return functools.reduce(_sup_step if kind is ProductKind.SUP else operator.add, columns)
+
+
+def product_atol(space: DistanceSpace, kind: ProductKind) -> float:
+    """Margin for strict tests on product distances: the base space's for
+    the sup, which keeps its table entries, and ``COMPUTED_ATOL`` for the
+    sum, whose values are computed reals even over a table."""
+    return space.atol if kind is ProductKind.SUP else COMPUTED_ATOL
 
 
 def _sup(dist, x: Sequence, y: Sequence) -> float:
@@ -100,13 +107,12 @@ def product_space(
     """The m-fold product space under the chosen product distance.
 
     Finite carriers are materialized when |X|^m fits under the cap and kept
-    lazy (membership-only) otherwise.  Sum distances are computed reals even
-    over tables, so only the sup product inherits exact table comparisons.
+    lazy (membership-only) otherwise; comparisons are exact where
+    :func:`product_atol` is 0.
     """
     if m < 1:
         raise ValueError("arity must be at least 1")
     dist = functools.partial(sup_distance if kind is ProductKind.SUP else sum_distance, space)
-    table_backed = space.table_backed and kind is ProductKind.SUP
 
     def contains(p: Any) -> bool:
         return (
@@ -128,7 +134,7 @@ def product_space(
         points=points,
         contains=contains,
         completeness_assumed=space.completeness_assumed,
-        table_backed=table_backed,
+        table_backed=product_atol(space, kind) == 0.0,
         matrix=matrix,
     )
 

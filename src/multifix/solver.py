@@ -42,8 +42,6 @@ class SolveReport:
     final: tuple
     iterations: int
     trace: list[float] = field(default_factory=list)
-    monotone_start_verified: bool = False
-    start_direction: Optional[str] = None
     cycle_length: Optional[int] = None
 
     @property
@@ -86,13 +84,12 @@ def picard_solve(
     family: LambdaFamily,
     start: Sequence[Point],
     config: SolveConfig = SolveConfig(),
-    order: Optional[OrderRelation] = None,
-    lset: Optional[LSet] = None,
 ) -> SolveReport:
     """Iterate x -> lambdaF(x) from ``start``.
 
     The stopping residual is the symmetric sum rho(x, next) + rho(next, x),
-    which stays meaningful on asymmetric distances; a step above the
+    which stays meaningful on asymmetric distances, and the iteration
+    converges once it is at most ``config.tol``; a step above the
     divergence cap or a non-finite residual stops with ``diverged``.  On
     finite carriers exact cycle detection replaces the tolerance: reaching a
     1-cycle converges, while a longer cycle stops with status ``cycle`` and
@@ -107,15 +104,6 @@ def picard_solve(
     lam = bind_lambda_f(F, family)
     rho = bind_distance(space, config.kind)
 
-    direction = None
-    if order is not None and lset is not None:
-        image = lam(start)
-        if compare_L(order, lset, start, image):
-            direction = "ascending"
-        elif compare_L(order, lset, image, start):
-            direction = "descending"
-    verified = direction is not None
-
     finite = space.is_finite
     visited: dict[tuple, int] = {}
     x = start
@@ -126,23 +114,18 @@ def picard_solve(
         trace.append(step)
         if finite:
             if nxt == x:
-                return SolveReport("converged", x, n, trace, verified, direction)
+                return SolveReport("converged", x, n, trace)
             visited[x] = n
             if nxt in visited:
-                cycle = n + 1 - visited[nxt]
-                return SolveReport(
-                    "cycle", nxt, n, trace, verified, direction, cycle_length=cycle
-                )
+                return SolveReport("cycle", nxt, n, trace, cycle_length=n + 1 - visited[nxt])
         else:
             residual = step + rho(nxt, x)
             if step > DIVERGENCE_CAP or not math.isfinite(residual):
-                return SolveReport("diverged", nxt, n, trace, verified, direction)
-            if residual < config.tol:
-                return SolveReport("converged", x, n, trace, verified, direction)
+                return SolveReport("diverged", nxt, n, trace)
+            if residual <= config.tol:
+                return SolveReport("converged", x, n, trace)
         x = nxt
-    return SolveReport(
-        "max_iter_exceeded", x, config.max_iter, trace, verified, direction
-    )
+    return SolveReport("max_iter_exceeded", x, config.max_iter, trace)
 
 
 def enumerate_fixed_points(
@@ -194,11 +177,7 @@ def verify_uniqueness(
         raise ValueError(f"{condition} needs a Meir-Keeler modulus")
     report = entry.check(space, order, F, family, lset, delta=delta, r_grid=r_grid)
     if entry.needs_h_distance:
-        h_ok = is_h_distance(space)
-        report.clauses.append(Clause("H-distance base space", h_ok))
-        if not h_ok and report.verdict != "fail":
-            report.verdict = "fail"
-            report.counterexample = None
+        report.clauses.append(Clause("H-distance base space", is_h_distance(space)))
 
     fps = enumerate_fixed_points(space, F, family)
     if not report.passed:

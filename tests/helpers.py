@@ -24,13 +24,7 @@ from multifix import (
     compare_L,
     surjectivity_report,
 )
-from multifix.conditions import (
-    STRICT_MARGIN,
-    Clause,
-    ConditionReport,
-    LatticeReport,
-    _strictly_less,
-)
+from multifix.conditions import Clause, ConditionReport, LatticeReport
 from multifix.game import Round, Trajectory
 from multifix.operators import bind_lambda_f, check_lambda_arity
 from multifix.product import (
@@ -42,6 +36,14 @@ from multifix.product import (
 )
 from multifix.solver import DIVERGENCE_CAP, SolveReport
 from multifix.spaces import Box
+
+# The references' own exactness rule: a strict inequality on table entries
+# is exact, and on computed reals it must hold by this margin.
+STRICT_MARGIN = 1e-12
+
+
+def _strictly_less(a, b, table_backed):
+    return a < b if table_backed else a < b - STRICT_MARGIN
 
 
 def checked_distance(space, kind):
@@ -176,8 +178,8 @@ def reference_check_bounds_exist(order):
             if not (has_up and has_lo):
                 kind = "upper" if not has_up else "lower"
                 clause = Clause("pair bounds", False, (a, b, kind))
-                return ConditionReport("bounds", "fail", [clause])
-    return ConditionReport("bounds", "pass", [Clause("pair bounds", True)])
+                return ConditionReport("bounds", [clause])
+    return ConditionReport("bounds", [Clause("pair bounds", True)])
 
 
 def reference_check_order_distance_compat(space, order):
@@ -192,8 +194,8 @@ def reference_check_order_distance_compat(space, order):
                 far = space.dist(x, z) + space.dist(z, x)
                 if near > far + (0.0 if space.table_backed else STRICT_MARGIN):
                     clause = Clause("order-distance compatibility", False, (x, y, z))
-                    return ConditionReport("compat", "fail", [clause])
-    return ConditionReport("compat", "pass", [Clause("order-distance compatibility", True)])
+                    return ConditionReport("compat", [clause])
+    return ConditionReport("compat", [Clause("order-distance compatibility", True)])
 
 
 def reference_check_mk_space(space, order, delta, r_grid):
@@ -203,8 +205,8 @@ def reference_check_mk_space(space, order, delta, r_grid):
     if found is not None:
         k, r = found
         clause = Clause("MK space condition", False, (*pairs[k], r))
-        return ConditionReport("mk-space", "fail", [clause])
-    return ConditionReport("mk-space", "pass", [Clause("MK space condition", True)])
+        return ConditionReport("mk-space", [clause])
+    return ConditionReport("mk-space", [Clause("MK space condition", True)])
 
 
 def reference_r_grid(space):
@@ -239,11 +241,11 @@ def reference_check_omega(space, order, F, family, lset, variant):
     lat = reference_check_lattice(order)
     clauses.append(Clause("lattice", lat.is_lattice, lat.counterexample))
     if not lat.is_lattice:
-        return ConditionReport(name, "fail", clauses)
+        return ConditionReport(name, clauses)
     compat = reference_check_order_distance_compat(space, order)
     clauses.append(compat.clauses[0])
-    if compat.verdict == "fail":
-        return ConditionReport(name, "fail", clauses)
+    if not compat.passed:
+        return ConditionReport(name, clauses)
     if variant in (3, 4):
         surj = surjectivity_report(family)
         ok = surj.all_rows_surjective or surj.union_of_images_full
@@ -251,7 +253,7 @@ def reference_check_omega(space, order, F, family, lset, variant):
             Clause("lambda surjectivity", ok, None if ok else tuple(surj.rows_surjective))
         )
         if not ok:
-            return ConditionReport(name, "fail", clauses)
+            return ConditionReport(name, clauses)
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     rho = checked_distance(space, kind)
@@ -262,15 +264,15 @@ def reference_check_omega(space, order, F, family, lset, variant):
         fx, fy = images[x], images[y]
         if not (compare_L(order, lset, fx, fy) if isotone else compare_L(order, lset, fy, fx)):
             clauses.append(Clause("image order", False, (x, y)))
-            return ConditionReport(name, "fail", clauses)
+            return ConditionReport(name, clauses)
         lhs = rho(fx, fy) + rho(fy, fx)
         rhs = rho(x, y) + rho(y, x)
         if not _strictly_less(lhs, rhs, table):
             clauses.append(Clause("strict contraction", False, (x, y)))
-            return ConditionReport(name, "fail", clauses)
+            return ConditionReport(name, clauses)
     clauses.append(Clause("image order", True))
     clauses.append(Clause("strict contraction", True))
-    return ConditionReport(name, "pass", clauses)
+    return ConditionReport(name, clauses)
 
 
 def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=None):
@@ -278,17 +280,17 @@ def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=Non
     clauses = []
     bounds = reference_check_bounds_exist(order)
     clauses.append(bounds.clauses[0])
-    if bounds.verdict == "fail":
-        return ConditionReport(name, "fail", clauses)
+    if not bounds.passed:
+        return ConditionReport(name, clauses)
     if r_grid is None:
         r_grid = reference_r_grid(space)
     mk_space = reference_check_mk_space(space, order, delta, r_grid)
     clauses.append(mk_space.clauses[0])
-    if mk_space.verdict == "fail":
-        return ConditionReport(name, "fail", clauses)
+    if not mk_space.passed:
+        return ConditionReport(name, clauses)
     failure = _image_order_failure(space, order, F, family, lset, variant == 1, True)
     clauses.append(Clause("image order", failure is None, failure))
-    return ConditionReport(name, "pass" if failure is None else "fail", clauses)
+    return ConditionReport(name, clauses)
 
 
 def reference_pair_distances(space, F, family, kind, pairs):
@@ -346,13 +348,13 @@ def reference_check_mk_operator(
         if r is not None:
             clause = Clause("MK operator condition", False, (tuple(x), tuple(y), r))
             return ConditionReport(
-                "mk-operator", "fail", [clause],
+                "mk-operator", [clause], sampled=not exhaustive,
                 seed=seed, samples=len(pairs), grid_bound=grid_bound,
             )
     return ConditionReport(
         "mk-operator",
-        "pass" if exhaustive else "sampled-pass",
         [Clause("MK operator condition", True)],
+        sampled=not exhaustive,
         seed=seed,
         samples=len(pairs),
         grid_bound=grid_bound,
@@ -507,20 +509,12 @@ def reference_first_failure(r_grid, delta, rho, image_rho, table_backed):
     return None
 
 
-def reference_picard_solve(space, F, family, start, config, order=None, lset=None):
+def reference_picard_solve(space, F, family, start, config):
     """Picard iteration one checked call at a time."""
     start = tuple(start)
     for c in start:
         space.require(c)
     rho = checked_distance(space, config.kind)
-    direction = None
-    if order is not None and lset is not None:
-        image = reference_apply_lambda_f(F, family, start)
-        if compare_L(order, lset, start, image):
-            direction = "ascending"
-        elif compare_L(order, lset, image, start):
-            direction = "descending"
-    verified = direction is not None
     visited = {}
     x = start
     trace = []
@@ -530,21 +524,20 @@ def reference_picard_solve(space, F, family, start, config, order=None, lset=Non
         trace.append(step)
         if space.is_finite:
             if nxt == x:
-                return SolveReport("converged", x, n, trace, verified, direction)
+                return SolveReport("converged", x, n, trace)
             visited[x] = n
             if nxt in visited:
                 return SolveReport(
-                    "cycle", nxt, n, trace, verified, direction,
-                    cycle_length=n + 1 - visited[nxt],
+                    "cycle", nxt, n, trace, cycle_length=n + 1 - visited[nxt]
                 )
         else:
             residual = step + rho(nxt, x)
             if step > DIVERGENCE_CAP or not math.isfinite(residual):
-                return SolveReport("diverged", nxt, n, trace, verified, direction)
-            if residual < config.tol:
-                return SolveReport("converged", x, n, trace, verified, direction)
+                return SolveReport("diverged", nxt, n, trace)
+            if residual <= config.tol:
+                return SolveReport("converged", x, n, trace)
         x = nxt
-    return SolveReport("max_iter_exceeded", x, config.max_iter, trace, verified, direction)
+    return SolveReport("max_iter_exceeded", x, config.max_iter, trace)
 
 
 def reference_simulate(game, start):

@@ -506,13 +506,13 @@ class TestZeroValuedHeaders:
     @pytest.mark.parametrize(
         "command, text, stdout, stderr, code",
         [
-            # tol 0: the strict residual < tol test never holds.
+            # tol 0: a zero residual, an exact fixed point, converges.
             (
                 "solve",
                 CONTRACTION + "tol: 0\nmax_iter: 50\n",
-                "status=max_iter_exceeded\niters=50\npoint=(1.0,1.0)\nresidual=0\n",
+                "status=converged\niters=2\npoint=(1.0,1.0)\nresidual=0\n",
                 "",
-                1,
+                0,
             ),
             (
                 "game",

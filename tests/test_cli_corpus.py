@@ -48,10 +48,6 @@ COMMANDS = [
 ]
 
 
-def key(name: str, command: list) -> str:
-    return f"{name} :: {' '.join(command)}"
-
-
 def run(directory: Path, text: str, command: list) -> dict:
     """The CLI's stdout, stderr and exit code on ``text``."""
     path = directory / "problem.prob"
@@ -71,7 +67,7 @@ def run(directory: Path, text: str, command: list) -> dict:
 
 def run_all(directory: Path) -> dict:
     return {
-        key(name, command): run(directory, text, command)
+        f"{name} :: {' '.join(command)}": run(directory, text, command)
         for name, text in TEXTS.items()
         for command in COMMANDS
     }

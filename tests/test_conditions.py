@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    ConditionReport,
     DistanceSpace,
     LambdaFamily,
     LSet,
@@ -25,13 +26,15 @@ from multifix import (
     sample_comparable_pairs,
 )
 from multifix.conditions import (
-    STRICT_MARGIN,
+    Clause,
     _all_r_failure,
     _binding_r,
     _column_distances,
     _pair_array,
 )
+from multifix.spaces import COMPUTED_ATOL
 from helpers import (
+    STRICT_MARGIN,
     closure_reference,
     field_reprs,
     int_chain,
@@ -54,6 +57,29 @@ from helpers import (
 @pytest.fixture
 def chain3():
     return int_chain(3)
+
+
+class TestReportVerdict:
+    """The verdict rule on hand-built clause lists."""
+
+    @pytest.mark.parametrize("sampled, verdict", [(False, "pass"), (True, "sampled-pass")])
+    def test_all_clauses_hold(self, sampled, verdict):
+        clauses = [Clause("a", True), Clause("b", True, "unused")]
+        report = ConditionReport("c", clauses, sampled=sampled)
+        assert (report.verdict, report.passed) == (verdict, True)
+        assert (report.failing_clause(), report.counterexample) == (None, None)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_first_failing_clause_gives_the_witness(self, sampled):
+        clauses = [Clause("a", True, "unused"), Clause("b", False, (1, 2)), Clause("c", False, (3,))]
+        report = ConditionReport("c", clauses, sampled=sampled)
+        assert (report.verdict, report.passed) == ("fail", False)
+        assert report.failing_clause() is clauses[1]
+        assert report.counterexample == (1, 2)
+
+    def test_failing_clause_without_a_witness(self):
+        report = ConditionReport("c", [Clause("a", False), Clause("b", False, (1,))])
+        assert (report.verdict, report.counterexample) == ("fail", None)
 
 
 class TestLattice:
@@ -366,13 +392,13 @@ class TestBindingRDifferential:
              MeirKeelerModulus.linear(1e-4), MeirKeelerModulus(lambda r: 3.0 - r if r < 2.9 else 0.1)]
         ),
         st.lists(st.tuples(DIST, DIST | st.just(float("nan"))), max_size=12),
-        st.booleans(),
+        st.sampled_from([0.0, COMPUTED_ATOL]),
     )
-    def test_matches_grid_scan(self, grid, delta, pairs, table_backed):
+    def test_matches_grid_scan(self, grid, delta, pairs, atol):
         rho = [d for d, _ in pairs]
         image = [d for _, d in pairs]
-        got = _binding_r(grid, delta)(np.array(rho), np.array(image), table_backed)
-        want = reference_first_failure(grid, delta, rho, image, table_backed)
+        got = _binding_r(grid, delta)(np.array(rho), np.array(image), atol)
+        want = reference_first_failure(grid, delta, rho, image, atol == 0.0)
         assert got == want
         if got is not None:
             assert type(got[1]) is float
@@ -383,8 +409,8 @@ MONOTONE = [MeirKeelerModulus.linear(1.0), MeirKeelerModulus.linear(0.3), MeirKe
 FINITE_DIST = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]) | st.floats(1e-6, 10)
 
 
-def all_r(delta, rho, image, table_backed):
-    return _all_r_failure(delta)(np.array(rho), np.array(image), table_backed)
+def all_r(delta, rho, image, atol):
+    return _all_r_failure(delta)(np.array(rho), np.array(image), atol)
 
 
 class TestAllRClosedForm:
@@ -404,14 +430,14 @@ class TestAllRClosedForm:
         grid = sorted({*extra, *(d for d in image if d > 0)})
         first = _binding_r(grid, delta)
         for d, d_img in pairs:
-            closed = all_r(delta, [d], [d_img], True)
-            scanned = first(np.array([d]), np.array([d_img]), True)
+            closed = all_r(delta, [d], [d_img], 0.0)
+            scanned = first(np.array([d]), np.array([d_img]), 0.0)
             assert (closed is None) == (scanned is None)
             if closed is not None:
                 # r = d_img fails, and the grid's binding r is no larger
                 assert closed == (0, d_img) and scanned[1] <= d_img
-        got = all_r(delta, rho, image, True)
-        want = first(np.array(rho), np.array(image), True)
+        got = all_r(delta, rho, image, 0.0)
+        want = first(np.array(rho), np.array(image), 0.0)
         assert (None if got is None else got[0]) == (None if want is None else want[0])
 
     @settings(max_examples=300, deadline=None)
@@ -425,8 +451,8 @@ class TestAllRClosedForm:
         # rho near img + delta(img): on computed reals the margin may fail the
         # pair, and never passes a pair that fails on exact comparisons
         rho = d_img + delta(d_img) + offset + jitter if d_img > 0 else offset
-        exact = all_r(delta, [rho], [d_img], True)
-        computed = all_r(delta, [rho], [d_img], False)
+        exact = all_r(delta, [rho], [d_img], 0.0)
+        computed = all_r(delta, [rho], [d_img], COMPUTED_ATOL)
         want = reference_all_r_failure(delta, rho, d_img, False)
         assert computed == (None if want is None else (0, want))
         if exact is not None:
@@ -437,21 +463,21 @@ class TestAllRClosedForm:
             assert r == d_img + STRICT_MARGIN and rho < r + delta(r)
 
     @pytest.mark.parametrize("delta", MONOTONE)
-    @pytest.mark.parametrize("table_backed", [True, False])
-    def test_equal_pair_passes(self, delta, table_backed):
-        assert all_r(delta, [0.0], [0.0], table_backed) is None
+    @pytest.mark.parametrize("atol", [0.0, COMPUTED_ATOL])
+    def test_equal_pair_passes(self, delta, atol):
+        assert all_r(delta, [0.0], [0.0], atol) is None
 
     @pytest.mark.parametrize("image", [float("inf"), float("nan")])
     def test_image_beyond_every_r_fails_unless_rho_is_infinite(self, image):
         delta = MeirKeelerModulus.linear(1.0)
-        assert all_r(delta, [0.0, 3.0], [image, image], True) == (0, float("inf"))
-        assert all_r(delta, [float("inf"), float("nan")], [image, image], True) is None
+        assert all_r(delta, [0.0, 3.0], [image, image], 0.0) == (0, float("inf"))
+        assert all_r(delta, [float("inf"), float("nan")], [image, image], 0.0) is None
 
     def test_probe_fails_between_grid_points(self):
         # d(p, q) = 1 maps to d(r, s) = 0.6: r = 0.55 meets 1 < 2r, not 0.6 < r
         delta = MeirKeelerModulus.linear(1.0)
-        assert _binding_r([1.0], delta)(np.array([1.0]), np.array([0.6]), True) is None
-        assert all_r(delta, [1.0], [0.6], True) == (0, 0.6)
+        assert _binding_r([1.0], delta)(np.array([1.0]), np.array([0.6]), 0.0) is None
+        assert all_r(delta, [1.0], [0.6], 0.0) == (0, 0.6)
 
     def test_equal_pairs_pass_on_computed_reals(self):
         # the sum product distance is a computed real even over a table

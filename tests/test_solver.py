@@ -122,11 +122,10 @@ class TestPicard:
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
         lset = LSet.of(2, 1)
-        report = picard_solve(
-            space, F, coupled_preset(), (0, 2), order=order, lset=lset
+        found = find_monotone_start(
+            space, order, F, coupled_preset(), lset, candidates=[(0, 2)]
         )
-        assert report.monotone_start_verified
-        assert report.start_direction == "ascending"
+        assert found == ((0, 2), "ascending")
 
     def test_monotone_trajectory_is_nondecreasing(self):
         # ascending start + isotone induced map => every step moves up in <=_L
@@ -290,21 +289,16 @@ class TestPicardDifferential:
         st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
         st.integers(1, 300),
         st.booleans(),
-        st.booleans(),
     )
     def test_continuous_matches_checked_loop(
-        self, m, a, b, blow_up, data, kind, tol, max_iter, with_order, lopsided
+        self, m, a, b, blow_up, data, kind, tol, max_iter, lopsided
     ):
         space = lopsided_line(-100, 100) if lopsided else DistanceSpace.reals(-100, 100)
         F = continuous_operator(m, a, b, blow_up)
         start = data.draw(st.tuples(*[st.floats(-100, 100)] * m))
         config = SolveConfig(kind=kind, tol=tol, max_iter=max_iter)
-        extra = {}
-        if with_order:
-            members = data.draw(st.sets(st.integers(1, m)))
-            extra = dict(order=OrderRelation.numeric(), lset=LSet(m, frozenset(members)))
-        got = picard_solve(space, F, FAMILIES[m], start, config, **extra)
-        want = reference_picard_solve(space, F, FAMILIES[m], start, config, **extra)
+        got = picard_solve(space, F, FAMILIES[m], start, config)
+        want = reference_picard_solve(space, F, FAMILIES[m], start, config)
         assert field_reprs(got) == field_reprs(want)
 
     @settings(max_examples=150, deadline=None)
@@ -314,17 +308,15 @@ class TestPicardDifferential:
         st.randoms(use_true_random=False),
         st.integers(1, 40),
         st.sampled_from(list(ProductKind)),
-        st.booleans(),
     )
-    def test_finite_table_matches_checked_loop(self, n, m, rnd, max_iter, kind, with_order):
-        space, order = int_chain(n)
+    def test_finite_table_matches_checked_loop(self, n, m, rnd, max_iter, kind):
+        space, _ = int_chain(n)
         F = random_table_operator(rnd, space, m)
         family = LambdaFamily(m, tuple(tuple(rnd.randint(1, m) for _ in range(m)) for _ in range(m)))
         start = tuple(rnd.randrange(n) for _ in range(m))
         config = SolveConfig(kind=kind, max_iter=max_iter)
-        extra = dict(order=order, lset=LSet(m, frozenset([1]))) if with_order else {}
-        got = picard_solve(space, F, family, start, config, **extra)
-        want = reference_picard_solve(space, F, family, start, config, **extra)
+        got = picard_solve(space, F, family, start, config)
+        want = reference_picard_solve(space, F, family, start, config)
         assert field_reprs(got) == field_reprs(want)
 
     def test_arity_errors_match_the_checked_loop(self, reals):
