@@ -196,7 +196,6 @@ def cmd_game(args) -> int:
         space=pf.require("space"),
         F=pf.require("operator"),
         family=pf.require("family"),
-        order=pf.order,
         **_settings(args, pf, "rounds", "tol"),
     )
     traj = simulate(game, pf.require("start"))
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (MultifixError, ValueError) as exc:
+    except (MultifixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

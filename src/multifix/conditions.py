@@ -39,7 +39,6 @@ class MeirKeelerModulus:
     """
 
     func: Callable[[float], float]
-    label: str = "custom"
     monotone: bool = False
 
     def __call__(self, r: float) -> float:
@@ -66,13 +65,13 @@ class MeirKeelerModulus:
     def linear(cls, c: float) -> "MeirKeelerModulus":
         if not 0 < c < math.inf:
             raise ValueError("linear modulus needs a positive finite coefficient")
-        return cls(lambda r: c * r, f"linear {c}", monotone=True)
+        return cls(lambda r: c * r, monotone=True)
 
     @classmethod
     def const(cls, c: float) -> "MeirKeelerModulus":
         if not 0 < c < math.inf:
             raise ValueError("constant modulus needs a positive finite value")
-        return cls(lambda r: c, f"const {c}", monotone=True)
+        return cls(lambda r: c, monotone=True)
 
 
 @dataclass
@@ -123,8 +122,6 @@ class ConditionReport:
 @dataclass
 class LatticeReport:
     is_lattice: bool
-    join: dict
-    meet: dict
     counterexample: Optional[tuple] = None
 
 
@@ -136,8 +133,7 @@ def _common_bounds(O: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]
 
 
 def check_lattice(order: OrderRelation) -> LatticeReport:
-    """Every pair must have a unique join and meet; tables are returned for
-    reuse by downstream checks."""
+    """Every pair must have a unique join and meet."""
     if not order.is_finite:
         raise UnsupportedInstanceError("lattice check needs a finite carrier")
     points = order.points
@@ -146,20 +142,15 @@ def check_lattice(order: OrderRelation) -> LatticeReport:
     # common upper bound too: when |up(c)| counts the common upper bounds.
     # The meet is the dual.
     up, down = O.sum(axis=1), O.sum(axis=0)
-    join: dict = {}
-    meet: dict = {}
     for a, upper, lower in _common_bounds(O):
         joins = upper & (up == upper.sum(axis=1, keepdims=True))
         meets = lower & (down == lower.sum(axis=1, keepdims=True))
         ok = joins.any(axis=1) & meets.any(axis=1)
-        stop = len(points) if ok.all() else int(np.argmin(ok))
-        pairs = [(points[a], b) for b in points[:stop]]
-        join.update(zip(pairs, [points[c] for c in joins.argmax(axis=1).tolist()]))
-        meet.update(zip(pairs, [points[c] for c in meets.argmax(axis=1).tolist()]))
-        if stop < len(points):
-            kind = "meet" if joins[stop].any() else "join"
-            return LatticeReport(False, join, meet, (points[a], points[stop], kind))
-    return LatticeReport(True, join, meet)
+        if not ok.all():
+            b = int(np.argmin(ok))
+            kind = "meet" if joins[b].any() else "join"
+            return LatticeReport(False, (points[a], points[b], kind))
+    return LatticeReport(True)
 
 
 def check_bounds_exist(order: OrderRelation) -> ConditionReport:
@@ -352,18 +343,17 @@ def sample_comparable_pairs(
     lset: LSet,
     n: int,
     seed: int,
-    max_step: Optional[float] = None,
 ) -> np.ndarray:
     """Seeded sample of product-point pairs over [lo, hi]^m that are
     comparable under the twisted order (forward on L, backward elsewhere),
     as an (n, 2, m) float array: entry [k, 0] is x and [k, 1] is y.
 
     Per pair and coordinate, x_i = uniform(lo, hi) and a step
-    uniform(0, max_step) moves y_i up (on L) or down, clipped to the box; the
-    floats are those of ``random.Random(seed).uniform`` draws in that order.
+    uniform(0, (hi - lo) / 4) moves y_i up (on L) or down, clipped to the
+    box; the floats are those of ``random.Random(seed).uniform`` draws in
+    that order.
     """
     rng = random.Random(seed)
-    max_step = (hi - lo) / 4 if max_step is None else max_step
     m = lset.m
     n = max(n, 0)  # a count of -1 would make fromiter read the endless stream
     # u[k, i] holds the two draws of pair k, coordinate i, in the order the
@@ -374,7 +364,7 @@ def sample_comparable_pairs(
     x *= hi - lo
     x += lo
     y = u[:, :, 1]
-    y *= max_step
+    y *= (hi - lo) / 4
     forward = np.array(lset.forward)
     np.add(x, y, out=y, where=forward)
     np.subtract(x, y, out=y, where=~forward)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .operators import (
     LambdaFamily,
@@ -15,7 +15,6 @@ from .operators import (
     bind_lambda_f,
     check_lambda_arity,
 )
-from .orders import OrderRelation
 from .product import sum_distance
 from .spaces import DistanceSpace
 
@@ -27,7 +26,6 @@ class GameConfig:
     space: DistanceSpace
     F: MultiOperator
     family: LambdaFamily
-    order: Optional[OrderRelation] = None
     rounds: int = 100
     tol: float = 1e-9
 

@@ -142,12 +142,11 @@ class FixedPointCertificate:
 
     point: tuple
     residual: float
-    exact: bool
     accepted: bool
 
-    def __post_init__(self):
-        if self.exact and self.residual != 0:
-            raise ValueError("exact certificate must have zero residual")
+    @property
+    def exact(self) -> bool:
+        return self.residual == 0
 
 
 def is_multiple_fixed_point(
@@ -170,7 +169,6 @@ def is_multiple_fixed_point(
     return FixedPointCertificate(
         point=a,
         residual=residual,
-        exact=residual == 0,
         accepted=residual <= tol,
     )
 
@@ -185,22 +183,13 @@ class SurjectivityReport:
     """
 
     rows_surjective: tuple[bool, ...]
-    row_images: tuple[frozenset, ...]
     union_of_images_full: bool
-
-    @property
-    def all_rows_surjective(self) -> bool:
-        return all(self.rows_surjective)
 
 
 def surjectivity_report(family: LambdaFamily) -> SurjectivityReport:
-    m = family.m
-    full = set(range(1, m + 1))
-    images = tuple(frozenset(row) for row in family.rows)
-    rows_surjective = tuple(set(img) == full for img in images)
-    union = set().union(*images) if images else set()
+    full = set(range(1, family.m + 1))
+    images = [set(row) for row in family.rows]
     return SurjectivityReport(
-        rows_surjective=rows_surjective,
-        row_images=images,
-        union_of_images_full=union == full,
+        rows_surjective=tuple(img == full for img in images),
+        union_of_images_full=set().union(*images) == full,
     )

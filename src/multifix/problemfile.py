@@ -7,6 +7,7 @@ Block layout (order free, '#' starts a comment):
     order:                 lines "a <= b" (closure is taken at load)
     space: box LO HI       continuous 1-D carrier instead of points/dist
     complete: yes|no       completeness flag for continuous carriers
+                           (also true|false|1|0, in any case)
     lambda:                m rows of m 1-based indices, or "lambda: coupled"
     F:                     table lines "a,b -> c", or "family: NAME ARGS"
     L: 1 3                 index subset (may be empty: "L:")
@@ -120,6 +121,8 @@ _HEADERS = {
     "l", "delta", "start", "tol", "max_iter", "rounds", "metric",
 }
 
+_COMPLETE = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+
 
 def parse_problem(text: str) -> ProblemFile:
     lines = _Lines(text)
@@ -191,7 +194,9 @@ def parse_problem(text: str) -> ProblemFile:
             lo, hi = (_number(t, "box bound", ln) for t in toks[1:])
             box = Box(((lo, hi),))
         elif head == "complete":
-            complete = rest.lower() in ("yes", "true", "1")
+            complete = _COMPLETE.get(rest.lower())
+            if complete is None:
+                raise ParseError(f"complete must be yes|no|true|false|1|0, got {rest!r}", ln)
         elif head == "lambda":
             if rest == "coupled":
                 pf.family = coupled_preset()

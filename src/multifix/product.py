@@ -20,9 +20,18 @@ DEFAULT_CAP = 10**6
 
 
 def materialization_cap() -> int:
-    """Carrier-size cap for materialized products (env MULTIFIX_CAP overrides)."""
+    """Carrier-size cap for materialized products: the positive integer in
+    env MULTIFIX_CAP when it is set and nonempty, else ``DEFAULT_CAP``."""
     value = os.environ.get("MULTIFIX_CAP")
-    return int(value) if value else DEFAULT_CAP
+    if not value:
+        return DEFAULT_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MULTIFIX_CAP must be a positive integer, got {value!r}")
+    return cap
 
 
 class ProductKind(Enum):
@@ -84,26 +93,24 @@ def bind_distance(space: DistanceSpace, kind: ProductKind):
     return functools.partial(_sup if kind is ProductKind.SUP else _sum, space.dist)
 
 
-def product_size(space: DistanceSpace, m: int, cap: Optional[int] = None) -> int:
+def product_size(space: DistanceSpace, m: int) -> int:
     """|X|^m for a finite carrier, refused above the materialization cap."""
     if not space.is_finite:
         raise UnsupportedInstanceError("cannot enumerate a continuous carrier")
-    cap = materialization_cap() if cap is None else cap
+    cap = materialization_cap()
     size = len(space.points) ** m
     if size > cap:
         raise CapacityError(size, cap)
     return size
 
 
-def product_points(space: DistanceSpace, m: int, cap: Optional[int] = None) -> list:
+def product_points(space: DistanceSpace, m: int) -> list:
     """All m-tuples over a finite carrier, in canonical (lexicographic) order."""
-    product_size(space, m, cap)
+    product_size(space, m)
     return list(itertools.product(space.points, repeat=m))
 
 
-def product_space(
-    space: DistanceSpace, m: int, kind: ProductKind, cap: Optional[int] = None
-) -> DistanceSpace:
+def product_space(space: DistanceSpace, m: int, kind: ProductKind) -> DistanceSpace:
     """The m-fold product space under the chosen product distance.
 
     Finite carriers are materialized when |X|^m fits under the cap and kept
@@ -123,11 +130,9 @@ def product_space(
 
     points = None
     matrix = None
-    if space.is_finite:
-        cap_val = materialization_cap() if cap is None else cap
-        if len(space.points) ** m <= cap_val:
-            points = product_points(space, m, cap_val)
-            matrix = _product_matrix(space.matrix(), m, kind)
+    if space.is_finite and len(space.points) ** m <= materialization_cap():
+        points = product_points(space, m)
+        matrix = _product_matrix(space.matrix(), m, kind)
 
     return DistanceSpace(
         dist,
@@ -166,11 +171,6 @@ class EquivalenceReport:
     pairs_checked: int
     counterexample: Optional[tuple] = None
 
-    def __str__(self) -> str:
-        if self.passed:
-            return f"pass ({self.pairs_checked} pairs)"
-        return f"fail at pair {self.counterexample}"
-
 
 def check_uniform_equivalence(
     space: DistanceSpace, m: int, sample: Optional[Sequence[tuple]] = None
@@ -205,10 +205,6 @@ class CompletenessReport:
 
     complete: bool
     assumed: bool
-
-    def __str__(self) -> str:
-        tag = " (assumed)" if self.assumed else ""
-        return f"complete={'true' if self.complete else 'false'}{tag}"
 
 
 def check_monotone_complete_surrogate(space: DistanceSpace) -> CompletenessReport:

@@ -12,7 +12,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class DistanceSpace:
         cls,
         labels: Sequence[Point],
         matrix: Sequence[Sequence[float]],
-        completeness_assumed: bool = True,
     ) -> "DistanceSpace":
         """Finite space from a label list and an n x n distance table.
 
@@ -173,7 +172,7 @@ class DistanceSpace:
         return cls(
             dist,
             points=labels,
-            completeness_assumed=completeness_assumed,
+            completeness_assumed=True,
             table_backed=True,
             matrix=arr,
         )
@@ -305,18 +304,15 @@ def _min_plus(D: np.ndarray) -> np.ndarray:
     return T
 
 
-def classify_finite(
-    space: DistanceSpace,
-    epsilon_grid: Optional[Iterable[float]] = None,
-) -> DistanceClass:
+def classify_finite(space: DistanceSpace) -> DistanceClass:
     """Exhaustively classify a finite space against the axiom taxonomy.
 
     All pair/triple quantifiers are checked over the whole carrier.  The
-    epsilon/delta quantifiers of the N and F conditions are decided relative
-    to ``epsilon_grid`` (default: the realized positive distance values),
-    with delta searched over the realized values and their midpoints; since
-    the conditions weaken monotonically as delta shrinks, the smallest
-    positive candidate is decisive and is what gets checked.
+    epsilon/delta quantifiers of the N and F conditions range over the
+    realized positive distance values, with delta searched over the realized
+    values and their midpoints; since the conditions weaken monotonically as
+    delta shrinks and tighten as epsilon shrinks, the smallest positive
+    candidate of each is decisive and is what gets checked.
     """
     if not space.is_finite:
         raise UnsupportedInstanceError("classification is finite-only")
@@ -331,10 +327,6 @@ def classify_finite(
 
     positive = D[D > atol]
     smallest = positive.min() if positive.size else np.inf
-    eps_values = [smallest] if epsilon_grid is None else sorted(epsilon_grid)
-    if any(e <= 0 for e in eps_values):
-        raise ValueError("epsilon grid values must be positive")
-    min_eps = eps_values[0] if eps_values else np.inf
 
     # Zero-resolution delta: half the smallest positive realized distance.
     delta0 = smallest / 2.0 if positive.size else 1.0
@@ -344,7 +336,7 @@ def classify_finite(
     for y in range(n):
         reach[A[:, y]] |= A[y]
     chained = np.where(reach, D, -np.inf)
-    f_distance = bool(np.max(chained) <= min_eps + atol)
+    f_distance = bool(np.max(chained) <= smallest + atol)
 
     # Minimal feasible s for the relaxed triangle inequality.  For each pair
     # the binding intermediate point is the one minimizing d(x,z)+d(z,y).

@@ -156,18 +156,14 @@ def reference_bound(order, a, b, upper):
 
 
 def reference_check_lattice(order):
-    join = {}
-    meet = {}
     for a in order.points:
         for b in order.points:
             j, _ = reference_bound(order, a, b, upper=True)
             m, _ = reference_bound(order, a, b, upper=False)
             if j is None or m is None:
                 kind = "join" if j is None else "meet"
-                return LatticeReport(False, join, meet, (a, b, kind))
-            join[(a, b)] = j
-            meet[(a, b)] = m
-    return LatticeReport(True, join, meet)
+                return LatticeReport(False, (a, b, kind))
+    return LatticeReport(True)
 
 
 def reference_check_bounds_exist(order):
@@ -248,7 +244,7 @@ def reference_check_omega(space, order, F, family, lset, variant):
         return ConditionReport(name, clauses)
     if variant in (3, 4):
         surj = surjectivity_report(family)
-        ok = surj.all_rows_surjective or surj.union_of_images_full
+        ok = all(surj.rows_surjective) or surj.union_of_images_full
         clauses.append(
             Clause("lambda surjectivity", ok, None if ok else tuple(surj.rows_surjective))
         )
@@ -377,7 +373,7 @@ def min_plus_reference(D):
     return T
 
 
-def classify_reference(D, atol, epsilon_grid=None):
+def classify_reference(D, atol):
     """The seven DistanceClass fields of ``classify_finite`` by explicit loops
     over a list-of-lists matrix, with the same floating point operations."""
     inf = float("inf")
@@ -386,10 +382,7 @@ def classify_reference(D, atol, epsilon_grid=None):
     symmetric = all(abs(D[x][z] - D[z][x]) <= atol for x in pts for z in pts)
     quasimetric = all(D[x][z] <= T[x][z] + atol for x in pts for z in pts)
     positive = [v for row in D for v in row if v > atol]
-    grid = sorted(set(positive)) if epsilon_grid is None else sorted(epsilon_grid)
-    if any(e <= 0 for e in grid):
-        raise ValueError("epsilon grid values must be positive")
-    bound = (grid[0] if grid else inf) + atol
+    bound = (min(positive) if positive else inf) + atol
     delta0 = min(positive) / 2.0 if positive else 1.0
     reach = [
         [any(D[x][y] <= delta0 and D[y][z] <= delta0 for y in pts) for z in pts]
@@ -481,10 +474,10 @@ def reference_apply_lambda_f(F, family, x):
     return tuple(F(*(x[j - 1] for j in row)) for row in family.rows)
 
 
-def reference_sample_comparable_pairs(lo, hi, lset, n, seed, max_step=None):
+def reference_sample_comparable_pairs(lo, hi, lset, n, seed):
     """The per-pair ``rng.uniform`` sampler."""
     rng = random.Random(seed)
-    max_step = (hi - lo) / 4 if max_step is None else max_step
+    max_step = (hi - lo) / 4
     pairs = []
     for _ in range(n):
         x = []

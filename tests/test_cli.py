@@ -452,6 +452,14 @@ class TestEnumerate:
         assert code == 3
         assert "capacity error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_cap_must_be_a_positive_integer(self, prob, capsys, monkeypatch, value):
+        monkeypatch.setenv("MULTIFIX_CAP", value)
+        assert main(["enumerate", prob(CONSTANT_CHAIN)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: MULTIFIX_CAP must be a positive integer, got '{value}'\n"
+        )
+
 
 class TestVerify:
     def test_constant_chain_confirmed(self, prob, capsys):
@@ -793,6 +801,13 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error: line 6: ")
+
+    @pytest.mark.parametrize("name", ["no-such.txt", "."])
+    def test_unreadable_path_exit_two(self, tmp_path, capsys, name):
+        path = str(tmp_path / name)
+        assert main(["check", path, "--condition", "omega1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and path in err
 
     def test_missing_block_exit_two(self, prob, capsys):
         code = main(["solve", prob("space: box 0 1\n")])

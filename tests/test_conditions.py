@@ -87,8 +87,6 @@ class TestLattice:
         order = chain_order([0, 1, 2])
         report = check_lattice(order)
         assert report.is_lattice
-        assert report.join[(0, 2)] == 2
-        assert report.meet[(1, 2)] == 1
 
     def test_two_atoms_without_top(self):
         order = OrderRelation.from_pairs("oab", [("o", "a"), ("o", "b")])
@@ -108,8 +106,6 @@ class TestLattice:
         order = OrderRelation.from_pairs(points, pairs)
         report = check_lattice(order)
         assert report.is_lattice
-        assert report.join[((0, 1), (1, 0))] == (1, 1)
-        assert report.meet[((0, 1), (1, 0))] == (0, 0)
 
 
 class TestBounds:
@@ -347,16 +343,15 @@ class TestSamplerDifferential:
         ),
         BOUND,
         st.floats(0, 1e3) | st.sampled_from([0.25, 1.0, 20.0]),
-        st.none() | st.floats(0, 1e3) | st.sampled_from([0.5, 5.0]),
         st.integers(0, 60),
         st.integers(0, 2**32),
     )
-    def test_repr_identical_to_uniform_loop(self, m_members, lo, width, max_step, n, seed):
+    def test_repr_identical_to_uniform_loop(self, m_members, lo, width, n, seed):
         m, members = m_members
         lset = LSet(m, frozenset(members))
         hi = lo + width
-        got = sample_comparable_pairs(lo, hi, lset, n, seed, max_step)
-        want = reference_sample_comparable_pairs(lo, hi, lset, n, seed, max_step)
+        got = sample_comparable_pairs(lo, hi, lset, n, seed)
+        want = reference_sample_comparable_pairs(lo, hi, lset, n, seed)
         assert got.shape == (n, 2, m)
         assert repr(got.tolist()) == repr(as_lists(want))
 
@@ -368,8 +363,8 @@ class TestSamplerDifferential:
     def test_integer_bounds_come_back_as_equal_floats(self):
         # the loop returned the int bound itself on a clipped coordinate
         lset = LSet.of(2, 1)
-        got = sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20).tolist()
-        want = reference_sample_comparable_pairs(-10, 10, lset, 400, 7, max_step=20)
+        got = sample_comparable_pairs(-10, 10, lset, 400, 7).tolist()
+        want = reference_sample_comparable_pairs(-10, 10, lset, 400, 7)
         assert got == as_lists(want)
         assert all(type(c) is float for x, y in got for c in (*x, *y))
 
@@ -704,8 +699,6 @@ class TestOrderClausesMatchReference:
 
         got, want = check_lattice(order), reference_check_lattice(order)
         assert (got.is_lattice, got.counterexample) == (want.is_lattice, want.counterexample)
-        assert list(got.join.items()) == list(want.join.items())
-        assert list(got.meet.items()) == list(want.meet.items())
         same_report(check_bounds_exist(order), reference_check_bounds_exist(order))
         same_report(
             check_order_distance_compat(space, order),

@@ -164,9 +164,9 @@ class TestSimulateDifferential:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.randoms(use_true_random=False), st.integers(1, 30))
     def test_finite_table_matches_checked_loop(self, n, rnd, rounds):
-        space, order = int_chain(n)
+        space, _ = int_chain(n)
         F = random_table_operator(rnd, space, 2)
-        game = GameConfig(space=space, F=F, family=coupled_preset(), order=order, rounds=rounds)
+        game = GameConfig(space=space, F=F, family=coupled_preset(), rounds=rounds)
         start = (rnd.randrange(n), rnd.randrange(n))
         assert field_reprs(simulate(game, start)) == field_reprs(reference_simulate(game, start))
 

@@ -166,7 +166,6 @@ class TestSurjectivity:
     def test_tripled_middle_row_not_surjective(self):
         report = surjectivity_report(tripled_preset())
         assert report.rows_surjective == (True, False, True)
-        assert report.row_images[1] == frozenset({1, 2})
         assert report.union_of_images_full
 
     def test_collapsing_family(self):

@@ -101,6 +101,14 @@ class TestContinuousParsing:
         assert pf.max_iter == 500 and pf.rounds == 50
         assert pf.metric is ProductKind.SUM
 
+    @pytest.mark.parametrize(
+        "value, complete",
+        [("yes", True), ("TRUE", True), ("1", True), ("No", False), ("false", False), ("0", False)],
+    )
+    def test_complete_flag_values(self, value, complete):
+        pf = parse_problem(CONTINUOUS.replace("complete: yes", f"complete: {value}"))
+        assert pf.space.completeness_assumed is complete
+
     def test_delta_const(self):
         pf = parse_problem(CONTINUOUS.replace("delta linear 1.0", "delta const 0.5"))
         assert pf.delta(100.0) == 0.5
@@ -198,6 +206,8 @@ class TestParseErrors:
             ("start: 0 0", "start: 0 inf", 6, "start coordinate must be finite"),
             ("box -10 10", "box -inf 10", 1, "box bound must be finite"),
             ("linear-coupled 0.25 1", "linear-coupled nan 1", 3, "family parameter must be finite"),
+            ("complete: yes", "complete: maybe", 2, r"complete must be .*, got 'maybe'"),
+            ("complete: yes", "complete: y", 2, r"complete must be .*, got 'y'"),
         ],
     )
     def test_bad_header_value_carries_line_number(self, old, new, line, message):

@@ -86,13 +86,15 @@ class TestProductSpace:
             for x, y in itertools.product(two_point.points, repeat=2):
                 assert prod.dist((x,), (y,)) == two_point.dist(x, y)
 
-    def test_capacity_error_names_size(self, two_point):
+    def test_capacity_error_names_size(self, two_point, monkeypatch):
+        monkeypatch.setenv("MULTIFIX_CAP", "16")
         with pytest.raises(CapacityError) as err:
-            product_points(two_point, 5, cap=16)
+            product_points(two_point, 5)
         assert err.value.size == 32
 
-    def test_lazy_product_above_cap(self, two_point):
-        prod = product_space(two_point, 5, ProductKind.SUP, cap=16)
+    def test_lazy_product_above_cap(self, two_point, monkeypatch):
+        monkeypatch.setenv("MULTIFIX_CAP", "16")
+        prod = product_space(two_point, 5, ProductKind.SUP)
         assert not prod.is_finite
         assert prod.contains(("a",) * 5)
         assert prod.dist(("a",) * 5, ("b",) * 5) == 1
