@@ -68,6 +68,9 @@ start: 1 0
 # CONTRACTION with an expanding family: sampled mk-op fails.
 SAMPLED_EXPANSION = CONTRACTION.replace("0.25 1", "1.1 0")
 
+# CONTRACTION on a reversed box: an empty carrier, refused when parsed.
+REVERSED_BOX = CONTRACTION.replace("box -10 10", "box 10 -10")
+
 GAME_DEMO = """\
 space: box 0 1
 family: affine-coupled 0 0.5 0.25

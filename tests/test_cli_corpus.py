@@ -51,6 +51,10 @@ COMMANDS = [
     ["check", "--condition", "mk-op", "--samples", "500", "--seed", "3"],
     ["solve", "--trace", CSV],
     ["game", "--out", CSV],
+    # Option values outside their domain.
+    ["solve", "--tol", "inf"],
+    ["game", "--tol", "inf"],
+    ["check", "--condition", "mk-op", "--r-grid", "inf"],
     *(
         ["verify", "--condition", c]
         for c in ("omega1", "omega2", "omega3", "omega4", "mk1", "mk2")
