@@ -36,7 +36,6 @@ from .operators import (
 from .orders import LSet, OrderRelation, chain_order, compare_L
 from .product import (
     ProductKind,
-    check_monotone_complete_surrogate,
     check_uniform_equivalence,
     product_space,
     sum_distance,
@@ -94,7 +93,6 @@ __all__ = [
     "check_mk",
     "check_mk_operator",
     "check_mk_space",
-    "check_monotone_complete_surrogate",
     "check_omega",
     "check_order_distance_compat",
     "check_uniform_equivalence",

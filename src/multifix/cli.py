@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from .conditions import CONDITIONS, sample_comparable_pairs
@@ -54,10 +55,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_r_grid(text):
+def _parse_r_grid(args):
+    """The ``--r-grid`` values, or None for 'auto'; anything but positive
+    finite numbers is a usage error."""
+    text = args.r_grid
     if text is None or text == "auto":
         return None
-    return [float(t) for t in text.split(",")]
+    try:
+        grid = [float(t) for t in text.split(",")]
+        valid = all(math.isfinite(r) and r > 0 for r in grid)
+    except ValueError:
+        valid = False
+    if not valid:
+        args.usage_error(f"--r-grid takes 'auto' or positive finite numbers, got {text!r}")
+    return grid
 
 
 def _default_lset(pf) -> LSet:
@@ -90,13 +101,14 @@ def cmd_check(args) -> int:
             args.usage_error(
                 f"--{name.replace('_', '-')} is not read by --condition {args.condition}"
             )
+    r_grid = _parse_r_grid(args)
     pf = load_problem(args.file)
     space = pf.require("space")
     order = pf.require("order")
     F = pf.require("operator")
     family = pf.require("family")
     lset = _default_lset(pf)
-    options = {"r_grid": _parse_r_grid(args.r_grid), "delta": _delta(pf, condition)}
+    options = {"r_grid": r_grid, "delta": _delta(pf, condition)}
     if "metric" in condition.reads:
         options["kind"] = ProductKind(args.metric or "sup")
         if space.is_finite and (args.seed, args.samples) != (None, None):

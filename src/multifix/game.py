@@ -5,6 +5,9 @@ once the correction leaves it fixed."""
 from __future__ import annotations
 
 import csv
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -34,8 +37,8 @@ class GameConfig:
             raise ValueError("operator and index family arities differ")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and nonnegative")
 
 
 @dataclass
@@ -84,7 +87,8 @@ def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
         nxt = lam(x)
         nonconv = tuple(map(dist, x, nxt))  # as in step(), bound once
         traj.rounds.append(Round(x, nonconv))
-        if sum(nonconv) <= game.tol:
+        # Added left to right, as sum_distance does.
+        if functools.reduce(operator.add, nonconv) <= game.tol:
             traj.terminated_optimal = True
             return traj
         x = nxt

@@ -5,9 +5,7 @@ Block layout (order free, '#' starts a comment):
     points: a b c          finite carrier labels
     dist:                  n rows of n nonnegative reals (row i = d(p_i, .))
     order:                 lines "a <= b" (closure is taken at load)
-    space: box LO HI       continuous 1-D carrier instead of points/dist
-    complete: yes|no       completeness flag for continuous carriers
-                           (also true|false|1|0, in any case)
+    space: box LO HI       continuous 1-D carrier [LO, HI] instead of points/dist
     lambda:                m rows of m 1-based indices, or "lambda: coupled"
     F:                     table lines "a,b -> c", or "family: NAME ARGS"
     L: 1 3                 index subset (may be empty: "L:")
@@ -117,11 +115,9 @@ class _Lines:
 
 
 _HEADERS = {
-    "points", "dist", "order", "space", "complete", "lambda", "f", "family",
+    "points", "dist", "order", "space", "lambda", "f", "family",
     "l", "delta", "start", "tol", "max_iter", "rounds", "metric",
 }
-
-_COMPLETE = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -133,7 +129,6 @@ def parse_problem(text: str) -> ProblemFile:
     matrix: Optional[list[list[float]]] = None
     order_pairs: list[tuple] = []
     box: Optional[Box] = None
-    complete = None
     table_lines: list[tuple[int, str]] = []
     family_spec: Optional[tuple[str, list[float]]] = None
     lambda_rows: Optional[list[tuple[int, ...]]] = None
@@ -192,11 +187,9 @@ def parse_problem(text: str) -> ProblemFile:
             if len(toks) != 3 or toks[0] != "box":
                 raise ParseError("space block must be 'space: box LO HI'", ln)
             lo, hi = (_number(t, "box bound", ln) for t in toks[1:])
+            if lo > hi:
+                raise ParseError(f"box bounds need LO <= HI, got {toks[1]} > {toks[2]}", ln)
             box = Box(((lo, hi),))
-        elif head == "complete":
-            complete = _COMPLETE.get(rest.lower())
-            if complete is None:
-                raise ParseError(f"complete must be yes|no|true|false|1|0, got {rest!r}", ln)
         elif head == "lambda":
             if rest == "coupled":
                 pf.family = coupled_preset()
@@ -265,11 +258,7 @@ def parse_problem(text: str) -> ProblemFile:
             except ValueError as exc:
                 raise ParseError(str(exc), block_line["order"])
     elif box is not None:
-        pf.space = DistanceSpace.continuous(
-            lambda x, y: abs(x - y),
-            box,
-            completeness_assumed=True if complete is None else complete,
-        )
+        pf.space = DistanceSpace(lambda x, y: abs(x - y), box=box)
         pf.order = OrderRelation.numeric()
 
     if family_spec is not None:

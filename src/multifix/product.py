@@ -138,7 +138,6 @@ def product_space(space: DistanceSpace, m: int, kind: ProductKind) -> DistanceSp
         dist,
         points=points,
         contains=contains,
-        completeness_assumed=space.completeness_assumed,
         table_backed=product_atol(space, kind) == 0.0,
         matrix=matrix,
     )
@@ -197,22 +196,6 @@ def check_uniform_equivalence(
         if not (lo <= hi <= m * lo):
             return EquivalenceReport(False, len(sample), (x, y))
     return EquivalenceReport(True, len(sample))
-
-
-@dataclass
-class CompletenessReport:
-    """Monotone-completeness surrogate verdict."""
-
-    complete: bool
-    assumed: bool
-
-
-def check_monotone_complete_surrogate(space: DistanceSpace) -> CompletenessReport:
-    """Finite carriers are monotonically complete outright (a Cauchy prefix is
-    eventually constant); continuous carriers return their declared flag."""
-    if space.is_finite:
-        return CompletenessReport(True, False)
-    return CompletenessReport(space.completeness_assumed, True)
 
 
 def format_product_point(p: Sequence) -> str:

@@ -30,8 +30,8 @@ class SolveConfig:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

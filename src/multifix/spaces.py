@@ -55,6 +55,8 @@ class DistanceSpace:
     spaces describe it with a :class:`Box` (or a custom membership test).
     ``table_backed`` records whether distance values are raw table entries,
     in which case comparisons are exact rather than tolerance-based.
+    Every carrier the problem files build is complete, as the theorems
+    assume: a finite set, or a closed box under ``|x - y|``.
     """
 
     def __init__(
@@ -63,7 +65,6 @@ class DistanceSpace:
         points: Optional[Sequence[Point]] = None,
         box: Optional[Box] = None,
         contains: Optional[Callable[[Point], bool]] = None,
-        completeness_assumed: bool = False,
         table_backed: bool = False,
         matrix: Optional[np.ndarray] = None,
     ):
@@ -74,7 +75,6 @@ class DistanceSpace:
         self._point_set = set(self.points) if self.points is not None else None
         self.box = box
         self._contains = contains
-        self.completeness_assumed = completeness_assumed
         self.table_backed = table_backed
         self._matrix = matrix
 
@@ -169,31 +169,12 @@ class DistanceSpace:
             except KeyError as exc:
                 raise CarrierError(f"point {exc.args[0]!r} is not in the carrier")
 
-        return cls(
-            dist,
-            points=labels,
-            completeness_assumed=True,
-            table_backed=True,
-            matrix=arr,
-        )
-
-    @classmethod
-    def continuous(
-        cls,
-        dist: DistFn,
-        box: Box,
-        completeness_assumed: bool = False,
-    ) -> "DistanceSpace":
-        return cls(dist, box=box, completeness_assumed=completeness_assumed)
+        return cls(dist, points=labels, table_backed=True, matrix=arr)
 
     @classmethod
     def reals(cls, lo: float = -1e9, hi: float = 1e9) -> "DistanceSpace":
         """Absolute-value distance on a (closed, hence complete) interval."""
-        return cls.continuous(
-            lambda x, y: abs(x - y),
-            Box(((lo, hi),)),
-            completeness_assumed=True,
-        )
+        return cls(lambda x, y: abs(x - y), box=Box(((lo, hi),)))
 
 
 @dataclass(frozen=True)

@@ -449,9 +449,7 @@ def closure_reference(points, pairs):
 def lopsided_line(lo: float, hi: float) -> DistanceSpace:
     """[lo, hi] with d(x, y) = 2(x - y) downhill and y - x uphill: a
     quasimetric whose two directions differ."""
-    return DistanceSpace.continuous(
-        lambda x, y: 2 * (x - y) if x > y else y - x, Box(((lo, hi),)), True
-    )
+    return DistanceSpace(lambda x, y: 2 * (x - y) if x > y else y - x, box=Box(((lo, hi),)))
 
 
 def field_reprs(report) -> list[str]:
@@ -543,7 +541,7 @@ def reference_simulate(game, start):
         nxt = reference_apply_lambda_f(game.F, game.family, x)
         nonconv = tuple(game.space.dist(a, b) for a, b in zip(x, nxt))
         traj.rounds.append(Round(x, nonconv))
-        if sum(nonconv) <= game.tol:
+        if sum_distance(game.space, x, nxt) <= game.tol:
             traj.terminated_optimal = True
             return traj
         x = nxt

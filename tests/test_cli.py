@@ -371,10 +371,18 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == "error: no comparable pairs to check\n"
 
-    def test_mk_operator_nan_radius_is_a_usage_error(self, prob, capsys):
-        code = main(["check", prob(CONTRACTION), "--condition", "mk-op", "--r-grid", "nan"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: modulus is only defined for positive r\n"
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1e400", "abc", "0", "0.5,-1", "0.5,", ""])
+    def test_r_grid_outside_positive_finite_is_a_usage_error(self, prob, capsys, grid):
+        # inf once passed a factor-10 expansion that fails without a grid
+        path = prob(CONTRACTION.replace("0.25 1", "5 1"))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--condition", "mk-op", "--r-grid", grid])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: multifix check ")
+        assert err.endswith(
+            f"error: --r-grid takes 'auto' or positive finite numbers, got {grid!r}\n"
+        )
 
     def test_unread_option_is_a_usage_error(self, prob, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -811,6 +819,12 @@ class TestUsageErrors:
         assert main(["check", path, "--condition", "omega1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and path in err
+
+    @pytest.mark.parametrize("command", ["solve", "game"])
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exit_two(self, prob, capsys, command, tol):
+        assert main([command, prob(CONTRACTION), "--tol", tol]) == 2
+        assert capsys.readouterr() == ("", "error: tol must be finite and nonnegative\n")
 
     def test_missing_block_exit_two(self, prob, capsys):
         code = main(["solve", prob("space: box 0 1\n")])

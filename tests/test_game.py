@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from multifix import (
     DistanceSpace,
     GameConfig,
+    LambdaFamily,
     MultiOperator,
     ProductKind,
     SolveConfig,
@@ -69,6 +70,24 @@ class TestOptimalSelection:
             space=space, F=MultiOperator.constant(2, 0.3), family=coupled_preset()
         )
         assert is_optimal_selection(game, (0.3, 0.3), tol=0.0)
+
+    def test_simulate_stops_where_the_sum_distance_says(self):
+        # Non-convenience (1, 1e-16, 1e-16) adds to 1 left to right, as
+        # sum_distance adds; the builtin sum gives 1 + 2e-16 from Python 3.12 on.
+        space = DistanceSpace.from_matrix(
+            "pqrs", [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1e-16], [1, 1, 1e-16, 0]]
+        )
+        game = GameConfig(
+            space=space,
+            F=MultiOperator(3, lambda a, b, c: {"p": "q", "r": "s"}.get(a, a)),
+            family=LambdaFamily(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2))),
+            tol=1.0,
+        )
+        start = ("p", "r", "r")
+        assert step(game, start)[1] == (1.0, 1e-16, 1e-16)
+        assert is_optimal_selection(game, start, game.tol)
+        traj = simulate(game, start)
+        assert traj.terminated_optimal and len(traj.rounds) == 1
 
 
 class TestSimulate:

@@ -36,7 +36,7 @@ tol: 1e-9
 
 CONTINUOUS = """\
 space: box -10 10
-complete: yes
+# a closed box: complete, as every carrier is
 family: linear-coupled 0.25 1
 L: 1
 delta linear 1.0
@@ -100,14 +100,6 @@ class TestContinuousParsing:
         assert pf.start == (0.0, 0.0)
         assert pf.max_iter == 500 and pf.rounds == 50
         assert pf.metric is ProductKind.SUM
-
-    @pytest.mark.parametrize(
-        "value, complete",
-        [("yes", True), ("TRUE", True), ("1", True), ("No", False), ("false", False), ("0", False)],
-    )
-    def test_complete_flag_values(self, value, complete):
-        pf = parse_problem(CONTINUOUS.replace("complete: yes", f"complete: {value}"))
-        assert pf.space.completeness_assumed is complete
 
     def test_delta_const(self):
         pf = parse_problem(CONTINUOUS.replace("delta linear 1.0", "delta const 0.5"))
@@ -205,9 +197,10 @@ class TestParseErrors:
             ("start: 0 0", "start: 0 q", 6, "start coordinate must be a number, got 'q'"),
             ("start: 0 0", "start: 0 inf", 6, "start coordinate must be finite"),
             ("box -10 10", "box -inf 10", 1, "box bound must be finite"),
+            ("box -10 10", "box 10 -10", 1, "box bounds need LO <= HI, got 10 > -10"),
             ("linear-coupled 0.25 1", "linear-coupled nan 1", 3, "family parameter must be finite"),
-            ("complete: yes", "complete: maybe", 2, r"complete must be .*, got 'maybe'"),
-            ("complete: yes", "complete: y", 2, r"complete must be .*, got 'y'"),
+            ("# a closed box: complete, as every carrier is", "complete: yes", 2,
+             "unknown block 'complete'"),
         ],
     )
     def test_bad_header_value_carries_line_number(self, old, new, line, message):

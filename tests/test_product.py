@@ -8,7 +8,6 @@ from multifix import (
     CapacityError,
     DistanceSpace,
     ProductKind,
-    check_monotone_complete_surrogate,
     check_uniform_equivalence,
     classify_finite,
     product_space,
@@ -136,21 +135,3 @@ class TestUniformEquivalence:
         with pytest.raises(ValueError):
             check_uniform_equivalence(reals, 2, [])
 
-
-class TestMonotoneCompleteness:
-    def test_finite_is_complete(self, two_point):
-        report = check_monotone_complete_surrogate(two_point)
-        assert report.complete and not report.assumed
-
-    def test_declared_complete(self):
-        report = check_monotone_complete_surrogate(DistanceSpace.reals(0, 1))
-        assert report.complete and report.assumed
-
-    def test_declared_incomplete(self):
-        from multifix import Box
-
-        open_unit = DistanceSpace.continuous(
-            lambda x, y: abs(x - y), Box(((0, 1),)), completeness_assumed=False
-        )
-        report = check_monotone_complete_surrogate(open_unit)
-        assert not report.complete and report.assumed
