@@ -373,7 +373,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("grid", ["nan", "inf", "1e400", "abc", "0", "0.5,-1", "0.5,", ""])
     def test_r_grid_outside_positive_finite_is_a_usage_error(self, prob, capsys, grid):
-        # inf once passed a factor-10 expansion that fails without a grid
+        # a factor-10 expansion, which fails mk-op with no grid
         path = prob(CONTRACTION.replace("0.25 1", "5 1"))
         with pytest.raises(SystemExit) as exc:
             main(["check", path, "--condition", "mk-op", "--r-grid", grid])

@@ -134,4 +134,3 @@ class TestUniformEquivalence:
     def test_empty_sample_rejected(self, reals):
         with pytest.raises(ValueError):
             check_uniform_equivalence(reals, 2, [])
-
