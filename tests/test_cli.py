@@ -71,6 +71,10 @@ SAMPLED_EXPANSION = CONTRACTION.replace("0.25 1", "1.1 0")
 # CONTRACTION on a reversed box: an empty carrier, refused when parsed.
 REVERSED_BOX = CONTRACTION.replace("box -10 10", "box 10 -10")
 
+# CONTRACTION on a box F does not map into itself: the fixed point (1, 1) of
+# the iteration from (0, 0) lies outside [-10, 0.5]^2.
+BOX_ESCAPE = CONTRACTION.replace("box -10 10", "box -10 0.5")
+
 GAME_DEMO = """\
 space: box 0 1
 family: affine-coupled 0 0.5 0.25
