@@ -75,7 +75,8 @@ def is_optimal_selection(game: GameConfig, x: Sequence[Point], tol: float) -> bo
 
 def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
     """Iterate corrections from ``start`` until the selection is optimal or
-    the round cap is hit; every visited selection is recorded."""
+    the round cap is hit; every visited selection is recorded.  An optimal
+    selection outside the carrier raises :class:`CarrierError`."""
     x = tuple(start)
     for c in x:
         game.space.require(c)
@@ -89,6 +90,8 @@ def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
         traj.rounds.append(Round(x, nonconv))
         # Added left to right, as sum_distance does.
         if functools.reduce(operator.add, nonconv) <= game.tol:
+            for c in x:  # F need not map the carrier into itself
+                game.space.require(c)
             traj.terminated_optimal = True
             return traj
         x = nxt

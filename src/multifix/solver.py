@@ -95,7 +95,8 @@ def picard_solve(
     1-cycle converges, while a longer cycle stops with status ``cycle`` and
     its length.
     The trace records the forward step rho(x, next) per iteration; the
-    reported final point is the iterate at which the stop test fired.
+    reported final point is the iterate at which the stop test fired.  A
+    converged point outside the carrier raises :class:`CarrierError`.
     """
     start = tuple(start)
     for c in start:
@@ -114,7 +115,7 @@ def picard_solve(
         trace.append(step)
         if finite:
             if nxt == x:
-                return SolveReport("converged", x, n, trace)
+                break
             visited[x] = n
             if nxt in visited:
                 return SolveReport("cycle", nxt, n, trace, cycle_length=n + 1 - visited[nxt])
@@ -123,9 +124,13 @@ def picard_solve(
             if step > DIVERGENCE_CAP or not math.isfinite(residual):
                 return SolveReport("diverged", nxt, n, trace)
             if residual <= config.tol:
-                return SolveReport("converged", x, n, trace)
+                break
         x = nxt
-    return SolveReport("max_iter_exceeded", x, config.max_iter, trace)
+    else:
+        return SolveReport("max_iter_exceeded", x, config.max_iter, trace)
+    for c in x:  # F need not map the carrier into itself
+        space.require(c)
+    return SolveReport("converged", x, n, trace)
 
 
 def enumerate_fixed_points(

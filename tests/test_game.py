@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    CarrierError,
     DistanceSpace,
     GameConfig,
     LambdaFamily,
@@ -115,6 +116,15 @@ class TestSimulate:
         traj = simulate(game, (1.0, 0.0))
         assert not traj.terminated_optimal
         assert len(traj.rounds) == 20
+
+    def test_optimal_selection_outside_the_box_is_refused(self):
+        game = GameConfig(
+            space=DistanceSpace.reals(-10, 0.5),
+            F=MultiOperator(2, lambda x, y: (x - y) / 4 + 1),  # fixes (1, 1)
+            family=coupled_preset(),
+        )
+        with pytest.raises(CarrierError, match="point 1.0 is not in the carrier"):
+            simulate(game, (0.0, 0.0))
 
     def test_replay_from_final_selection_is_stable(self, demo_game):
         traj = simulate(demo_game, (0.0, 0.0))

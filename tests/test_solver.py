@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    CarrierError,
     DistanceSpace,
     LambdaFamily,
     LSet,
@@ -98,6 +99,13 @@ class TestPicard:
         report = picard_solve(reals, F, coupled_preset(), (0.0, 0.0))
         assert report.status == "diverged"
         assert report.iterations == 1
+
+    def test_converged_point_outside_the_box_is_refused(self):
+        # (x - y) / 4 + 1 fixes (1, 1), outside [-10, 0.5]^2.
+        box = DistanceSpace.reals(-10, 0.5)
+        F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
+        with pytest.raises(CarrierError, match="point 1.0 is not in the carrier"):
+            picard_solve(box, F, coupled_preset(), (0.0, 0.0))
 
     def test_trace_length_matches_iterations(self, reals):
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
