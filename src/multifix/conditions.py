@@ -29,32 +29,37 @@ from .orders import LSet, OrderRelation
 from .product import ProductKind, check_pair_arity, combine, product_atol
 from .spaces import DistanceSpace
 
+_MODULUS_FORMS = {
+    "linear": "linear modulus needs a positive finite coefficient",
+    "const": "constant modulus needs a positive finite value",
+}
+
+
 @dataclass(frozen=True)
 class MeirKeelerModulus:
-    """Evaluable modulus delta: (0, inf) -> (0, inf).
+    """The modulus delta: (0, inf) -> (0, inf), linear delta(r) = c * r or
+    constant delta(r) = c.  Both keep r + delta(r) nondecreasing in r, so
+    the operator check decides every r > 0 in closed form."""
 
-    ``monotone`` marks a modulus with r + delta(r) nondecreasing in r whose
-    ``func`` also takes a float array; the operator check then decides every
-    r > 0 in closed form instead of a grid.  Both built-in moduli are.
-    """
+    c: float
+    form: str  # "linear" or "const"
 
-    func: Callable[[float], float]
-    monotone: bool = False
+    def __post_init__(self):
+        if self.form not in _MODULUS_FORMS:
+            raise ValueError(f"unknown modulus form {self.form!r}")
+        if not 0 < self.c < math.inf:  # NaN included
+            raise ValueError(_MODULUS_FORMS[self.form])
 
     def __call__(self, r: float) -> float:
-        if not r > 0:  # NaN included
-            raise ValueError("modulus is only defined for positive r")
-        value = self.func(r)
-        if not value > 0:
-            raise ValueError(f"modulus must be positive, got delta({r}) = {value}")
-        return value
+        return float(self.values(np.array([r], dtype=float))[0])
 
     def values(self, r: np.ndarray) -> np.ndarray:
-        """delta at every entry of a float array, with the checks of a call."""
-        if not (r > 0).all():
+        """delta at every entry of a float array of positive r."""
+        if not (r > 0).all():  # NaN included
             raise ValueError("modulus is only defined for positive r")
-        value = np.broadcast_to(self.func(r), r.shape)
-        if not (value > 0).all():
+        with np.errstate(over="ignore"):  # as Python's c * r rounds to inf
+            value = self.c * r if self.form == "linear" else np.broadcast_to(self.c, r.shape)
+        if not (value > 0).all():  # c * r underflowed
             k = int(np.argmin(value > 0))
             raise ValueError(
                 f"modulus must be positive, got delta({float(r[k])}) = {float(value[k])}"
@@ -63,15 +68,11 @@ class MeirKeelerModulus:
 
     @classmethod
     def linear(cls, c: float) -> "MeirKeelerModulus":
-        if not 0 < c < math.inf:
-            raise ValueError("linear modulus needs a positive finite coefficient")
-        return cls(lambda r: c * r, monotone=True)
+        return cls(c, "linear")
 
     @classmethod
     def const(cls, c: float) -> "MeirKeelerModulus":
-        if not 0 < c < math.inf:
-            raise ValueError("constant modulus needs a positive finite value")
-        return cls(lambda r: c, monotone=True)
+        return cls(c, "const")
 
 
 @dataclass
@@ -119,12 +120,6 @@ class ConditionReport:
         return None if clause is None else clause.witness
 
 
-@dataclass
-class LatticeReport:
-    is_lattice: bool
-    counterexample: Optional[tuple] = None
-
-
 def _common_bounds(O: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Per row a of the order matrix: (a, upper, lower) with upper[b, c] that c
     is above both a and b, and lower[b, c] that c is below both."""
@@ -132,7 +127,7 @@ def _common_bounds(O: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]
         yield a, O[a] & O, O[:, a] & O.T
 
 
-def check_lattice(order: OrderRelation) -> LatticeReport:
+def check_lattice(order: OrderRelation) -> Clause:
     """Every pair must have a unique join and meet."""
     if not order.is_finite:
         raise UnsupportedInstanceError("lattice check needs a finite carrier")
@@ -149,11 +144,11 @@ def check_lattice(order: OrderRelation) -> LatticeReport:
         if not ok.all():
             b = int(np.argmin(ok))
             kind = "meet" if joins[b].any() else "join"
-            return LatticeReport(False, (points[a], points[b], kind))
-    return LatticeReport(True)
+            return Clause("lattice", False, (points[a], points[b], kind))
+    return Clause("lattice", True)
 
 
-def check_bounds_exist(order: OrderRelation) -> ConditionReport:
+def check_bounds_exist(order: OrderRelation) -> Clause:
     """Every pair has some upper and some lower bound (weaker than lattice)."""
     if not order.is_finite:
         raise UnsupportedInstanceError("bounds check needs a finite carrier")
@@ -164,14 +159,11 @@ def check_bounds_exist(order: OrderRelation) -> ConditionReport:
         if bad.any():
             b = int(np.argmax(bad))
             kind = "lower" if has_up[b] else "upper"
-            clause = Clause("pair bounds", False, (points[a], points[b], kind))
-            return ConditionReport("bounds", [clause])
-    return ConditionReport("bounds", [Clause("pair bounds", True)])
+            return Clause("pair bounds", False, (points[a], points[b], kind))
+    return Clause("pair bounds", True)
 
 
-def check_order_distance_compat(
-    space: DistanceSpace, order: OrderRelation
-) -> ConditionReport:
+def check_order_distance_compat(space: DistanceSpace, order: OrderRelation) -> Clause:
     """On every chain x <= y <= z the symmetric sum to the middle point must
     not exceed the symmetric sum across the whole chain."""
     if not space.is_finite:
@@ -184,9 +176,8 @@ def check_order_distance_compat(
         bad = O[i, :, None] & O & (S[i, :, None] > S[i] + space.atol)
         if bad.any():
             y, z = np.argwhere(bad)[0].tolist()
-            clause = Clause("order-distance compatibility", False, (x, points[y], points[z]))
-            return ConditionReport("compat", [clause])
-    return ConditionReport("compat", [Clause("order-distance compatibility", True)])
+            return Clause("order-distance compatibility", False, (x, points[y], points[z]))
+    return Clause("order-distance compatibility", True)
 
 
 def check_omega(
@@ -207,16 +198,12 @@ def check_omega(
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1..4")
     name = f"omega{variant}"
-    clauses: list[Clause] = []
-
-    lat = check_lattice(order)
-    clauses.append(Clause("lattice", lat.is_lattice, lat.counterexample))
-    if not lat.is_lattice:
+    clauses = [check_lattice(order)]
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
-    compat = check_order_distance_compat(space, order)
-    clauses.append(compat.clauses[0])
-    if not compat.passed:
+    clauses.append(check_order_distance_compat(space, order))
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
     if variant in (3, 4):
@@ -260,7 +247,8 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     pair with no premise-satisfying r holds vacuously.
     """
     r = np.array(r_grid, dtype=float)
-    t = np.array([v + delta(v) for v in r_grid], dtype=float)
+    with np.errstate(over="ignore"):
+        t = r + delta.values(r)
     order = np.argsort(t)
     thresholds = t[order]
     # bounds[i]: the least r among the entries whose threshold ranks i or
@@ -280,16 +268,16 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
 
 
 def _all_r_failure(delta: MeirKeelerModulus):
-    """first_failure as :func:`_binding_r` returns it, over every r > 0 for a
-    monotone modulus.
+    """first_failure as :func:`_binding_r` returns it, over every r > 0.
 
-    The premise rho < r + delta(r) holds on an up-ray of r and the conclusion
-    image_rho < r fails exactly for r <= image_rho, so a pair fails exactly
-    when image_rho > 0 and rho < g + delta(g) at g = image_rho; r = image_rho
-    is the witness.  A NaN image distance is below no r, like inf.  The
-    conclusion is image_rho < r - atol, so g = image_rho + atol: a positive
-    margin can fail a borderline pair, never pass one, and the witness r is
-    image_rho whenever that r fails already.
+    r + delta(r) is nondecreasing, so the premise rho < r + delta(r) holds
+    on an up-ray of r; the conclusion image_rho < r fails exactly for
+    r <= image_rho, so a pair fails exactly when image_rho > 0 and
+    rho < g + delta(g) at g = image_rho; r = image_rho is the witness.  A
+    NaN image distance is below no r, like inf.  The conclusion is
+    image_rho < r - atol, so g = image_rho + atol: a positive margin can
+    fail a borderline pair, never pass one, and the witness r is image_rho
+    whenever that r fails already.
     """
 
     def first_failure(rho, image_rho, atol: float) -> Optional[tuple[int, float]]:
@@ -317,7 +305,7 @@ def check_mk_space(
     order: OrderRelation,
     delta: MeirKeelerModulus,
     r_grid: Sequence[float],
-) -> ConditionReport:
+) -> Clause:
     """Literal form of the Meir-Keeler monotone condition as printed: for
     comparable x <= y and r in the grid, d(x,y) < r + delta(r) forces
     d(x,y) < r.  This constrains the space itself; the operator-image form
@@ -332,9 +320,8 @@ def check_mk_space(
     if found is not None:
         k, r = found
         x, y = space.points[xs[k]], space.points[ys[k]]
-        clause = Clause("MK space condition", False, (x, y, r))
-        return ConditionReport("mk-space", [clause])
-    return ConditionReport("mk-space", [Clause("MK space condition", True)])
+        return Clause("MK space condition", False, (x, y, r))
+    return Clause("MK space condition", True)
 
 
 def sample_comparable_pairs(
@@ -390,16 +377,14 @@ def check_mk_operator(
     r > 0 with rho(x, y) < r + delta(r), the images satisfy
     rho(lambdaF(x), lambdaF(y)) < r.
 
-    A monotone modulus without an explicit ``r_grid`` is decided over every
-    r > 0 in closed form; otherwise r ranges over the grid (by default the
-    distinct positive pair distances) and the report is ``grid_bound``.
+    Without an explicit ``r_grid`` every r > 0 is decided in closed form;
+    with one, r ranges over the grid and the report is ``grid_bound``.
     Finite instances with no explicit sample are exhausted and may report
     "pass"; supplied pairs, an (n, 2, m) array as
     :func:`sample_comparable_pairs` returns or any sequence of (x, y), yield
     at most "sampled-pass".
     """
     atol = product_atol(space, kind)
-    grid_bound = r_grid is not None or not delta.monotone
     if pairs is None:
         failure, samples = _mk_operator_exhaustive(
             space, order, F, family, lset, delta, kind, r_grid, atol
@@ -409,8 +394,6 @@ def check_mk_operator(
             raise ValueError("no comparable pairs to check")
         points = _pair_array(pairs, F, family)
         d, d_img = _column_distances(space, F, family, kind, points)
-        if grid_bound and r_grid is None:
-            r_grid = np.unique(d[d > 0]).tolist() or [1.0]
         found = _first_failure(delta, r_grid)(d, d_img, atol)
         failure = None
         if found is not None:
@@ -420,7 +403,7 @@ def check_mk_operator(
     clause = Clause("MK operator condition", failure is None, failure)
     return ConditionReport(
         "mk-operator", [clause], sampled=pairs is not None,
-        seed=seed, samples=samples, grid_bound=grid_bound,
+        seed=seed, samples=samples, grid_bound=r_grid is not None,
     )
 
 
@@ -492,21 +475,13 @@ def _mk_operator_exhaustive(
     atol: float,
 ) -> tuple[Optional[tuple], int]:
     """(first failing (x, y, r) or None, number of comparable pairs) over every
-    comparable pair, equal pairs included.  The auto r grid, needed only for
-    a modulus that is not monotone, is the set of distinct positive pair
-    distances; ``<=_L`` is a product relation, so both come from the
-    per-coordinate order pairs without a sweep."""
+    comparable pair, equal pairs included.  ``<=_L`` is a product relation,
+    so the pair count comes from the per-coordinate order pairs."""
     kernel = ProductKernel(space, lset.m)
     orders = lset.orient(order.matrix(kernel.labels))
     samples = int(orders[0].sum()) ** lset.m
     if not samples:
         raise ValueError("no comparable pairs to check")
-    if r_grid is None and not delta.monotone:
-        # Starting from {0} changes neither a maximum nor a left-to-right sum.
-        values = np.zeros(1)
-        for Oi in orders:
-            values = np.unique(combine(kind, (values[:, None], np.unique(kernel.D[Oi]))))
-        r_grid = values[values > 0].tolist() or [1.0]
     image = kernel.image(F, family)
     first_failure = _first_failure(delta, r_grid)
     for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
@@ -534,19 +509,15 @@ def check_mk(
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     name = f"mk{variant}"
-    clauses: list[Clause] = []
-
-    bounds = check_bounds_exist(order)
-    clauses.append(bounds.clauses[0])
-    if not bounds.passed:
+    clauses = [check_bounds_exist(order)]
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
     if r_grid is None:
         D = space.matrix()
         r_grid = np.unique(D[D > 0]).tolist() or [1.0]
-    mk_space = check_mk_space(space, order, delta, r_grid)
-    clauses.append(mk_space.clauses[0])
-    if not mk_space.passed:
+    clauses.append(check_mk_space(space, order, delta, r_grid))
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
     isotone = variant == 1

@@ -3,6 +3,7 @@ self-map on X^m whose fixed points are the multiple fixed points of F."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -78,8 +79,6 @@ class MultiOperator:
         """
         table = dict(table)
         if carrier is not None:
-            import itertools
-
             for key in itertools.product(carrier, repeat=m):
                 if key not in table:
                     raise EvaluationError(f"operator table missing entry for {key}")

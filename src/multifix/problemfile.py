@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conditions import MeirKeelerModulus
-from .errors import ParseError
+from .errors import EvaluationError, ParseError
 from .operators import LambdaFamily, MultiOperator, coupled_preset, tripled_preset
 from .orders import LSet, OrderRelation
 from .product import ProductKind
@@ -290,7 +290,7 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError("operator table rows have inconsistent arity", block_line["f"])
         try:
             pf.operator = MultiOperator.from_table(arity, table, labels)
-        except Exception as exc:
+        except (EvaluationError, ValueError) as exc:
             raise ParseError(str(exc), block_line["f"])
 
     if lambda_rows is not None:

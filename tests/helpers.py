@@ -24,7 +24,7 @@ from multifix import (
     compare_L,
     surjectivity_report,
 )
-from multifix.conditions import Clause, ConditionReport, LatticeReport
+from multifix.conditions import Clause, ConditionReport
 from multifix.game import Round, Trajectory
 from multifix.operators import bind_lambda_f, check_lambda_arity
 from multifix.product import (
@@ -162,8 +162,8 @@ def reference_check_lattice(order):
             m, _ = reference_bound(order, a, b, upper=False)
             if j is None or m is None:
                 kind = "join" if j is None else "meet"
-                return LatticeReport(False, (a, b, kind))
-    return LatticeReport(True)
+                return Clause("lattice", False, (a, b, kind))
+    return Clause("lattice", True)
 
 
 def reference_check_bounds_exist(order):
@@ -173,9 +173,8 @@ def reference_check_bounds_exist(order):
             _, has_lo = reference_bound(order, a, b, upper=False)
             if not (has_up and has_lo):
                 kind = "upper" if not has_up else "lower"
-                clause = Clause("pair bounds", False, (a, b, kind))
-                return ConditionReport("bounds", [clause])
-    return ConditionReport("bounds", [Clause("pair bounds", True)])
+                return Clause("pair bounds", False, (a, b, kind))
+    return Clause("pair bounds", True)
 
 
 def reference_check_order_distance_compat(space, order):
@@ -189,9 +188,8 @@ def reference_check_order_distance_compat(space, order):
                 near = space.dist(x, y) + space.dist(y, x)
                 far = space.dist(x, z) + space.dist(z, x)
                 if near > far + (0.0 if space.table_backed else STRICT_MARGIN):
-                    clause = Clause("order-distance compatibility", False, (x, y, z))
-                    return ConditionReport("compat", [clause])
-    return ConditionReport("compat", [Clause("order-distance compatibility", True)])
+                    return Clause("order-distance compatibility", False, (x, y, z))
+    return Clause("order-distance compatibility", True)
 
 
 def reference_check_mk_space(space, order, delta, r_grid):
@@ -200,9 +198,8 @@ def reference_check_mk_space(space, order, delta, r_grid):
     found = reference_first_failure(r_grid, delta, d, d, space.table_backed)
     if found is not None:
         k, r = found
-        clause = Clause("MK space condition", False, (*pairs[k], r))
-        return ConditionReport("mk-space", [clause])
-    return ConditionReport("mk-space", [Clause("MK space condition", True)])
+        return Clause("MK space condition", False, (*pairs[k], r))
+    return Clause("MK space condition", True)
 
 
 def reference_r_grid(space):
@@ -233,14 +230,11 @@ def _image_order_failure(space, order, F, family, lset, isotone, include_equal):
 
 def reference_check_omega(space, order, F, family, lset, variant):
     name = f"omega{variant}"
-    clauses = []
-    lat = reference_check_lattice(order)
-    clauses.append(Clause("lattice", lat.is_lattice, lat.counterexample))
-    if not lat.is_lattice:
+    clauses = [reference_check_lattice(order)]
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
-    compat = reference_check_order_distance_compat(space, order)
-    clauses.append(compat.clauses[0])
-    if not compat.passed:
+    clauses.append(reference_check_order_distance_compat(space, order))
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
     if variant in (3, 4):
         surj = surjectivity_report(family)
@@ -273,16 +267,13 @@ def reference_check_omega(space, order, F, family, lset, variant):
 
 def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=None):
     name = f"mk{variant}"
-    clauses = []
-    bounds = reference_check_bounds_exist(order)
-    clauses.append(bounds.clauses[0])
-    if not bounds.passed:
+    clauses = [reference_check_bounds_exist(order)]
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
     if r_grid is None:
         r_grid = reference_r_grid(space)
-    mk_space = reference_check_mk_space(space, order, delta, r_grid)
-    clauses.append(mk_space.clauses[0])
-    if not mk_space.passed:
+    clauses.append(reference_check_mk_space(space, order, delta, r_grid))
+    if not clauses[-1].ok:
         return ConditionReport(name, clauses)
     failure = _image_order_failure(space, order, F, family, lset, variant == 1, True)
     clauses.append(Clause("image order", failure is None, failure))
@@ -305,8 +296,8 @@ def reference_pair_distances(space, F, family, kind, pairs):
 
 
 def reference_all_r_failure(delta, d, d_img, table_backed):
-    """The r > 0 at which "d < r + delta(r) implies d_img < r" fails, or None,
-    for a monotone modulus: r = d_img when the premise holds there (a NaN
+    """The r > 0 at which "d < r + delta(r) implies d_img < r" fails, or None:
+    r = d_img when the premise holds there (a NaN
     image distance read as inf), else d_img + STRICT_MARGIN on computed reals
     when the premise holds there."""
     img = math.inf if math.isnan(d_img) else d_img
@@ -323,8 +314,8 @@ def reference_check_mk_operator(
     space, order, F, family, lset, delta, kind, pairs=None, r_grid=None, seed=None
 ):
     """The MK operator check one pair at a time, over every comparable pair
-    (equal pairs included) or over the supplied pairs; every r > 0 for a
-    monotone modulus without a grid, else the grid scan."""
+    (equal pairs included) or over the supplied pairs; every r > 0 without a
+    grid, else the grid scan."""
     exhaustive = pairs is None
     if exhaustive:
         pairs = comparable_product_pairs(space, order, lset, include_equal=True)
@@ -332,9 +323,7 @@ def reference_check_mk_operator(
         raise ValueError("no comparable pairs to check")
     measured = list(reference_pair_distances(space, F, family, kind, pairs))
     table = space.table_backed and kind is ProductKind.SUP
-    grid_bound = r_grid is not None or not delta.monotone
-    if grid_bound and r_grid is None:
-        r_grid = sorted({d for d, _ in measured if d > 0}) or [1.0]
+    grid_bound = r_grid is not None
     for (x, y), (d, d_img) in zip(pairs, measured):
         if grid_bound:
             found = reference_first_failure(r_grid, delta, [d], [d_img], table)
@@ -500,6 +489,13 @@ def reference_first_failure(r_grid, delta, rho, image_rho, table_backed):
     return None
 
 
+def _in_carrier(space, x):
+    """x, once each coordinate is checked to lie in the carrier."""
+    for c in x:
+        space.require(c)
+    return x
+
+
 def reference_picard_solve(space, F, family, start, config):
     """Picard iteration one checked call at a time."""
     start = tuple(start)
@@ -515,7 +511,7 @@ def reference_picard_solve(space, F, family, start, config):
         trace.append(step)
         if space.is_finite:
             if nxt == x:
-                return SolveReport("converged", x, n, trace)
+                return SolveReport("converged", _in_carrier(space, x), n, trace)
             visited[x] = n
             if nxt in visited:
                 return SolveReport(
@@ -526,7 +522,7 @@ def reference_picard_solve(space, F, family, start, config):
             if step > DIVERGENCE_CAP or not math.isfinite(residual):
                 return SolveReport("diverged", nxt, n, trace)
             if residual <= config.tol:
-                return SolveReport("converged", x, n, trace)
+                return SolveReport("converged", _in_carrier(space, x), n, trace)
         x = nxt
     return SolveReport("max_iter_exceeded", x, config.max_iter, trace)
 
@@ -542,6 +538,7 @@ def reference_simulate(game, start):
         nonconv = tuple(game.space.dist(a, b) for a, b in zip(x, nxt))
         traj.rounds.append(Round(x, nonconv))
         if sum_distance(game.space, x, nxt) <= game.tol:
+            _in_carrier(game.space, x)
             traj.terminated_optimal = True
             return traj
         x = nxt

@@ -85,14 +85,13 @@ class TestReportVerdict:
 class TestLattice:
     def test_chain_is_lattice(self):
         order = chain_order([0, 1, 2])
-        report = check_lattice(order)
-        assert report.is_lattice
+        assert check_lattice(order).ok
 
     def test_two_atoms_without_top(self):
         order = OrderRelation.from_pairs("oab", [("o", "a"), ("o", "b")])
-        report = check_lattice(order)
-        assert not report.is_lattice
-        a, b, kind = report.counterexample
+        clause = check_lattice(order)
+        assert not clause.ok
+        a, b, kind = clause.witness
         assert {a, b} == {"a", "b"} and kind == "join"
 
     def test_boolean_square(self):
@@ -104,44 +103,41 @@ class TestLattice:
             if p[0] <= q[0] and p[1] <= q[1]
         ]
         order = OrderRelation.from_pairs(points, pairs)
-        report = check_lattice(order)
-        assert report.is_lattice
+        assert check_lattice(order).ok
 
 
 class TestBounds:
     def test_lattice_has_bounds(self):
-        assert check_bounds_exist(chain_order([0, 1, 2])).passed
+        assert check_bounds_exist(chain_order([0, 1, 2])).ok
 
     def test_incomparable_pair_without_bounds(self):
         order = OrderRelation.from_pairs([0, 1], [])
-        report = check_bounds_exist(order)
-        assert report.verdict == "fail"
+        assert check_bounds_exist(order) == Clause("pair bounds", False, (0, 1, "upper"))
 
     def test_diamond(self):
         order = OrderRelation.from_pairs(
             "oabt", [("o", "a"), ("o", "b"), ("a", "t"), ("b", "t")]
         )
-        assert check_bounds_exist(order).passed
+        assert check_bounds_exist(order).ok
 
 
 class TestOrderDistanceCompat:
     def test_abs_chain_passes(self, chain3):
         space, order = chain3
-        assert check_order_distance_compat(space, order).passed
+        assert check_order_distance_compat(space, order).ok
 
     def test_bulging_middle_fails(self):
         space = DistanceSpace.from_matrix(
             [0, 1, 2], [[0, 5, 1], [5, 0, 1], [1, 1, 0]]
         )
         order = chain_order([0, 1, 2])
-        report = check_order_distance_compat(space, order)
-        assert report.verdict == "fail"
-        assert report.counterexample == (0, 1, 2)
+        clause = check_order_distance_compat(space, order)
+        assert (clause.ok, clause.witness) == (False, (0, 1, 2))
 
     def test_antichain_vacuous(self):
         space = DistanceSpace.from_matrix([0, 1], [[0, 3], [3, 0]])
         order = OrderRelation.from_pairs([0, 1], [])
-        assert check_order_distance_compat(space, order).passed
+        assert check_order_distance_compat(space, order).ok
 
     def test_computed_distances_compare_with_margin(self):
         # near = 0.1 + 0.2 rounds above far = 0.3 + 0: a table compares
@@ -151,8 +147,8 @@ class TestOrderDistanceCompat:
         )
         computed = DistanceSpace(table.dist, points=table.points)
         order = chain_order([0, 1, 2])
-        assert check_order_distance_compat(table, order).counterexample == (0, 1, 2)
-        assert check_order_distance_compat(computed, order).passed
+        assert check_order_distance_compat(table, order).witness == (0, 1, 2)
+        assert check_order_distance_compat(computed, order).ok
 
 
 class TestOmega:
@@ -207,31 +203,62 @@ class TestMeirKeelerSpace:
         space = DistanceSpace.from_matrix([0, 1], [[0, 0], [1, 0]])
         order = chain_order([0, 1])
         delta = MeirKeelerModulus.linear(1.0)
-        assert check_mk_space(space, order, delta, [1.0, 0.5]).passed
+        assert check_mk_space(space, order, delta, [1.0, 0.5]).ok
 
     def test_unit_gap_fails_at_three_quarters(self):
         space, order = int_chain(2)
         delta = MeirKeelerModulus.linear(1.0)
-        report = check_mk_space(space, order, delta, [0.75])
-        assert report.verdict == "fail"
-        assert report.counterexample == (0, 1, 0.75)
+        clause = check_mk_space(space, order, delta, [0.75])
+        assert (clause.ok, clause.witness) == (False, (0, 1, 0.75))
 
     def test_antichain_vacuous(self):
         space = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         order = OrderRelation.from_pairs([0, 1], [])
         delta = MeirKeelerModulus.linear(1.0)
-        assert check_mk_space(space, order, delta, [1.0]).passed
+        assert check_mk_space(space, order, delta, [1.0]).ok
 
     def test_modulus_must_be_positive(self):
-        delta = MeirKeelerModulus(lambda r: 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            delta(1.0)
+        # c * r underflows to 0
+        with pytest.raises(ValueError, match=r"got delta\(1e-300\) = 0.0"):
+            MeirKeelerModulus.linear(1e-300)(1e-300)
 
     def test_nan_radius_and_nan_value_are_rejected(self):
         with pytest.raises(ValueError, match="positive r"):
             MeirKeelerModulus.linear(1.0)(float("nan"))
-        with pytest.raises(ValueError, match="modulus must be positive"):
-            MeirKeelerModulus(lambda r: float("nan"))(1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "form, message",
+        [("linear", "linear modulus needs a positive finite coefficient"),
+         ("const", "constant modulus needs a positive finite value")],
+    )
+    def test_coefficient_is_validated_on_every_construction(self, c, form, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MeirKeelerModulus(c, form)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(MeirKeelerModulus, form)(c)
+
+    def test_only_two_forms(self):
+        with pytest.raises(ValueError, match="unknown modulus form 'power'"):
+            MeirKeelerModulus(1.0, "power")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["linear", "const"]),
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    )
+    def test_call_and_values_agree_bit_for_bit(self, form, c, r):
+        # The grid thresholds and the closed-form witness read the same floats.
+        delta = MeirKeelerModulus(c, form)
+        python = c * r if form == "linear" else c
+        if not python > 0:
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                delta(r)
+            return
+        value = delta(r)
+        assert type(value) is float
+        assert value.hex() == float(delta.values(np.array([r]))[0]).hex() == python.hex()
 
 
 class TestMeirKeelerOperator:
@@ -384,7 +411,7 @@ class TestBindingRDifferential:
         GRID,
         st.sampled_from(
             [MeirKeelerModulus.linear(1.0), MeirKeelerModulus.const(0.5),
-             MeirKeelerModulus.linear(1e-4), MeirKeelerModulus(lambda r: 3.0 - r if r < 2.9 else 0.1)]
+             MeirKeelerModulus.linear(1e-4)]
         ),
         st.lists(st.tuples(DIST, DIST | st.just(float("nan"))), max_size=12),
         st.sampled_from([0.0, COMPUTED_ATOL]),
@@ -510,9 +537,7 @@ PAIR_LABELS = st.lists(
     max_size=4,
     unique=True,
 )
-MK_DELTAS = st.sampled_from(
-    MONOTONE + [MeirKeelerModulus(lambda r: 3.0 - r if r < 2.9 else 0.1)]
-)
+MK_DELTAS = st.sampled_from(MONOTONE)
 R_GRIDS = st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1, max_size=3)
 
 
@@ -697,17 +722,14 @@ class TestOrderClausesMatchReference:
             [(a, b) in closure for b in labels] for a in labels
         ]
 
-        got, want = check_lattice(order), reference_check_lattice(order)
-        assert (got.is_lattice, got.counterexample) == (want.is_lattice, want.counterexample)
-        same_report(check_bounds_exist(order), reference_check_bounds_exist(order))
-        same_report(
-            check_order_distance_compat(space, order),
-            reference_check_order_distance_compat(space, order),
+        assert check_lattice(order) == reference_check_lattice(order)
+        assert check_bounds_exist(order) == reference_check_bounds_exist(order)
+        assert check_order_distance_compat(space, order) == reference_check_order_distance_compat(
+            space, order
         )
         grid = reference_r_grid(space)
-        same_report(
-            check_mk_space(space, order, delta, grid),
-            reference_check_mk_space(space, order, delta, grid),
+        assert check_mk_space(space, order, delta, grid) == reference_check_mk_space(
+            space, order, delta, grid
         )
         F = MultiOperator.constant(1, labels[0])
         family, lset = LambdaFamily.identity(1), LSet.of(1, 1)
@@ -726,7 +748,6 @@ class TestOrderClausesMatchReference:
         assert order.matrix(space.points).tolist() == [
             [True, False, False], [True, True, True], [True, False, True]
         ]
-        same_report(
-            check_order_distance_compat(space, order),
-            reference_check_order_distance_compat(space, order),
+        assert check_order_distance_compat(space, order) == reference_check_order_distance_compat(
+            space, order
         )

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module; the package's
+"""Every name a package module imports is used in that module, and every
+import sits at module level, not inside a function body; the package's
 ``__init__`` may import a name only to re-export it through ``__all__``."""
 
 import ast
@@ -27,12 +28,43 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def function_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # A set, as a nested function's imports are inside its parent's too.
+    nested = {
+        node
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in sorted(nested, key=lambda node: node.lineno)
+        for alias in node.names
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert function_imports(path) == []
 
 
 def test_an_unused_import_is_reported(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("import os\nimport numpy as np\nfrom typing import Any, Optional\nx: Any = np.e\n")
     assert unused_imports(module) == ["module.py:1 os", "module.py:3 Optional"]
+
+
+def test_an_import_in_a_function_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os\n\ndef f():\n    import json\n\n    def g():\n"
+        "        from typing import Any\n    return os, json\n"
+    )
+    assert function_imports(module) == ["module.py:4 json", "module.py:7 Any"]

@@ -99,9 +99,7 @@ def instances(draw):
     delta = draw(
         st.sampled_from(
             [MeirKeelerModulus.linear(0.5), MeirKeelerModulus.linear(2.0),
-             MeirKeelerModulus.const(0.15), MeirKeelerModulus.const(1.0),
-             # not monotone: mk-op falls back to the auto grid
-             MeirKeelerModulus(lambda r: 2.5 - r if r < 2.4 else 0.1)]
+             MeirKeelerModulus.const(0.15), MeirKeelerModulus.const(1.0)]
         )
     )
     r_grid = draw(

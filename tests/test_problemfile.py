@@ -2,6 +2,7 @@ import pytest
 
 from multifix import (
     LambdaFamily,
+    MultiOperator,
     ParseError,
     ProductKind,
     coupled_preset,
@@ -212,6 +213,14 @@ class TestParseErrors:
         text = FINITE_CHAIN.replace("0,1 -> 1\n", "")
         with pytest.raises(ParseError):
             parse_problem(text)
+
+    def test_a_fault_in_the_table_build_is_not_a_parse_error(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("a fault, not an input error")
+
+        monkeypatch.setattr(MultiOperator, "from_table", broken)
+        with pytest.raises(TypeError, match="a fault"):
+            parse_problem(FINITE_CHAIN)
 
     def test_require_names_missing_block(self):
         pf = parse_problem("space: box 0 1\n")
