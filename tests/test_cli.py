@@ -49,6 +49,24 @@ b,b -> a
 L: 1
 """
 
+# No point a has a <=_L lambdaF(a) with L = {2}, and (0,1) is the first with
+# lambdaF(a) <=_L a, so the auto start search takes its descending branch.
+DESCENDING_START = """\
+points: 0 1
+dist:
+0 1
+1 0
+order:
+0 <= 1
+lambda: coupled
+F:
+0,0 -> 1
+0,1 -> 1
+1,0 -> 0
+1,1 -> 0
+L: 2
+"""
+
 CONTRACTION = """\
 space: box -10 10
 family: linear-coupled 0.25 1
@@ -428,6 +446,10 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "direction=" in out
         assert "status=converged" in out
+
+    def test_auto_start_descending(self, prob, capsys):
+        main(["solve", prob(DESCENDING_START), "--start", "auto"])
+        assert capsys.readouterr().out.startswith("start=(0,1) direction=descending\n")
 
     def test_no_monotone_start_exit_four(self, prob, capsys):
         code = main(["solve", prob(SWAP_ANTICHAIN), "--start", "auto"])
