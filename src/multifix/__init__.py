@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     UnsupportedInstanceError,
 )
-from .game import GameConfig, Trajectory, is_optimal_selection, simulate, step
+from .game import GameConfig, Trajectory, simulate
 from .operators import (
     FixedPointCertificate,
     LambdaFamily,
@@ -50,15 +50,7 @@ from .solver import (
     picard_solve,
     verify_uniqueness,
 )
-from .spaces import (
-    Box,
-    DistanceClass,
-    DistanceSpace,
-    ball_contains,
-    classify_finite,
-    converges_to,
-    is_cauchy_prefix,
-)
+from .spaces import Box, DistanceClass, DistanceSpace, classify_finite
 
 __version__ = "0.1.0"
 
@@ -86,7 +78,6 @@ __all__ = [
     "UniquenessReport",
     "UnsupportedInstanceError",
     "apply_lambda_f",
-    "ball_contains",
     "chain_order",
     "check_bounds_exist",
     "check_lattice",
@@ -98,18 +89,14 @@ __all__ = [
     "check_uniform_equivalence",
     "classify_finite",
     "compare_L",
-    "converges_to",
     "coupled_preset",
     "enumerate_fixed_points",
     "find_monotone_start",
-    "is_cauchy_prefix",
     "is_multiple_fixed_point",
-    "is_optimal_selection",
     "picard_solve",
     "product_space",
     "sample_comparable_pairs",
     "simulate",
-    "step",
     "sum_distance",
     "sup_distance",
     "surjectivity_report",

@@ -249,12 +249,13 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     r = np.array(r_grid, dtype=float)
     with np.errstate(over="ignore"):
         t = r + delta.values(r)
-    order = np.argsort(t)
+    # The modulus is linear or constant, so r + delta(r) is nondecreasing in
+    # r and sorting by r sorts the thresholds.  A lookup lands past a whole
+    # run of tied thresholds, so bounds[i], the i-th least r, is the least r
+    # whose premise holds; the trailing inf stands for "no premise holds".
+    order = np.argsort(r)
     thresholds = t[order]
-    # bounds[i]: the least r among the entries whose threshold ranks i or
-    # later, the trailing inf standing for "no premise holds".  A lookup
-    # lands past a whole run of tied thresholds, so their order is free.
-    bounds = np.append(np.minimum.accumulate(r[order][::-1])[::-1], np.inf)
+    bounds = np.append(r[order], np.inf)
 
     def first_failure(rho, image_rho, atol: float) -> Optional[tuple[int, float]]:
         i = np.searchsorted(thresholds, rho, side="right")

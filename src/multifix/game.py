@@ -11,14 +11,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .operators import (
-    LambdaFamily,
-    MultiOperator,
-    apply_lambda_f,
-    bind_lambda_f,
-    check_lambda_arity,
-)
-from .product import sum_distance
+from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
 from .spaces import DistanceSpace
 
 Point = Any
@@ -57,22 +50,6 @@ class Trajectory:
         return self.rounds[-1].selection
 
 
-def step(game: GameConfig, x: Sequence[Point]) -> tuple[tuple, tuple]:
-    """One correction round: the next selection and each player's
-    non-convenience d(x_i, next_i)."""
-    x = tuple(x)
-    nxt = apply_lambda_f(game.F, game.family, x)
-    return nxt, tuple(map(game.space.dist, x, nxt))
-
-
-def is_optimal_selection(game: GameConfig, x: Sequence[Point], tol: float) -> bool:
-    """A selection is optimal when the correction leaves it fixed (within tol,
-    measured in the sum product distance)."""
-    x = tuple(x)
-    image = apply_lambda_f(game.F, game.family, x)
-    return sum_distance(game.space, x, image) <= tol
-
-
 def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
     """Iterate corrections from ``start`` until the selection is optimal or
     the round cap is hit; every visited selection is recorded.  An optimal
@@ -86,7 +63,7 @@ def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
     traj = Trajectory()
     for _ in range(game.rounds):
         nxt = lam(x)
-        nonconv = tuple(map(dist, x, nxt))  # as in step(), bound once
+        nonconv = tuple(map(dist, x, nxt))
         traj.rounds.append(Round(x, nonconv))
         # Added left to right, as sum_distance does.
         if functools.reduce(operator.add, nonconv) <= game.tol:

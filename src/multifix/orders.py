@@ -8,8 +8,6 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedInstanceError
-
 Point = Any
 
 
@@ -68,13 +66,6 @@ class OrderRelation:
             return all(a <= b for a, b in zip(x, y))
         return x <= y
 
-    def pairs(self) -> frozenset:
-        if self._matrix is None:
-            raise UnsupportedInstanceError("numeric order has no finite pair table")
-        return frozenset(
-            (self.points[i], self.points[j]) for i, j in np.argwhere(self._matrix).tolist()
-        )
-
     def matrix(self, labels: Sequence[Point]) -> np.ndarray:
         """The order re-indexed to ``labels``: entry ``(i, j)`` is
         ``leq(labels[i], labels[j])``, so a label the order does not contain
@@ -130,10 +121,6 @@ class LSet:
 
     def complement(self) -> "LSet":
         return LSet(self.m, frozenset(range(1, self.m + 1)) - self.members)
-
-    def __str__(self) -> str:
-        inner = ",".join(str(i) for i in sorted(self.members))
-        return "L={" + inner + "}"
 
 
 def compare_L(order: OrderRelation, lset: LSet, x: Sequence, y: Sequence) -> bool:

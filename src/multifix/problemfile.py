@@ -45,8 +45,17 @@ class ProblemFile:
     def require(self, name: str):
         value = getattr(self, name)
         if value is None:
-            raise ParseError(f"problem file is missing the '{name}' block")
+            block = _SOURCE_BLOCKS.get(name, f"'{name}'")
+            raise ParseError(f"problem file is missing the {block} block")
         return value
+
+
+# The blocks that give a field whose name differs from theirs.
+_SOURCE_BLOCKS = {
+    "space": "'points' and 'dist', or 'space'",
+    "operator": "'F' or 'family'",
+    "family": "'lambda'",
+}
 
 
 def make_family_operator(name: str, args: list[float]) -> tuple[MultiOperator, int]:
@@ -119,6 +128,15 @@ _HEADERS = {
     "l", "delta", "start", "tol", "max_iter", "rounds", "metric",
 }
 
+# Blocks that give the same part of a problem two ways: a file uses one.
+_ALTERNATIVES = {
+    "points": ("space", "carrier"),
+    "space": ("points", "carrier"),
+    "f": ("family", "operator"),
+    "family": ("f", "operator"),
+}
+_SPELLING = {"f": "F"}
+
 
 def parse_problem(text: str) -> ProblemFile:
     lines = _Lines(text)
@@ -147,6 +165,13 @@ def parse_problem(text: str) -> ProblemFile:
         head = head.strip().lower()
         rest = rest.strip()
         block_line.setdefault(head, ln)
+        other, what = _ALTERNATIVES.get(head, (None, None))
+        if other in block_line:
+            raise ParseError(
+                f"the {what} is given twice: '{_SPELLING.get(head, head)}' here and "
+                f"'{_SPELLING.get(other, other)}' on line {block_line[other]}",
+                ln,
+            )
 
         if head == "points":
             labels = tuple(rest.split())
@@ -262,6 +287,8 @@ def parse_problem(text: str) -> ProblemFile:
         pf.order = OrderRelation.numeric()
 
     if family_spec is not None:
+        if labels is not None:
+            raise ParseError("operator families need a box carrier", block_line["family"])
         try:
             pf.operator, m = make_family_operator(*family_spec)
         except ValueError as exc:

@@ -171,31 +171,16 @@ class EquivalenceReport:
     counterexample: Optional[tuple] = None
 
 
-def check_uniform_equivalence(
-    space: DistanceSpace, m: int, sample: Optional[Sequence[tuple]] = None
-) -> EquivalenceReport:
-    """Verify the sandwich inequality on sampled pairs (or exhaustively).
-
-    ``sample`` is a sequence of (x, y) product-point pairs; omit it on finite
-    carriers to check every pair of the materialized product.
-    """
-    if sample is None:
-        sup, tot = product_matrices(space, m)
-        ok = bool(np.all(sup <= tot) and np.all(tot <= m * sup))
-        if ok:
-            return EquivalenceReport(True, sup.size)
-        bad = np.argwhere(~((sup <= tot) & (tot <= m * sup)))
-        i, j = map(int, bad[0])
-        pts = product_points(space, m)
-        return EquivalenceReport(False, sup.size, (pts[i], pts[j]))
-    if len(sample) == 0:
-        raise ValueError("sample must be nonempty")
-    for x, y in sample:
-        lo = sup_distance(space, x, y)
-        hi = sum_distance(space, x, y)
-        if not (lo <= hi <= m * lo):
-            return EquivalenceReport(False, len(sample), (x, y))
-    return EquivalenceReport(True, len(sample))
+def check_uniform_equivalence(space: DistanceSpace, m: int) -> EquivalenceReport:
+    """Verify the sandwich inequality on every pair of the materialized
+    product of a finite carrier."""
+    sup, tot = product_matrices(space, m)
+    bad = ~((sup <= tot) & (tot <= m * sup))
+    if not bad.any():
+        return EquivalenceReport(True, sup.size)
+    i, j = map(int, np.argwhere(bad)[0])
+    pts = product_points(space, m)
+    return EquivalenceReport(False, sup.size, (pts[i], pts[j]))
 
 
 def format_product_point(p: Sequence) -> str:

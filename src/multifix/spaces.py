@@ -84,11 +84,6 @@ class DistanceSpace:
     def is_finite(self) -> bool:
         return self.points is not None
 
-    def __len__(self) -> int:
-        if self.points is None:
-            raise UnsupportedInstanceError("continuous carrier has no size")
-        return len(self.points)
-
     def contains(self, p: Point) -> bool:
         if self._point_set is not None:
             return p in self._point_set
@@ -205,15 +200,6 @@ class DistanceClass:
         carrier the minimum of the per-point deltas serves every point, so N
         and F coincide."""
         return self.f_distance
-
-
-def ball_contains(space: DistanceSpace, center: Point, radius: float, y: Point) -> bool:
-    """Membership in the open ball B(center, radius) = {y : d(center, y) < radius}."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    space.require(center)
-    space.require(y)
-    return space.dist(center, y) < radius
 
 
 def is_h_distance(space: DistanceSpace) -> bool:
@@ -343,46 +329,3 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
         s_distance=s_distance,
         h_distance=is_h_distance(space),
     )
-
-
-def _check_tail(seq: Sequence[Point], tail: int) -> Sequence[Point]:
-    if tail == 0:
-        raise ValueError("tail must be at least 1")
-    if tail > len(seq):
-        raise ValueError(f"tail {tail} exceeds sequence length {len(seq)}")
-    return seq[len(seq) - tail:]
-
-
-def is_cauchy_prefix(
-    space: DistanceSpace, seq: Sequence[Point], tol: float, tail: int
-) -> bool:
-    """Finite-prefix surrogate for the Cauchy property.
-
-    True iff all pairwise distances, in both orientations, among the last
-    ``tail`` items are below ``tol``.  This is a statement about the prefix
-    only, never a claim about the true limit behaviour.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    items = _check_tail(seq, tail)
-    for p in items:
-        space.require(p)
-    return all(
-        space.dist(a, b) < tol for a in items for b in items
-    )
-
-
-def converges_to(
-    space: DistanceSpace, seq: Sequence[Point], x: Point, tol: float, tail: int
-) -> bool:
-    """Prefix surrogate for convergence to ``x``.
-
-    Uses the orientation d(x, x_n), which matters on asymmetric distances.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    space.require(x)
-    items = _check_tail(seq, tail)
-    for p in items:
-        space.require(p)
-    return all(space.dist(x, p) < tol for p in items)

@@ -906,3 +906,48 @@ class TestAssemblyErrorLines:
         assert main(["check", prob(text), "--condition", "omega1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: line {line}: ") and message in err
+
+
+class TestMixedBlocks:
+    """A file gives its carrier one way and its operator one way; a second
+    way is refused at its block's line, not dropped or run into a crash."""
+
+    @pytest.mark.parametrize("command", [["solve"], ["check", "--condition", "omega1"]])
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (
+                TWO_POINTS.split("F:")[0] + "family: linear-coupled 0.5 0\nstart: a b\n",
+                8,
+                "operator families need a box carrier",
+            ),
+            (
+                TWO_POINTS + "family: linear-coupled 0.5 0\n",
+                13,
+                "the operator is given twice: 'family' here and 'F' on line 8",
+            ),
+            (
+                TWO_POINTS + "space: box 0 1\n",
+                13,
+                "the carrier is given twice: 'space' here and 'points' on line 1",
+            ),
+        ],
+        ids=["family-over-points", "F-and-family", "points-and-space"],
+    )
+    def test_parse_error_exit_two(self, prob, capsys, command, text, line, message):
+        assert main([command[0], prob(text), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"parse error: line {line}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, block",
+        [
+            ("family: linear-coupled 0.25 1\nstart: 0 0\n", "'points' and 'dist', or 'space'"),
+            ("space: box 0 1\nstart: 0 0\n", "'F' or 'family'"),
+            (TWO_POINTS.replace("lambda: coupled\n", "") + "start: a b\n", "'lambda'"),
+        ],
+        ids=["no-carrier", "no-operator", "no-lambda"],
+    )
+    def test_missing_block_names_the_block_to_add(self, prob, capsys, text, block):
+        assert main(["solve", prob(text)]) == 2
+        err = f"parse error: problem file is missing the {block} block\n"
+        assert capsys.readouterr() == ("", err)

@@ -11,11 +11,11 @@ from multifix import (
     MultiOperator,
     ProductKind,
     SolveConfig,
+    apply_lambda_f,
     coupled_preset,
-    is_optimal_selection,
+    is_multiple_fixed_point,
     picard_solve,
     simulate,
-    step,
 )
 from multifix.game import write_trajectory_csv
 from helpers import (
@@ -35,42 +35,40 @@ def demo_game():
     return GameConfig(space=space, F=F, family=coupled_preset(), rounds=200, tol=1e-8)
 
 
-class TestStep:
-    def test_demo_first_step(self, demo_game):
-        nxt, nonconv = step(demo_game, (0.0, 0.0))
-        assert nxt == (0.25, 0.25)
-        assert nonconv == (0.25, 0.25)
+class TestCorrection:
+    def test_demo_first_correction(self, demo_game):
+        assert apply_lambda_f(demo_game.F, demo_game.family, (0.0, 0.0)) == (0.25, 0.25)
+        first = simulate(demo_game, (0.0, 0.0)).rounds[0]
+        assert first.nonconvenience == (0.25, 0.25)
 
     def test_optimal_point_is_stationary(self, demo_game):
-        nxt, nonconv = step(demo_game, (0.5, 0.5))
-        assert nxt == (0.5, 0.5)
-        assert nonconv == (0.0, 0.0)
+        assert apply_lambda_f(demo_game.F, demo_game.family, (0.5, 0.5)) == (0.5, 0.5)
+        first = simulate(demo_game, (0.5, 0.5)).rounds[0]
+        assert first.nonconvenience == (0.0, 0.0)
 
     def test_constant_correction(self):
-        space = DistanceSpace.reals(0, 1)
-        game = GameConfig(
-            space=space,
-            F=MultiOperator.constant(2, 0.75),
-            family=coupled_preset(),
-        )
-        nxt, _ = step(game, (0.1, 0.9))
-        assert nxt == (0.75, 0.75)
+        F = MultiOperator.constant(2, 0.75)
+        assert apply_lambda_f(F, coupled_preset(), (0.1, 0.9)) == (0.75, 0.75)
 
 
 class TestOptimalSelection:
     def test_solved_fixed_point(self, demo_game):
         # oracle: x = y/2 + 1/4, y = x/2 + 1/4 has the unique solution (1/2, 1/2)
-        assert is_optimal_selection(demo_game, (0.5, 0.5), tol=0.0)
+        cert = is_multiple_fixed_point(demo_game.space, demo_game.F, demo_game.family, (0.5, 0.5))
+        assert cert.accepted
 
     def test_origin_is_not_optimal(self, demo_game):
-        assert not is_optimal_selection(demo_game, (0.0, 0.0), tol=1e-6)
+        cert = is_multiple_fixed_point(
+            demo_game.space, demo_game.F, demo_game.family, (0.0, 0.0), tol=1e-6
+        )
+        assert not cert.accepted
 
     def test_constant_diagonal(self):
         space = DistanceSpace.reals(0, 1)
         game = GameConfig(
             space=space, F=MultiOperator.constant(2, 0.3), family=coupled_preset()
         )
-        assert is_optimal_selection(game, (0.3, 0.3), tol=0.0)
+        assert is_multiple_fixed_point(game.space, game.F, game.family, (0.3, 0.3)).accepted
 
     def test_simulate_stops_where_the_sum_distance_says(self):
         # Non-convenience (1, 1e-16, 1e-16) adds to 1 left to right, as
@@ -85,9 +83,9 @@ class TestOptimalSelection:
             tol=1.0,
         )
         start = ("p", "r", "r")
-        assert step(game, start)[1] == (1.0, 1e-16, 1e-16)
-        assert is_optimal_selection(game, start, game.tol)
+        assert is_multiple_fixed_point(game.space, game.F, game.family, start, game.tol).accepted
         traj = simulate(game, start)
+        assert traj.rounds[0].nonconvenience == (1.0, 1e-16, 1e-16)
         assert traj.terminated_optimal and len(traj.rounds) == 1
 
 
@@ -128,8 +126,10 @@ class TestSimulate:
 
     def test_replay_from_final_selection_is_stable(self, demo_game):
         traj = simulate(demo_game, (0.0, 0.0))
-        _, nonconv = step(demo_game, traj.final_selection)
-        assert sum(nonconv) <= demo_game.tol
+        cert = is_multiple_fixed_point(
+            demo_game.space, demo_game.F, demo_game.family, traj.final_selection, demo_game.tol
+        )
+        assert cert.accepted
 
     def test_matches_picard_dynamics(self, demo_game):
         traj = simulate(demo_game, (0.0, 0.0))
@@ -200,6 +200,7 @@ class TestSimulateDifferential:
         assert field_reprs(simulate(game, start)) == field_reprs(reference_simulate(game, start))
 
     def test_arity_error_matches_apply_lambda_f(self, demo_game):
-        for call in (simulate, step):
-            with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
-                call(demo_game, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
+            simulate(demo_game, (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
+            apply_lambda_f(demo_game.F, demo_game.family, (0.0, 0.0, 0.0))

@@ -1,8 +1,12 @@
 """Every name a package module imports is used in that module, and every
 import sits at module level, not inside a function body; the package's
-``__init__`` may import a name only to re-export it through ``__all__``."""
+``__init__`` may import a name only to re-export it through ``__all__``.
+Every name in ``__all__`` is read somewhere besides the unit tests: by
+another package module, the benchmark, the acceptance suite or the
+README's library example."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 import multifix
 
 PACKAGE = Path(multifix.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -68,3 +73,44 @@ def test_an_import_in_a_function_is_reported(tmp_path):
         "        from typing import Any\n    return os, json\n"
     )
     assert function_imports(module) == ["module.py:4 json", "module.py:7 Any"]
+
+
+def references(path: Path) -> set[str]:
+    """Every name and attribute a Python file reads; of a Markdown file,
+    those its ``python`` code blocks read."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        text = "\n".join(re.findall(r"^```python\n(.*?)^```", text, re.M | re.S))
+    tree = ast.parse(text, filename=str(path))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def unreferenced_exports(exports, readers: list[Path]) -> list[str]:
+    """The exported names that no reader references."""
+    read = set().union(*map(references, readers))
+    return sorted(set(exports) - read)
+
+
+READERS = [
+    *sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "README.md",
+]
+
+
+def test_every_export_is_read_beyond_the_unit_tests():
+    assert unreferenced_exports(multifix.__all__, READERS) == []
+
+
+def test_an_unreferenced_export_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import lib\n\ndef helper():\n    return lib.used(), called()\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("```python\nshown()\n```\n\n```sh\nin_a_shell_block\n```\n")
+    exports = ["used", "called", "shown", "helper", "in_a_shell_block"]
+    assert unreferenced_exports(exports, [module, readme]) == ["helper", "in_a_shell_block"]

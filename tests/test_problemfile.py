@@ -52,7 +52,7 @@ metric: sum
 class TestFiniteParsing:
     def test_full_finite_problem(self):
         pf = parse_problem(FINITE_CHAIN)
-        assert pf.space.is_finite and len(pf.space) == 3
+        assert pf.space.is_finite and len(pf.space.points) == 3
         assert pf.space.dist("0", "2") == 2
         assert pf.order.leq("0", "2")  # transitive closure of the listed pairs
         assert pf.family == coupled_preset()
@@ -222,10 +222,61 @@ class TestParseErrors:
         with pytest.raises(TypeError, match="a fault"):
             parse_problem(FINITE_CHAIN)
 
-    def test_require_names_missing_block(self):
-        pf = parse_problem("space: box 0 1\n")
-        with pytest.raises(ParseError, match="operator"):
-            pf.require("operator")
+    @pytest.mark.parametrize(
+        "name, block",
+        [
+            ("space", "'points' and 'dist', or 'space'"),
+            ("operator", "'F' or 'family'"),
+            ("family", "'lambda'"),
+            ("order", "'order'"),
+            ("delta", "'delta'"),
+            ("start", "'start'"),
+        ],
+    )
+    def test_require_names_missing_block(self, name, block):
+        pf = parse_problem("metric: sup\n")
+        with pytest.raises(ParseError) as err:
+            pf.require(name)
+        assert str(err.value) == f"problem file is missing the {block} block"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (
+                "points: a b\ndist:\n0 1\n1 0\nfamily: linear-coupled 0.5 0\n",
+                5,
+                "operator families need a box carrier",
+            ),
+            (
+                CONTINUOUS.replace("L: 1", "F:\n0,0 -> 0\nL: 1"),
+                4,
+                "the operator is given twice: 'F' here and 'family' on line 3",
+            ),
+            (
+                FINITE_CHAIN + "family: linear-coupled 0.25 1\n",
+                24,
+                "the operator is given twice: 'family' here and 'F' on line 11",
+            ),
+            (
+                FINITE_CHAIN + "space: box 0 1\n",
+                24,
+                "the carrier is given twice: 'space' here and 'points' on line 2",
+            ),
+            (
+                "space: box 0 1\n" + FINITE_CHAIN,
+                3,
+                "the carrier is given twice: 'points' here and 'space' on line 1",
+            ),
+        ],
+        ids=[
+            "family-over-points", "F-after-family", "family-after-F",
+            "space-after-points", "points-after-space",
+        ],
+    )
+    def test_mixed_carriers_or_operators_carry_line_number(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 class TestFamilyCatalog:

@@ -68,7 +68,7 @@ class TestProductDistances:
 class TestProductSpace:
     def test_metric_product_reclassifies_metric(self, two_point):
         prod = product_space(two_point, 2, ProductKind.SUP)
-        assert len(prod) == 4
+        assert len(prod.points) == 4
         assert classify_finite(prod).metric
 
     def test_quasimetric_sum_product(self):
@@ -115,10 +115,6 @@ class TestProductSpace:
 
 
 class TestUniformEquivalence:
-    def test_single_pair(self, reals):
-        report = check_uniform_equivalence(reals, 2, [((0, 0), (1, 3))])
-        assert report.passed
-
     def test_m1_equality(self, two_point):
         report = check_uniform_equivalence(two_point, 1)
         assert report.passed
@@ -130,7 +126,3 @@ class TestUniformEquivalence:
         report = check_uniform_equivalence(space, 3)
         assert report.passed
         assert report.pairs_checked == 27 * 27
-
-    def test_empty_sample_rejected(self, reals):
-        with pytest.raises(ValueError):
-            check_uniform_equivalence(reals, 2, [])

@@ -9,15 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
-    CarrierError,
     DistanceClass,
     DistanceSpace,
     ProductKind,
     UnsupportedInstanceError,
-    ball_contains,
     classify_finite,
-    converges_to,
-    is_cauchy_prefix,
     product_space,
 )
 from multifix import spaces
@@ -32,11 +28,6 @@ from helpers import (
 
 # Entries for the validation test: negative, signed zeros and positive.
 ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, 0.0, 0.5, 1.0])
-
-
-@pytest.fixture
-def reals():
-    return DistanceSpace.reals()
 
 
 @pytest.fixture
@@ -111,26 +102,6 @@ class TestConstruction:
         assert space.dist("a", "b") == 0
         assert space.dist("b", "a") == 1
         assert type(space.dist("b", "a")) is float
-
-
-class TestBall:
-    def test_interior_point(self, reals):
-        assert ball_contains(reals, 0, 1, 0.5)
-
-    def test_boundary_is_excluded(self, reals):
-        assert not ball_contains(reals, 0, 1, 1.0)
-
-    def test_table_lookup(self):
-        space = DistanceSpace.from_matrix(["a", "b"], [[0, 2], [2, 0]])
-        assert ball_contains(space, "a", 3, "b")
-
-    def test_requires_positive_radius(self, reals):
-        with pytest.raises(ValueError):
-            ball_contains(reals, 0, 0, 0.5)
-
-    def test_point_outside_carrier(self, path3):
-        with pytest.raises(CarrierError):
-            ball_contains(path3, "a", 1, "zzz")
 
 
 class TestClassify:
@@ -372,41 +343,3 @@ class TestMinPlus:
             h_distance=True,
         )
 
-
-class TestSequences:
-    def test_geometric_tail_is_cauchy(self, reals):
-        seq = [2.0 ** -k for k in range(11)]
-        assert is_cauchy_prefix(reals, seq, 1e-2, 4)
-
-    def test_alternating_is_not_cauchy(self, reals):
-        assert not is_cauchy_prefix(reals, [0, 1, 0, 1], 0.5, 4)
-
-    def test_constant_sequence(self, path3):
-        assert is_cauchy_prefix(path3, ["b"] * 5, 1e-9, 5)
-
-    def test_tail_zero_rejected(self, reals):
-        with pytest.raises(ValueError):
-            is_cauchy_prefix(reals, [0, 0], 1.0, 0)
-
-    def test_converges_geometric(self, reals):
-        seq = [2.0 ** -k for k in range(15)]
-        assert converges_to(reals, seq, 0.0, 1e-3, 3)
-
-    def test_converges_orientation_matters(self):
-        # d(a,b) = 0 but d(b,a) = 1: the defining orientation d(x, x_n) accepts
-        space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
-        assert converges_to(space, ["b", "b", "b"], "a", 0.5, 3)
-        assert not converges_to(space, ["a", "a", "a"], "b", 0.5, 3)
-
-    def test_far_constant_does_not_converge(self, reals):
-        assert not converges_to(reals, [1, 1, 1], 0.0, 0.5, 3)
-
-    def test_h_space_forbids_two_limits(self):
-        # separation: with tolerance below half the separating radius no
-        # prefix can converge to two distinct limits
-        space = DistanceSpace.from_matrix(["a", "b"], [[0, 1], [1, 0]])
-        assert classify_finite(space).h_distance
-        seq = ["a"] * 6
-        tol = 0.25
-        assert converges_to(space, seq, "a", tol, 4)
-        assert not converges_to(space, seq, "b", tol, 4)
