@@ -101,7 +101,16 @@ tol: 1e-8
 rounds: 200
 """
 
-
+# A tripled family whose solve reads the file's sum metric: the iteration
+# from (3, 0, 1) converges to (1, 1, 1).
+TRIPLED_SUM = """\
+space: box -10 10
+family: linear-tripled 0.1 1
+metric: sum
+L: 1 3
+delta linear 1.0
+start: 3 0 1
+"""
 
 
 def table_file(header, points, value, footer, m=3):

@@ -37,6 +37,7 @@ COMMANDS = [
     ["enumerate"],
     ["solve"],
     ["solve", "--start", "auto"],
+    ["solve", "--start", "1,1"],
     ["game"],
     *(
         ["check", "--condition", c]
