@@ -114,7 +114,7 @@ def cmd_check(args) -> int:
         if space.is_finite and (args.seed, args.samples) != (None, None):
             args.usage_error("--seed and --samples are read only on a continuous carrier")
         if not space.is_finite:
-            lo, hi = space.box.bounds[0]
+            lo, hi = space.box.lo, space.box.hi
             options["seed"] = seed = args.seed or 0
             samples = 10_000 if args.samples is None else args.samples
             options["pairs"] = sample_comparable_pairs(lo, hi, lset, samples, seed)

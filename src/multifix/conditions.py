@@ -380,10 +380,10 @@ def check_mk_operator(
 
     Without an explicit ``r_grid`` every r > 0 is decided in closed form;
     with one, r ranges over the grid and the report is ``grid_bound``.
-    Finite instances with no explicit sample are exhausted and may report
-    "pass"; supplied pairs, an (n, 2, m) array as
-    :func:`sample_comparable_pairs` returns or any sequence of (x, y), yield
-    at most "sampled-pass".
+    A finite carrier is checked on every comparable pair and may report
+    "pass"; a continuous one is checked on the supplied ``pairs``, an
+    (n, 2, m) array of reals as :func:`sample_comparable_pairs` returns, and
+    reports at most "sampled-pass".
     """
     atol = product_atol(space, kind)
     if pairs is None:
@@ -391,9 +391,7 @@ def check_mk_operator(
             space, order, F, family, lset, delta, kind, r_grid, atol
         )
     else:
-        if len(pairs) == 0:
-            raise ValueError("no comparable pairs to check")
-        points = _pair_array(pairs, F, family)
+        points = _pair_array(space, pairs, F, family)
         d, d_img = _column_distances(space, F, family, kind, points)
         found = _first_failure(delta, r_grid)(d, d_img, atol)
         failure = None
@@ -408,30 +406,21 @@ def check_mk_operator(
     )
 
 
-def _pair_array(pairs: Sequence, F: MultiOperator, family: LambdaFamily) -> np.ndarray:
-    """The supplied pairs as one (n, 2, m) array, each pair's arity checked
-    on entry as sup_distance and apply_lambda_f do.  An (n, 2, m) array
-    passes as it is; any other sequence becomes an object array, so labels
-    that are themselves tuples stay whole."""
-    if isinstance(pairs, np.ndarray) and pairs.ndim == 3 and pairs.shape[1] == 2:
-        check_pair_arity(pairs[0, 0], pairs[0, 1])
-        check_lambda_arity(F, family, pairs[0, 0])
-        return pairs
-    m = family.m
-
-    def coordinates():
-        checked = False
-        for x, y in pairs:
-            if not checked or len(x) != m or len(y) != m:
-                check_pair_arity(x, y)
-                check_lambda_arity(F, family, x)
-                check_lambda_arity(F, family, y)
-                checked = True
-            yield from x
-            yield from y
-
-    flat = np.fromiter(coordinates(), object, count=2 * m * len(pairs))
-    return flat.reshape(len(pairs), 2, m)
+def _pair_array(
+    space: DistanceSpace, pairs: Sequence, F: MultiOperator, family: LambdaFamily
+) -> np.ndarray:
+    """A continuous carrier's sampled pairs as one (n, 2, m) float array,
+    the arity checked on the first pair as sup_distance and apply_lambda_f do."""
+    if space.is_finite:
+        raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
+    if len(pairs) == 0:
+        raise ValueError("no comparable pairs to check")
+    points = np.asarray(pairs, dtype=float)
+    if points.ndim != 3 or points.shape[1] != 2:
+        raise ValueError(f"pairs must form an (n, 2, m) array, got shape {points.shape}")
+    check_pair_arity(points[0, 0], points[0, 1])
+    check_lambda_arity(F, family, points[0, 0])
+    return points
 
 
 def _column_distances(
@@ -446,7 +435,7 @@ def _column_distances(
     a time.
 
     F and the base distance run through ``np.frompyfunc``, so each call gets
-    the Python scalars or labels a per-pair loop passes, and :func:`combine`
+    the Python floats a per-pair loop passes, and :func:`combine`
     runs on the returned Python objects before one conversion to float.
     Python scalar arithmetic never warns, so the overflow and invalid flags
     it leaves must not become numpy warnings.

@@ -49,7 +49,7 @@ class OrderRelation:
 
     @classmethod
     def numeric(cls) -> "OrderRelation":
-        """Componentwise numeric order on reals / real tuples."""
+        """The usual order on the reals."""
         return cls(None, None)
 
     @property
@@ -62,8 +62,6 @@ class OrderRelation:
                 return self._matrix.item(self._index[x], self._index[y])
             except KeyError:  # a point outside the order compares to nothing
                 return False
-        if isinstance(x, (tuple, list)):
-            return all(a <= b for a, b in zip(x, y))
         return x <= y
 
     def matrix(self, labels: Sequence[Point]) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Plain-text problem files: one format shared by every CLI command.
 
-Block layout (order free, '#' starts a comment):
+Block layout (each block at most once, in any order; '#' starts a comment):
 
     points: a b c          finite carrier labels
     dist:                  n rows of n nonnegative reals (row i = d(p_i, .))
-    order:                 lines "a <= b" (closure is taken at load)
+    order:                 lines "a <= b" over the points (closure is taken at load)
     space: box LO HI       continuous 1-D carrier [LO, HI] instead of points/dist
     lambda:                m rows of m 1-based indices, or "lambda: coupled"
     F:                     table lines "a,b -> c", or "family: NAME ARGS"
@@ -25,7 +25,7 @@ from .errors import EvaluationError, ParseError
 from .operators import LambdaFamily, MultiOperator, coupled_preset, tripled_preset
 from .orders import LSet, OrderRelation
 from .product import ProductKind
-from .spaces import Box, DistanceSpace
+from .spaces import DistanceSpace
 
 
 @dataclass
@@ -111,22 +111,30 @@ class _Lines:
         return None
 
     def peek_header(self) -> bool:
-        """True if the next content line opens a block: ``name:`` or ``delta linear|const``."""
+        """True if the file ends or its next content line opens a block."""
         save = self.pos
         item = self.next_content()
         self.pos = save
-        if item is None:
-            return True
-        head, colon, _ = item[1].lower().partition(":")
-        if colon:
-            return head.strip() in _HEADERS
-        return head.split()[:2] in (["delta", "linear"], ["delta", "const"])
+        return item is None or _header(item[1]) is not None
 
 
 _HEADERS = {
     "points", "dist", "order", "space", "lambda", "f", "family",
     "l", "delta", "start", "tol", "max_iter", "rounds", "metric",
 }
+
+
+def _header(line: str) -> Optional[tuple[str, str]]:
+    """(name, rest) of a line that opens a block, ``name: rest`` with a known
+    name or ``delta linear|const C``; None for any other line."""
+    head, colon, rest = line.partition(":")
+    if not colon:
+        if line.lower().split()[:2] not in (["delta", "linear"], ["delta", "const"]):
+            return None
+        head, rest = line.split(None, 1)
+    head = head.strip().lower()
+    return (head, rest.strip()) if head in _HEADERS else None
+
 
 # Blocks that give the same part of a problem two ways: a file uses one.
 _ALTERNATIVES = {
@@ -135,7 +143,7 @@ _ALTERNATIVES = {
     "f": ("family", "operator"),
     "family": ("f", "operator"),
 }
-_SPELLING = {"f": "F"}
+_SPELLING = {"f": "F", "l": "L"}
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -146,7 +154,6 @@ def parse_problem(text: str) -> ProblemFile:
     labels: Optional[tuple] = None
     matrix: Optional[list[list[float]]] = None
     order_pairs: list[tuple] = []
-    box: Optional[Box] = None
     table_lines: list[tuple[int, str]] = []
     family_spec: Optional[tuple[str, list[float]]] = None
     lambda_rows: Optional[list[tuple[int, ...]]] = None
@@ -158,13 +165,17 @@ def parse_problem(text: str) -> ProblemFile:
         if item is None:
             break
         ln, line = item
-        if ":" in line:
-            head, rest = line.split(":", 1)
-        else:
-            head, rest = line.split(None, 1) if " " in line else (line, "")
-        head = head.strip().lower()
-        rest = rest.strip()
-        block_line.setdefault(head, ln)
+        header = _header(line)
+        if header is None:
+            head, colon, _ = line.partition(":")
+            if colon:
+                raise ParseError(f"unknown block {head.strip().lower()!r}", ln)
+            raise ParseError(f"expected a block header 'name: ...', got {line!r}", ln)
+        head, rest = header
+        if head in block_line:
+            name, first = _SPELLING.get(head, head), block_line[head]
+            raise ParseError(f"the '{name}' block is given twice: here and on line {first}", ln)
+        block_line[head] = ln
         other, what = _ALTERNATIVES.get(head, (None, None))
         if other in block_line:
             raise ParseError(
@@ -214,7 +225,8 @@ def parse_problem(text: str) -> ProblemFile:
             lo, hi = (_number(t, "box bound", ln) for t in toks[1:])
             if lo > hi:
                 raise ParseError(f"box bounds need LO <= HI, got {toks[1]} > {toks[2]}", ln)
-            box = Box(((lo, hi),))
+            pf.space = DistanceSpace.reals(lo, hi)
+            pf.order = OrderRelation.numeric()
         elif head == "lambda":
             if rest == "coupled":
                 pf.family = coupled_preset()
@@ -270,6 +282,8 @@ def parse_problem(text: str) -> ProblemFile:
 
     # -- assemble ------------------------------------------------------------
 
+    if "order" in block_line and labels is None:
+        raise ParseError("order blocks need a finite carrier", block_line["order"])
     if labels is not None:
         if matrix is None:
             raise ParseError("points block without a dist block", block_line["points"])
@@ -282,9 +296,6 @@ def parse_problem(text: str) -> ProblemFile:
                 pf.order = OrderRelation.from_pairs(labels, order_pairs)
             except ValueError as exc:
                 raise ParseError(str(exc), block_line["order"])
-    elif box is not None:
-        pf.space = DistanceSpace(lambda x, y: abs(x - y), box=box)
-        pf.order = OrderRelation.numeric()
 
     if family_spec is not None:
         if labels is not None:

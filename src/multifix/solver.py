@@ -55,21 +55,14 @@ def find_monotone_start(
     F: MultiOperator,
     family: LambdaFamily,
     lset: LSet,
-    candidates: Optional[Sequence[tuple]] = None,
 ) -> Optional[tuple[tuple, str]]:
     """First product point a with a <=_L lambdaF(a) (ascending) or
-    lambdaF(a) <=_L a (descending), in canonical enumeration order.
-
-    Finite carriers are searched exhaustively; continuous ones require an
-    explicit candidate list.
-    """
-    if candidates is None:
-        candidates = product_points(space, lset.m)
-    lam = None
-    for a in candidates:
-        if lam is None or len(a) != family.m:
-            check_lambda_arity(F, family, a)
-            lam = bind_lambda_f(F, family)
+    lambdaF(a) <=_L a (descending), searched over every point of a finite
+    carrier in canonical enumeration order."""
+    points = product_points(space, lset.m)
+    check_lambda_arity(F, family, [None] * lset.m)  # every point has arity lset.m
+    lam = bind_lambda_f(F, family)
+    for a in points:
         image = lam(a)
         if compare_L(order, lset, a, image):
             return a, "ascending"

@@ -9,6 +9,7 @@ axioms a given finite space happens to satisfy.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -33,19 +34,13 @@ DistFn = Callable[[Point, Point], float]
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box in R^k describing a continuous carrier."""
+    """The closed interval [lo, hi] of a continuous carrier."""
 
-    bounds: tuple[tuple[float, float], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
+    lo: float
+    hi: float
 
     def contains(self, p: Point) -> bool:
-        coords = (p,) if self.dim == 1 and not isinstance(p, (tuple, list)) else p
-        if not isinstance(coords, (tuple, list)) or len(coords) != self.dim:
-            return False
-        return all(lo <= c <= hi for c, (lo, hi) in zip(coords, self.bounds))
+        return isinstance(p, numbers.Real) and self.lo <= p <= self.hi
 
 
 class DistanceSpace:
@@ -169,7 +164,7 @@ class DistanceSpace:
     @classmethod
     def reals(cls, lo: float = -1e9, hi: float = 1e9) -> "DistanceSpace":
         """Absolute-value distance on a (closed, hence complete) interval."""
-        return cls(lambda x, y: abs(x - y), box=Box(((lo, hi),)))
+        return cls(lambda x, y: abs(x - y), box=Box(lo, hi))
 
 
 @dataclass(frozen=True)

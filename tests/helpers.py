@@ -438,7 +438,7 @@ def closure_reference(points, pairs):
 def lopsided_line(lo: float, hi: float) -> DistanceSpace:
     """[lo, hi] with d(x, y) = 2(x - y) downhill and y - x uphill: a
     quasimetric whose two directions differ."""
-    return DistanceSpace(lambda x, y: 2 * (x - y) if x > y else y - x, box=Box(((lo, hi),)))
+    return DistanceSpace(lambda x, y: 2 * (x - y) if x > y else y - x, box=Box(lo, hi))
 
 
 def field_reprs(report) -> list[str]:

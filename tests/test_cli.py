@@ -940,8 +940,23 @@ class TestMixedBlocks:
                 13,
                 "the carrier is given twice: 'space' here and 'points' on line 1",
             ),
+            (
+                "space: box 0 0.5\n" + CONTRACTION,
+                2,
+                "the 'space' block is given twice: here and on line 1",
+            ),
+            (CONTRACTION + "L: 2\n", 6, "the 'L' block is given twice: here and on line 3"),
+            (CONTRACTION + "order:\n5 <= 1\n", 6, "order blocks need a finite carrier"),
+            (
+                CONTRACTION + "tol 1e-3\n",
+                6,
+                "expected a block header 'name: ...', got 'tol 1e-3'",
+            ),
         ],
-        ids=["family-over-points", "F-and-family", "points-and-space"],
+        ids=[
+            "family-over-points", "F-and-family", "points-and-space",
+            "space-twice", "L-twice", "order-over-box", "colon-less-header",
+        ],
     )
     def test_parse_error_exit_two(self, prob, capsys, command, text, line, message):
         assert main([command[0], prob(text), *command[1:]]) == 2

@@ -100,9 +100,27 @@ def run_all(directory: Path) -> dict:
 def test_cli_output_matches_the_corpus(tmp_path):
     want = json.loads(CORPUS.read_text())
     got = run_all(tmp_path)
-    assert sorted(got) == sorted(want)
-    differ = [k for k in want if got[k] != want[k]]
-    assert not differ, f"{len(differ)} runs differ, first {differ[0]}: {got[differ[0]]}"
+    assert got == want, corpus_diff(want, got)
+
+
+def corpus_diff(want: dict, got: dict) -> str:
+    """The keys a run added, removed or changed against the corpus, with the
+    changed runs' new output."""
+    added = sorted(got.keys() - want.keys())
+    removed = sorted(want.keys() - got.keys())
+    changed = sorted(k for k in want.keys() & got.keys() if got[k] != want[k])
+    lines = [f"added {len(added)}: {added}", f"removed {len(removed)}: {removed}"]
+    lines.append(f"changed {len(changed)}:")
+    lines += [f"  {k}: {got[k]}" for k in changed]
+    return "\n".join(lines)
+
+
+def test_a_corpus_diff_names_every_added_removed_and_changed_key():
+    want = {"A :: solve": 1, "B :: solve": 2, "C :: solve": 3}
+    got = {"A :: solve": 1, "B :: solve": 5, "D :: solve": 4}
+    assert corpus_diff(want, got) == (
+        "added 1: ['D :: solve']\nremoved 1: ['C :: solve']\nchanged 1:\n  B :: solve: 5"
+    )
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from multifix import (
     MultiOperator,
     OrderRelation,
     ProductKind,
+    UnsupportedInstanceError,
     chain_order,
     check_bounds_exist,
     check_lattice,
@@ -353,10 +354,30 @@ class TestMeirKeelerOperator:
         F = MultiOperator(2, lambda x, y: x)
         args = (reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
                 MeirKeelerModulus.linear(1.0), ProductKind.SUP)
-        with pytest.raises(ValueError, match="arity mismatch: 2 vs 3"):
+        with pytest.raises(ValueError):  # a ragged sample forms no (n, 2, m) array
             check_mk_operator(*args, pairs=[((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0, 2.0))])
+        with pytest.raises(ValueError, match=r"an \(n, 2, m\) array, got shape \(1, 2\)"):
+            check_mk_operator(*args, pairs=[(0.0, 1.0)])
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
             check_mk_operator(*args, pairs=[((0.0, 1.0, 2.0), (0.0, 1.0, 2.0))])
+
+    def test_a_finite_carrier_is_never_sampled(self):
+        space, order = int_chain(3)
+        args = (space, order, MultiOperator.constant(2, 1), coupled_preset(), self.L,
+                MeirKeelerModulus.linear(1.0), ProductKind.SUP)
+        with pytest.raises(UnsupportedInstanceError, match="checked on every pair"):
+            check_mk_operator(*args, pairs=[((0, 1), (1, 1))])
+
+    def test_a_list_of_float_pairs_reports_as_its_array(self):
+        reals = DistanceSpace.reals(-10, 10)
+        F = MultiOperator(2, lambda x, y: 1.1 * (x - y) + 1)
+        args = (reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+                MeirKeelerModulus.linear(1.0), ProductKind.SUM)
+        pairs = sample_comparable_pairs(-10, 10, self.L, 200, seed=4)
+        as_list = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
+        report = check_mk_operator(*args, pairs=as_list, seed=4)
+        assert report.verdict == "fail"
+        assert field_reprs(report) == field_reprs(check_mk_operator(*args, pairs=pairs, seed=4))
 
 
 BOUND = st.floats(-1e6, 1e6, allow_nan=False)
@@ -526,45 +547,8 @@ class TestAllRClosedForm:
             delta.values(np.array([1.0, 5e-324]))
 
 
-# Labels of three types; the tuple labels must reach F and the distance whole.
-PAIR_LABELS = st.lists(
-    st.one_of(
-        st.integers(-3, 12),
-        st.sampled_from(["f", "l", "a,b", "->"]),
-        st.tuples(st.integers(0, 2), st.sampled_from("fl")),
-    ),
-    min_size=2,
-    max_size=4,
-    unique=True,
-)
 MK_DELTAS = st.sampled_from(MONOTONE)
 R_GRIDS = st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1, max_size=3)
-
-
-@st.composite
-def finite_pair_instances(draw):
-    """A finite space over mixed labels, a random table operator, and random
-    (not necessarily comparable) pairs of product points."""
-    labels = draw(PAIR_LABELS)
-    n = len(labels)
-    dist = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.5])
-    # Zeros of both signs on the diagonal tell the first of equal maxima
-    # from the last.
-    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
-    matrix = [[zeros[i] if i == j else draw(dist) for j in range(n)] for i in range(n)]
-    space = DistanceSpace.from_matrix(labels, matrix)
-    if draw(st.booleans()):  # computed distances compare with a margin
-        space = DistanceSpace(space.dist, points=labels)
-    m = draw(st.integers(1, 3))
-    family = LambdaFamily(
-        m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
-    )
-    keys = list(itertools.product(labels, repeat=m))
-    values = draw(st.lists(st.sampled_from(labels), min_size=len(keys), max_size=len(keys)))
-    F = MultiOperator.from_table(m, dict(zip(keys, values)), labels)
-    point = st.tuples(*[st.sampled_from(labels)] * m)
-    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=20))
-    return space, F, family, pairs
 
 
 @st.composite
@@ -590,18 +574,15 @@ class TestColumnPathMatchesLoop:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        finite_pair_instances() | continuous_pair_instances(),
+        continuous_pair_instances(),
         st.sampled_from(ProductKind),
         MK_DELTAS,
         R_GRIDS,
     )
     def test_values_and_reports(self, instance, kind, delta, r_grid):
         space, F, family, pairs = instance
-        loop_pairs = (
-            [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
-            if isinstance(pairs, np.ndarray) else pairs
-        )
-        points = _pair_array(pairs, F, family)
+        loop_pairs = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
+        points = _pair_array(space, pairs, F, family)
         got = _column_distances(space, F, family, kind, points)
         want = list(reference_pair_distances(space, F, family, kind, loop_pairs))
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]

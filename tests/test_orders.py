@@ -54,7 +54,6 @@ class TestOrderRelation:
         order = OrderRelation.numeric()
         assert order.leq(1.0, 2.0)
         assert not order.leq(2.0, 1.0)
-        assert order.leq((1, 2), (1, 3))
 
 
 class TestLSet:

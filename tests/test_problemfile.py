@@ -279,6 +279,43 @@ class TestParseErrors:
         assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
+class TestEachBlockOnce:
+    """A block the file gives is read or refused, never dropped: a repeat,
+    an order over a box and a line no block opens are errors at their line."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("space: box 0 0.5\n" + CONTINUOUS, 2,
+             "the 'space' block is given twice: here and on line 1"),
+            (CONTINUOUS + "L: 2\n", 11, "the 'L' block is given twice: here and on line 4"),
+            (CONTINUOUS + "delta const 0.5\n", 11,
+             "the 'delta' block is given twice: here and on line 5"),
+            (FINITE_CHAIN + "order:\n2 <= 0\n", 24,
+             "the 'order' block is given twice: here and on line 7"),
+            (FINITE_CHAIN + "F:\n0,0 -> 2\n", 24,
+             "the 'F' block is given twice: here and on line 11"),
+            (CONTINUOUS + "order:\n5 <= 1\n", 11, "order blocks need a finite carrier"),
+            ("order:\na <= b\n", 1, "order blocks need a finite carrier"),
+            (CONTINUOUS.replace("tol: 1e-9", "tol 1e-3"), 7,
+             "expected a block header 'name: ...', got 'tol 1e-3'"),
+            ("points: a\ndist:\n0\nlambda coupled\n", 4,
+             "expected a block header 'name: ...', got 'lambda coupled'"),
+            (FINITE_CHAIN.replace("lambda: coupled", "lambda coupled"), 10,
+             "expected 'a <= b', got 'lambda coupled'"),
+        ],
+        ids=[
+            "space-twice", "L-twice", "delta-twice", "order-twice", "F-twice",
+            "order-over-box", "order-without-carrier", "colon-less-top-level",
+            "colon-less-after-dist", "colon-less-after-order",
+        ],
+    )
+    def test_refused_at_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 class TestFamilyCatalog:
     def test_linear_coupled(self):
         F, m = make_family_operator("linear-coupled", [0.5, 2.0])
