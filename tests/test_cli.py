@@ -320,6 +320,27 @@ delta linear 1.0
 """
 
 
+# A label with a double quote, which the game and trace CSVs must quote as
+# csv.writer does ("a""b"); the game moves from (a"b, a"b) to (c, c).
+QUOTED_LABELS = """\
+points: a"b c
+dist:
+0 1
+1 0
+order:
+a"b <= c
+lambda: coupled
+F:
+a"b,a"b -> c
+a"b,c -> c
+c,a"b -> c
+c,c -> c
+L: 1
+delta linear 1.0
+start: a"b a"b
+"""
+
+
 @pytest.fixture
 def prob(tmp_path):
     def write(text, name="problem.prob"):
