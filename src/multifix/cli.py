@@ -7,13 +7,14 @@ Exit codes: 0 success or pass, 1 fail or violation, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import csv
+import collections
 import math
 import sys
+from typing import Sequence
 
 from .conditions import CONDITIONS, sample_comparable_pairs
 from .errors import CapacityError, MultifixError, ParseError
-from .game import GameConfig, simulate, write_trajectory_csv
+from .game import GameConfig, Play, write_csv, write_trajectory_csv
 from .orders import LSet
 from .problemfile import load_problem
 from .product import ProductKind, format_product_point
@@ -110,7 +111,7 @@ def cmd_check(args) -> int:
     lset = _default_lset(pf)
     options = {"r_grid": r_grid, "delta": _delta(pf, condition)}
     if "metric" in condition.reads:
-        options["kind"] = ProductKind(args.metric or "sup")
+        options["kind"] = ProductKind(args.metric or pf.metric or "sup")
         if space.is_finite and (args.seed, args.samples) != (None, None):
             args.usage_error("--seed and --samples are read only on a continuous carrier")
         if not space.is_finite:
@@ -159,11 +160,18 @@ def cmd_solve(args) -> int:
     if report.cycle_length is not None:
         print(f"cycle={report.cycle_length}")
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "residual"])
-            writer.writerows((i, _fmt(r)) for i, r in enumerate(report.trace, start=1))
+        write_trace_csv(report.trace, args.trace)
     return EXIT_OK if report.status == "converged" else EXIT_FAIL
+
+
+def write_trace_csv(trace: Sequence[float], path: str) -> None:
+    """One row per Picard step: its number and residual as ``solve`` prints
+    it, with the bytes ``csv.writer`` writes."""
+    write_csv(
+        path,
+        "iteration,residual\r\n",
+        (f"{i},{_fmt(r)}\r\n" for i, r in enumerate(trace, start=1)),
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -210,15 +218,17 @@ def cmd_game(args) -> int:
         family=pf.require("family"),
         **_settings(args, pf, "rounds", "tol"),
     )
-    traj = simulate(game, pf.require("start"))
+    play = Play(game, pf.require("start"))
     if args.out:
-        write_trajectory_csv(traj, args.out)
+        write_trajectory_csv(play, args.out)
+    else:
+        collections.deque(play, maxlen=0)
     print(
-        f"optimal={_yesno(traj.terminated_optimal)} "
-        f"rounds={len(traj.rounds)} "
-        f"final={format_product_point(traj.final_selection)}"
+        f"optimal={_yesno(play.optimal)} "
+        f"rounds={play.count} "
+        f"final={format_product_point(play.last.selection)}"
     )
-    return EXIT_OK if traj.terminated_optimal else EXIT_FAIL
+    return EXIT_OK if play.optimal else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CONDITIONS),
     )
     # Each defaults to None, so that a condition set refuses one it never reads.
-    p.add_argument("--metric", choices=["sup", "sum"], help="product distance (default sup)")
+    p.add_argument("--metric", choices=["sup", "sum"], help="product distance (default: the file's metric, else sup)")
     p.add_argument("--r-grid", help="comma-separated r values, or 'auto' (the default)")
     p.add_argument("--seed", type=int, help="sample seed (default 0)")
     p.add_argument("--samples", type=int, help="sample count (default 10000)")

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import UnsupportedInstanceError
-from .kernel import ProductKernel
+from .kernel import SAMPLE_BLOCK, ProductKernel
 from .operators import (
     LambdaFamily,
     MultiOperator,
@@ -392,12 +392,7 @@ def check_mk_operator(
         )
     else:
         points = _pair_array(space, pairs, F, family)
-        d, d_img = _column_distances(space, F, family, kind, points)
-        found = _first_failure(delta, r_grid)(d, d_img, atol)
-        failure = None
-        if found is not None:
-            k, r = found
-            failure = (tuple(points[k, 0].tolist()), tuple(points[k, 1].tolist()), r)
+        failure = _mk_operator_sampled(space, F, family, delta, kind, r_grid, atol, points)
         samples = len(points)
     clause = Clause("MK operator condition", failure is None, failure)
     return ConditionReport(
@@ -421,6 +416,29 @@ def _pair_array(
     check_pair_arity(points[0, 0], points[0, 1])
     check_lambda_arity(F, family, points[0, 0])
     return points
+
+
+def _mk_operator_sampled(
+    space: DistanceSpace,
+    F: MultiOperator,
+    family: LambdaFamily,
+    delta: MeirKeelerModulus,
+    kind: ProductKind,
+    r_grid: Optional[Sequence[float]],
+    atol: float,
+    points: np.ndarray,
+) -> Optional[tuple]:
+    """The first failing (x, y, r) of the sampled pairs, or None.  The pairs
+    are evaluated ``SAMPLE_BLOCK`` at a time, up to the first failing block,
+    so memory does not grow with the sample count."""
+    first_failure = _first_failure(delta, r_grid)
+    for start in range(0, len(points), SAMPLE_BLOCK):
+        block = points[start:start + SAMPLE_BLOCK]
+        found = first_failure(*_column_distances(space, F, family, kind, block), atol)
+        if found is not None:
+            k, r = found
+            return tuple(block[k, 0].tolist()), tuple(block[k, 1].tolist()), r
+    return None
 
 
 def _column_distances(

@@ -27,6 +27,9 @@ from .spaces import DistanceSpace
 
 # Candidate (x, y) pairs tested per block: 1 MB of booleans.
 BLOCK_ENTRIES = 1 << 20
+# Sampled pairs of a continuous carrier evaluated per block: each coordinate
+# column is an object array of this many Python floats.
+SAMPLE_BLOCK = 1 << 13
 
 
 class ProductKernel:

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,22 @@ class TestCheck:
         assert code == 0
         assert "SAMPLED-PASS seed=7 n=2000" in capsys.readouterr().out
 
+    def test_metric_header_is_read_as_solve_reads_it(self, prob, capsys):
+        # TRIPLED_SUM says "metric: sum"; --metric overrides the header.
+        check = ["check", prob(TRIPLED_SUM), "--condition", "mk-op"]
+        assert main(check) == 1
+        header = capsys.readouterr().out
+        assert header.startswith("FAIL clause: MK operator condition")
+        assert main([*check, "--metric", "sum"]) == 1
+        assert capsys.readouterr().out == header
+        assert main([*check, "--metric", "sup"]) == 0
+        assert capsys.readouterr().out == "SAMPLED-PASS seed=0 n=10000\n"
+
+    def test_metric_header_is_no_usage_error(self, prob, capsys):
+        text = CONSTANT_CHAIN + "metric: sum\n"
+        assert main(["check", prob(text), "--condition", "omega1"]) == 0
+        assert capsys.readouterr() == ("PASS (exhaustive)\n", "")
+
     def test_mk_operator_expansion_fails(self, prob, capsys):
         code = main(
             ["check", prob(EXPANSION), "--condition", "mk-op",
@@ -573,6 +590,93 @@ class TestGame:
         code = main(["game", prob(GAME_DEMO), "--rounds", "2"])
         assert code == 1
         assert "optimal=no" in capsys.readouterr().out
+
+
+class TestOutFile:
+    """A CSV is written whole or not at all, as open(path, "w") would leave
+    it."""
+
+    @pytest.mark.parametrize("command, flag", [("game", "--out"), ("solve", "--trace")])
+    def test_refused_run_leaves_an_existing_file_alone(self, prob, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept\r\n")
+        assert main([command, prob(BOX_ESCAPE), flag, str(out)]) == 2
+        assert capsys.readouterr().err == "error: point 1.0 is not in the carrier\n"
+        assert out.read_bytes() == b"kept\r\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "problem.prob"]
+
+    @pytest.mark.parametrize("command, flag", [("game", "--out"), ("solve", "--trace")])
+    def test_missing_directory_names_the_path(self, prob, tmp_path, capsys, command, flag):
+        out = tmp_path / "missing" / "out.csv"
+        assert main([command, prob(GAME_DEMO), flag, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["problem.prob"]
+
+    def test_mode_is_that_of_open(self, prob, tmp_path, capsys):
+        reference = tmp_path / "reference.csv"
+        open(reference, "w").close()
+        out = tmp_path / "new.csv"
+        assert main(["game", prob(GAME_DEMO), "--out", str(out)]) == 0
+        assert out.stat().st_mode == reference.stat().st_mode
+        # open(path, "w") keeps the mode of a file it truncates.
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old")
+        kept.chmod(0o604)
+        assert main(["game", prob(GAME_DEMO), "--out", str(kept)]) == 0
+        assert kept.stat().st_mode & 0o777 == 0o604
+        assert kept.read_bytes().startswith(b"round,player")
+        assert sorted(os.listdir(tmp_path)) == ["kept.csv", "new.csv", "problem.prob", "reference.csv"]
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes traced while ``main(argv)`` runs in process."""
+    tracemalloc.start()
+    try:
+        assert main(argv) in (0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Memory grows with neither the game's rounds nor the samples."""
+
+    # Two players swap positions forever, (0, 1) -> (1, 0) -> (0, 1), so the
+    # game plays every round it is given.  Kept off the module level, where
+    # the golden corpus would run it.
+    swap_forever = "space: box -10 10\nfamily: affine-coupled 0 1 0\nstart: 0 1\n"
+
+    def test_game_out_does_not_grow_with_rounds(self, prob, tmp_path, capsys):
+        path, out = prob(self.swap_forever), str(tmp_path / "game.csv")
+        main(["game", path, "--rounds", "10", "--out", out])  # first-call caches
+        small = traced_peak(["game", path, "--rounds", "2000", "--out", out])
+        large = traced_peak(["game", path, "--rounds", "20000", "--out", out])
+        assert "rounds=20000" in capsys.readouterr().out
+        assert large - small < 1 << 20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_sampled_mk_op_grows_by_the_sample_array(self, prob):
+        # The peak RSS of a process of its own: tracemalloc would slow the
+        # 10^5 evaluations about tenfold, and a child's ru_maxrss starts at
+        # this process's peak, while VmHWM starts afresh at exec.
+        env = dict(os.environ, PYTHONPATH=str(Path(multifix.__file__).parents[1]))
+        code = (
+            "import sys\nfrom multifix.cli import main\nmain(sys.argv[1:])\n"
+            "print(next(s for s in open('/proc/self/status') if s.startswith('VmHWM:')))"
+        )
+
+        def peak_kib(samples: int) -> int:
+            argv = ["check", prob(CONTRACTION), "--condition", "mk-op", "--samples", str(samples)]
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+            )
+            assert done.stdout.startswith(f"SAMPLED-PASS seed=0 n={samples}\n")
+            return int(done.stdout.split()[-2])  # "VmHWM:  35000 kB"
+
+        sample_array = (100_000 - 10_000) * 2 * 2 * 8  # (n, 2, m) float64, m = 2
+        assert (peak_kib(100_000) - peak_kib(10_000)) * 1024 < sample_array + (1 << 20)
 
 
 class TestZeroValuedHeaders:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -570,7 +571,8 @@ def continuous_pair_instances(draw):
 
 
 class TestColumnPathMatchesLoop:
-    """check_mk_operator on supplied pairs against the per-pair loop."""
+    """check_mk_operator on supplied pairs, evaluated in blocks of any size,
+    against the per-pair loop."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -578,8 +580,9 @@ class TestColumnPathMatchesLoop:
         st.sampled_from(ProductKind),
         MK_DELTAS,
         R_GRIDS,
+        st.integers(1, 8),
     )
-    def test_values_and_reports(self, instance, kind, delta, r_grid):
+    def test_values_and_reports(self, instance, kind, delta, r_grid, block):
         space, F, family, pairs = instance
         loop_pairs = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
         points = _pair_array(space, pairs, F, family)
@@ -588,7 +591,8 @@ class TestColumnPathMatchesLoop:
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
         assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
         args = (space, OrderRelation.numeric(), F, family, LSet.of(family.m), delta, kind)
-        report = check_mk_operator(*args, pairs=pairs, r_grid=r_grid, seed=5)
+        with mock.patch("multifix.conditions.SAMPLE_BLOCK", block):
+            report = check_mk_operator(*args, pairs=pairs, r_grid=r_grid, seed=5)
         assert field_reprs(report) == field_reprs(
             reference_check_mk_operator(*args, pairs=loop_pairs, r_grid=r_grid, seed=5)
         )

@@ -1,5 +1,8 @@
+import collections
 import csv
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +20,9 @@ from multifix import (
     picard_solve,
     simulate,
 )
-from multifix.game import write_trajectory_csv
+from multifix import game as game_module
+from multifix.cli import write_trace_csv
+from multifix.game import Play, Round, write_trajectory_csv
 from helpers import (
     field_reprs,
     int_chain,
@@ -156,7 +161,7 @@ class TestTrajectoryCsv:
     def test_round_player_rows(self, demo_game, tmp_path):
         traj = simulate(demo_game, (0.0, 0.0))
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, str(out))
+        write_trajectory_csv(traj.rounds, str(out))
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "player", "position", "nonconvenience"]
@@ -164,6 +169,82 @@ class TestTrajectoryCsv:
         # non-convenience column decreases below tol by the last round
         last = float(rows[-1][3])
         assert last <= demo_game.tol
+
+
+class Reading(float):
+    """A float subclass whose repr needs csv quoting."""
+
+    def __repr__(self):
+        return f'Reading("{float(self)!r}", m)'
+
+
+SPECIAL_FLOATS = [-0.0, float("nan"), float("inf"), 5e-324, 1e16, 1e-5]
+FIELD_FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats() | st.floats().map(Reading)
+LABELS = st.sampled_from(['a"b', "x,y", "(1, 2)", (1, 2), "", "c"]) | st.integers()
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestRowWriters:
+    """csv.writer is the referee for the bytes of both CSV files, across
+    blocks of every size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.lists(
+                st.tuples(
+                    st.tuples(*[FIELD_FLOATS | LABELS | st.just(np.float64(0.1))] * m),
+                    st.tuples(*[FIELD_FLOATS] * m),
+                ),
+                max_size=12,
+            )
+        ),
+        st.integers(1, 5),
+    )
+    def test_trajectory_bytes_equal_csv_writer(self, tmp_path_factory, rounds, block):
+        directory = tmp_path_factory.mktemp("traj")
+        with mock.patch.object(game_module, "CSV_BLOCK_LINES", block):
+            write_trajectory_csv((Round(s, n) for s, n in rounds), str(directory / "got.csv"))
+        want = csv_writer_bytes(
+            directory / "want.csv",
+            ["round", "player", "position", "nonconvenience"],
+            (
+                (r, i, pos, nc)
+                for r, (selection, nonconv) in enumerate(rounds, start=1)
+                for i, (pos, nc) in enumerate(zip(selection, nonconv), start=1)
+            ),
+        )
+        assert (directory / "got.csv").read_bytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FIELD_FLOATS, max_size=12), st.integers(1, 5))
+    def test_trace_bytes_equal_csv_writer(self, tmp_path_factory, trace, block):
+        directory = tmp_path_factory.mktemp("trace")
+        with mock.patch.object(game_module, "CSV_BLOCK_LINES", block):
+            write_trace_csv(trace, str(directory / "got.csv"))
+        want = csv_writer_bytes(
+            directory / "want.csv",
+            ["iteration", "residual"],
+            ((i, f"{r:.12g}") for i, r in enumerate(trace, start=1)),
+        )
+        assert (directory / "got.csv").read_bytes() == want
+
+
+def assert_play_summarizes(game, start, traj):
+    """A streamed play ends with the count, last round and optimal flag of
+    the collected trajectory."""
+    play = Play(game, start)
+    collections.deque(play, maxlen=0)
+    assert (play.count, repr(play.last), play.optimal) == (
+        len(traj.rounds), repr(traj.rounds[-1]), traj.terminated_optimal
+    )
 
 
 class TestSimulateDifferential:
@@ -188,7 +269,9 @@ class TestSimulateDifferential:
             space=space, F=MultiOperator(2, f),
             family=coupled_preset(), rounds=rounds, tol=tol,
         )
-        assert field_reprs(simulate(game, start)) == field_reprs(reference_simulate(game, start))
+        traj = simulate(game, start)
+        assert field_reprs(traj) == field_reprs(reference_simulate(game, start))
+        assert_play_summarizes(game, start, traj)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.randoms(use_true_random=False), st.integers(1, 30))
@@ -197,7 +280,9 @@ class TestSimulateDifferential:
         F = random_table_operator(rnd, space, 2)
         game = GameConfig(space=space, F=F, family=coupled_preset(), rounds=rounds)
         start = (rnd.randrange(n), rnd.randrange(n))
-        assert field_reprs(simulate(game, start)) == field_reprs(reference_simulate(game, start))
+        traj = simulate(game, start)
+        assert field_reprs(traj) == field_reprs(reference_simulate(game, start))
+        assert_play_summarizes(game, start, traj)
 
     def test_arity_error_matches_apply_lambda_f(self, demo_game):
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
