@@ -250,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CONDITIONS),
     )
     # Each defaults to None, so that a condition set refuses one it never reads.
-    p.add_argument("--metric", choices=["sup", "sum"], help="product distance (default: the file's metric, else sup)")
+    p.add_argument(
+        "--metric", choices=["sup", "sum"], help="product distance (default: the file's, else sup)"
+    )
     p.add_argument("--r-grid", help="comma-separated r values, or 'auto' (the default)")
     p.add_argument("--seed", type=int, help="sample seed (default 0)")
     p.add_argument("--samples", type=int, help="sample count (default 10000)")

@@ -627,7 +627,9 @@ class TestOutFile:
         assert main(["game", prob(GAME_DEMO), "--out", str(kept)]) == 0
         assert kept.stat().st_mode & 0o777 == 0o604
         assert kept.read_bytes().startswith(b"round,player")
-        assert sorted(os.listdir(tmp_path)) == ["kept.csv", "new.csv", "problem.prob", "reference.csv"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "kept.csv", "new.csv", "problem.prob", "reference.csv"
+        ]
 
 
 def traced_peak(argv) -> int:
