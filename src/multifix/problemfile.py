@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .conditions import MeirKeelerModulus
 from .errors import EvaluationError, ParseError
 from .operators import LambdaFamily, MultiOperator, coupled_preset, tripled_preset
@@ -152,7 +154,7 @@ def parse_problem(text: str) -> ProblemFile:
     # Each block's header line, for errors found once the file is read.
     block_line: dict[str, int] = {}
     labels: Optional[tuple] = None
-    matrix: Optional[list[list[float]]] = None
+    matrix: Optional[np.ndarray] = None
     order_pairs: list[tuple] = []
     table_lines: list[tuple[int, str]] = []
     family_spec: Optional[tuple[str, list[float]]] = None
@@ -191,26 +193,23 @@ def parse_problem(text: str) -> ProblemFile:
         elif head == "dist":
             if labels is None:
                 raise ParseError("dist block must follow points", ln)
-            matrix = []
-            for _ in range(len(labels)):
+            n = len(labels)
+            matrix = np.empty((n, n))
+            for i in range(n):
                 row_item = lines.next_content()
                 if row_item is None:
                     raise ParseError("dist block is truncated", ln)
                 rln, row_line = row_item
+                # Python's float() grammar, so '1_0' is 10, into one array.
                 try:
-                    row = [float(t) for t in row_line.split()]
+                    row = np.fromiter(map(float, row_line.split()), float)
                 except ValueError:
                     raise ParseError(f"bad distance row {row_line!r}", rln)
-                if len(row) != len(labels):
-                    raise ParseError(
-                        f"distance row has {len(row)} entries, expected {len(labels)}",
-                        rln,
-                    )
-                # A finite sum clears the row in one step; it can only be
-                # non-finite through a non-finite entry or an overflow.
-                if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                if len(row) != n:
+                    raise ParseError(f"distance row has {len(row)} entries, expected {n}", rln)
+                if not np.isfinite(row).all():
                     raise ParseError(f"distance row {row_line!r} is not finite", rln)
-                matrix.append(row)
+                matrix[i] = row
         elif head == "order":
             while not lines.peek_header():
                 pln, pair_line = lines.next_content()

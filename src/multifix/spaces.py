@@ -24,9 +24,13 @@ from .errors import CarrierError, UnsupportedInstanceError
 # compare exactly).
 COMPUTED_ATOL = 1e-12
 
-# Rows of the min-plus product per block: a 64-row block of T, its slice of
-# D and one buffer stay in cache at the classifier's n = 512.
+# float64 rows of the min-plus product per block: a 64-row block of T, its
+# slice of D and one buffer stay in cache at the classifier's n = 512.  A
+# narrower dtype takes proportionally more rows, the same bytes per block.
 MIN_PLUS_BLOCK = 64
+
+# Integer dtypes for the min-plus product, narrowest first.
+_EXACT_DTYPES = (np.int8, np.int16, np.int32)
 
 Point = Any
 DistFn = Callable[[Point, Point], float]
@@ -116,23 +120,29 @@ class DistanceSpace:
     def from_matrix(
         cls,
         labels: Sequence[Point],
-        matrix: Sequence[Sequence[float]],
+        matrix: "Sequence[Sequence[float]] | np.ndarray",
     ) -> "DistanceSpace":
         """Finite space from a label list and an n x n distance table.
 
-        Validates the distance axioms: finite nonnegative entries, and
-        d(x, y) + d(y, x) = 0 exactly on the diagonal.
+        The table is a list of rows or an array, which is copied.  Validates
+        the distance axioms: finite nonnegative entries, and d(x, y) +
+        d(y, x) = 0 exactly on the diagonal.
         """
         labels = tuple(labels)
         n = len(labels)
         if len(set(labels)) != n:
             raise ValueError("carrier labels must be distinct")
-        # float() takes the entries in row-major order, so the first one it
-        # refuses raises before the shape check.
-        arr = np.fromiter(map(float, itertools.chain.from_iterable(matrix)), float)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError(f"distance matrix must be {n}x{n}")
-        arr = arr.reshape(n, n)
+        if isinstance(matrix, np.ndarray):
+            arr = np.array(matrix, dtype=float)
+            if arr.shape != (n, n):
+                raise ValueError(f"distance matrix must be {n}x{n}")
+        else:
+            # float() takes the entries in row-major order, so the first one
+            # it refuses raises before the shape check.
+            arr = np.fromiter(map(float, itertools.chain.from_iterable(matrix)), float)
+            if len(matrix) != n or any(len(row) != n for row in matrix):
+                raise ValueError(f"distance matrix must be {n}x{n}")
+            arr = arr.reshape(n, n)
         # A finite sum clears the matrix without a temporary array; it can
         # only be non-finite through a non-finite entry or an overflow.  An
         # overflow of either sum to inf is a valid value, not a warning.
@@ -217,15 +227,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _block_rows(D: np.ndarray) -> int:
+    return MIN_PLUS_BLOCK * 8 // D.itemsize
+
+
+def _exact_table(D: np.ndarray) -> Optional[np.ndarray]:
+    """D in the narrowest integer dtype that holds every sum of two of its
+    entries exactly, or None when an entry is negative, fractional or not
+    finite, or the entries are too large for int32."""
+    if D.size == 0:
+        return None
+    top = D.max()
+    dt = next((t for t in _EXACT_DTYPES if top <= np.iinfo(t).max // 2), None)
+    # NaN fails both tests, inf the bound and -inf the sign.
+    if dt is None or not D.min() >= 0:
+        return None
+    C = D.astype(dt)
+    return C if np.array_equal(C, D) else None
+
+
 def _min_plus_blocks(D: np.ndarray, T: np.ndarray, starts: Sequence[int]) -> None:
     """Fill the row blocks of T that begin at ``starts``."""
     n = D.shape[0]
+    rows = _block_rows(D)
     # numpy's error state is per thread, so each worker enters its own.  A
     # sum above the float maximum is inf, which is its value here.
     with np.errstate(over="ignore"):
         for lo in starts:
-            D_blk = D[lo:lo + MIN_PLUS_BLOCK]
-            T_blk = T[lo:lo + MIN_PLUS_BLOCK]
+            D_blk = D[lo:lo + rows]
+            T_blk = T[lo:lo + rows]
             buf = np.empty_like(T_blk)
             for y in range(n):
                 np.add(D_blk[:, y, None], D[y], out=buf)
@@ -233,16 +263,24 @@ def _min_plus_blocks(D: np.ndarray, T: np.ndarray, starts: Sequence[int]) -> Non
 
 
 def _min_plus(D: np.ndarray) -> np.ndarray:
-    """T[x, z] = min over y of D[x, y] + D[y, z].
+    """T[x, z] = min over y of D[x, y] + D[y, z], as float64.
 
-    Row blocks are shared among up to one thread per usable CPU; numpy's
-    ufuncs release the GIL.  Blocks write disjoint rows and each takes the
-    minimum over y in the same order, so T does not depend on the thread
-    count.
+    A table of small nonnegative integers runs in the narrowest integer
+    dtype that holds every sum; integer sums are exact in both dtypes, so
+    T is the same.  Row blocks are shared among up to one thread per usable
+    CPU; numpy's ufuncs release the GIL.  Blocks write disjoint rows and
+    each takes the minimum over y in the same order, so T does not depend
+    on the thread count.
     """
+    C = _exact_table(D)
+    if C is not None:
+        D = C
+        # Every sum is at most this maximum, so the first y replaces it.
+        T = np.full_like(D, np.iinfo(D.dtype).max)
+    else:
+        T = np.full_like(D, np.inf)
     n = D.shape[0]
-    T = np.full_like(D, np.inf)
-    starts = range(0, n, MIN_PLUS_BLOCK)
+    starts = range(0, n, _block_rows(D))
     # The calling thread takes the first share; with k = 1 no thread starts.
     k = max(1, min(_usable_cpus(), len(starts)))
     errors: list[BaseException] = []
@@ -263,7 +301,7 @@ def _min_plus(D: np.ndarray) -> np.ndarray:
             thread.join()
     if errors:
         raise errors[0]
-    return T
+    return T.astype(float, copy=False)
 
 
 def classify_finite(space: DistanceSpace) -> DistanceClass:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    DistanceSpace,
     LambdaFamily,
     MultiOperator,
     ParseError,
@@ -182,6 +185,22 @@ class TestParseErrors:
             parse_problem(f"points: a b\ndist:\n0 1\n{entry} 0\n")
         assert err.value.line == 4
 
+    # A bad token wins over a short row, and a short row over a non-finite
+    # one.
+    @pytest.mark.parametrize(
+        "points, rows, message",
+        [
+            ("a b c", "0 1 1\n1 x\n1 1 0\n", "bad distance row '1 x'"),
+            ("a b c", "0 1 1\n1 inf\n1 1 0\n", "distance row has 2 entries, expected 3"),
+            ("a b", "0 1\nnan 0 1\n", "distance row has 3 entries, expected 2"),
+        ],
+    )
+    def test_dist_row_refusals_keep_their_order(self, points, rows, message):
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"points: {points}\ndist:\n{rows}")
+        assert str(err.value) == f"line 4: {message}"
+        assert err.value.line == 4
+
     @pytest.mark.parametrize(
         "old, new, line, message",
         [
@@ -336,3 +355,60 @@ class TestFamilyCatalog:
     def test_wrong_parameter_count(self):
         with pytest.raises(ValueError, match="alpha beta"):
             make_family_operator("linear-coupled", [1.0])
+
+
+class TestDistRows:
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            # Python's float() grammar: '1_0' is 10, '-0' keeps its sign.
+            ("0 1_0\n1 0\n", [[0.0, 10.0], [1.0, 0.0]]),
+            ("-0 1\n1 -0\n", [[-0.0, 1.0], [1.0, -0.0]]),
+        ],
+    )
+    def test_accepted_rows_keep_their_values(self, rows, want):
+        D = parse_problem(f"points: a b\ndist:\n{rows}").space.matrix()
+        assert D.tolist() == want
+        assert np.array_equal(np.signbit(D), np.signbit(want))
+
+    def test_row_whose_sum_overflows_is_accepted(self):
+        # 1e308 + 1e308 is inf, but every entry is finite.
+        text = "points: a b c\ndist:\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"
+        assert parse_problem(text).space.dist("a", "c") == 1e308
+
+
+# Entries that pass and fail each of from_matrix's checks.
+TABLE_ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1e308, float("inf"), float("nan")])
+
+
+def from_matrix_outcome(labels, matrix):
+    """The table from_matrix keeps, or the type and text of its refusal."""
+    try:
+        return DistanceSpace.from_matrix(labels, matrix).matrix()
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+class TestFromMatrixArray:
+    # The parser hands from_matrix one float64 array; it must give what the
+    # list of rows gives, including the shape check and signed zeros.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(TABLE_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+                st.integers(max(1, n - 1), n + 1),
+            )
+        )
+    )
+    def test_array_gives_what_the_rows_give(self, drawn):
+        matrix, size = drawn
+        labels = "abcde"[:size]
+        array = np.array(matrix)
+        want = from_matrix_outcome(labels, matrix)
+        got = from_matrix_outcome(labels, array)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            assert not np.shares_memory(got, array)

@@ -17,6 +17,7 @@ from multifix import (
     product_space,
 )
 from multifix import spaces
+from multifix.problemfile import parse_problem
 from helpers import (
     classify_reference,
     from_matrix_violation,
@@ -343,3 +344,120 @@ class TestMinPlus:
             h_distance=True,
         )
 
+
+
+# The exact integer dtypes, narrowest first, then the float path.
+LADDER = [np.int8, np.int16, np.int32, np.float64]
+
+
+def integer_table(n, top, seed):
+    """An n x n table of integers up to ``top``, as floats, that from_matrix
+    accepts: a zero diagonal, some one-way zeros, and ``top`` at d(0, 1)."""
+    rng = np.random.default_rng(seed)
+    D = rng.integers(1, top, size=(n, n), endpoint=True).astype(float)
+    D[np.triu(rng.random((n, n)) < 0.2, k=1)] = 0.0
+    np.fill_diagonal(D, 0.0)
+    D[0, 1] = top
+    return D
+
+
+def ladder_table(n, dt, seed):
+    """An ``integer_table`` whose min-plus runs in ``dt``: its largest entry
+    is the dtype's bound, or, for float64, it holds a fraction."""
+    if dt is np.float64:
+        D = integer_table(n, 4, seed)
+        D[0, 1] = 4.5
+        return D
+    return integer_table(n, np.iinfo(dt).max // 2, seed)
+
+
+@pytest.fixture
+def block_dtypes(monkeypatch):
+    """The dtype of D in each call of ``spaces._min_plus_blocks``."""
+    seen = []
+    blocks = spaces._min_plus_blocks
+
+    def recording(D, T, starts):
+        seen.append(D.dtype)
+        blocks(D, T, starts)
+
+    monkeypatch.setattr(spaces, "_min_plus_blocks", recording)
+    return seen
+
+
+class TestExactMinPlus:
+    # The bound is iinfo(dt).max // 2, so every sum of two entries fits; one
+    # more falls through to the next dtype, and past int32 to float64.
+    @pytest.mark.parametrize("over", [0, 1])
+    @pytest.mark.parametrize("dt", LADDER[:3])
+    def test_largest_entry_picks_the_narrowest_exact_dtype(self, dt, over, block_dtypes):
+        top = np.iinfo(dt).max // 2 + over
+        D = integer_table(7, top, seed=top)
+        T = spaces._min_plus(D)
+        assert block_dtypes == [LADDER[LADDER.index(dt) + over]]
+        assert T.dtype == np.float64 and np.array_equal(T, min_plus_reference(D))
+        space = DistanceSpace.from_matrix(range(7), D)
+        assert classify_finite(space) == classify_reference(D.tolist(), 0.0)
+
+    @pytest.mark.parametrize("value", [0.5, 1e-300, np.nan, np.inf, -1.0])
+    def test_other_tables_take_the_float_path(self, value, block_dtypes):
+        D = integer_table(5, 4, seed=1)
+        D[1, 2] = value
+        T = spaces._min_plus(D)
+        assert block_dtypes == [np.float64]
+        assert np.array_equal(T, min_plus_reference(D), equal_nan=True)
+
+    def test_integer_tables_reach_the_narrow_loop(self, block_dtypes):
+        # The benchmark's tables are integer-valued: a table read from a file
+        # must keep reaching the int8 loop, not fall back to float64.
+        pf = parse_problem("points: a b c\ndist:\n0 1 2\n1 0 1\n2 1 0\n")
+        assert classify_finite(pf.space).metric
+        assert block_dtypes == [np.int8]
+
+    # Block rows are MIN_PLUS_BLOCK float64 rows' bytes: 512 int8 rows, 256
+    # int16, 128 int32 and 64 float64.  1 CPU takes the serial path; on 2 a
+    # second block starts one thread.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("dt", LADDER)
+    def test_matches_serial_loop_around_each_block_boundary(
+        self, dt, side, cpus, block_dtypes, monkeypatch
+    ):
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: cpus)
+        rows = spaces.MIN_PLUS_BLOCK * 8 // np.dtype(dt).itemsize
+        n = rows + side
+        D = ladder_table(n, dt, seed=n)
+        assert np.array_equal(spaces._min_plus(D), min_plus_reference(D))
+        assert block_dtypes == [dt] * min(cpus, -(-n // rows))
+
+    # The same boundaries with MIN_PLUS_BLOCK = 4 float64 rows, small enough
+    # for the loop reference of the whole classifier.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("dt", LADDER)
+    def test_classify_matches_loop_reference_around_each_block_boundary(
+        self, dt, cpus, block_dtypes, monkeypatch
+    ):
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(spaces, "MIN_PLUS_BLOCK", 4)
+        rows = 4 * 8 // np.dtype(dt).itemsize
+        for n in (rows - 1, rows, rows + 1):
+            D = ladder_table(n, dt, seed=n)
+            space = DistanceSpace.from_matrix(range(n), D)
+            assert classify_finite(space) == classify_reference(D.tolist(), 0.0)
+            assert np.array_equal(spaces._min_plus(D), min_plus_reference(D))
+        assert set(block_dtypes) == {np.dtype(dt)}
+
+    def test_int16_workers_under_fast_switching(self, block_dtypes, monkeypatch):
+        # Six workers on an int16 table, one 64-row block each with
+        # MIN_PLUS_BLOCK = 16 float64 rows.
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(spaces, "MIN_PLUS_BLOCK", 16)
+        D = ladder_table(6 * 64, np.int16, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            T = spaces._min_plus(D)
+        finally:
+            sys.setswitchinterval(interval)
+        assert block_dtypes == [np.int16] * 6
+        assert np.array_equal(T, min_plus_reference(D))
