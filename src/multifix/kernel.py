@@ -7,9 +7,13 @@ product point is one integer in ``0..N-1``.  The order comes as one closed
 transpose as :meth:`LSet.orient` gives them, the distance is the base
 ``n x n`` matrix, and ``lambdaF`` one index map over the ``N`` tuples.
 
-Comparable pairs under ``<=_L`` come out in row blocks of about
-``BLOCK_ENTRIES`` candidate pairs, in canonical order (``x`` in product
-order, then ``y``), so memory stays ``O(block x N)`` and never ``O(N^2)``.
+``<=_L`` is a product relation, so the ``y`` comparable to ``x`` are the
+Cartesian product of the per-coordinate comparable sets of ``x_i``.  The
+comparable pairs are enumerated from those sets, with no candidate mask: rows
+``x`` are cut into blocks of about ``PAIR_BLOCK`` emitted pairs, and each
+pair's ``y`` is decoded from its rank within its row as a mixed-radix number
+over the sorted sets.  They come out in canonical order (``x`` in product
+order, then ``y``), and memory stays ``O(PAIR_BLOCK + N)`` pairs.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from .operators import LambdaFamily, MultiOperator, check_lambda_arity
 from .product import ProductKind, combine, product_size
 from .spaces import DistanceSpace
 
-# Candidate (x, y) pairs tested per block: 1 MB of booleans.
-BLOCK_ENTRIES = 1 << 20
+# Comparable (x, y) pairs emitted per block; a row with more pairs than this
+# is a block of its own.
+PAIR_BLOCK = 1 << 14
 # Sampled pairs of a continuous carrier evaluated per block: each coordinate
 # column is an object array of this many Python floats.
 SAMPLE_BLOCK = 1 << 13
@@ -99,17 +104,41 @@ class ProductKernel:
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks ``(xs, ys)`` of comparable pairs ``x <=_L y``, in canonical
         order."""
-        N = self.size
-        every = np.arange(N)
-        height = max(1, BLOCK_ENTRIES // max(N, 1))
-        for start in range(0, N, height):
-            rows = np.arange(start, min(start + height, N))
-            mask = self.leq_L(orders, rows[:, None], every[None, :])
+        # Coordinate i: the true columns of each row of orders[i], ascending
+        # and flattened row after row, times coordinate i's stride in the
+        # product index, so that y is the sum of its coordinates' terms; and
+        # each row's count and offset into that flat array.
+        terms = [
+            np.nonzero(Oi)[1] * self.n ** (self.m - 1 - i) for i, Oi in enumerate(orders)
+        ]
+        counts = [Oi.sum(axis=1) for Oi in orders]
+        offsets = [np.cumsum(ci) - ci for ci in counts]
+        c = self.coords
+        per_row = functools.reduce(
+            operator.mul, (ci[c[:, i]] for i, ci in enumerate(counts))
+        )
+        ends = np.cumsum(per_row)
+        start = 0
+        while start < self.size:
+            # Rows start..stop-1 hold at most PAIR_BLOCK pairs, or are one row.
+            before = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, before + PAIR_BLOCK, side="right")), start + 1)
+            sizes = per_row[start:stop]
+            xs = np.repeat(np.arange(start, stop), sizes)
+            # Each pair's rank within its row is y as a mixed-radix number
+            # over the sorted sets, the last coordinate least significant.
+            rank = np.arange(len(xs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            ys = np.zeros(len(xs), dtype=np.intp)
+            for i in reversed(range(self.m)):
+                xi = c[start:stop, i]
+                rank, digit = np.divmod(rank, np.repeat(counts[i][xi], sizes))
+                ys += terms[i][np.repeat(offsets[i][xi], sizes) + digit]
             if not include_equal:
-                mask[np.arange(len(rows)), rows] = False
-            r, c = np.nonzero(mask)
-            if len(r):
-                yield rows[r], c
+                keep = xs != ys
+                xs, ys = xs[keep], ys[keep]
+            if len(xs):
+                yield xs, ys
+            start = stop
 
     def distance(self, kind: ProductKind, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Product distances of index pairs, combined as :func:`combine` does."""

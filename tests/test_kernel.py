@@ -1,7 +1,10 @@
 """Differential tests: the integer kernel against the per-pair reference loops
-in helpers.py, on small random posets, index families, L sets and operators."""
+in helpers.py, on small random posets, index families, L sets and operators,
+and its comparable pairs against the full ``N x N`` mask; and the memory the
+exhaustive checks hold."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from multifix import (
     MultiOperator,
     OrderRelation,
     ProductKind,
+    chain_order,
     check_mk,
     check_mk_operator,
     check_omega,
@@ -25,6 +29,7 @@ from multifix import (
     product_space,
     sum_distance,
     sup_distance,
+    tripled_preset,
 )
 from multifix import kernel
 from multifix.product import _product_matrix
@@ -108,7 +113,7 @@ def instances(draw):
             st.lists(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=3),
         )
     )
-    block = draw(st.sampled_from([1, 7, kernel.BLOCK_ENTRIES]))
+    block = draw(st.sampled_from([1, 7, kernel.PAIR_BLOCK]))
     return space, order, F, family, lset, delta, r_grid, block
 
 
@@ -129,7 +134,7 @@ def same(got, want):
 @given(instances())
 def test_kernel_matches_reference(instance):
     space, order, F, family, lset, delta, r_grid, block = instance
-    with mock.patch.object(kernel, "BLOCK_ENTRIES", block):
+    with mock.patch.object(kernel, "PAIR_BLOCK", block):
         for variant in (1, 2, 3, 4):
             same(
                 check_omega(space, order, F, family, lset, variant),
@@ -170,9 +175,121 @@ def test_canonical_order_witness_across_blocks():
     F = MultiOperator(2, lambda x, y: min(x, 1))
     want = reference_check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
     assert want.counterexample not in (None, ((0, 0), (0, 1)))
-    with mock.patch.object(kernel, "BLOCK_ENTRIES", 1):
+    with mock.patch.object(kernel, "PAIR_BLOCK", 1):
         got = check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
     assert got.counterexample == want.counterexample
+
+
+# Hasse diagrams over 0..4: M3 (three atoms between 0 and 4) and N5 (the
+# pentagon 0 < 1 < 2 < 4 beside 0 < 3 < 4).
+M3 = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+N5 = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]
+
+
+@st.composite
+def posets(draw):
+    shape = draw(st.sampled_from(["chain", "antichain", "M3", "N5", "sparse"]))
+    if shape in ("M3", "N5"):
+        n, edges = 5, M3 if shape == "M3" else N5
+    else:
+        n = draw(st.integers(1, 5))
+        if shape == "chain":
+            edges = [(i, i + 1) for i in range(n - 1)]
+        elif shape == "antichain":
+            edges = []
+        else:
+            edges = [
+                (i, j)
+                for i, j in itertools.combinations(range(n), 2)
+                if draw(st.integers(0, 3)) == 0
+            ]
+    # Relabel, so that the order matrix is not upper triangular.
+    perm = draw(st.permutations(range(n)))
+    return OrderRelation.from_pairs(range(n), [(perm[i], perm[j]) for i, j in edges])
+
+
+def check_pairs_against_mask(order, lset, include_equal, block):
+    """The concatenated blocks are the nonzero entries of the full ``N x N``
+    ``<=_L`` mask, and each block holds at most ``block`` pairs or one row."""
+    n, m = len(order.points), lset.m
+    space = DistanceSpace.from_matrix(order.points, np.ones((n, n)) - np.eye(n))
+    k = kernel.ProductKernel(space, m)
+    orders = lset.orient(order.matrix(k.labels))
+    coords = np.array(list(itertools.product(range(n), repeat=m)))
+    mask = np.logical_and.reduce(
+        [Oi[coords[:, i, None], coords[None, :, i]] for i, Oi in enumerate(orders)]
+    )
+    if not include_equal:
+        np.fill_diagonal(mask, False)
+    with mock.patch.object(kernel, "PAIR_BLOCK", block):
+        blocks = list(k.comparable_pairs(orders, include_equal))
+    xs = np.concatenate([b[0] for b in blocks] or [np.zeros(0, int)])
+    ys = np.concatenate([b[1] for b in blocks] or [np.zeros(0, int)])
+    want_xs, want_ys = np.nonzero(mask)
+    assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+    assert len(xs) == int(orders[0].sum()) ** m - (0 if include_equal else k.size)
+    for bx, _ in blocks:
+        assert len(bx) and (len(bx) <= block or bx[0] == bx[-1])
+    return blocks
+
+
+@st.composite
+def lsets(draw):
+    m = draw(st.integers(1, 3))
+    return LSet(m, frozenset(draw(st.sets(st.integers(1, m)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(posets(), lsets(), st.booleans(), st.sampled_from([1, 7, kernel.PAIR_BLOCK]))
+def test_comparable_pairs_match_the_full_mask(order, lset, include_equal, block):
+    check_pairs_against_mask(order, lset, include_equal, block)
+
+
+@pytest.mark.parametrize("include_equal", [True, False])
+def test_row_with_more_pairs_than_a_block_is_one_block(include_equal):
+    # The bottom of a 3-chain squared, forward in both coordinates, is below
+    # all 9 points.
+    order = chain_order(range(3))
+    blocks = check_pairs_against_mask(order, LSet.of(2, 1, 2), include_equal, 7)
+    assert blocks[0][0].tolist() == [0] * (9 if include_equal else 8)
+
+
+class TestBoundedMemory:
+    """The exhaustive pair checks hold a block of pairs, not a candidate mask
+    as wide as the product, in memory."""
+
+    @staticmethod
+    def traced_peaks(n: int) -> list[int]:
+        # chain-verify's instance: d(i,j) = |i^2 - j^2| on an n-chain, the
+        # tripled family with L = {1,2,3} and an isotone contraction.
+        labels = list(range(n))
+        matrix = [[abs(i * i - j * j) for j in labels] for i in labels]
+        space = DistanceSpace.from_matrix(labels, matrix)
+        order = chain_order(labels)
+        F = MultiOperator(3, lambda x, y, z: max(min(x, z) - 1, 0))
+        lset = LSet.of(3, 1, 2, 3)
+        checks = [
+            lambda: check_omega(space, order, F, tripled_preset(), lset, 1),
+            lambda: check_mk_operator(
+                space, order, F, tripled_preset(), lset, MeirKeelerModulus.const(0.5),
+                ProductKind.SUP,
+            ),
+        ]
+        peaks = []
+        for check in checks:
+            check()  # first-call caches
+            tracemalloc.start()
+            try:
+                assert check().verdict == "pass"
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    def test_peak_is_small_and_barely_grows_with_the_product(self):
+        small, large = self.traced_peaks(9), self.traced_peaks(12)
+        assert max(small + large) < 4 << 20
+        assert all(b - a < 1 << 20 for a, b in zip(small, large))
 
 
 def test_callable_value_outside_carrier_names_argument():
