@@ -109,9 +109,8 @@ class DistanceSpace:
         if self._matrix is None:
             n = len(self.points)
             self._matrix = np.array(
-                [[float(self.dist(self.points[i], self.points[j])) for j in range(n)]
-                 for i in range(n)]
-            )
+                [float(self.dist(p, q)) for p in self.points for q in self.points], float
+            ).reshape(n, n)
         return self._matrix
 
     # -- constructors -------------------------------------------------------
@@ -235,12 +234,10 @@ def _exact_table(D: np.ndarray) -> Optional[np.ndarray]:
     """D in the narrowest integer dtype that holds every sum of two of its
     entries exactly, or None when an entry is negative, fractional or not
     finite, or the entries are too large for int32."""
-    if D.size == 0:
-        return None
-    top = D.max()
+    top = D.max(initial=0)
     dt = next((t for t in _EXACT_DTYPES if top <= np.iinfo(t).max // 2), None)
     # NaN fails both tests, inf the bound and -inf the sign.
-    if dt is None or not D.min() >= 0:
+    if dt is None or not D.min(initial=0) >= 0:
         return None
     C = D.astype(dt)
     return C if np.array_equal(C, D) else None
@@ -263,14 +260,14 @@ def _min_plus_blocks(D: np.ndarray, T: np.ndarray, starts: Sequence[int]) -> Non
 
 
 def _min_plus(D: np.ndarray) -> np.ndarray:
-    """T[x, z] = min over y of D[x, y] + D[y, z], as float64.
+    """T[x, z] = min over y of D[x, y] + D[y, z], in the dtype it ran in.
 
     A table of small nonnegative integers runs in the narrowest integer
-    dtype that holds every sum; integer sums are exact in both dtypes, so
-    T is the same.  Row blocks are shared among up to one thread per usable
-    CPU; numpy's ufuncs release the GIL.  Blocks write disjoint rows and
-    each takes the minimum over y in the same order, so T does not depend
-    on the thread count.
+    dtype that holds every sum and T keeps it: integer sums are exact, so T
+    equals the float64 product in value.  Row blocks are shared among up to
+    one thread per usable CPU; numpy's ufuncs release the GIL.  Blocks write
+    disjoint rows and each takes the minimum over y in the same order, so T
+    does not depend on the thread count.
     """
     C = _exact_table(D)
     if C is not None:
@@ -301,7 +298,7 @@ def _min_plus(D: np.ndarray) -> np.ndarray:
             thread.join()
     if errors:
         raise errors[0]
-    return T.astype(float, copy=False)
+    return T
 
 
 def classify_finite(space: DistanceSpace) -> DistanceClass:
@@ -313,30 +310,33 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
     values and their midpoints; since the conditions weaken monotonically as
     delta shrinks and tighten as epsilon shrinks, the smallest positive
     candidate of each is decisive and is what gets checked.
+
+    Beyond the table it holds T in its min-plus dtype, read exactly, and
+    one-byte masks; every float stage runs on the min-plus row blocks of D.
     """
     if not space.is_finite:
         raise UnsupportedInstanceError("classification is finite-only")
     D = space.matrix()
     atol = space.atol
-    n = D.shape[0]
+    rows = _block_rows(D)
+    blocks = [slice(lo, lo + rows) for lo in range(0, D.shape[0], rows)]
 
-    symmetric = bool(np.all(np.abs(D - D.T) <= atol))
+    symmetric = all(np.all(np.abs(D[b] - D[:, b].T) <= atol) for b in blocks)
     T = _min_plus(D)
-    quasimetric = bool(np.all(D <= T + atol))
-    metric = symmetric and quasimetric
+    quasimetric = all(np.all(D[b] <= T[b] + atol) for b in blocks)
 
-    positive = D[D > atol]
-    smallest = positive.min() if positive.size else np.inf
+    pos = D > atol
+    smallest = np.min(D, where=pos, initial=np.inf)
 
     # Zero-resolution delta: half the smallest positive realized distance.
-    delta0 = smallest / 2.0 if positive.size else 1.0
+    delta0 = smallest / 2.0 if pos.any() else 1.0
     A = D <= delta0
-    # reach = A.A as booleans: each y ORs its row into the rows reaching it.
-    reach = np.zeros_like(A)
-    for y in range(n):
+    # reach = A.A as booleans.  The term y = x is row x of A where A[x, x]
+    # holds; only a column of A with an off-diagonal entry adds more.
+    reach = A & A.diagonal()[:, None]
+    for y in np.flatnonzero(np.count_nonzero(A, axis=0) > A.diagonal()):
         reach[A[:, y]] |= A[y]
-    chained = np.where(reach, D, -np.inf)
-    f_distance = bool(np.max(chained) <= smallest + atol)
+    f_distance = bool(np.max(D, where=reach, initial=-np.inf) <= smallest + atol)
 
     # Minimal feasible s for the relaxed triangle inequality.  For each pair
     # the binding intermediate point is the one minimizing d(x,z)+d(z,y).
@@ -345,19 +345,19 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
     # steps that are each zero within atol: the classifier reads both as
     # zero, as the F test above does.
     s_distance: Optional[float] = None
-    blocked = ((T <= atol) | reach) & (D > atol)
-    if not blocked.any():
+    if not any(np.any(((T[b] <= atol) | reach[b]) & pos[b]) for b in blocks):
         # A ratio above the float maximum overflows to inf, which is its
         # value here: no finite s relaxes the triangle inequality that far.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = np.where((T > atol) & (D > atol), D / np.maximum(T, atol), 0.0)
-        s = float(ratios.max()) if n > 0 else 1.0
+            ratios = [np.max(D[b] / np.maximum(T[b], atol), where=(T[b] > atol) & pos[b],
+                             initial=0.0) for b in blocks]
+        s = float(np.max(ratios, initial=0.0))
         s_distance = max(s, 1.0) if s > 0 else 1.0
 
     return DistanceClass(
         symmetric=symmetric,
         quasimetric=quasimetric,
-        metric=metric,
+        metric=symmetric and quasimetric,
         f_distance=f_distance,
         s_distance=s_distance,
         h_distance=is_h_distance(space),

@@ -385,7 +385,7 @@ def classify_reference(D, atol):
             for x in pts
             for z in pts
         ]
-        s = max(ratios)
+        s = max(ratios, default=0.0)
         s_distance = max(s, 1.0) if s > 0 else 1.0
     zero_sets = [{w for w in pts if D[x][w] <= atol} for x in pts]
     h_distance = all(
@@ -395,7 +395,7 @@ def classify_reference(D, atol):
         symmetric=symmetric,
         quasimetric=quasimetric,
         metric=symmetric and quasimetric,
-        f_distance=max(row_max) <= bound,
+        f_distance=max(row_max, default=-inf) <= bound,
         s_distance=s_distance,
         h_distance=h_distance,
     )

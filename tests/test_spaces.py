@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,6 +147,20 @@ class TestClassify:
         assert cls.s_distance is not None
         assert 1.0 < cls.s_distance <= 2.0
 
+    def test_empty_carrier_is_classified_vacuously(self):
+        assert DistanceSpace(lambda x, y: 0.0, points=[]).matrix().shape == (0, 0)
+        want = DistanceClass(
+            symmetric=True,
+            quasimetric=True,
+            metric=True,
+            f_distance=True,
+            s_distance=1.0,
+            h_distance=True,
+        )
+        assert classify_finite(DistanceSpace.from_matrix([], [])) == want
+        assert classify_finite(DistanceSpace(lambda x, y: 0.0, points=[])) == want
+        assert classify_reference([], 0.0) == want
+
     def test_continuous_carrier_rejected(self):
         with pytest.raises(UnsupportedInstanceError):
             classify_finite(DistanceSpace.reals())
@@ -189,11 +204,12 @@ class TestClassify:
 
 # Off-diagonal distances: zeros (one direction only, so H fails and the
 # quasimetric check can be blocked), tenths whose sums round, and arbitrary
-# nonnegative reals.
+# nonnegative reals; or only whole numbers, whose min-plus runs in int8.
 DISTANCES = st.one_of(
     st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 7.0]),
     st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
 )
+WHOLE_DISTANCES = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0])
 
 
 @st.composite
@@ -201,11 +217,12 @@ def finite_spaces(draw):
     """A table-backed space, a computed-distance space, or a sup or sum
     product of a small table-backed space."""
     shape = draw(st.sampled_from(["table", "computed", "product"]))
-    n = draw(st.integers(1, 3 if shape == "product" else 6))
-    M = [[0.0 if i == j else draw(DISTANCES) for j in range(n)] for i in range(n)]
+    n = draw(st.integers(1, 3 if shape == "product" else 10))
+    values = draw(st.sampled_from([DISTANCES, WHOLE_DISTANCES]))
+    M = [[0.0 if i == j else draw(values) for j in range(n)] for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         if M[i][j] + M[j][i] == 0:
-            M[i][j] = draw(DISTANCES.filter(bool))
+            M[i][j] = draw(values.filter(bool))
     if shape == "computed":
         return DistanceSpace(lambda x, y: M[x][y], points=range(n))
     space = DistanceSpace.from_matrix(range(n), M)
@@ -215,11 +232,16 @@ def finite_spaces(draw):
 
 
 class TestClassifyDifferential:
+    # One float64 row per block puts every stage past a block boundary, and
+    # int8 min-plus blocks of 8 rows are crossed from 9 points on.
+    @pytest.mark.parametrize("block", [spaces.MIN_PLUS_BLOCK, 1])
     @settings(max_examples=300, deadline=None)
     @given(finite_spaces())
-    def test_matches_loop_reference(self, space):
+    def test_matches_loop_reference(self, block, space):
         want = classify_reference(space.matrix().tolist(), space.atol)
-        assert classify_finite(space) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "MIN_PLUS_BLOCK", block)
+            assert classify_finite(space) == want
 
     def test_two_steps_within_tolerance_block_the_s_relaxation(self):
         # d(2,0) and d(0,1) are zero within atol = 1e-12 while d(2,1) = 0.2:
@@ -394,8 +416,8 @@ class TestExactMinPlus:
         top = np.iinfo(dt).max // 2 + over
         D = integer_table(7, top, seed=top)
         T = spaces._min_plus(D)
-        assert block_dtypes == [LADDER[LADDER.index(dt) + over]]
-        assert T.dtype == np.float64 and np.array_equal(T, min_plus_reference(D))
+        assert block_dtypes == [T.dtype] == [LADDER[LADDER.index(dt) + over]]
+        assert np.array_equal(T, min_plus_reference(D))
         space = DistanceSpace.from_matrix(range(7), D)
         assert classify_finite(space) == classify_reference(D.tolist(), 0.0)
 
@@ -461,3 +483,31 @@ class TestExactMinPlus:
             sys.setswitchinterval(interval)
         assert block_dtypes == [np.int16] * 6
         assert np.array_equal(T, min_plus_reference(D))
+
+
+class TestClassifyMemory:
+    # Beyond the table, classify holds T in its min-plus dtype (an eighth of
+    # the table in int8, all of it in float64), three one-byte masks (three
+    # eighths) and one block per float temporary or min-plus worker.  With
+    # one-way zeros the reach loop runs and s is blocked; without, every
+    # ratio is taken.
+    @pytest.mark.parametrize("zeros", [True, False])
+    @pytest.mark.parametrize("dt, bound", [(np.int8, 1.5), (np.float64, 2.5)])
+    def test_traced_peak_is_bounded_by_the_table(
+        self, dt, bound, zeros, block_dtypes, monkeypatch
+    ):
+        monkeypatch.setattr(spaces, "_usable_cpus", lambda: 2)
+        D = ladder_table(512, dt, seed=11)
+        if not zeros:
+            D[D == 0] = 1.0
+            np.fill_diagonal(D, 0.0)
+        space = DistanceSpace.from_matrix(range(512), D)
+        table = space.matrix().nbytes
+        tracemalloc.start()
+        try:
+            classify_finite(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(block_dtypes) == {np.dtype(dt)}
+        assert peak < bound * table
