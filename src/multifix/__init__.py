@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     UnsupportedInstanceError,
 )
-from .game import GameConfig, Trajectory, simulate
+from .game import GameConfig, Play
 from .operators import (
     FixedPointCertificate,
     LambdaFamily,
@@ -71,10 +71,10 @@ __all__ = [
     "MultifixError",
     "OrderRelation",
     "ParseError",
+    "Play",
     "ProductKind",
     "SolveConfig",
     "SolveReport",
-    "Trajectory",
     "UniquenessReport",
     "UnsupportedInstanceError",
     "apply_lambda_f",
@@ -96,7 +96,6 @@ __all__ = [
     "picard_solve",
     "product_space",
     "sample_comparable_pairs",
-    "simulate",
     "sum_distance",
     "sup_distance",
     "surjectivity_report",

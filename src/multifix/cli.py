@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Sequence
 
-from .conditions import CONDITIONS, sample_comparable_pairs
+from .conditions import CONDITIONS
 from .errors import CapacityError, MultifixError, ParseError
 from .game import GameConfig, Play, write_csv, write_trajectory_csv
 from .orders import LSet
@@ -114,11 +114,7 @@ def cmd_check(args) -> int:
         options["kind"] = ProductKind(args.metric or pf.metric or "sup")
         if space.is_finite and (args.seed, args.samples) != (None, None):
             args.usage_error("--seed and --samples are read only on a continuous carrier")
-        if not space.is_finite:
-            lo, hi = space.box.lo, space.box.hi
-            options["seed"] = seed = args.seed or 0
-            samples = 10_000 if args.samples is None else args.samples
-            options["pairs"] = sample_comparable_pairs(lo, hi, lset, samples, seed)
+        options.update(seed=args.seed, samples=args.samples)
     return _print_report(condition.check(space, order, F, family, lset, **options))
 
 
@@ -149,7 +145,10 @@ def cmd_solve(args) -> int:
         print(f"start={format_product_point(start)} direction={direction}")
     elif args.start is not None:
         tokens = args.start.split(",")
-        start = tuple(tokens) if space.is_finite else tuple(float(t) for t in tokens)
+        try:
+            start = tuple(tokens) if space.is_finite else tuple(float(t) for t in tokens)
+        except ValueError:
+            args.usage_error(f"--start takes 'auto' or comma-separated numbers, got {args.start!r}")
     else:
         start = pf.require("start")
     report = picard_solve(space, F, family, start, config)
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--start", help="'auto' or a comma-separated tuple")
     p.add_argument("--trace", help="write the residual trace CSV here")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("enumerate", help="brute-force all multiple fixed points")
     p.add_argument("file")

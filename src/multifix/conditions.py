@@ -26,7 +26,7 @@ from .operators import (
     surjectivity_report,
 )
 from .orders import LSet, OrderRelation
-from .product import ProductKind, check_pair_arity, combine, product_atol
+from .product import ProductKind, combine, product_atol
 from .spaces import DistanceSpace
 
 _MODULUS_FORMS = {
@@ -331,35 +331,37 @@ def sample_comparable_pairs(
     lset: LSet,
     n: int,
     seed: int,
-) -> np.ndarray:
-    """Seeded sample of product-point pairs over [lo, hi]^m that are
+) -> Iterator[np.ndarray]:
+    """Seeded sample of n product-point pairs over [lo, hi]^m that are
     comparable under the twisted order (forward on L, backward elsewhere),
-    as an (n, 2, m) float array: entry [k, 0] is x and [k, 1] is y.
+    as (k, 2, m) float blocks of at most ``SAMPLE_BLOCK`` pairs: entry
+    [k, 0] is x and [k, 1] is y.
 
     Per pair and coordinate, x_i = uniform(lo, hi) and a step
     uniform(0, (hi - lo) / 4) moves y_i up (on L) or down, clipped to the
     box; the floats are those of ``random.Random(seed).uniform`` draws in
-    that order.
+    that order, one stream across the blocks.
     """
-    rng = random.Random(seed)
     m = lset.m
-    n = max(n, 0)  # a count of -1 would make fromiter read the endless stream
-    # u[k, i] holds the two draws of pair k, coordinate i, in the order the
-    # per-pair loop drew them (rng.random never returns None, so the iterator
-    # is the endless stream of draws); uniform(a, b) is a + (b - a) * random().
-    u = np.fromiter(iter(rng.random, None), float, count=2 * m * n).reshape(n, m, 2)
-    x = u[:, :, 0]
-    x *= hi - lo
-    x += lo
-    y = u[:, :, 1]
-    y *= (hi - lo) / 4
     forward = np.array(lset.forward)
-    np.add(x, y, out=y, where=forward)
-    np.subtract(x, y, out=y, where=~forward)
-    # min(b, hi) and max(b, lo) keep b unless the bound is strictly beyond it.
-    np.copyto(y, hi, where=forward & (hi < y))
-    np.copyto(y, lo, where=~forward & (lo > y))
-    return u.transpose(0, 2, 1)
+    # The two draws of each pair and coordinate, in the order the per-pair
+    # loop drew them (rng.random never returns None, so this is the endless
+    # stream of draws); uniform(a, b) is a + (b - a) * random().
+    draws = iter(random.Random(seed).random, None)
+    for start in range(0, n, SAMPLE_BLOCK):
+        k = min(SAMPLE_BLOCK, n - start)
+        u = np.fromiter(draws, float, count=2 * m * k).reshape(k, m, 2)
+        x = u[:, :, 0]
+        x *= hi - lo
+        x += lo
+        y = u[:, :, 1]
+        y *= (hi - lo) / 4
+        np.add(x, y, out=y, where=forward)
+        np.subtract(x, y, out=y, where=~forward)
+        # min(b, hi) and max(b, lo) keep b unless the bound is strictly beyond it.
+        np.copyto(y, hi, where=forward & (hi < y))
+        np.copyto(y, lo, where=~forward & (lo > y))
+        yield u.transpose(0, 2, 1)
 
 
 def check_mk_operator(
@@ -370,9 +372,9 @@ def check_mk_operator(
     lset: LSet,
     delta: MeirKeelerModulus,
     kind: ProductKind,
-    pairs: Optional[Sequence] = None,
     r_grid: Optional[Sequence[float]] = None,
     seed: Optional[int] = None,
+    samples: Optional[int] = None,
 ) -> ConditionReport:
     """Operator-image Meir-Keeler condition: for comparable pairs and every
     r > 0 with rho(x, y) < r + delta(r), the images satisfy
@@ -381,59 +383,52 @@ def check_mk_operator(
     Without an explicit ``r_grid`` every r > 0 is decided in closed form;
     with one, r ranges over the grid and the report is ``grid_bound``.
     A finite carrier is checked on every comparable pair and may report
-    "pass"; a continuous one is checked on the supplied ``pairs``, an
-    (n, 2, m) array of reals as :func:`sample_comparable_pairs` returns, and
-    reports at most "sampled-pass".
+    "pass"; a continuous one is checked on ``samples`` pairs (default
+    10000) that :func:`sample_comparable_pairs` draws from ``seed``
+    (default 0) over its box, and reports at most "sampled-pass".
     """
     atol = product_atol(space, kind)
-    if pairs is None:
+    if space.is_finite:
+        if (seed, samples) != (None, None):
+            raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
         failure, samples = _mk_operator_exhaustive(
             space, order, F, family, lset, delta, kind, r_grid, atol
         )
     else:
-        points = _pair_array(space, pairs, F, family)
-        failure = _mk_operator_sampled(space, F, family, delta, kind, r_grid, atol, points)
-        samples = len(points)
+        seed = 0 if seed is None else seed
+        samples = 10_000 if samples is None else samples
+        failure = _mk_operator_sampled(
+            space, F, family, lset, delta, kind, r_grid, atol, seed, samples
+        )
     clause = Clause("MK operator condition", failure is None, failure)
     return ConditionReport(
-        "mk-operator", [clause], sampled=pairs is not None,
+        "mk-operator", [clause], sampled=not space.is_finite,
         seed=seed, samples=samples, grid_bound=r_grid is not None,
     )
-
-
-def _pair_array(
-    space: DistanceSpace, pairs: Sequence, F: MultiOperator, family: LambdaFamily
-) -> np.ndarray:
-    """A continuous carrier's sampled pairs as one (n, 2, m) float array,
-    the arity checked on the first pair as sup_distance and apply_lambda_f do."""
-    if space.is_finite:
-        raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
-    if len(pairs) == 0:
-        raise ValueError("no comparable pairs to check")
-    points = np.asarray(pairs, dtype=float)
-    if points.ndim != 3 or points.shape[1] != 2:
-        raise ValueError(f"pairs must form an (n, 2, m) array, got shape {points.shape}")
-    check_pair_arity(points[0, 0], points[0, 1])
-    check_lambda_arity(F, family, points[0, 0])
-    return points
 
 
 def _mk_operator_sampled(
     space: DistanceSpace,
     F: MultiOperator,
     family: LambdaFamily,
+    lset: LSet,
     delta: MeirKeelerModulus,
     kind: ProductKind,
     r_grid: Optional[Sequence[float]],
     atol: float,
-    points: np.ndarray,
+    seed: int,
+    samples: int,
 ) -> Optional[tuple]:
-    """The first failing (x, y, r) of the sampled pairs, or None.  The pairs
-    are evaluated ``SAMPLE_BLOCK`` at a time, up to the first failing block,
-    so memory does not grow with the sample count."""
+    """The first failing (x, y, r) of the sampled pairs, or None.  Each
+    block of pairs is evaluated as it is drawn, and the draw stops at the
+    first failing block, so memory does not grow with the sample count."""
+    if samples < 1:
+        raise ValueError("no comparable pairs to check")
+    check_lambda_arity(F, family, range(lset.m))
+    if space.box is None:
+        raise UnsupportedInstanceError("sampled pairs need a box carrier")
     first_failure = _first_failure(delta, r_grid)
-    for start in range(0, len(points), SAMPLE_BLOCK):
-        block = points[start:start + SAMPLE_BLOCK]
+    for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed):
         found = first_failure(*_column_distances(space, F, family, kind, block), atol)
         if found is not None:
             k, r = found
@@ -449,8 +444,7 @@ def _column_distances(
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rho(x, y), rho(lambdaF(x), lambdaF(y))) for every pair of an (n, 2, m)
-    array whose arities :func:`_pair_array` checked, one coordinate column at
-    a time.
+    array of the family's arity, one coordinate column at a time.
 
     F and the base distance run through ``np.frompyfunc``, so each call gets
     the Python floats a per-pair loop passes, and :func:`combine`
@@ -548,8 +542,8 @@ def check_mk(
 class ConditionSet:
     """A named condition set: its checker with the variant bound, called as
     ``check(space, order, F, family, lset, delta=..., r_grid=...)`` plus, when
-    it reads ``metric``, the product ``kind`` and any sampled ``pairs`` and
-    ``seed``; the omega checkers ignore ``delta`` and ``r_grid``."""
+    it reads ``metric``, the product ``kind`` and any ``seed`` and
+    ``samples``; the omega checkers ignore ``delta`` and ``r_grid``."""
 
     check: Callable[..., ConditionReport]
     reads: frozenset[str] = frozenset()  # the ``check`` command options it reads

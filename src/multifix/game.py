@@ -12,7 +12,7 @@ import math
 import operator
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
@@ -42,16 +42,6 @@ class GameConfig:
 class Round:
     selection: tuple
     nonconvenience: tuple  # per-player d(x_i, y_i) toward the corrected tuple
-
-
-@dataclass
-class Trajectory:
-    rounds: list[Round] = field(default_factory=list)
-    terminated_optimal: bool = False
-
-    @property
-    def final_selection(self) -> tuple:
-        return self.rounds[-1].selection
 
 
 class Play:
@@ -90,15 +80,6 @@ class Play:
                 self.optimal = True
                 return
             x = nxt
-
-
-def simulate(game: GameConfig, start: Sequence[Point]) -> Trajectory:
-    """Iterate corrections from ``start`` until the selection is optimal or
-    the round cap is hit; every visited selection is recorded.  An optimal
-    selection outside the carrier raises :class:`CarrierError`."""
-    play = Play(game, start)
-    rounds = list(play)
-    return Trajectory(rounds, play.optimal)
 
 
 # Lines joined into each write of a CSV file.

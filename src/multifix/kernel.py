@@ -32,8 +32,8 @@ from .spaces import DistanceSpace
 # Comparable (x, y) pairs emitted per block; a row with more pairs than this
 # is a block of its own.
 PAIR_BLOCK = 1 << 14
-# Sampled pairs of a continuous carrier evaluated per block: each coordinate
-# column is an object array of this many Python floats.
+# Sampled pairs of a continuous carrier drawn and evaluated per block: each
+# coordinate column is an object array of this many Python floats.
 SAMPLE_BLOCK = 1 << 13
 
 

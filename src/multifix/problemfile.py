@@ -190,6 +190,8 @@ def parse_problem(text: str) -> ProblemFile:
             labels = tuple(rest.split())
             if not labels:
                 raise ParseError("points block lists no labels", ln)
+            if len(set(labels)) != len(labels):
+                raise ParseError("carrier labels must be distinct", ln)
         elif head == "dist":
             if labels is None:
                 raise ParseError("dist block must follow points", ln)

@@ -25,7 +25,7 @@ from multifix import (
     surjectivity_report,
 )
 from multifix.conditions import Clause, ConditionReport
-from multifix.game import Round, Trajectory
+from multifix.game import Round
 from multifix.operators import bind_lambda_f, check_lambda_arity
 from multifix.product import (
     bind_distance,
@@ -528,18 +528,18 @@ def reference_picard_solve(space, F, family, start, config):
 
 
 def reference_simulate(game, start):
-    """The correction game one checked call at a time."""
+    """The correction game one checked call at a time: its rounds and
+    whether the last was optimal."""
     x = tuple(start)
     for c in x:
         game.space.require(c)
-    traj = Trajectory()
+    rounds = []
     for _ in range(game.rounds):
         nxt = reference_apply_lambda_f(game.F, game.family, x)
         nonconv = tuple(game.space.dist(a, b) for a, b in zip(x, nxt))
-        traj.rounds.append(Round(x, nonconv))
+        rounds.append(Round(x, nonconv))
         if sum_distance(game.space, x, nxt) <= game.tol:
             _in_carrier(game.space, x)
-            traj.terminated_optimal = True
-            return traj
+            return rounds, True
         x = nxt
-    return traj
+    return rounds, False

@@ -21,6 +21,7 @@ from multifix import (
     MeirKeelerModulus,
     MultiOperator,
     OrderRelation,
+    Play,
     ProductKind,
     SolveConfig,
     chain_order,
@@ -34,8 +35,6 @@ from multifix import (
     is_multiple_fixed_point,
     picard_solve,
     product_space,
-    sample_comparable_pairs,
-    simulate,
     tripled_preset,
     verify_uniqueness,
 )
@@ -281,10 +280,8 @@ def test_criterion_7_meir_keeler_discrimination(announce):
 
     def run(k):
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
-        pairs = sample_comparable_pairs(-10, 10, lset, 10_000, seed=7)
         return check_mk_operator(
-            reals, order, F, fam, lset, delta, ProductKind.SUP,
-            pairs=pairs, seed=7,
+            reals, order, F, fam, lset, delta, ProductKind.SUP, samples=10_000, seed=7
         )
 
     good_a, good_b = run(0.5), run(0.5)
@@ -310,16 +307,17 @@ def test_criterion_8_game_solver_coherence(announce):
     F = MultiOperator(2, lambda x, y: y / 2 + 0.25)
     fam = coupled_preset()
     game = GameConfig(space=space, F=F, family=fam, rounds=200, tol=1e-8)
-    traj = simulate(game, (0.0, 0.0))
+    play = Play(game, (0.0, 0.0))
+    final = list(play)[-1].selection
     # the game stops when total non-convenience <= tol; the iterative solver
     # with the matching symmetric-sum threshold must stop at the same tuple
     solver = picard_solve(
         space, F, fam, (0.0, 0.0), SolveConfig(kind=ProductKind.SUM, tol=2e-8)
     )
-    gap = max(abs(a - b) for a, b in zip(traj.final_selection, solver.final))
-    near_half = max(abs(c - 0.5) for c in traj.final_selection)
+    gap = max(abs(a - b) for a, b in zip(final, solver.final))
+    near_half = max(abs(c - 0.5) for c in final)
     ok = (
-        traj.terminated_optimal
+        play.optimal
         and near_half <= 1e-8
         and solver.status == "converged"
         and gap <= 1e-12

@@ -519,6 +519,17 @@ class TestSolve:
         assert code == 0
         assert "status=converged" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("start", ["x,y", "1,", "1,nope"])
+    def test_non_numeric_start_on_a_box_is_a_usage_error(self, prob, capsys, start):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", prob(CONTRACTION), "--start", start])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: multifix solve ")
+        assert err.endswith(
+            f"error: --start takes 'auto' or comma-separated numbers, got {start!r}\n"
+        )
+
 
 class TestEnumerate:
     def test_constant_chain_single_point(self, prob, capsys):
@@ -659,7 +670,7 @@ class TestBoundedMemory:
         assert large - small < 1 << 20
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-    def test_sampled_mk_op_grows_by_the_sample_array(self, prob):
+    def test_sampled_mk_op_does_not_grow_with_samples(self, prob):
         # The peak RSS of a process of its own: tracemalloc would slow the
         # 10^5 evaluations about tenfold, and a child's ru_maxrss starts at
         # this process's peak, while VmHWM starts afresh at exec.
@@ -677,8 +688,7 @@ class TestBoundedMemory:
             assert done.stdout.startswith(f"SAMPLED-PASS seed=0 n={samples}\n")
             return int(done.stdout.split()[-2])  # "VmHWM:  35000 kB"
 
-        sample_array = (100_000 - 10_000) * 2 * 2 * 8  # (n, 2, m) float64, m = 2
-        assert (peak_kib(100_000) - peak_kib(10_000)) * 1024 < sample_array + (1 << 20)
+        assert (peak_kib(100_000) - peak_kib(10_000)) * 1024 < 1 << 20
 
 
 class TestZeroValuedHeaders:
@@ -1028,7 +1038,7 @@ class TestAssemblyErrorLines:
             (TWO_POINTS.replace("a <= b", "a <= b\nb <= a"), 5, "not antisymmetric"),
             (TWO_POINTS.replace("a <= b", "a <= c"), 5, "unknown point 'c'"),
             ("points: a b\norder:\na <= b\n", 1, "without a dist block"),
-            (TWO_POINTS.replace("points: a b", "points: a a"), 2, "must be distinct"),
+            (TWO_POINTS.replace("points: a b", "points: a a"), 1, "must be distinct"),
             (TWO_POINTS.replace("0 1\n", "0 -1\n"), 2, "is negative"),
             (TWO_POINTS.replace("lambda: coupled", "lambda:\n1 3\n2 1"), 7, "outside 1..2"),
             (TWO_POINTS.replace("lambda: coupled", "lambda: tripled"), 7, "does not match"),

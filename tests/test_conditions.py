@@ -32,7 +32,7 @@ from multifix.conditions import (
     _all_r_failure,
     _binding_r,
     _column_distances,
-    _pair_array,
+    _first_failure,
 )
 from multifix.spaces import COMPUTED_ATOL
 from helpers import (
@@ -269,10 +269,9 @@ class TestMeirKeelerOperator:
     def test_lipschitz_half_sampled_pass(self):
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
-        pairs = sample_comparable_pairs(-10, 10, self.L, 2000, seed=7)
         report = check_mk_operator(
             reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
-            MeirKeelerModulus.linear(1.0), ProductKind.SUP, pairs=pairs, seed=7,
+            MeirKeelerModulus.linear(1.0), ProductKind.SUP, samples=2000, seed=7,
         )
         assert report.verdict == "sampled-pass"
         assert report.samples == 2000
@@ -280,10 +279,9 @@ class TestMeirKeelerOperator:
     def test_expansion_fails_with_witness(self):
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: 2 * x)
-        pairs = sample_comparable_pairs(-10, 10, self.L, 500, seed=3)
         report = check_mk_operator(
             reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
-            MeirKeelerModulus.linear(1.0), ProductKind.SUP, pairs=pairs, seed=3,
+            MeirKeelerModulus.linear(1.0), ProductKind.SUP, samples=500, seed=3,
         )
         assert report.verdict == "fail"
         assert report.counterexample is not None
@@ -303,11 +301,10 @@ class TestMeirKeelerOperator:
         # into a Meir-Keeler operator
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
-        pairs = sample_comparable_pairs(-10, 10, self.L, 1000, seed=21)
         report = check_mk_operator(
             reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
             MeirKeelerModulus.linear((1 - k) / k), ProductKind.SUP,
-            pairs=pairs, seed=21,
+            samples=1000, seed=21,
         )
         assert report.passed
 
@@ -315,10 +312,9 @@ class TestMeirKeelerOperator:
         k = 1.2
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
-        pairs = sample_comparable_pairs(-10, 10, self.L, 1000, seed=21)
         report = check_mk_operator(
             reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
-            MeirKeelerModulus.linear(0.5), ProductKind.SUP, pairs=pairs, seed=21,
+            MeirKeelerModulus.linear(0.5), ProductKind.SUP, samples=1000, seed=21,
         )
         assert report.verdict == "fail"
 
@@ -327,12 +323,11 @@ class TestMeirKeelerOperator:
         F = MultiOperator(2, lambda x, y: 1.1 * (x - y) + 1)
         runs = []
         for _ in range(2):
-            pairs = sample_comparable_pairs(-10, 10, self.L, 1000, seed=9)
             runs.append(
                 check_mk_operator(
                     reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
                     MeirKeelerModulus.linear(1.0), ProductKind.SUP,
-                    pairs=pairs, seed=9,
+                    samples=1000, seed=9,
                 )
             )
         assert runs[0].verdict == runs[1].verdict == "fail"
@@ -343,42 +338,40 @@ class TestMeirKeelerOperator:
         # binds, whatever the (here infinite) image distance
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: 1e308 * (x - y) + 1)
-        pairs = [((-10.0, 10.0), (10.0, -10.0))]
-        report = check_mk_operator(
-            reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
-            MeirKeelerModulus.linear(1.0), ProductKind.SUP, pairs=pairs, r_grid=[0.5],
-        )
-        assert report.verdict == "sampled-pass"
+        pair = np.array([[[-10.0, 10.0], [10.0, -10.0]]])
+        rho, image = _column_distances(reals, F, coupled_preset(), ProductKind.SUP, pair)
+        assert rho.tolist() == [20.0] and image.tolist() == [float("inf")]
+        first_failure = _first_failure(MeirKeelerModulus.linear(1.0), [0.5])
+        assert first_failure(rho, image, reals.atol) is None
 
-    def test_supplied_pair_arity_is_checked(self):
+    def test_defaults_are_seed_zero_and_ten_thousand_samples(self):
         reals = DistanceSpace.reals(-10, 10)
-        F = MultiOperator(2, lambda x, y: x)
+        F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
         args = (reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
                 MeirKeelerModulus.linear(1.0), ProductKind.SUP)
-        with pytest.raises(ValueError):  # a ragged sample forms no (n, 2, m) array
-            check_mk_operator(*args, pairs=[((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 1.0, 2.0))])
-        with pytest.raises(ValueError, match=r"an \(n, 2, m\) array, got shape \(1, 2\)"):
-            check_mk_operator(*args, pairs=[(0.0, 1.0)])
-        with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
-            check_mk_operator(*args, pairs=[((0.0, 1.0, 2.0), (0.0, 1.0, 2.0))])
+        report = check_mk_operator(*args)
+        assert (report.verdict, report.seed, report.samples) == ("sampled-pass", 0, 10_000)
+        assert field_reprs(report) == field_reprs(check_mk_operator(*args, seed=0, samples=10_000))
 
-    def test_a_finite_carrier_is_never_sampled(self):
+    def test_errors_come_in_order_count_arity_box(self):
+        args = (OrderRelation.numeric(), MultiOperator(2, lambda x, y: x), coupled_preset())
+        rest = (MeirKeelerModulus.linear(1.0), ProductKind.SUP)
+        boxless = DistanceSpace(lambda x, y: abs(x - y))
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="no comparable pairs to check"):
+                check_mk_operator(boxless, *args, LSet.of(3, 1), *rest, samples=samples)
+        with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
+            check_mk_operator(boxless, *args, LSet.of(3, 1), *rest)
+        with pytest.raises(UnsupportedInstanceError, match="box"):
+            check_mk_operator(boxless, *args, self.L, *rest)
+
+    @pytest.mark.parametrize("sampling", [{"seed": 0}, {"samples": 5}, {"seed": 1, "samples": 5}])
+    def test_a_finite_carrier_is_never_sampled(self, sampling):
         space, order = int_chain(3)
         args = (space, order, MultiOperator.constant(2, 1), coupled_preset(), self.L,
                 MeirKeelerModulus.linear(1.0), ProductKind.SUP)
         with pytest.raises(UnsupportedInstanceError, match="checked on every pair"):
-            check_mk_operator(*args, pairs=[((0, 1), (1, 1))])
-
-    def test_a_list_of_float_pairs_reports_as_its_array(self):
-        reals = DistanceSpace.reals(-10, 10)
-        F = MultiOperator(2, lambda x, y: 1.1 * (x - y) + 1)
-        args = (reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
-                MeirKeelerModulus.linear(1.0), ProductKind.SUM)
-        pairs = sample_comparable_pairs(-10, 10, self.L, 200, seed=4)
-        as_list = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
-        report = check_mk_operator(*args, pairs=as_list, seed=4)
-        assert report.verdict == "fail"
-        assert field_reprs(report) == field_reprs(check_mk_operator(*args, pairs=pairs, seed=4))
+            check_mk_operator(*args, **sampling)
 
 
 BOUND = st.floats(-1e6, 1e6, allow_nan=False)
@@ -399,23 +392,46 @@ class TestSamplerDifferential:
         m, members = m_members
         lset = LSet(m, frozenset(members))
         hi = lo + width
-        got = sample_comparable_pairs(lo, hi, lset, n, seed)
+        got = sampled(lo, hi, lset, n, seed)
         want = reference_sample_comparable_pairs(lo, hi, lset, n, seed)
         assert got.shape == (n, 2, m)
         assert repr(got.tolist()) == repr(as_lists(want))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.tuples(st.just(m), st.sets(st.integers(1, m)))
+        ),
+        st.integers(0, 40),
+        st.integers(0, 2**32),
+        st.integers(1, 8),
+    )
+    def test_blocks_concatenate_to_one_stream(self, m_members, n, seed, block):
+        m, members = m_members
+        lset = LSet(m, frozenset(members))
+        with mock.patch("multifix.conditions.SAMPLE_BLOCK", block):
+            blocks = list(sample_comparable_pairs(-10.0, 10.0, lset, n, seed))
+        assert [len(b) for b in blocks] == [min(block, n - k) for k in range(0, n, block)]
+        got = np.concatenate(blocks) if blocks else np.empty((0, 2, m))
+        want = reference_sample_comparable_pairs(-10.0, 10.0, lset, n, seed)
+        assert repr(got.tolist()) == repr(as_lists(want))
+
     @pytest.mark.parametrize("n", [0, -1, -5])
     def test_no_samples_for_a_non_positive_count(self, n):
-        got = sample_comparable_pairs(-10, 10, LSet.of(2, 1), n, 3)
-        assert got.shape == (0, 2, 2) and got.tolist() == []
+        assert list(sample_comparable_pairs(-10, 10, LSet.of(2, 1), n, 3)) == []
 
     def test_integer_bounds_come_back_as_equal_floats(self):
         # the loop returned the int bound itself on a clipped coordinate
         lset = LSet.of(2, 1)
-        got = sample_comparable_pairs(-10, 10, lset, 400, 7).tolist()
+        got = sampled(-10, 10, lset, 400, 7).tolist()
         want = reference_sample_comparable_pairs(-10, 10, lset, 400, 7)
         assert got == as_lists(want)
         assert all(type(c) is float for x, y in got for c in (*x, *y))
+
+
+def sampled(lo, hi, lset, n, seed):
+    """The sampler's blocks as one (n, 2, m) array."""
+    return np.concatenate([np.empty((0, 2, lset.m)), *sample_comparable_pairs(lo, hi, lset, n, seed)])
 
 
 def as_lists(pairs):
@@ -531,12 +547,11 @@ class TestAllRClosedForm:
                 MeirKeelerModulus.linear(1.0), ProductKind.SUM)
         assert check_mk_operator(*args).verdict == "pass"
         reals = DistanceSpace.reals(-10, 10)
-        same = [((1.5, -2.0), (1.5, -2.0))]
-        report = check_mk_operator(
-            reals, OrderRelation.numeric(), MultiOperator(2, lambda x, y: x - y),
-            *args[3:], pairs=same,
-        )
-        assert report.verdict == "sampled-pass" and not report.grid_bound
+        same = np.array([[[1.5, -2.0], [1.5, -2.0]]])
+        F = MultiOperator(2, lambda x, y: x - y)
+        distances = _column_distances(reals, F, coupled_preset(), ProductKind.SUM, same)
+        assert [d.tolist() for d in distances] == [[0.0], [0.0]]
+        assert _first_failure(args[5], None)(*distances, COMPUTED_ATOL) is None
 
     def test_values_checks_like_a_call(self):
         delta = MeirKeelerModulus.linear(0.5)
@@ -555,8 +570,7 @@ R_GRIDS = st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1
 @st.composite
 def continuous_pair_instances(draw):
     """Reals with an affine operator that may overflow to inf (or, through
-    inf - inf, to NaN), and sampled pairs."""
-    reals = DistanceSpace.reals(-1e300, 1e300)
+    inf - inf, to NaN), an L and a sample seed and count."""
     m = draw(st.integers(1, 3))
     family = LambdaFamily(
         m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
@@ -566,13 +580,13 @@ def continuous_pair_instances(draw):
     F = MultiOperator(m, lambda *args: a * (args[0] - args[-1]) + b * args[-1])
     lset = LSet(m, frozenset(draw(st.sets(st.integers(1, m)))))
     lo = draw(st.sampled_from([-10.0, -1e300]))
-    pairs = sample_comparable_pairs(lo, -lo, lset, draw(st.integers(1, 30)), draw(st.integers(0, 99)))
-    return reals, F, family, pairs
+    reals = DistanceSpace.reals(lo, -lo)
+    return reals, F, family, lset, draw(st.integers(0, 99)), draw(st.integers(1, 30))
 
 
 class TestColumnPathMatchesLoop:
-    """check_mk_operator on supplied pairs, evaluated in blocks of any size,
-    against the per-pair loop."""
+    """check_mk_operator on sampled pairs, drawn and evaluated in blocks of
+    any size, against the per-pair loop on the per-pair sampler's pairs."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -583,18 +597,18 @@ class TestColumnPathMatchesLoop:
         st.integers(1, 8),
     )
     def test_values_and_reports(self, instance, kind, delta, r_grid, block):
-        space, F, family, pairs = instance
-        loop_pairs = [(tuple(x), tuple(y)) for x, y in pairs.tolist()]
-        points = _pair_array(space, pairs, F, family)
-        got = _column_distances(space, F, family, kind, points)
+        space, F, family, lset, seed, n = instance
+        lo, hi = space.box.lo, space.box.hi
+        loop_pairs = reference_sample_comparable_pairs(lo, hi, lset, n, seed)
+        got = _column_distances(space, F, family, kind, sampled(lo, hi, lset, n, seed))
         want = list(reference_pair_distances(space, F, family, kind, loop_pairs))
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
         assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
-        args = (space, OrderRelation.numeric(), F, family, LSet.of(family.m), delta, kind)
+        args = (space, OrderRelation.numeric(), F, family, lset, delta, kind)
         with mock.patch("multifix.conditions.SAMPLE_BLOCK", block):
-            report = check_mk_operator(*args, pairs=pairs, r_grid=r_grid, seed=5)
+            report = check_mk_operator(*args, r_grid=r_grid, seed=seed, samples=n)
         assert field_reprs(report) == field_reprs(
-            reference_check_mk_operator(*args, pairs=loop_pairs, r_grid=r_grid, seed=5)
+            reference_check_mk_operator(*args, pairs=loop_pairs, r_grid=r_grid, seed=seed)
         )
         for c in report.clauses:
             assert not any(isinstance(v, np.generic) for v in (c.witness or ()))

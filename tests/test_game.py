@@ -12,19 +12,18 @@ from multifix import (
     GameConfig,
     LambdaFamily,
     MultiOperator,
+    Play,
     ProductKind,
     SolveConfig,
     apply_lambda_f,
     coupled_preset,
     is_multiple_fixed_point,
     picard_solve,
-    simulate,
 )
 from multifix import game as game_module
 from multifix.cli import write_trace_csv
-from multifix.game import Play, Round, write_trajectory_csv
+from multifix.game import Round, write_trajectory_csv
 from helpers import (
-    field_reprs,
     int_chain,
     lopsided_line,
     random_table_operator,
@@ -40,15 +39,23 @@ def demo_game():
     return GameConfig(space=space, F=F, family=coupled_preset(), rounds=200, tol=1e-8)
 
 
+def play(game, start):
+    """The rounds of a game played from ``start`` and whether the last was
+    optimal."""
+    played = Play(game, start)
+    rounds = list(played)
+    return rounds, played.optimal
+
+
 class TestCorrection:
     def test_demo_first_correction(self, demo_game):
         assert apply_lambda_f(demo_game.F, demo_game.family, (0.0, 0.0)) == (0.25, 0.25)
-        first = simulate(demo_game, (0.0, 0.0)).rounds[0]
+        first = play(demo_game, (0.0, 0.0))[0][0]
         assert first.nonconvenience == (0.25, 0.25)
 
     def test_optimal_point_is_stationary(self, demo_game):
         assert apply_lambda_f(demo_game.F, demo_game.family, (0.5, 0.5)) == (0.5, 0.5)
-        first = simulate(demo_game, (0.5, 0.5)).rounds[0]
+        first = play(demo_game, (0.5, 0.5))[0][0]
         assert first.nonconvenience == (0.0, 0.0)
 
     def test_constant_correction(self):
@@ -75,7 +82,7 @@ class TestOptimalSelection:
         )
         assert is_multiple_fixed_point(game.space, game.F, game.family, (0.3, 0.3)).accepted
 
-    def test_simulate_stops_where_the_sum_distance_says(self):
+    def test_play_stops_where_the_sum_distance_says(self):
         # Non-convenience (1, 1e-16, 1e-16) adds to 1 left to right, as
         # sum_distance adds; the builtin sum gives 1 + 2e-16 from Python 3.12 on.
         space = DistanceSpace.from_matrix(
@@ -89,23 +96,23 @@ class TestOptimalSelection:
         )
         start = ("p", "r", "r")
         assert is_multiple_fixed_point(game.space, game.F, game.family, start, game.tol).accepted
-        traj = simulate(game, start)
-        assert traj.rounds[0].nonconvenience == (1.0, 1e-16, 1e-16)
-        assert traj.terminated_optimal and len(traj.rounds) == 1
+        rounds, optimal = play(game, start)
+        assert rounds[0].nonconvenience == (1.0, 1e-16, 1e-16)
+        assert optimal and len(rounds) == 1
 
 
-class TestSimulate:
+class TestPlay:
     def test_demo_converges_to_half(self, demo_game):
-        traj = simulate(demo_game, (0.0, 0.0))
-        assert traj.terminated_optimal
-        assert max(abs(c - 0.5) for c in traj.final_selection) < 1e-7
+        rounds, optimal = play(demo_game, (0.0, 0.0))
+        assert optimal
+        assert max(abs(c - 0.5) for c in rounds[-1].selection) < 1e-7
         # non-convenience shrinks to below tol
-        assert sum(traj.rounds[-1].nonconvenience) <= demo_game.tol
+        assert sum(rounds[-1].nonconvenience) <= demo_game.tol
 
     def test_start_at_optimum_single_round(self, demo_game):
-        traj = simulate(demo_game, (0.5, 0.5))
-        assert traj.terminated_optimal
-        assert len(traj.rounds) == 1
+        rounds, optimal = play(demo_game, (0.5, 0.5))
+        assert optimal
+        assert len(rounds) == 1
 
     def test_expansive_correction_hits_round_cap(self):
         space = DistanceSpace.reals(-1e9, 1e9)
@@ -116,9 +123,9 @@ class TestSimulate:
             rounds=20,
             tol=1e-8,
         )
-        traj = simulate(game, (1.0, 0.0))
-        assert not traj.terminated_optimal
-        assert len(traj.rounds) == 20
+        rounds, optimal = play(game, (1.0, 0.0))
+        assert not optimal
+        assert len(rounds) == 20
 
     def test_optimal_selection_outside_the_box_is_refused(self):
         game = GameConfig(
@@ -127,17 +134,17 @@ class TestSimulate:
             family=coupled_preset(),
         )
         with pytest.raises(CarrierError, match="point 1.0 is not in the carrier"):
-            simulate(game, (0.0, 0.0))
+            play(game, (0.0, 0.0))
 
     def test_replay_from_final_selection_is_stable(self, demo_game):
-        traj = simulate(demo_game, (0.0, 0.0))
+        rounds, _ = play(demo_game, (0.0, 0.0))
         cert = is_multiple_fixed_point(
-            demo_game.space, demo_game.F, demo_game.family, traj.final_selection, demo_game.tol
+            demo_game.space, demo_game.F, demo_game.family, rounds[-1].selection, demo_game.tol
         )
         assert cert.accepted
 
     def test_matches_picard_dynamics(self, demo_game):
-        traj = simulate(demo_game, (0.0, 0.0))
+        rounds, _ = play(demo_game, (0.0, 0.0))
         # same stepping with the matching symmetric-sum threshold
         report = picard_solve(
             demo_game.space,
@@ -148,24 +155,24 @@ class TestSimulate:
         )
         assert report.status == "converged"
         assert max(
-            abs(a - b) for a, b in zip(report.final, traj.final_selection)
+            abs(a - b) for a, b in zip(report.final, rounds[-1].selection)
         ) <= 1e-12
 
     def test_sup_nonconvenience_nonincreasing(self, demo_game):
-        traj = simulate(demo_game, (0.0, 0.9))
-        sups = [max(r.nonconvenience) for r in traj.rounds]
+        rounds, _ = play(demo_game, (0.0, 0.9))
+        sups = [max(r.nonconvenience) for r in rounds]
         assert all(b <= a + 1e-15 for a, b in zip(sups, sups[1:]))
 
 
 class TestTrajectoryCsv:
     def test_round_player_rows(self, demo_game, tmp_path):
-        traj = simulate(demo_game, (0.0, 0.0))
+        rounds, _ = play(demo_game, (0.0, 0.0))
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj.rounds, str(out))
+        write_trajectory_csv(rounds, str(out))
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "player", "position", "nonconvenience"]
-        assert len(rows) - 1 == 2 * len(traj.rounds)
+        assert len(rows) - 1 == 2 * len(rounds)
         # non-convenience column decreases below tol by the last round
         last = float(rows[-1][3])
         assert last <= demo_game.tol
@@ -237,17 +244,19 @@ class TestRowWriters:
         assert (directory / "got.csv").read_bytes() == want
 
 
-def assert_play_summarizes(game, start, traj):
-    """A streamed play ends with the count, last round and optimal flag of
-    the collected trajectory."""
-    play = Play(game, start)
-    collections.deque(play, maxlen=0)
-    assert (play.count, repr(play.last), play.optimal) == (
-        len(traj.rounds), repr(traj.rounds[-1]), traj.terminated_optimal
+def assert_play_matches_reference(game, start):
+    """A play's rounds and optimal flag are the checked loop's, and a
+    streamed play ends with their count and last round."""
+    rounds, optimal = reference_simulate(game, start)
+    assert [repr(r) for r in play(game, start)[0]] == [repr(r) for r in rounds]
+    streamed = Play(game, start)
+    collections.deque(streamed, maxlen=0)
+    assert (streamed.count, repr(streamed.last), streamed.optimal) == (
+        len(rounds), repr(rounds[-1]), optimal
     )
 
 
-class TestSimulateDifferential:
+class TestPlayDifferential:
     @settings(max_examples=150, deadline=None)
     @given(
         st.floats(-1.5, 1.5),
@@ -269,9 +278,7 @@ class TestSimulateDifferential:
             space=space, F=MultiOperator(2, f),
             family=coupled_preset(), rounds=rounds, tol=tol,
         )
-        traj = simulate(game, start)
-        assert field_reprs(traj) == field_reprs(reference_simulate(game, start))
-        assert_play_summarizes(game, start, traj)
+        assert_play_matches_reference(game, start)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.randoms(use_true_random=False), st.integers(1, 30))
@@ -280,12 +287,10 @@ class TestSimulateDifferential:
         F = random_table_operator(rnd, space, 2)
         game = GameConfig(space=space, F=F, family=coupled_preset(), rounds=rounds)
         start = (rnd.randrange(n), rnd.randrange(n))
-        traj = simulate(game, start)
-        assert field_reprs(traj) == field_reprs(reference_simulate(game, start))
-        assert_play_summarizes(game, start, traj)
+        assert_play_matches_reference(game, start)
 
     def test_arity_error_matches_apply_lambda_f(self, demo_game):
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
-            simulate(demo_game, (0.0, 0.0, 0.0))
+            Play(demo_game, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
             apply_lambda_f(demo_game.F, demo_game.family, (0.0, 0.0, 0.0))

@@ -114,3 +114,49 @@ def test_an_unreferenced_export_is_reported(tmp_path):
     readme.write_text("```python\nshown()\n```\n\n```sh\nin_a_shell_block\n```\n")
     exports = ["used", "called", "shown", "helper", "in_a_shell_block"]
     assert unreferenced_exports(exports, [module, readme]) == ["helper", "in_a_shell_block"]
+
+
+def private_names(path: Path) -> list[str]:
+    """The private names (``_x``, not dunders) a module binds at its top
+    level: functions, classes and assignment targets."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def reads(path: Path) -> set[str]:
+    """Every name and attribute a Python file loads; binding one is no read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+PACKAGE_READS = set().union(*map(reads, MODULES))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{path.name}:{name}" for path in MODULES for name in private_names(path)],
+)
+def test_every_private_name_is_read(name):
+    assert name.split(":")[1] in PACKAGE_READS
+
+
+def test_an_unread_private_name_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "_USED = 1\n_unused, (_x, _y) = 2, (3, 4)\n__all__ = []\n\n"
+        "def _left_behind():\n    _local = 5\n\nclass _Kept:\n    y = _USED + _x\n\nprint(_Kept, _y)\n"
+    )
+    names = private_names(module)
+    assert names == ["_USED", "_unused", "_x", "_y", "_left_behind", "_Kept"]
+    assert [n for n in names if n not in reads(module)] == ["_unused", "_left_behind"]

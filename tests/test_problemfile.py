@@ -129,6 +129,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="dist"):
             parse_problem("points: a b\n")
 
+    @pytest.mark.parametrize("rest", ["dist:\n0 1\n1 0\n", ""])
+    def test_duplicate_labels_are_refused_at_the_points_line(self, rest):
+        with pytest.raises(ParseError, match="labels must be distinct") as err:
+            parse_problem("# two labels a\npoints: a a\n" + rest)
+        assert err.value.line == 2
+
     def test_dist_before_points(self):
         with pytest.raises(ParseError, match="follow points"):
             parse_problem("dist:\n0 1\n1 0\n")
