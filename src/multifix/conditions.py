@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import UnsupportedInstanceError
 from .kernel import SAMPLE_BLOCK, ProductKernel
 from .operators import (

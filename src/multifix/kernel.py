@@ -22,8 +22,7 @@ import functools
 import operator
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EvaluationError
 from .operators import LambdaFamily, MultiOperator, check_lambda_arity
 from .product import ProductKind, combine, product_size

@@ -6,7 +6,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-import numpy as np
+from ._numpy import np
 
 Point = Any
 

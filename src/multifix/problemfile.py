@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .conditions import MeirKeelerModulus
 from .errors import EvaluationError, ParseError
 from .operators import LambdaFamily, MultiOperator, coupled_preset, tripled_preset
@@ -99,25 +98,27 @@ def _integer(text: str, what: str, ln: int) -> int:
 
 
 class _Lines:
+    """The file's content lines with their 1-based numbers: comments and
+    blank lines dropped, each line split and stripped once."""
+
     def __init__(self, text: str):
-        self.raw = text.splitlines()
+        self.items = [
+            (number, line)
+            for number, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.split("#", 1)[0].strip())
+        ]
         self.pos = 0
 
     def next_content(self) -> Optional[tuple[int, str]]:
         """Next non-blank, non-comment line with its 1-based number."""
-        while self.pos < len(self.raw):
-            self.pos += 1
-            line = self.raw[self.pos - 1].split("#", 1)[0].strip()
-            if line:
-                return self.pos, line
-        return None
+        if self.pos == len(self.items):
+            return None
+        self.pos += 1
+        return self.items[self.pos - 1]
 
     def peek_header(self) -> bool:
         """True if the file ends or its next content line opens a block."""
-        save = self.pos
-        item = self.next_content()
-        self.pos = save
-        return item is None or _header(item[1]) is not None
+        return self.pos == len(self.items) or _header(self.items[self.pos][1]) is not None
 
 
 _HEADERS = {

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CapacityError, UnsupportedInstanceError
 from .spaces import COMPUTED_ATOL, DistanceSpace
 

@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .conditions import CONDITIONS, Clause, ConditionReport, MeirKeelerModulus
 from .kernel import ProductKernel
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity

@@ -15,8 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CarrierError, UnsupportedInstanceError
 
 # Absolute tolerance used when comparing distances that were produced by
@@ -29,8 +28,9 @@ COMPUTED_ATOL = 1e-12
 # narrower dtype takes proportionally more rows, the same bytes per block.
 MIN_PLUS_BLOCK = 64
 
-# Integer dtypes for the min-plus product, narrowest first.
-_EXACT_DTYPES = (np.int8, np.int16, np.int32)
+# Integer dtypes for the min-plus product, narrowest first; names, so that
+# importing this module reads no numpy attribute.
+_EXACT_DTYPES = ("int8", "int16", "int32")
 
 Point = Any
 DistFn = Callable[[Point, Point], float]
@@ -144,15 +144,23 @@ class DistanceSpace:
             arr = arr.reshape(n, n)
         # A finite sum clears the matrix without a temporary array; it can
         # only be non-finite through a non-finite entry or an overflow.  An
-        # overflow of either sum to inf is a valid value, not a warning.
-        with np.errstate(over="ignore"):
+        # overflow to inf, or inf - inf = NaN past a negative entry, is a
+        # valid value of the sum, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
                 i, j = np.argwhere(~np.isfinite(arr))[0]
                 raise ValueError(f"d({labels[i]},{labels[j]}) = {arr.item(i, j)} is not finite")
-            both = arr + arr.T
         # Mask every violating entry; the first in row-major order takes the
-        # scalar checks in order (negative, diagonal, indistinguishable).
-        bad = (arr < 0) | np.where(np.eye(n, dtype=bool), both != 0.0, both == 0.0)
+        # scalar checks in order (negative, diagonal, indistinguishable).  A
+        # rounded sum of nonnegative floats is at least each term, so without
+        # a negative entry d(x, y) + d(y, x) is 0 exactly when both are 0.
+        zero = arr == 0.0
+        bad = zero & zero.T
+        np.fill_diagonal(bad, ~zero.diagonal())
+        if arr.min(initial=0.0) < 0:
+            # A negative entry is bad, and so is its mirror when they sum to 0.
+            neg = arr < 0
+            bad |= neg | (neg.T & (arr == -arr.T))
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             if arr.item(i, j) < 0:

@@ -691,6 +691,27 @@ class TestBoundedMemory:
         assert (peak_kib(100_000) - peak_kib(10_000)) * 1024 < 1 << 20
 
 
+def test_numpy_loads_only_for_a_finite_carrier(prob, tmp_path):
+    # A process of its own: this suite's interpreter has numpy loaded.
+    env = dict(os.environ, PYTHONPATH=str(Path(multifix.__file__).parents[1]))
+    code = (
+        "import sys\nfrom multifix.cli import main\n"
+        "box, finite, trace, out = sys.argv[1:]\n"
+        "assert main(['solve', box, '--trace', trace]) == 0\n"
+        "assert main(['game', box, '--out', out]) == 0\n"
+        "continuous = 'numpy._core' in sys.modules\n"
+        "assert main(['enumerate', finite]) == 0\n"
+        "print(continuous, 'numpy._core' in sys.modules)\n"
+    )
+    argv = [prob(CONTRACTION, "box.prob"), prob(CONSTANT_CHAIN, "chain.prob")]
+    argv += [str(tmp_path / "trace.csv"), str(tmp_path / "game.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False True"
+
+
 class TestZeroValuedHeaders:
     """A header set to 0 is read as 0, never replaced by the default."""
 

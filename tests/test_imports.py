@@ -3,7 +3,8 @@ import sits at module level, not inside a function body; the package's
 ``__init__`` may import a name only to re-export it through ``__all__``.
 Every name in ``__all__`` is read somewhere besides the unit tests: by
 another package module, the benchmark, the acceptance suite or the
-README's library example."""
+README's library example.  No package module imports numpy: ``_numpy``
+binds it lazily for all of them."""
 
 import ast
 import re
@@ -73,6 +74,36 @@ def test_an_import_in_a_function_is_reported(tmp_path):
         "        from typing import Any\n    return os, json\n"
     )
     assert function_imports(module) == ["module.py:4 json", "module.py:7 Any"]
+
+
+def numpy_imports(path: Path) -> list[str]:
+    """Each ``import numpy...`` and ``from numpy... import`` in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and node.module.split(".")[0] == "numpy"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_bound_only_by_the_lazy_loader(path):
+    # ``_numpy`` builds numpy through importlib; one plain import elsewhere
+    # would load all of it in every command, continuous ones included.
+    assert numpy_imports(path) == []
+
+
+def test_a_numpy_import_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os, numpy.linalg\nfrom numpy import ndarray\nfrom . import numpy\n"
+        "from ._numpy import np\nfrom numpy.random import default_rng\n"
+    )
+    assert numpy_imports(module) == ["module.py:1", "module.py:2", "module.py:5"]
 
 
 def references(path: Path) -> set[str]:

@@ -65,6 +65,14 @@ class TestConstruction:
             DistanceSpace.from_matrix("abc", matrix)
         assert str(err.value) == "d(a,c) + reverse is 0 for distinct points"
 
+    def test_a_sum_of_inf_and_minus_inf_is_no_warning(self):
+        # The table's sum overflows both ways and reads NaN, which under the
+        # suite's error::RuntimeWarning filter would raise.
+        matrix = [[0, 1e308, 1e308], [1, 0, 2], [-1e308, -1e308, 0]]
+        with pytest.raises(ValueError) as err:
+            DistanceSpace.from_matrix("abc", matrix)
+        assert str(err.value) == "d(a,c) + reverse is 0 for distinct points"
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
