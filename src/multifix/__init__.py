@@ -24,6 +24,7 @@ from .errors import (
 )
 from .game import GameConfig, Play
 from .operators import (
+    ElementwiseOperator,
     FixedPointCertificate,
     LambdaFamily,
     MultiOperator,
@@ -61,6 +62,7 @@ __all__ = [
     "ConditionReport",
     "DistanceClass",
     "DistanceSpace",
+    "ElementwiseOperator",
     "EvaluationError",
     "FixedPointCertificate",
     "GameConfig",

@@ -19,6 +19,7 @@ from ._numpy import np
 from .errors import UnsupportedInstanceError
 from .kernel import SAMPLE_BLOCK, ProductKernel
 from .operators import (
+    ElementwiseOperator,
     LambdaFamily,
     MultiOperator,
     check_lambda_arity,
@@ -26,7 +27,7 @@ from .operators import (
 )
 from .orders import LSet, OrderRelation
 from .product import ProductKind, combine, product_atol
-from .spaces import DistanceSpace
+from .spaces import DistanceSpace, abs_distance
 
 _MODULUS_FORMS = {
     "linear": "linear modulus needs a positive finite coefficient",
@@ -445,14 +446,23 @@ def _column_distances(
     """(rho(x, y), rho(lambdaF(x), lambdaF(y))) for every pair of an (n, 2, m)
     array of the family's arity, one coordinate column at a time.
 
-    F and the base distance run through ``np.frompyfunc``, so each call gets
-    the Python floats a per-pair loop passes, and :func:`combine`
-    runs on the returned Python objects before one conversion to float.
-    Python scalar arithmetic never warns, so the overflow and invalid flags
-    it leaves must not become numpy warnings.
+    An :class:`ElementwiseOperator` and :func:`abs_distance` are called once
+    per column on float64 arrays, F's result broadcast to the column length
+    so that a constant formula serves too; both promise the floats a
+    per-pair loop gets.  Any other F or base distance runs through
+    ``np.frompyfunc``, so each call gets the Python floats a per-pair loop
+    passes, and :func:`combine` runs on the returned Python objects.  Either
+    way the distances end in one conversion to float.  Python scalar
+    arithmetic never warns, so the overflow and invalid flags the columns
+    leave must not become numpy warnings.
     """
-    f = np.frompyfunc(F._func, family.m, 1)
-    dist = np.frompyfunc(space.dist, 2, 1)
+    n = len(points)
+    if isinstance(F, ElementwiseOperator):
+        def f(*columns):
+            return np.broadcast_to(F._func(*columns), n)
+    else:
+        f = np.frompyfunc(F._func, family.m, 1)
+    dist = space.dist if space.dist is abs_distance else np.frompyfunc(space.dist, 2, 1)
 
     def rho(xs, ys) -> np.ndarray:
         return combine(kind, map(dist, xs, ys)).astype(float)

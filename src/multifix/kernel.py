@@ -32,7 +32,8 @@ from .spaces import DistanceSpace
 # is a block of its own.
 PAIR_BLOCK = 1 << 14
 # Sampled pairs of a continuous carrier drawn and evaluated per block: each
-# coordinate column is an object array of this many Python floats.
+# coordinate column holds this many floats, as a float64 array or, for a
+# callable that is not elementwise, an object array of Python floats.
 SAMPLE_BLOCK = 1 << 13
 
 

@@ -102,6 +102,13 @@ class MultiOperator:
         return cls(m, lambda *args: value)
 
 
+class ElementwiseOperator(MultiOperator):
+    """A formula whose call on float64 arrays gives, element by element, the
+    floats the same call gives on Python floats, so a whole column of
+    arguments can be evaluated in one call.  A constant formula returns its
+    one value, which the caller broadcasts."""
+
+
 def check_lambda_arity(F: MultiOperator, family: LambdaFamily, x: Sequence[Point]) -> None:
     """Raise ValueError unless F, the family and the point x share one arity."""
     if F.m != family.m or len(x) != family.m:

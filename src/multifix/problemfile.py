@@ -23,7 +23,13 @@ from typing import Optional
 from ._numpy import np
 from .conditions import MeirKeelerModulus
 from .errors import EvaluationError, ParseError
-from .operators import LambdaFamily, MultiOperator, coupled_preset, tripled_preset
+from .operators import (
+    ElementwiseOperator,
+    LambdaFamily,
+    MultiOperator,
+    coupled_preset,
+    tripled_preset,
+)
 from .orders import LSet, OrderRelation
 from .product import ProductKind
 from .spaces import DistanceSpace
@@ -65,17 +71,17 @@ def make_family_operator(name: str, args: list[float]) -> tuple[MultiOperator, i
         if len(args) != 2:
             raise ValueError("linear-coupled takes: alpha beta")
         a, b = args
-        return MultiOperator(2, lambda x, y: a * (x - y) + b), 2
+        return ElementwiseOperator(2, lambda x, y: a * (x - y) + b), 2
     if name == "linear-tripled":
         if len(args) != 2:
             raise ValueError("linear-tripled takes: alpha beta")
         a, b = args
-        return MultiOperator(3, lambda x, y, z: a * (x - 2 * y + z) + b), 3
+        return ElementwiseOperator(3, lambda x, y, z: a * (x - 2 * y + z) + b), 3
     if name == "affine-coupled":
         if len(args) != 3:
             raise ValueError("affine-coupled takes: a b c")
         a, b, c = args
-        return MultiOperator(2, lambda x, y: a * x + b * y + c), 2
+        return ElementwiseOperator(2, lambda x, y: a * x + b * y + c), 2
     raise ValueError(f"unknown operator family {name!r}")
 
 
@@ -132,7 +138,10 @@ def _header(line: str) -> Optional[tuple[str, str]]:
     name or ``delta linear|const C``; None for any other line."""
     head, colon, rest = line.partition(":")
     if not colon:
-        if line.lower().split()[:2] not in (["delta", "linear"], ["delta", "const"]):
+        # Only a line that starts with "delta" can be one; most are not.
+        if line[:5].lower() != "delta" or line.lower().split()[:2] not in (
+            ["delta", "linear"], ["delta", "const"]
+        ):
             return None
         head, rest = line.split(None, 1)
     head = head.strip().lower()

@@ -36,6 +36,12 @@ Point = Any
 DistFn = Callable[[Point, Point], float]
 
 
+def abs_distance(x: Point, y: Point) -> float:
+    """|x - y|, the distance of a real interval.  On float64 arrays it gives,
+    element by element, the floats it gives on Python floats."""
+    return abs(x - y)
+
+
 @dataclass(frozen=True)
 class Box:
     """The closed interval [lo, hi] of a continuous carrier."""
@@ -181,7 +187,7 @@ class DistanceSpace:
     @classmethod
     def reals(cls, lo: float = -1e9, hi: float = 1e9) -> "DistanceSpace":
         """Absolute-value distance on a (closed, hence complete) interval."""
-        return cls(lambda x, y: abs(x - y), box=Box(lo, hi))
+        return cls(abs_distance, box=Box(lo, hi))
 
 
 @dataclass(frozen=True)

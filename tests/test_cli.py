@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -434,6 +435,31 @@ class TestCheck:
         )
         assert code == 0
         assert capsys.readouterr().out == "SAMPLED-PASS seed=1 n=50\n"
+
+    @pytest.mark.parametrize(
+        "text, code, out",
+        [
+            (CONTRACTION, 0, "SAMPLED-PASS seed=0 n=2000"),
+            (CONTRACTION.replace("linear-coupled 0.25 1", "affine-coupled 0.25 -0.25 1"),
+             0, "SAMPLED-PASS seed=0 n=2000"),
+            (SAMPLED_EXPANSION, 1,
+             "FAIL clause: MK operator condition; witness: ((6.888437030500963, "
+             "-1.5885683833831), (10.0, -2.8831521348479168), 4.846761393060239)"),
+            (TRIPLED_SUM, 1,
+             "FAIL clause: MK operator condition; witness: ((8.995297464642412, "
+             "-0.9887378673768961, 9.925156787071455), (10.0, -4.289964760488841, 10.0), "
+             "2.397585792595912)"),
+        ],
+        ids=["linear-coupled", "affine-coupled", "expansion", "linear-tripled"],
+    )
+    def test_mk_operator_on_a_family_file_makes_no_per_element_call(
+        self, prob, capsys, text, code, out
+    ):
+        # The file's operator and box distance are evaluated on whole columns.
+        path = prob(text)
+        with mock.patch("numpy.frompyfunc", side_effect=AssertionError("per-element call")):
+            assert main(["check", path, "--condition", "mk-op", "--samples", "2000"]) == code
+        assert capsys.readouterr() == (out + "\n", "")
 
     def test_mk_operator_negative_sample_count_is_a_usage_error(self, prob, capsys):
         code = main(["check", prob(CONTRACTION), "--condition", "mk-op", "--samples", "-1"])

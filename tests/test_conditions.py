@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from multifix import (
     ConditionReport,
     DistanceSpace,
+    ElementwiseOperator,
     LambdaFamily,
     LSet,
     MeirKeelerModulus,
@@ -40,6 +41,7 @@ from helpers import (
     closure_reference,
     field_reprs,
     int_chain,
+    lopsided_line,
     random_table_operator,
     reference_all_r_failure,
     reference_check_bounds_exist,
@@ -569,19 +571,26 @@ R_GRIDS = st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1
 
 @st.composite
 def continuous_pair_instances(draw):
-    """Reals with an affine operator that may overflow to inf (or, through
-    inf - inf, to NaN), an L and a sample seed and count."""
+    """A box under |x - y| or the lopsided distance with an affine operator
+    that may overflow to inf (or, through inf - inf, to NaN), declared
+    elementwise or not, or a constant elementwise operator; an L and a
+    sample seed and count."""
     m = draw(st.integers(1, 3))
     family = LambdaFamily(
         m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
     )
     a = draw(st.sampled_from([0.25, 0.5, 1.1, 1e308, -1e308]))
     b = draw(st.sampled_from([0.0, 1.0, float("inf")]))
-    F = MultiOperator(m, lambda *args: a * (args[0] - args[-1]) + b * args[-1])
+    form = draw(st.sampled_from(["elementwise", "per-element", "constant"]))
+    if form == "constant":
+        F = ElementwiseOperator.constant(m, draw(st.sampled_from([0.0, -2.5, 1e300])))
+    else:
+        cls = ElementwiseOperator if form == "elementwise" else MultiOperator
+        F = cls(m, lambda *args: a * (args[0] - args[-1]) + b * args[-1])
     lset = LSet(m, frozenset(draw(st.sets(st.integers(1, m)))))
     lo = draw(st.sampled_from([-10.0, -1e300]))
-    reals = DistanceSpace.reals(lo, -lo)
-    return reals, F, family, lset, draw(st.integers(0, 99)), draw(st.integers(1, 30))
+    space = draw(st.sampled_from([DistanceSpace.reals, lopsided_line]))(lo, -lo)
+    return space, F, family, lset, draw(st.integers(0, 99)), draw(st.integers(1, 30))
 
 
 class TestColumnPathMatchesLoop:
@@ -612,6 +621,22 @@ class TestColumnPathMatchesLoop:
         )
         for c in report.clauses:
             assert not any(isinstance(v, np.generic) for v in (c.witness or ()))
+
+    @pytest.mark.parametrize("lopsided", [False, True], ids=["abs", "lopsided"])
+    def test_only_callables_not_declared_elementwise_run_per_element(self, lopsided):
+        # max on arrays raises, so F can only pass as per-element calls.
+        F = MultiOperator(2, lambda x, y: max(x, y))
+        space = lopsided_line(-10, 10) if lopsided else DistanceSpace.reals(-10, 10)
+        family, lset = coupled_preset(), LSet.of(2, 1)
+        points = sampled(-10, 10, lset, 200, 5)
+        with mock.patch.object(np, "frompyfunc", wraps=np.frompyfunc) as frompyfunc:
+            got = _column_distances(space, F, family, ProductKind.SUP, points)
+        per_element = [call.args[0] for call in frompyfunc.call_args_list]
+        assert per_element == ([F._func, space.dist] if lopsided else [F._func])
+        loop_pairs = reference_sample_comparable_pairs(-10, 10, lset, 200, 5)
+        want = list(reference_pair_distances(space, F, family, ProductKind.SUP, loop_pairs))
+        assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
+        assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
 
 
 class TestCompositeMK:

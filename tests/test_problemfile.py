@@ -1,16 +1,20 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
+    ElementwiseOperator,
     LambdaFamily,
     MultiOperator,
     ParseError,
     ProductKind,
     coupled_preset,
 )
-from multifix.problemfile import load_problem, make_family_operator, parse_problem
+from multifix.problemfile import _header, load_problem, make_family_operator, parse_problem
+from multifix.spaces import abs_distance
 
 FINITE_CHAIN = """\
 # three-point chain with the absolute-difference metric
@@ -361,6 +365,73 @@ class TestFamilyCatalog:
     def test_wrong_parameter_count(self):
         with pytest.raises(ValueError, match="alpha beta"):
             make_family_operator("linear-coupled", [1.0])
+
+
+# Floats of like magnitude with full mantissas, whose sums round
+# differently when the terms are added in another order.
+MODERATE = st.integers(0, 2**32).map(lambda seed: random.Random(seed).uniform(-10, 10))
+# The family formulas' parameters: finite, up to the largest magnitudes, so
+# that products overflow to inf and inf - inf gives NaN.
+PARAMETERS = MODERATE | st.floats(-1e308, 1e308) | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+# Their arguments: any float, with the edge cases drawn often.
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+     float("inf"), float("-inf"), float("nan")]
+)
+ARGUMENTS = MODERATE | EDGE_FLOATS | st.floats()
+PARAMETER_COUNTS = {"linear-coupled": 2, "linear-tripled": 2, "affine-coupled": 3}
+
+
+@st.composite
+def float_columns(draw, count):
+    """``count`` lists of Python floats, all of one length."""
+    n = draw(st.integers(1, 8))
+    return [draw(st.lists(ARGUMENTS, min_size=n, max_size=n)) for _ in range(count)]
+
+
+class TestElementwiseContract:
+    """What a problem file builds for a box, called once on float64 arrays,
+    gives element by element the floats of per-element calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(PARAMETER_COUNTS)), st.data())
+    def test_family_formula(self, name, data):
+        count = PARAMETER_COUNTS[name]
+        params = data.draw(st.lists(PARAMETERS, min_size=count, max_size=count))
+        F, m = make_family_operator(name, params)
+        assert isinstance(F, ElementwiseOperator)
+        args = data.draw(float_columns(m))
+        with np.errstate(all="ignore"):
+            got = F._func(*(np.array(column, dtype=float) for column in args))
+        assert [repr(v) for v in got.tolist()] == [repr(F(*xs)) for xs in zip(*args)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_columns(2))
+    def test_abs_distance(self, args):
+        xs, ys = args
+        with np.errstate(all="ignore"):
+            got = abs_distance(np.array(xs, dtype=float), np.array(ys, dtype=float))
+        assert [repr(v) for v in got.tolist()] == [repr(abs_distance(x, y)) for x, y in zip(xs, ys)]
+        assert DistanceSpace.reals(0, 1).dist is abs_distance
+
+
+class TestHeader:
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ("delta linear 1.0", ("delta", "linear 1.0")),
+            ("DELTA Const 2", ("delta", "Const 2")),
+            ("Delta\tlinear 1", ("delta", "linear 1")),
+            ("deltas linear 1", None),
+            ("delta power 2", None),
+            ("delta", None),
+            ("0,1 -> 1", None),
+            ("a <= b", None),
+            ("Points: a b", ("points", "a b")),
+        ],
+    )
+    def test_lines_that_open_a_block(self, line, want):
+        assert _header(line) == want
 
 
 class TestDistRows:
