@@ -340,8 +340,11 @@ def sample_comparable_pairs(
     Per pair and coordinate, x_i = uniform(lo, hi) and a step
     uniform(0, (hi - lo) / 4) moves y_i up (on L) or down, clipped to the
     box; the floats are those of ``random.Random(seed).uniform`` draws in
-    that order, one stream across the blocks.
+    that order, one stream across the blocks.  A box whose width hi - lo
+    overflows is refused before any draw: every x would be inf.
     """
+    if not math.isfinite(hi - lo):
+        raise UnsupportedInstanceError(f"box [{lo}, {hi}] is too wide to sample: hi - lo is inf")
     m = lset.m
     forward = np.array(lset.forward)
     # The two draws of each pair and coordinate, in the order the per-pair
@@ -356,8 +359,9 @@ def sample_comparable_pairs(
         x += lo
         y = u[:, :, 1]
         y *= (hi - lo) / 4
-        np.add(x, y, out=y, where=forward)
-        np.subtract(x, y, out=y, where=~forward)
+        with np.errstate(over="ignore"):  # as Python's a + step rounds to inf
+            np.add(x, y, out=y, where=forward)
+            np.subtract(x, y, out=y, where=~forward)
         # min(b, hi) and max(b, lo) keep b unless the bound is strictly beyond it.
         np.copyto(y, hi, where=forward & (hi < y))
         np.copyto(y, lo, where=~forward & (lo > y))
@@ -425,8 +429,6 @@ def _mk_operator_sampled(
     if samples < 1:
         raise ValueError("no comparable pairs to check")
     check_lambda_arity(F, family, range(lset.m))
-    if space.box is None:
-        raise UnsupportedInstanceError("sampled pairs need a box carrier")
     first_failure = _first_failure(delta, r_grid)
     for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed):
         found = first_failure(*_column_distances(space, F, family, kind, block), atol)

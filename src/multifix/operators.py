@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import EvaluationError
 from .product import sum_distance
@@ -69,25 +69,19 @@ class MultiOperator:
         cls,
         m: int,
         table: Mapping[tuple, Point],
-        carrier: Optional[Sequence[Point]] = None,
+        carrier: Sequence[Point],
     ) -> "MultiOperator":
-        """Finite operator table keyed by argument tuples.
-
-        When the carrier is given the table is validated up front: complete,
-        and with every value in the carrier.  Missing entries otherwise
-        surface as evaluation errors.
-        """
+        """Finite operator table keyed by argument tuples over ``carrier``,
+        validated up front: complete, and with every value in the carrier.
+        An argument tuple outside the carrier is an evaluation error."""
         table = dict(table)
-        if carrier is not None:
-            for key in itertools.product(carrier, repeat=m):
-                if key not in table:
-                    raise EvaluationError(f"operator table missing entry for {key}")
-            points = set(carrier)
-            for key, value in table.items():
-                if value not in points:
-                    raise EvaluationError(
-                        f"operator value {value!r} at {key} is outside the carrier"
-                    )
+        for key in itertools.product(carrier, repeat=m):
+            if key not in table:
+                raise EvaluationError(f"operator table missing entry for {key}")
+        points = set(carrier)
+        for key, value in table.items():
+            if value not in points:
+                raise EvaluationError(f"operator value {value!r} at {key} is outside the carrier")
 
         def func(*args: Point) -> Point:
             try:

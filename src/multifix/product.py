@@ -9,7 +9,7 @@ import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._numpy import np
 from .errors import CapacityError, UnsupportedInstanceError
@@ -110,35 +110,19 @@ def product_points(space: DistanceSpace, m: int) -> list:
 
 
 def product_space(space: DistanceSpace, m: int, kind: ProductKind) -> DistanceSpace:
-    """The m-fold product space under the chosen product distance.
+    """The materialized m-fold product of a finite carrier under the chosen
+    product distance; comparisons are exact where :func:`product_atol` is 0.
 
-    Finite carriers are materialized when |X|^m fits under the cap and kept
-    lazy (membership-only) otherwise; comparisons are exact where
-    :func:`product_atol` is 0.
+    A product above the cap raises :class:`CapacityError`, and a box carrier
+    :class:`UnsupportedInstanceError`, as :func:`product_points` does.
     """
     if m < 1:
         raise ValueError("arity must be at least 1")
-    dist = functools.partial(sup_distance if kind is ProductKind.SUP else sum_distance, space)
-
-    def contains(p: Any) -> bool:
-        return (
-            isinstance(p, tuple)
-            and len(p) == m
-            and all(space.contains(c) for c in p)
-        )
-
-    points = None
-    matrix = None
-    if space.is_finite and len(space.points) ** m <= materialization_cap():
-        points = product_points(space, m)
-        matrix = _product_matrix(space.matrix(), m, kind)
-
     return DistanceSpace(
-        dist,
-        points=points,
-        contains=contains,
+        functools.partial(sup_distance if kind is ProductKind.SUP else sum_distance, space),
+        points=product_points(space, m),
         table_backed=product_atol(space, kind) == 0.0,
-        matrix=matrix,
+        matrix=_product_matrix(space.matrix(), m, kind),
     )
 
 

@@ -49,6 +49,10 @@ class Box:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if not self.lo <= self.hi:  # NaN fails too
+            raise ValueError(f"box bounds must satisfy lo <= hi, got [{self.lo}, {self.hi}]")
+
     def contains(self, p: Point) -> bool:
         return isinstance(p, numbers.Real) and self.lo <= p <= self.hi
 
@@ -56,12 +60,10 @@ class Box:
 class DistanceSpace:
     """Carrier plus evaluable distance.
 
-    Finite spaces enumerate their carrier through ``points``; continuous
-    spaces describe it with a :class:`Box` (or a custom membership test).
+    The carrier is a finite table of ``points`` or a closed :class:`Box`,
+    exactly one of the two: both are complete, as the theorems assume.
     ``table_backed`` records whether distance values are raw table entries,
     in which case comparisons are exact rather than tolerance-based.
-    Every carrier the problem files build is complete, as the theorems
-    assume: a finite set, or a closed box under ``|x - y|``.
     """
 
     def __init__(
@@ -69,17 +71,17 @@ class DistanceSpace:
         dist: DistFn,
         points: Optional[Sequence[Point]] = None,
         box: Optional[Box] = None,
-        contains: Optional[Callable[[Point], bool]] = None,
         table_backed: bool = False,
         matrix: Optional[np.ndarray] = None,
     ):
+        if (points is None) == (box is None):
+            raise ValueError("a carrier is either finite points or a box, exactly one")
         # An instance attribute, not a method: the per-point loops call
         # ``space.dist`` without an extra frame.
         self.dist = dist
         self.points = tuple(points) if points is not None else None
         self._point_set = set(self.points) if self.points is not None else None
         self.box = box
-        self._contains = contains
         self.table_backed = table_backed
         self._matrix = matrix
 
@@ -92,11 +94,7 @@ class DistanceSpace:
     def contains(self, p: Point) -> bool:
         if self._point_set is not None:
             return p in self._point_set
-        if self._contains is not None:
-            return self._contains(p)
-        if self.box is not None:
-            return self.box.contains(p)
-        return True
+        return self.box.contains(p)
 
     def require(self, p: Point) -> None:
         if not self.contains(p):

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multifix import (
     ConditionReport,
@@ -355,17 +356,17 @@ class TestMeirKeelerOperator:
         assert (report.verdict, report.seed, report.samples) == ("sampled-pass", 0, 10_000)
         assert field_reprs(report) == field_reprs(check_mk_operator(*args, seed=0, samples=10_000))
 
-    def test_errors_come_in_order_count_arity_box(self):
+    def test_errors_come_in_order_count_arity_width(self):
         args = (OrderRelation.numeric(), MultiOperator(2, lambda x, y: x), coupled_preset())
         rest = (MeirKeelerModulus.linear(1.0), ProductKind.SUP)
-        boxless = DistanceSpace(lambda x, y: abs(x - y))
+        wide = DistanceSpace.reals(-1e308, 1e308)
         for samples in (0, -5):
             with pytest.raises(ValueError, match="no comparable pairs to check"):
-                check_mk_operator(boxless, *args, LSet.of(3, 1), *rest, samples=samples)
+                check_mk_operator(wide, *args, LSet.of(3, 1), *rest, samples=samples)
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
-            check_mk_operator(boxless, *args, LSet.of(3, 1), *rest)
-        with pytest.raises(UnsupportedInstanceError, match="box"):
-            check_mk_operator(boxless, *args, self.L, *rest)
+            check_mk_operator(wide, *args, LSet.of(3, 1), *rest)
+        with pytest.raises(UnsupportedInstanceError, match=r"box \[-1e\+308, 1e\+308\]"):
+            check_mk_operator(wide, *args, self.L, *rest)
 
     @pytest.mark.parametrize("sampling", [{"seed": 0}, {"samples": 5}, {"seed": 1, "samples": 5}])
     def test_a_finite_carrier_is_never_sampled(self, sampling):
@@ -376,7 +377,15 @@ class TestMeirKeelerOperator:
             check_mk_operator(*args, **sampling)
 
 
-BOUND = st.floats(-1e6, 1e6, allow_nan=False)
+BOUND = st.floats(-1e6, 1e6, allow_nan=False) | st.floats(allow_nan=False, allow_infinity=False)
+# Widths up to the float maximum, subnormal widths and 0.
+WIDTH = (
+    st.floats(0, 1e3)
+    | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.25, 1.0, 20.0])
+    | st.floats(0, 2.2250738585072014e-308)
+    | st.floats(0, allow_infinity=False)
+)
+HALF_MAX = st.floats(2.0**1023, allow_infinity=False)
 
 
 class TestSamplerDifferential:
@@ -386,7 +395,7 @@ class TestSamplerDifferential:
             lambda m: st.tuples(st.just(m), st.sets(st.integers(1, m)))
         ),
         BOUND,
-        st.floats(0, 1e3) | st.sampled_from([0.25, 1.0, 20.0]),
+        WIDTH,
         st.integers(0, 60),
         st.integers(0, 2**32),
     )
@@ -394,10 +403,18 @@ class TestSamplerDifferential:
         m, members = m_members
         lset = LSet(m, frozenset(members))
         hi = lo + width
+        assume(math.isfinite(hi))
         got = sampled(lo, hi, lset, n, seed)
         want = reference_sample_comparable_pairs(lo, hi, lset, n, seed)
         assert got.shape == (n, 2, m)
         assert repr(got.tolist()) == repr(as_lists(want))
+
+    @given(HALF_MAX, HALF_MAX, st.integers(0, 5))
+    def test_a_box_wider_than_the_float_maximum_is_refused(self, a, b, n):
+        # -a and b are at least 2**1023 from 0, so hi - lo overflows: every
+        # x would be inf.  The refusal comes before any draw, even of none.
+        with pytest.raises(UnsupportedInstanceError, match=r"box \[.*\] is too wide to sample"):
+            sampled(-a, b, LSet.of(2, 1), n, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -62,7 +62,7 @@ class TestApplyLambdaF:
             apply_lambda_f(F, tripled_preset(), (1, 2, 3))
 
     def test_missing_table_entry_is_named(self):
-        op = MultiOperator.from_table(2, {("a", "a"): "a"})
+        op = MultiOperator.from_table(2, {("a", "a"): "a"}, carrier=["a"])
         with pytest.raises(EvaluationError, match=r"\('a', 'b'\)"):
             apply_lambda_f(op, coupled_preset(), ("a", "b"))
 

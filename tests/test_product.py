@@ -8,6 +8,7 @@ from multifix import (
     CapacityError,
     DistanceSpace,
     ProductKind,
+    UnsupportedInstanceError,
     check_uniform_equivalence,
     classify_finite,
     product_space,
@@ -91,17 +92,15 @@ class TestProductSpace:
             product_points(two_point, 5)
         assert err.value.size == 32
 
-    def test_lazy_product_above_cap(self, two_point, monkeypatch):
+    def test_product_above_cap_is_refused(self, two_point, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "16")
-        prod = product_space(two_point, 5, ProductKind.SUP)
-        assert not prod.is_finite
-        assert prod.contains(("a",) * 5)
-        assert prod.dist(("a",) * 5, ("b",) * 5) == 1
+        with pytest.raises(CapacityError) as err:
+            product_space(two_point, 5, ProductKind.SUP)
+        assert err.value.size == 32
 
-    def test_continuous_product_membership(self, reals):
-        prod = product_space(reals, 2, ProductKind.SUP)
-        assert prod.contains((0.0, 1.0))
-        assert not prod.contains((0.0,))
+    def test_continuous_product_is_refused(self, reals):
+        with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):
+            product_space(reals, 2, ProductKind.SUP)
 
     def test_matrix_agrees_with_coordinatewise_eval(self):
         rng = random.Random(5)

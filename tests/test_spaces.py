@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    Box,
     DistanceClass,
     DistanceSpace,
     ProductKind,
@@ -106,6 +107,18 @@ class TestConstruction:
         with pytest.raises(error) as err:
             DistanceSpace.from_matrix(["a", "b"], matrix)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "carrier", [{}, {"points": ["a"], "box": Box(0, 1)}], ids=["neither", "both"]
+    )
+    def test_a_carrier_is_points_or_a_box_exactly(self, carrier):
+        with pytest.raises(ValueError, match="either finite points or a box"):
+            DistanceSpace(lambda x, y: abs(x - y), **carrier)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 0), (float("nan"), 1), (0, float("nan"))])
+    def test_a_box_needs_ordered_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            Box(lo, hi)
 
     def test_zero_one_direction_is_allowed(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
