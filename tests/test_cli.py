@@ -95,6 +95,14 @@ REVERSED_BOX = CONTRACTION.replace("box -10 10", "box 10 -10")
 # the iteration from (0, 0) lies outside [-10, 0.5]^2.
 BOX_ESCAPE = CONTRACTION.replace("box -10 10", "box -10 0.5")
 
+# CONTRACTION on a box whose width hi - lo overflows: sampled mk-op is
+# refused, since every sampled point would be inf.
+WIDE_BOX = CONTRACTION.replace("box -10 10", "box -1e308 1e308")
+
+# CONTRACTION on a box of width the float maximum: sampled steps past it
+# round to inf and clip to the box without a numpy warning.
+EDGE_BOX = CONTRACTION.replace("box -10 10", "box 0 1.7976931348623157e308")
+
 GAME_DEMO = """\
 space: box 0 1
 family: affine-coupled 0 0.5 0.25
