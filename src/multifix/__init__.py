@@ -35,13 +35,7 @@ from .operators import (
     tripled_preset,
 )
 from .orders import LSet, OrderRelation, chain_order, compare_L
-from .product import (
-    ProductKind,
-    check_uniform_equivalence,
-    product_space,
-    sum_distance,
-    sup_distance,
-)
+from .product import ProductKind, sum_distance
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -88,7 +82,6 @@ __all__ = [
     "check_mk_space",
     "check_omega",
     "check_order_distance_compat",
-    "check_uniform_equivalence",
     "classify_finite",
     "compare_L",
     "coupled_preset",
@@ -96,10 +89,8 @@ __all__ = [
     "find_monotone_start",
     "is_multiple_fixed_point",
     "picard_solve",
-    "product_space",
     "sample_comparable_pairs",
     "sum_distance",
-    "sup_distance",
     "surjectivity_report",
     "tripled_preset",
     "verify_uniqueness",

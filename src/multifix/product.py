@@ -1,5 +1,5 @@
-"""Product distances on X^m: the sup distance, the sum distance, and the
-executable forms of their closure/equivalence properties."""
+"""Product distances on X^m: the sup distance and the sum distance, as
+scalars over points and as arrays over per-coordinate distances."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ._numpy import np
 from .errors import CapacityError, UnsupportedInstanceError
@@ -73,12 +72,6 @@ def _sum(dist, x: Sequence, y: Sequence) -> float:
     return functools.reduce(operator.add, map(dist, x, y))
 
 
-def sup_distance(space: DistanceSpace, x: Sequence, y: Sequence) -> float:
-    """Coordinatewise maximum of base distances."""
-    check_pair_arity(x, y)
-    return _sup(space.dist, x, y)
-
-
 def sum_distance(space: DistanceSpace, x: Sequence, y: Sequence) -> float:
     """Coordinatewise sum of base distances, added left to right."""
     check_pair_arity(x, y)
@@ -107,63 +100,6 @@ def product_points(space: DistanceSpace, m: int) -> list:
     """All m-tuples over a finite carrier, in canonical (lexicographic) order."""
     product_size(space, m)
     return list(itertools.product(space.points, repeat=m))
-
-
-def product_space(space: DistanceSpace, m: int, kind: ProductKind) -> DistanceSpace:
-    """The materialized m-fold product of a finite carrier under the chosen
-    product distance; comparisons are exact where :func:`product_atol` is 0.
-
-    A product above the cap raises :class:`CapacityError`, and a box carrier
-    :class:`UnsupportedInstanceError`, as :func:`product_points` does.
-    """
-    if m < 1:
-        raise ValueError("arity must be at least 1")
-    return DistanceSpace(
-        functools.partial(sup_distance if kind is ProductKind.SUP else sum_distance, space),
-        points=product_points(space, m),
-        table_backed=product_atol(space, kind) == 0.0,
-        matrix=_product_matrix(space.matrix(), m, kind),
-    )
-
-
-def _product_matrix(D: np.ndarray, m: int, kind: ProductKind) -> np.ndarray:
-    """Product distance matrix over m-tuples, ordered like product_points;
-    one broadcast coordinate per step keeps peak memory near its size."""
-    out = D
-    for _ in range(m - 1):
-        N = out.shape[0] * D.shape[0]
-        out = combine(kind, (out[:, None, :, None], D[None, :, None, :])).reshape(N, N)
-    return out
-
-
-def product_matrices(space: DistanceSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sup and sum product distance matrices over the materialized carrier.
-
-    Row/column order matches :func:`product_points`.
-    """
-    D = space.matrix()
-    return _product_matrix(D, m, ProductKind.SUP), _product_matrix(D, m, ProductKind.SUM)
-
-
-@dataclass
-class EquivalenceReport:
-    """Outcome of the sup/sum sandwich check d^m <= dbar^m <= m * d^m."""
-
-    passed: bool
-    pairs_checked: int
-    counterexample: Optional[tuple] = None
-
-
-def check_uniform_equivalence(space: DistanceSpace, m: int) -> EquivalenceReport:
-    """Verify the sandwich inequality on every pair of the materialized
-    product of a finite carrier."""
-    sup, tot = product_matrices(space, m)
-    bad = ~((sup <= tot) & (tot <= m * sup))
-    if not bad.any():
-        return EquivalenceReport(True, sup.size)
-    i, j = map(int, np.argwhere(bad)[0])
-    pts = product_points(space, m)
-    return EquivalenceReport(False, sup.size, (pts[i], pts[j]))
 
 
 def format_product_point(p: Sequence) -> str:

@@ -62,8 +62,9 @@ class DistanceSpace:
 
     The carrier is a finite table of ``points`` or a closed :class:`Box`,
     exactly one of the two: both are complete, as the theorems assume.
-    ``table_backed`` records whether distance values are raw table entries,
-    in which case comparisons are exact rather than tolerance-based.
+    A space given its distance ``matrix`` reads raw table entries and
+    compares them exactly (``atol = 0``); one whose distances are computed
+    compares them within ``COMPUTED_ATOL``.
     """
 
     def __init__(
@@ -71,7 +72,6 @@ class DistanceSpace:
         dist: DistFn,
         points: Optional[Sequence[Point]] = None,
         box: Optional[Box] = None,
-        table_backed: bool = False,
         matrix: Optional[np.ndarray] = None,
     ):
         if (points is None) == (box is None):
@@ -82,7 +82,7 @@ class DistanceSpace:
         self.points = tuple(points) if points is not None else None
         self._point_set = set(self.points) if self.points is not None else None
         self.box = box
-        self.table_backed = table_backed
+        self.atol = COMPUTED_ATOL if matrix is None else 0.0
         self._matrix = matrix
 
     # -- carrier ------------------------------------------------------------
@@ -101,10 +101,6 @@ class DistanceSpace:
             raise CarrierError(f"point {p!r} is not in the carrier")
 
     # -- distance -----------------------------------------------------------
-
-    @property
-    def atol(self) -> float:
-        return 0.0 if self.table_backed else COMPUTED_ATOL
 
     def matrix(self) -> np.ndarray:
         """Distance matrix over the finite carrier (row i = d(p_i, .)); cached."""
@@ -180,7 +176,7 @@ class DistanceSpace:
             except KeyError as exc:
                 raise CarrierError(f"point {exc.args[0]!r} is not in the carrier")
 
-        return cls(dist, points=labels, table_backed=True, matrix=arr)
+        return cls(dist, points=labels, matrix=arr)
 
     @classmethod
     def reals(cls, lo: float = -1e9, hi: float = 1e9) -> "DistanceSpace":
@@ -358,13 +354,14 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
     # zero, as the F test above does.
     s_distance: Optional[float] = None
     if not any(np.any(((T[b] <= atol) | reach[b]) & pos[b]) for b in blocks):
-        # A ratio above the float maximum overflows to inf, which is its
-        # value here: no finite s relaxes the triangle inequality that far.
+        # Every positive entry left has T above atol.  A ratio above the
+        # float maximum overflows to inf, which is its value here: no finite
+        # s relaxes the triangle inequality that far.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = [np.max(D[b] / np.maximum(T[b], atol), where=(T[b] > atol) & pos[b],
-                             initial=0.0) for b in blocks]
+            ratios = [np.max(D[b] / np.maximum(T[b], atol), where=pos[b], initial=0.0)
+                      for b in blocks]
         s = float(np.max(ratios, initial=0.0))
-        s_distance = max(s, 1.0) if s > 0 else 1.0
+        s_distance = max(s, 1.0)
 
     return DistanceClass(
         symmetric=symmetric,

@@ -30,9 +30,9 @@ from multifix.operators import bind_lambda_f, check_lambda_arity
 from multifix.product import (
     bind_distance,
     check_pair_arity,
+    combine,
     product_points,
     sum_distance,
-    sup_distance,
 )
 from multifix.solver import DIVERGENCE_CAP, SolveReport
 from multifix.spaces import Box
@@ -48,8 +48,33 @@ def _strictly_less(a, b, table_backed):
 
 def checked_distance(space, kind):
     """The product distance of ``kind``, checking each call's arity."""
-    scalar = sup_distance if kind is ProductKind.SUP else sum_distance
-    return lambda x, y: scalar(space, x, y)
+    rho = bind_distance(space, kind)
+
+    def checked(x, y):
+        check_pair_arity(x, y)
+        return rho(x, y)
+
+    return checked
+
+
+def reference_product_matrix(space, m, kind):
+    """The ``N x N`` product distance matrix over ``product_points(space, m)``:
+    one broadcast coordinate per step through ``product.combine`` keeps peak
+    memory near its size."""
+    D = space.matrix()
+    out = D
+    for _ in range(m - 1):
+        N = out.shape[0] * D.shape[0]
+        out = combine(kind, (out[:, None, :, None], D[None, :, None, :])).reshape(N, N)
+    return out
+
+
+def reference_product_space(space, m, kind):
+    """The materialized m-fold product of a finite carrier, as a table over
+    its product points."""
+    return DistanceSpace.from_matrix(
+        product_points(space, m), reference_product_matrix(space, m, kind)
+    )
 
 
 def shortest_path_closure(W: list[list[float]]) -> list[list[float]]:
@@ -187,7 +212,7 @@ def reference_check_order_distance_compat(space, order):
                     continue
                 near = space.dist(x, y) + space.dist(y, x)
                 far = space.dist(x, z) + space.dist(z, x)
-                if near > far + (0.0 if space.table_backed else STRICT_MARGIN):
+                if near > far + (0.0 if space.atol == 0 else STRICT_MARGIN):
                     return Clause("order-distance compatibility", False, (x, y, z))
     return Clause("order-distance compatibility", True)
 
@@ -195,7 +220,7 @@ def reference_check_order_distance_compat(space, order):
 def reference_check_mk_space(space, order, delta, r_grid):
     pairs = [(x, y) for x in space.points for y in space.points if order.leq(x, y)]
     d = [space.dist(x, y) for x, y in pairs]
-    found = reference_first_failure(r_grid, delta, d, d, space.table_backed)
+    found = reference_first_failure(r_grid, delta, d, d, space.atol == 0)
     if found is not None:
         k, r = found
         return Clause("MK space condition", False, (*pairs[k], r))
@@ -248,7 +273,7 @@ def reference_check_omega(space, order, F, family, lset, variant):
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     rho = checked_distance(space, kind)
     isotone = variant in (1, 3)
-    table = space.table_backed and kind is ProductKind.SUP
+    table = space.atol == 0 and kind is ProductKind.SUP
     images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
     for x, y in comparable_product_pairs(space, order, lset):
         fx, fy = images[x], images[y]
@@ -282,7 +307,7 @@ def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=Non
 
 def reference_pair_distances(space, F, family, kind, pairs):
     """Yield (rho(x, y), rho(lambdaF(x), lambdaF(y))) per pair, each pair's
-    arity checked on entry as sup_distance and apply_lambda_f do."""
+    arity checked on entry as sum_distance and apply_lambda_f do."""
     rho = bind_distance(space, kind)
     lam = None
     m = family.m
@@ -322,7 +347,7 @@ def reference_check_mk_operator(
     if not pairs:
         raise ValueError("no comparable pairs to check")
     measured = list(reference_pair_distances(space, F, family, kind, pairs))
-    table = space.table_backed and kind is ProductKind.SUP
+    table = space.atol == 0 and kind is ProductKind.SUP
     grid_bound = r_grid is not None
     for (x, y), (d, d_img) in zip(pairs, measured):
         if grid_bound:

@@ -26,19 +26,18 @@ from multifix import (
     check_omega,
     coupled_preset,
     enumerate_fixed_points,
-    product_space,
-    sum_distance,
-    sup_distance,
     tripled_preset,
 )
 from multifix import kernel
-from multifix.product import _product_matrix
 from helpers import (
+    checked_distance,
     int_chain,
     reference_check_mk,
     reference_check_mk_operator,
     reference_check_omega,
     reference_enumerate,
+    reference_product_matrix,
+    reference_product_space,
 )
 
 # Labels that collide with block headers, separators and each other's text.
@@ -160,11 +159,12 @@ def test_product_distances_round_like_the_scalar_forms():
     k = kernel.ProductKernel(space, 3)
     xs, ys = (a.ravel() for a in np.indices((k.size, k.size)))
     points = [k.point(i) for i in range(k.size)]
-    for kind, scalar in ((ProductKind.SUP, sup_distance), (ProductKind.SUM, sum_distance)):
-        want = [scalar(space, points[x], points[y]) for x, y in zip(xs, ys)]
+    for kind in ProductKind:
+        scalar = checked_distance(space, kind)
+        want = [scalar(points[x], points[y]) for x, y in zip(xs, ys)]
         assert k.distance(kind, xs, ys).tolist() == want
-        assert _product_matrix(space.matrix(), 3, kind).ravel().tolist() == want
-        dist = product_space(space, 3, kind).dist
+        assert reference_product_matrix(space, 3, kind).ravel().tolist() == want
+        dist = reference_product_space(space, 3, kind).dist
         assert [dist(points[x], points[y]) for x, y in zip(xs, ys)] == want
 
 

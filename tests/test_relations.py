@@ -1,9 +1,12 @@
 """Metamorphic relations: one instance written two ways gets the same
 verdicts.  Relabelling and permuting a finite carrier, with its table, order
 and operator carried along, changes no classification and no condition
-verdict, and maps the fixed points through the relabelling."""
+verdict, and maps the fixed points through the relabelling.  Scaling the
+table by 2 or by 0.5, which is exact on normal floats, changes no
+classification and, under a linear modulus, no verdict and no fixed point."""
 
 import itertools
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -95,3 +98,39 @@ class TestPermutation:
         got, got_fixed = verdicts(rewrite(instance, rename, perm), m, family, lset)
         assert got == want
         assert got_fixed == {tuple(map(rename.get, x)) for x in fixed}
+
+
+def scaled(matrix, c):
+    return [[c * v for v in row] for row in matrix]
+
+
+# Entries whose halves, and the halves of their pairwise sums, stay normal,
+# and whose doubled sums stay finite: a subnormal does not scale exactly.
+NORMAL_DISTANCES = st.one_of(st.just(0.0), st.floats(4 * sys.float_info.min, 1e300))
+
+
+@st.composite
+def normal_tables(draw):
+    n = draw(st.integers(1, 6))
+    matrix = [[0.0 if i == j else draw(NORMAL_DISTANCES) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if matrix[i][j] + matrix[j][i] == 0:
+            matrix[i][j] = draw(NORMAL_DISTANCES.filter(bool))
+    return matrix
+
+
+class TestDyadicScale:
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_instances(), st.sampled_from([2.0, 0.5]))
+    def test_scaled_table_keeps_every_verdict(self, drawn, c):
+        instance, m, family, lset, _, _ = drawn
+        labels, matrix, pairs, table = instance
+        want = verdicts(instance, m, family, lset)
+        assert verdicts((labels, scaled(matrix, c), pairs, table), m, family, lset) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(normal_tables(), st.sampled_from([2.0, 0.5]))
+    def test_scaled_table_keeps_the_classification(self, matrix, c):
+        labels = range(len(matrix))
+        want = classify_finite(DistanceSpace.from_matrix(labels, matrix))
+        assert classify_finite(DistanceSpace.from_matrix(labels, scaled(matrix, c))) == want

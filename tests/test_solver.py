@@ -25,6 +25,7 @@ from multifix import (
     tripled_preset,
     verify_uniqueness,
 )
+from multifix.solver import DIVERGENCE_CAP
 from helpers import (
     field_reprs,
     int_chain,
@@ -88,6 +89,14 @@ class TestPicard:
         F = MultiOperator(2, lambda x, y: 2 * x)
         report = picard_solve(reals, F, coupled_preset(), (1.0, 0.0))
         assert report.status == "diverged"
+
+    def test_a_step_at_the_divergence_cap_does_not_diverge(self):
+        # Only a step above the cap diverges; this one lands on it exactly.
+        F = MultiOperator(1, lambda x: x + 1e12)
+        space = DistanceSpace.reals(-1e13, 1e13)
+        report = picard_solve(space, F, LambdaFamily.identity(1), (0.0,), SolveConfig(max_iter=1))
+        assert report.status == "max_iter_exceeded"
+        assert report.trace == [DIVERGENCE_CAP]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_residual_diverges(self, reals, value):

@@ -16,9 +16,9 @@ from multifix import (
     ProductKind,
     UnsupportedInstanceError,
     classify_finite,
-    product_space,
 )
 from multifix import spaces
+from multifix.product import product_atol
 from multifix.problemfile import parse_problem
 from helpers import (
     classify_reference,
@@ -26,6 +26,7 @@ from helpers import (
     min_plus_reference,
     random_metric,
     random_quasimetric,
+    reference_product_space,
 )
 
 
@@ -119,6 +120,11 @@ class TestConstruction:
     def test_a_box_needs_ordered_bounds(self, lo, hi):
         with pytest.raises(ValueError, match="lo <= hi"):
             Box(lo, hi)
+
+    def test_a_one_point_box_is_allowed(self):
+        box = Box(0.5, 0.5)
+        assert box.contains(0.5) and not box.contains(0.25)
+        assert parse_problem("space: box 0.5 0.5\n").space.box == box
 
     def test_zero_one_direction_is_allowed(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
@@ -248,7 +254,7 @@ def finite_spaces(draw):
         return DistanceSpace(lambda x, y: M[x][y], points=range(n))
     space = DistanceSpace.from_matrix(range(n), M)
     if shape == "product":
-        space = product_space(space, 2, draw(st.sampled_from(list(ProductKind))))
+        space = reference_product_space(space, 2, draw(st.sampled_from(list(ProductKind))))
     return space
 
 
@@ -285,8 +291,8 @@ class TestClassifyDifferential:
 
     def test_product_spaces_compare_with_tolerance(self):
         base = DistanceSpace.from_matrix("ab", [[0, 0.1], [0.2, 0]])
-        assert product_space(base, 2, ProductKind.SUM).atol == 1e-12
-        assert product_space(base, 2, ProductKind.SUP).atol == 0.0
+        assert product_atol(base, ProductKind.SUM) == 1e-12
+        assert product_atol(base, ProductKind.SUP) == 0.0
 
 
 def min_plus_input(n, seed):
