@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,10 +9,17 @@ from multifix import (
     DistanceSpace,
     ProductKind,
     UnsupportedInstanceError,
+    classify_finite,
     sum_distance,
 )
-from multifix.product import product_points
-from helpers import checked_distance
+from multifix.kernel import ProductKernel
+from multifix.product import bind_distance, product_points
+from helpers import (
+    GENERATORS,
+    checked_distance,
+    reference_product_matrix,
+    reference_product_space,
+)
 
 
 @pytest.fixture
@@ -63,7 +73,37 @@ class TestProductDistances:
         assert lo <= hi <= m * lo
 
 
-class TestProductPoints:
+class TestProductSpace:
+    """The m-fold product: its points, its kernel and, through the test
+    reference, its table classified by ``classify_finite``."""
+
+    def test_metric_product_reclassifies_metric(self, two_point):
+        prod = reference_product_space(two_point, 2, ProductKind.SUP)
+        assert len(prod.points) == 4
+        assert classify_finite(prod).metric
+
+    def test_quasimetric_sum_product(self):
+        rng = random.Random(11)
+        base = GENERATORS["quasimetric"](rng, 3)
+        prod = reference_product_space(base, 2, ProductKind.SUM)
+        cls = classify_finite(prod)
+        assert cls.quasimetric
+
+    def test_m1_product_matches_base(self, two_point):
+        for kind in ProductKind:
+            prod = reference_product_space(two_point, 1, kind)
+            assert classify_finite(prod) == classify_finite(two_point)
+            rho = bind_distance(two_point, kind)
+            for x, y in itertools.product(two_point.points, repeat=2):
+                assert prod.dist((x,), (y,)) == two_point.dist(x, y)
+                assert rho((x,), (y,)) == two_point.dist(x, y)
+
+    def test_product_above_cap_is_refused(self, two_point, monkeypatch):
+        monkeypatch.setenv("MULTIFIX_CAP", "16")
+        with pytest.raises(CapacityError) as err:
+            ProductKernel(two_point, 5)
+        assert err.value.size == 32
+
     def test_capacity_error_names_size(self, two_point, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "16")
         with pytest.raises(CapacityError) as err:
@@ -73,3 +113,35 @@ class TestProductPoints:
     def test_continuous_product_is_refused(self, reals):
         with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):
             product_points(reals, 2)
+
+    def test_matrix_agrees_with_coordinatewise_eval(self):
+        rng = random.Random(5)
+        base = GENERATORS["metric"](rng, 3)
+        sup_m = reference_product_matrix(base, 2, ProductKind.SUP)
+        sum_m = reference_product_matrix(base, 2, ProductKind.SUM)
+        rho = bind_distance(base, ProductKind.SUP)
+        pts = product_points(base, 2)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                assert sup_m[i, j] == rho(x, y)
+                assert sum_m[i, j] == sum_distance(base, x, y)
+
+
+class TestUniformEquivalence:
+    """``sup <= sum <= m * sup`` on every pair of the reference matrices."""
+
+    def test_m1_equality(self, two_point):
+        sup_m = reference_product_matrix(two_point, 1, ProductKind.SUP)
+        sum_m = reference_product_matrix(two_point, 1, ProductKind.SUM)
+        assert (sup_m == sum_m).all()
+        assert (sup_m == two_point.matrix()).all()
+
+    def test_exhaustive_three_point_metric(self):
+        space = DistanceSpace.from_matrix(
+            ["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        )
+        sup_m = reference_product_matrix(space, 3, ProductKind.SUP)
+        sum_m = reference_product_matrix(space, 3, ProductKind.SUM)
+        assert sup_m.shape == sum_m.shape == (27, 27)
+        assert ((sup_m <= sum_m) & (sum_m <= 3 * sup_m)).all()
+        assert (sup_m > 0).sum() == 27 * 26
