@@ -34,7 +34,7 @@ from .operators import (
     surjectivity_report,
     tripled_preset,
 )
-from .orders import LSet, OrderRelation, chain_order, compare_L
+from .orders import LSet, OrderRelation, chain_order
 from .product import ProductKind, sum_distance
 from .solver import (
     SolveConfig,
@@ -83,7 +83,6 @@ __all__ = [
     "check_omega",
     "check_order_distance_compat",
     "classify_finite",
-    "compare_L",
     "coupled_preset",
     "enumerate_fixed_points",
     "find_monotone_start",

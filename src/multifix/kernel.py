@@ -1,7 +1,7 @@
 """Integer coding of a finite instance for the exhaustive pair checks.
 
 Carrier points become indices ``0..n-1`` and the product ``X^m`` becomes the
-``(N, m)`` array of index tuples, in :func:`product_points` order, so a
+``(N, m)`` array of index tuples, in canonical (lexicographic) order, so a
 product point is one integer in ``0..N-1``.  The order comes as one closed
 ``n x n`` boolean matrix per coordinate, the carrier's order or its
 transpose as :meth:`LSet.orient` gives them, the distance is the base
@@ -40,7 +40,7 @@ SAMPLE_BLOCK = 1 << 13
 class ProductKernel:
     """The finite product ``X^m`` of one space, coded as integers.
 
-    Raises what :func:`product_points` raises on the same arguments: an
+    Raises what :func:`product_size` raises on the same arguments: an
     :class:`UnsupportedInstanceError` for a continuous carrier and a
     :class:`CapacityError` above the materialization cap.
     """
@@ -78,16 +78,22 @@ class ProductKernel:
             axis=1,
         )
         needed, first = np.unique(args, return_index=True)
-        index = {label: i for i, label in enumerate(self.labels)}
-        values = np.zeros(self.size, dtype=np.intp)
-        for k in needed[np.argsort(first)]:
-            arg = self.point(k)
+        needed = needed[np.argsort(first)]
+        # The argument tuples' labels, decoded in one array lookup and
+        # zipped from per-coordinate columns into tuples.
+        labels = np.fromiter(self.labels, dtype=object, count=self.n)
+        code = {label: i for i, label in enumerate(self.labels)}.get
+        coded = []
+        for arg in zip(*labels[self.coords[needed]].T.tolist()):
             value = F(*arg)
-            if value not in index:
+            i = code(value)
+            if i is None:
                 raise EvaluationError(
                     f"operator value {value!r} at {arg} is outside the carrier"
                 )
-            values[k] = index[value]
+            coded.append(i)
+        values = np.zeros(self.size, dtype=np.intp)
+        values[needed] = coded
         image_coords = values[args]
         return np.ravel_multi_index(tuple(image_coords.T), self.shape)
 

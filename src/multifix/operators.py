@@ -144,10 +144,6 @@ class FixedPointCertificate:
     residual: float
     accepted: bool
 
-    @property
-    def exact(self) -> bool:
-        return self.residual == 0
-
 
 def is_multiple_fixed_point(
     space: DistanceSpace,

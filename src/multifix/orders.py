@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -107,7 +106,7 @@ class LSet:
     def of(cls, m: int, *indices: int) -> "LSet":
         return cls(m, frozenset(indices))
 
-    @functools.cached_property  # compare_L reads it on every call
+    @property
     def forward(self) -> tuple[bool, ...]:
         """Per coordinate, whether ``<=_L`` compares it forward (it is in L)."""
         return tuple(i in self.members for i in range(1, self.m + 1))
@@ -119,13 +118,3 @@ class LSet:
 
     def complement(self) -> "LSet":
         return LSet(self.m, frozenset(range(1, self.m + 1)) - self.members)
-
-
-def compare_L(order: OrderRelation, lset: LSet, x: Sequence, y: Sequence) -> bool:
-    """Twisted order on tuples: forward on L coordinates, backward elsewhere."""
-    if len(x) != lset.m or len(y) != lset.m:
-        raise ValueError(f"tuple arity must be {lset.m}")
-    for forward, a, b in zip(lset.forward, x, y):
-        if not (order.leq(a, b) if forward else order.leq(b, a)):
-            return False
-    return True

@@ -4,7 +4,6 @@ scalars over points and as arrays over per-coordinate distances."""
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import os
 from enum import Enum
@@ -94,12 +93,6 @@ def product_size(space: DistanceSpace, m: int) -> int:
     if size > cap:
         raise CapacityError(size, cap)
     return size
-
-
-def product_points(space: DistanceSpace, m: int) -> list:
-    """All m-tuples over a finite carrier, in canonical (lexicographic) order."""
-    product_size(space, m)
-    return list(itertools.product(space.points, repeat=m))
 
 
 def format_product_point(p: Sequence) -> str:

@@ -12,8 +12,8 @@ from ._numpy import np
 from .conditions import CONDITIONS, Clause, ConditionReport, MeirKeelerModulus
 from .kernel import ProductKernel
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
-from .orders import LSet, OrderRelation, compare_L
-from .product import ProductKind, bind_distance, product_points
+from .orders import LSet, OrderRelation
+from .product import ProductKind, bind_distance
 from .spaces import DistanceSpace, is_h_distance
 
 Point = Any
@@ -57,17 +57,21 @@ def find_monotone_start(
 ) -> Optional[tuple[tuple, str]]:
     """First product point a with a <=_L lambdaF(a) (ascending) or
     lambdaF(a) <=_L a (descending), searched over every point of a finite
-    carrier in canonical enumeration order."""
-    points = product_points(space, lset.m)
-    check_lambda_arity(F, family, [None] * lset.m)  # every point has arity lset.m
-    lam = bind_lambda_f(F, family)
-    for a in points:
-        image = lam(a)
-        if compare_L(order, lset, a, image):
-            return a, "ascending"
-        if compare_L(order, lset, image, a):
-            return a, "descending"
-    return None
+    carrier in canonical enumeration order.
+
+    F is evaluated on every argument tuple, as the enumeration oracle does,
+    so a value outside the carrier raises :class:`EvaluationError` even
+    when an earlier point qualifies."""
+    kernel = ProductKernel(space, lset.m)
+    orders = lset.orient(order.matrix(kernel.labels))
+    image = kernel.image(F, family)
+    points = np.arange(kernel.size)
+    up = kernel.leq_L(orders, points, image)
+    found = np.flatnonzero(up | kernel.leq_L(orders, image, points))
+    if not len(found):
+        return None
+    k = found[0]
+    return kernel.point(k), "ascending" if up[k] else "descending"
 
 
 def picard_solve(

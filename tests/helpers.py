@@ -8,6 +8,7 @@ then free of rounding artifacts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -21,7 +22,6 @@ from multifix import (
     ProductKind,
     apply_lambda_f,
     chain_order,
-    compare_L,
     surjectivity_report,
 )
 from multifix.conditions import Clause, ConditionReport
@@ -31,7 +31,7 @@ from multifix.product import (
     bind_distance,
     check_pair_arity,
     combine,
-    product_points,
+    product_size,
     sum_distance,
 )
 from multifix.solver import DIVERGENCE_CAP, SolveReport
@@ -55,6 +55,24 @@ def checked_distance(space, kind):
         return rho(x, y)
 
     return checked
+
+
+def product_points(space, m):
+    """All m-tuples over a finite carrier, in canonical (lexicographic)
+    order, refused as ``product_size`` refuses them."""
+    product_size(space, m)
+    return list(itertools.product(space.points, repeat=m))
+
+
+def compare_L(order, lset, x, y):
+    """``x <=_L y`` on label tuples: forward on L coordinates, backward
+    elsewhere."""
+    if len(x) != lset.m or len(y) != lset.m:
+        raise ValueError(f"tuple arity must be {lset.m}")
+    for forward, a, b in zip(lset.forward, x, y):
+        if not (order.leq(a, b) if forward else order.leq(b, a)):
+            return False
+    return True
 
 
 def reference_product_matrix(space, m, kind):
@@ -130,6 +148,13 @@ GENERATORS = {
 }
 
 
+def unit_space(labels) -> DistanceSpace:
+    """The finite carrier ``labels`` with every two distinct points at
+    distance 1."""
+    n = len(labels)
+    return DistanceSpace.from_matrix(labels, np.ones((n, n)) - np.eye(n))
+
+
 def int_chain(n: int, scale: float = 1.0) -> tuple[DistanceSpace, OrderRelation]:
     """Chain 0 < 1 < ... < n-1 with the scaled absolute-value distance."""
     labels = list(range(n))
@@ -139,8 +164,6 @@ def int_chain(n: int, scale: float = 1.0) -> tuple[DistanceSpace, OrderRelation]
 
 def table_operator(space: DistanceSpace, m: int, func) -> MultiOperator:
     """Materialize a callable into a complete lookup table over the carrier."""
-    import itertools
-
     table = {
         key: func(*key) for key in itertools.product(space.points, repeat=m)
     }
@@ -150,8 +173,6 @@ def table_operator(space: DistanceSpace, m: int, func) -> MultiOperator:
 def random_table_operator(
     rng: random.Random, space: DistanceSpace, m: int
 ) -> MultiOperator:
-    import itertools
-
     table = {
         key: rng.choice(space.points)
         for key in itertools.product(space.points, repeat=m)
@@ -369,6 +390,18 @@ def reference_check_mk_operator(
         samples=len(pairs),
         grid_bound=grid_bound,
     )
+
+
+def reference_monotone_start(space, order, F, family, lset):
+    """The point-by-point monotone-start search: the first product point a
+    with a <=_L lambdaF(a) (ascending) or lambdaF(a) <=_L a (descending)."""
+    for a in product_points(space, lset.m):
+        image = apply_lambda_f(F, family, a)
+        if compare_L(order, lset, a, image):
+            return a, "ascending"
+        if compare_L(order, lset, image, a):
+            return a, "descending"
+    return None
 
 
 def reference_enumerate(space, F, family):

@@ -28,7 +28,6 @@ from multifix import (
     check_mk_operator,
     check_omega,
     classify_finite,
-    compare_L,
     coupled_preset,
     enumerate_fixed_points,
     is_multiple_fixed_point,
@@ -36,6 +35,7 @@ from multifix import (
     tripled_preset,
     verify_uniqueness,
 )
+from multifix.kernel import ProductKernel
 from helpers import (
     GENERATORS,
     int_chain,
@@ -43,6 +43,7 @@ from helpers import (
     reference_product_matrix,
     reference_product_space,
     table_operator,
+    unit_space,
 )
 
 SEED = 20240824
@@ -156,18 +157,19 @@ def test_criterion_3_twisted_order_duality(announce):
     checked = 0
     violations = 0
     for order in orders:
-        points = order.points
         for m in (1, 2, 3):
-            tuples = list(itertools.product(points, repeat=m))
+            kernel = ProductKernel(unit_space(order.points), m)
+            O = order.matrix(kernel.labels)
+            xs, ys = np.arange(kernel.size)[:, None], np.arange(kernel.size)[None, :]
             for members in itertools.chain.from_iterable(
                 itertools.combinations(range(1, m + 1), k) for k in range(m + 1)
             ):
                 lset = LSet(m, frozenset(members))
                 dual = lset.complement()
-                for x, y in itertools.product(tuples, repeat=2):
-                    checked += 1
-                    if compare_L(order, lset, x, y) != compare_L(order, dual, y, x):
-                        violations += 1
+                # Every (x, y) of the product, as an N x N array.
+                got = kernel.leq_L(lset.orient(O), xs, ys)
+                checked += got.size
+                violations += int(np.count_nonzero(got != kernel.leq_L(dual.orient(O), ys, xs)))
     announce(
         3,
         "order with flipped coordinate set equals the reversed comparison",

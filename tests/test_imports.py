@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, and every
 import sits at module level, not inside a function body; the package's
 ``__init__`` may import a name only to re-export it through ``__all__``.
-Every name in ``__all__`` is read somewhere besides the unit tests: by
-another package module, the benchmark, the acceptance suite or the
-README's library example.  No package module imports numpy: ``_numpy``
+Every public name a package module binds at its top level, in ``__all__``
+or not, is read somewhere besides the unit tests: by a package module (its
+own included), the benchmark, the acceptance suite or the README's library
+example.  No package module imports numpy: ``_numpy``
 binds it lazily for all of them."""
 
 import ast
@@ -106,9 +107,9 @@ def test_a_numpy_import_is_reported(tmp_path):
     assert numpy_imports(module) == ["module.py:1", "module.py:2", "module.py:5"]
 
 
-def references(path: Path) -> set[str]:
-    """Every name and attribute a Python file reads; of a Markdown file,
-    those its ``python`` code blocks read."""
+def reads(path: Path) -> set[str]:
+    """Every name and attribute a Python file loads, binding one being no
+    read; of a Markdown file, what its ``python`` code blocks load."""
     text = path.read_text()
     if path.suffix == ".md":
         text = "\n".join(re.findall(r"^```python\n(.*?)^```", text, re.M | re.S))
@@ -116,40 +117,19 @@ def references(path: Path) -> set[str]:
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
 
 
 def unreferenced_exports(exports, readers: list[Path]) -> list[str]:
-    """The exported names that no reader references."""
-    read = set().union(*map(references, readers))
+    """The exported names that no reader reads."""
+    read = set().union(*map(reads, readers))
     return sorted(set(exports) - read)
 
 
-READERS = [
-    *sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    *sorted((ROOT / "bench").glob("*.py")),
-    ROOT / "tests" / "test_acceptance.py",
-    ROOT / "README.md",
-]
-
-
-def test_every_export_is_read_beyond_the_unit_tests():
-    assert unreferenced_exports(multifix.__all__, READERS) == []
-
-
-def test_an_unreferenced_export_is_reported(tmp_path):
-    module = tmp_path / "module.py"
-    module.write_text("import lib\n\ndef helper():\n    return lib.used(), called()\n")
-    readme = tmp_path / "README.md"
-    readme.write_text("```python\nshown()\n```\n\n```sh\nin_a_shell_block\n```\n")
-    exports = ["used", "called", "shown", "helper", "in_a_shell_block"]
-    assert unreferenced_exports(exports, [module, readme]) == ["helper", "in_a_shell_block"]
-
-
-def private_names(path: Path) -> list[str]:
-    """The private names (``_x``, not dunders) a module binds at its top
-    level: functions, classes and assignment targets."""
+def top_level_names(path: Path) -> list[str]:
+    """The names a module binds at its top level: functions, classes and
+    assignment targets."""
     names = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -157,21 +137,45 @@ def private_names(path: Path) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
 
 
-def reads(path: Path) -> set[str]:
-    """Every name and attribute a Python file loads; binding one is no read."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+def private_names(path: Path) -> list[str]:
+    """The private names (``_x``, not dunders) a module binds at its top
+    level."""
+    return [n for n in top_level_names(path) if n.startswith("_") and not n.startswith("__")]
 
 
 MODULES = sorted(PACKAGE.glob("*.py"))
 PACKAGE_READS = set().union(*map(reads, MODULES))
+READERS = [
+    *(p for p in MODULES if p.name != "__init__.py"),
+    *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "README.md",
+]
+# Every public name a package module binds at its top level, whether or not
+# ``__all__`` re-exports it.
+PUBLIC_NAMES = sorted(
+    {name for path in MODULES for name in top_level_names(path) if not name.startswith("_")}
+)
+
+
+def test_every_export_is_read_beyond_the_unit_tests():
+    assert unreferenced_exports(PUBLIC_NAMES, READERS) == []
+
+
+def test_an_unreferenced_export_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import lib\n\nUNREAD = 1\n\ndef helper():\n    return lib.used(), called()\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("```python\nshown()\n```\n\n```sh\nin_a_shell_block\n```\n")
+    exports = ["used", "called", "shown", "helper", "UNREAD", "in_a_shell_block"]
+    assert unreferenced_exports(exports, [module, readme]) == [
+        "UNREAD", "helper", "in_a_shell_block"
+    ]
 
 
 @pytest.mark.parametrize(

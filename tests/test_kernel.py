@@ -26,6 +26,7 @@ from multifix import (
     check_omega,
     coupled_preset,
     enumerate_fixed_points,
+    find_monotone_start,
     tripled_preset,
 )
 from multifix import kernel
@@ -36,8 +37,10 @@ from helpers import (
     reference_check_mk_operator,
     reference_check_omega,
     reference_enumerate,
+    reference_monotone_start,
     reference_product_matrix,
     reference_product_space,
+    unit_space,
 )
 
 # Labels that collide with block headers, separators and each other's text.
@@ -212,8 +215,7 @@ def check_pairs_against_mask(order, lset, include_equal, block):
     """The concatenated blocks are the nonzero entries of the full ``N x N``
     ``<=_L`` mask, and each block holds at most ``block`` pairs or one row."""
     n, m = len(order.points), lset.m
-    space = DistanceSpace.from_matrix(order.points, np.ones((n, n)) - np.eye(n))
-    k = kernel.ProductKernel(space, m)
+    k = kernel.ProductKernel(unit_space(order.points), m)
     orders = lset.orient(order.matrix(k.labels))
     coords = np.array(list(itertools.product(range(n), repeat=m)))
     mask = np.logical_and.reduce(
@@ -243,6 +245,37 @@ def lsets(draw):
 @given(posets(), lsets(), st.booleans(), st.sampled_from([1, 7, kernel.PAIR_BLOCK]))
 def test_comparable_pairs_match_the_full_mask(order, lset, include_equal, block):
     check_pairs_against_mask(order, lset, include_equal, block)
+
+
+@st.composite
+def monotone_start_instances(draw):
+    """A poset, over the whole carrier or over all but its last one or two
+    labels, with a random family, L set and operator: a table, a projection
+    (every point qualifies) or a constant."""
+    order = draw(posets())
+    labels = list(order.points) + list(range(10, 10 + draw(st.sampled_from([0, 0, 1, 2]))))
+    space = unit_space(labels)
+    lset = draw(lsets())
+    m = lset.m
+    family = LambdaFamily(
+        m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
+    )
+    shape = draw(st.sampled_from(["table", "table", "projection", "constant"]))
+    if shape == "table":
+        keys = list(itertools.product(labels, repeat=m))
+        values = draw(st.lists(st.sampled_from(labels), min_size=len(keys), max_size=len(keys)))
+        F = MultiOperator.from_table(m, dict(zip(keys, values)), labels)
+    elif shape == "projection":
+        F = MultiOperator(m, lambda *args: args[0])
+    else:
+        F = MultiOperator.constant(m, draw(st.sampled_from(labels)))
+    return space, order, F, family, lset
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_start_instances())
+def test_monotone_start_matches_reference(instance):
+    assert find_monotone_start(*instance) == reference_monotone_start(*instance)
 
 
 @pytest.mark.parametrize("include_equal", [True, False])
@@ -310,4 +343,9 @@ def test_operator_called_once_per_argument_tuple():
         return args[0]
 
     enumerate_fixed_points(space, MultiOperator(2, record), coupled_preset())
-    assert sorted(calls) == sorted(itertools.product(range(3), repeat=2))
+    # In the order a point-by-point sweep first needs them: (x, y), then
+    # (y, x), point after point.
+    want = []
+    for x, y in itertools.product(range(3), repeat=2):
+        want.extend(arg for arg in ((x, y), (y, x)) if arg not in want)
+    assert calls == want

@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multifix import LSet, OrderRelation, chain_order, compare_L
-from helpers import closure_reference
+from multifix import LSet, OrderRelation, chain_order
+from multifix.kernel import ProductKernel
+from helpers import closure_reference, compare_L, unit_space
 
 
 class TestOrderRelation:
@@ -53,6 +55,7 @@ class TestOrderRelation:
     def test_numeric_order(self):
         order = OrderRelation.numeric()
         assert order.leq(1.0, 2.0)
+        assert order.leq(1.5, 1.5)
         assert not order.leq(2.0, 1.0)
 
 
@@ -67,6 +70,9 @@ class TestLSet:
 
 
 class TestCompareL:
+    """``<=_L``: the per-point reference on label tuples, and the kernel's
+    ``leq_L`` on product indices."""
+
     def test_mixed_direction(self):
         order = OrderRelation.numeric()
         assert compare_L(order, LSet.of(2, 1), (1, 5), (2, 3))
@@ -74,30 +80,36 @@ class TestCompareL:
 
     def test_reflexive(self):
         order = chain_order([0, 1, 2])
+        k = ProductKernel(unit_space([0, 1, 2]), 2)
+        points = np.arange(k.size)
         for lset in (LSet.of(2), LSet.of(2, 1), LSet.of(2, 1, 2)):
-            for x in itertools.product([0, 1, 2], repeat=2):
-                assert compare_L(order, lset, x, x)
+            assert k.leq_L(lset.orient(order.matrix(k.labels)), points, points).all()
 
     def test_arity_check(self):
         with pytest.raises(ValueError):
             compare_L(OrderRelation.numeric(), LSet.of(2, 1), (1, 2, 3), (1, 2, 3))
 
-    def test_duality_exhaustive(self):
-        # x <=_L y iff y <=_M x with M the complement
+    def test_duality_and_reference_exhaustive(self):
+        # x <=_L y iff y <=_M x with M the complement, and leq_L agrees with
+        # the reference on every pair, also where the order covers only
+        # part of the carrier.
         diamond = OrderRelation.from_pairs(
             "abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
         )
         chain = chain_order([0, 1, 2])
-        for order, carrier in ((diamond, "abcd"), (chain, [0, 1, 2])):
+        for order, carrier in ((diamond, "abcd"), (chain, [0, 1, 2]), (chain, [0, 1, 2, 3])):
             for m in (1, 2, 3):
-                points = list(itertools.product(carrier, repeat=m))
+                k = ProductKernel(unit_space(carrier), m)
+                O = order.matrix(k.labels)
+                xs, ys = np.arange(k.size)[:, None], np.arange(k.size)[None, :]
+                points = [k.point(i) for i in range(k.size)]
                 for members in itertools.chain.from_iterable(
-                    itertools.combinations(range(1, m + 1), k) for k in range(m + 1)
+                    itertools.combinations(range(1, m + 1), r) for r in range(m + 1)
                 ):
                     lset = LSet(m, frozenset(members))
                     dual = lset.complement()
-                    for x in points:
-                        for y in points:
-                            assert compare_L(order, lset, x, y) == compare_L(
-                                order, dual, y, x
-                            )
+                    got = k.leq_L(lset.orient(O), xs, ys)
+                    assert np.array_equal(got, k.leq_L(dual.orient(O), ys, xs))
+                    assert got.tolist() == [
+                        [compare_L(order, lset, x, y) for y in points] for x in points
+                    ]

@@ -13,7 +13,7 @@ from multifix import (
     sum_distance,
 )
 from multifix.kernel import ProductKernel
-from multifix.product import bind_distance, product_points
+from multifix.product import bind_distance
 from helpers import (
     GENERATORS,
     checked_distance,
@@ -106,13 +106,13 @@ class TestProductSpace:
 
     def test_capacity_error_names_size(self, two_point, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "16")
-        with pytest.raises(CapacityError) as err:
-            product_points(two_point, 5)
-        assert err.value.size == 32
+        with pytest.raises(CapacityError, match="size 32 exceeds materialization cap 16"):
+            ProductKernel(two_point, 5)
+        ProductKernel(two_point, 4)  # 16 points, at the cap
 
     def test_continuous_product_is_refused(self, reals):
         with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):
-            product_points(reals, 2)
+            ProductKernel(reals, 2)
 
     def test_matrix_agrees_with_coordinatewise_eval(self):
         rng = random.Random(5)
@@ -120,7 +120,9 @@ class TestProductSpace:
         sup_m = reference_product_matrix(base, 2, ProductKind.SUP)
         sum_m = reference_product_matrix(base, 2, ProductKind.SUM)
         rho = bind_distance(base, ProductKind.SUP)
-        pts = product_points(base, 2)
+        k = ProductKernel(base, 2)
+        pts = [k.point(i) for i in range(k.size)]
+        assert pts == list(itertools.product(base.points, repeat=2))
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 assert sup_m[i, j] == rho(x, y)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from multifix import (
     CarrierError,
     DistanceSpace,
+    EvaluationError,
     LambdaFamily,
     LSet,
     MeirKeelerModulus,
@@ -16,7 +17,6 @@ from multifix import (
     ProductKind,
     SolveConfig,
     chain_order,
-    compare_L,
     coupled_preset,
     enumerate_fixed_points,
     find_monotone_start,
@@ -27,6 +27,7 @@ from multifix import (
 )
 from multifix.solver import DIVERGENCE_CAP
 from helpers import (
+    compare_L,
     field_reprs,
     int_chain,
     lopsided_line,
@@ -68,6 +69,22 @@ class TestMonotoneStart:
             space, order, F, coupled_preset(), LSet.of(2, 1)
         )
         assert found is None
+
+    def test_value_outside_carrier_names_argument(self):
+        # (0, 0) is a fixed point, but F is evaluated on every argument
+        # tuple, and (1, 1) maps outside the carrier.
+        space, order = int_chain(2)
+        F = MultiOperator(2, lambda x, y: x + y)
+        with pytest.raises(EvaluationError, match=r"value 2 at \(1, 1\) is outside"):
+            find_monotone_start(space, order, F, coupled_preset(), LSet.of(2, 1))
+
+    def test_descending_start(self):
+        # With L empty both coordinates compare backward, so the image (1, 1)
+        # lies below (0, 0) in <=_L and not above it.
+        space, order = int_chain(2)
+        F = MultiOperator.constant(2, 1)
+        found = find_monotone_start(space, order, F, coupled_preset(), LSet.of(2))
+        assert found == ((0, 0), "descending")
 
 
 class TestPicard:
