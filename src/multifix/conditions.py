@@ -4,8 +4,9 @@ order-theoretic clauses.
 
 Finite instances are checked exhaustively; continuous instances are checked
 on seeded samples and report a clearly labeled "sampled-pass" verdict.  A
-strict inequality a < b on distances is tested as a < b - atol, with atol
-from :attr:`DistanceSpace.atol` or :func:`product_atol`.
+strict inequality a < b on product distances is tested as a < b - atol,
+with atol from :func:`product_atol`; the clauses on base table entries
+compare exactly.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def check_order_distance_compat(space: DistanceSpace, order: OrderRelation) -> C
     S = space.matrix() + space.matrix().T
     for i, x in enumerate(points):
         # bad[y, z]: x <= y <= z with d(x,y) + d(y,x) > d(x,z) + d(z,x)
-        bad = O[i, :, None] & O & (S[i, :, None] > S[i] + space.atol)
+        bad = O[i, :, None] & O & (S[i, :, None] > S[i])
         if bad.any():
             y, z = np.argwhere(bad)[0].tolist()
             return Clause("order-distance compatibility", False, (x, points[y], points[z]))
@@ -317,7 +318,7 @@ def check_mk_space(
         raise ValueError("r_grid must be nonempty")
     xs, ys = np.nonzero(order.matrix(space.points))
     d = space.matrix()[xs, ys]
-    found = _binding_r(r_grid, delta)(d, d, space.atol)
+    found = _binding_r(r_grid, delta)(d, d, 0.0)
     if found is not None:
         k, r = found
         x, y = space.points[xs[k]], space.points[ys[k]]
@@ -431,7 +432,7 @@ def _mk_operator_sampled(
     check_lambda_arity(F, family, range(lset.m))
     first_failure = _first_failure(delta, r_grid)
     for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed):
-        found = first_failure(*_column_distances(space, F, family, kind, block), atol)
+        found = first_failure(*_column_distances(F, family, kind, block), atol)
         if found is not None:
             k, r = found
             return tuple(block[k, 0].tolist()), tuple(block[k, 1].tolist()), r
@@ -439,24 +440,24 @@ def _mk_operator_sampled(
 
 
 def _column_distances(
-    space: DistanceSpace,
     F: MultiOperator,
     family: LambdaFamily,
     kind: ProductKind,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(rho(x, y), rho(lambdaF(x), lambdaF(y))) for every pair of an (n, 2, m)
-    array of the family's arity, one coordinate column at a time.
+    """(rho(x, y), rho(lambdaF(x), lambdaF(y))) under the box distance for
+    every pair of an (n, 2, m) array of the family's arity, one coordinate
+    column at a time.
 
     An :class:`ElementwiseOperator` and :func:`abs_distance` are called once
     per column on float64 arrays, F's result broadcast to the column length
     so that a constant formula serves too; both promise the floats a
-    per-pair loop gets.  Any other F or base distance runs through
-    ``np.frompyfunc``, so each call gets the Python floats a per-pair loop
-    passes, and :func:`combine` runs on the returned Python objects.  Either
-    way the distances end in one conversion to float.  Python scalar
-    arithmetic never warns, so the overflow and invalid flags the columns
-    leave must not become numpy warnings.
+    per-pair loop gets.  Any other F runs through ``np.frompyfunc``, so each
+    call gets the Python floats a per-pair loop passes, and the distances of
+    its images run on the returned Python objects.  Either way the distances
+    end in one conversion to float.  Python scalar arithmetic never warns,
+    so the overflow and invalid flags the columns leave must not become
+    numpy warnings.
     """
     n = len(points)
     if isinstance(F, ElementwiseOperator):
@@ -464,10 +465,9 @@ def _column_distances(
             return np.broadcast_to(F._func(*columns), n)
     else:
         f = np.frompyfunc(F._func, family.m, 1)
-    dist = space.dist if space.dist is abs_distance else np.frompyfunc(space.dist, 2, 1)
 
     def rho(xs, ys) -> np.ndarray:
-        return combine(kind, map(dist, xs, ys)).astype(float)
+        return combine(kind, map(abs_distance, xs, ys)).astype(float)
 
     xs, ys = points[:, 0].T, points[:, 1].T  # row i: coordinate column i
     with np.errstate(all="ignore"):

@@ -56,10 +56,10 @@ def combine(kind: ProductKind, columns: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def product_atol(space: DistanceSpace, kind: ProductKind) -> float:
-    """Margin for strict tests on product distances: the base space's for
-    the sup, which keeps its table entries, and ``COMPUTED_ATOL`` for the
-    sum, whose values are computed reals even over a table."""
-    return space.atol if kind is ProductKind.SUP else COMPUTED_ATOL
+    """Margin for strict tests on product distances: 0 for the sup over a
+    finite table, which keeps its entries, and ``COMPUTED_ATOL`` for the sum,
+    whose values are computed reals even over a table, and for a box."""
+    return 0.0 if space.is_finite and kind is ProductKind.SUP else COMPUTED_ATOL
 
 
 def _sup(dist, x: Sequence, y: Sequence) -> float:

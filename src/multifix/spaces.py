@@ -18,9 +18,9 @@ from typing import Any, Callable, Optional, Sequence
 from ._numpy import np
 from .errors import CarrierError, UnsupportedInstanceError
 
-# Absolute tolerance used when comparing distances that were produced by
-# floating point arithmetic (as opposed to values read from a table, which
-# compare exactly).
+# Absolute tolerance of strict tests on distances that floating point
+# arithmetic produced: box distances and sums of table entries.  Table
+# entries and their maxima compare exactly.
 COMPUTED_ATOL = 1e-12
 
 # float64 rows of the min-plus product per block: a 64-row block of T, its
@@ -58,32 +58,27 @@ class Box:
 
 
 class DistanceSpace:
-    """Carrier plus evaluable distance.
-
-    The carrier is a finite table of ``points`` or a closed :class:`Box`,
-    exactly one of the two: both are complete, as the theorems assume.
-    A space given its distance ``matrix`` reads raw table entries and
-    compares them exactly (``atol = 0``); one whose distances are computed
-    compares them within ``COMPUTED_ATOL``.
+    """Carrier plus evaluable distance, built in one of two ways: a validated
+    finite table (:meth:`from_matrix`), whose entries compare exactly, or a
+    closed :class:`Box` under :func:`abs_distance` (:meth:`reals`).  Both
+    carriers are complete, as the theorems assume.
     """
 
-    def __init__(
-        self,
-        dist: DistFn,
-        points: Optional[Sequence[Point]] = None,
-        box: Optional[Box] = None,
-        matrix: Optional[np.ndarray] = None,
-    ):
-        if (points is None) == (box is None):
-            raise ValueError("a carrier is either finite points or a box, exactly one")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a DistanceSpace is built by from_matrix or reals")
+
+    @classmethod
+    def _make(cls, dist: DistFn, points: Optional[tuple], box: Optional[Box],
+              matrix: Optional[np.ndarray]) -> "DistanceSpace":
+        space = cls.__new__(cls)
         # An instance attribute, not a method: the per-point loops call
         # ``space.dist`` without an extra frame.
-        self.dist = dist
-        self.points = tuple(points) if points is not None else None
-        self._point_set = set(self.points) if self.points is not None else None
-        self.box = box
-        self.atol = COMPUTED_ATOL if matrix is None else 0.0
-        self._matrix = matrix
+        space.dist = dist
+        space.points = points
+        space._point_set = None if points is None else set(points)
+        space.box = box
+        space._matrix = matrix
+        return space
 
     # -- carrier ------------------------------------------------------------
 
@@ -103,14 +98,9 @@ class DistanceSpace:
     # -- distance -----------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
-        """Distance matrix over the finite carrier (row i = d(p_i, .)); cached."""
+        """Distance matrix over the finite carrier (row i = d(p_i, .))."""
         if self.points is None:
             raise UnsupportedInstanceError("cannot materialize a continuous carrier")
-        if self._matrix is None:
-            n = len(self.points)
-            self._matrix = np.array(
-                [float(self.dist(p, q)) for p in self.points for q in self.points], float
-            ).reshape(n, n)
         return self._matrix
 
     # -- constructors -------------------------------------------------------
@@ -176,12 +166,12 @@ class DistanceSpace:
             except KeyError as exc:
                 raise CarrierError(f"point {exc.args[0]!r} is not in the carrier")
 
-        return cls(dist, points=labels, matrix=arr)
+        return cls._make(dist, labels, None, arr)
 
     @classmethod
     def reals(cls, lo: float = -1e9, hi: float = 1e9) -> "DistanceSpace":
         """Absolute-value distance on a (closed, hence complete) interval."""
-        return cls(abs_distance, box=Box(lo, hi))
+        return cls._make(abs_distance, None, Box(lo, hi), None)
 
 
 @dataclass(frozen=True)
@@ -223,8 +213,7 @@ def is_h_distance(space: DistanceSpace) -> bool:
     """
     if not space.is_finite:
         raise UnsupportedInstanceError("classification is finite-only")
-    D = space.matrix()
-    return bool(np.all(np.count_nonzero(D <= space.atol, axis=0) <= 1))
+    return bool(np.all(np.count_nonzero(space.matrix() == 0, axis=0) <= 1))
 
 
 def _usable_cpus() -> int:
@@ -325,15 +314,14 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
     if not space.is_finite:
         raise UnsupportedInstanceError("classification is finite-only")
     D = space.matrix()
-    atol = space.atol
     rows = _block_rows(D)
     blocks = [slice(lo, lo + rows) for lo in range(0, D.shape[0], rows)]
 
-    symmetric = all(np.all(np.abs(D[b] - D[:, b].T) <= atol) for b in blocks)
+    symmetric = all(np.all(D[b] == D[:, b].T) for b in blocks)
     T = _min_plus(D)
-    quasimetric = all(np.all(D[b] <= T[b] + atol) for b in blocks)
+    quasimetric = all(np.all(D[b] <= T[b]) for b in blocks)
 
-    pos = D > atol
+    pos = D > 0
     smallest = np.min(D, where=pos, initial=np.inf)
 
     # Zero-resolution delta: half the smallest positive realized distance.
@@ -344,22 +332,20 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
     reach = A & A.diagonal()[:, None]
     for y in np.flatnonzero(np.count_nonzero(A, axis=0) > A.diagonal()):
         reach[A[:, y]] |= A[y]
-    f_distance = bool(np.max(D, where=reach, initial=-np.inf) <= smallest + atol)
+    f_distance = bool(np.max(D, where=reach, initial=-np.inf) <= smallest)
 
     # Minimal feasible s for the relaxed triangle inequality.  For each pair
     # the binding intermediate point is the one minimizing d(x,z)+d(z,y).
-    # A pair is blocked, with no finite s, when d(x,z) is positive but
-    # some path x -> y -> z sums to at most atol, or (``reach``) takes two
-    # steps that are each zero within atol: the classifier reads both as
-    # zero, as the F test above does.
+    # A pair is blocked, with no finite s, when d(x,z) is positive but it is
+    # in ``reach``: two steps of at most delta0, as the F test above reads
+    # them.  Every path x -> y -> z that sums to 0 is two such steps.
     s_distance: Optional[float] = None
-    if not any(np.any(((T[b] <= atol) | reach[b]) & pos[b]) for b in blocks):
-        # Every positive entry left has T above atol.  A ratio above the
-        # float maximum overflows to inf, which is its value here: no finite
-        # s relaxes the triangle inequality that far.
+    if not any(np.any(reach[b] & pos[b]) for b in blocks):
+        # Every positive entry left has T > 0.  A ratio above the float
+        # maximum overflows to inf, which is its value here: no finite s
+        # relaxes the triangle inequality that far.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = [np.max(D[b] / np.maximum(T[b], atol), where=pos[b], initial=0.0)
-                      for b in blocks]
+            ratios = [np.max(D[b] / T[b], where=pos[b], initial=0.0) for b in blocks]
         s = float(np.max(ratios, initial=0.0))
         s_distance = max(s, 1.0)
 

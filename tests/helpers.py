@@ -35,10 +35,10 @@ from multifix.product import (
     sum_distance,
 )
 from multifix.solver import DIVERGENCE_CAP, SolveReport
-from multifix.spaces import Box
 
 # The references' own exactness rule: a strict inequality on table entries
-# is exact, and on computed reals it must hold by this margin.
+# and their maxima is exact, and on computed reals (sums, box distances) it
+# must hold by this margin.
 STRICT_MARGIN = 1e-12
 
 
@@ -162,6 +162,14 @@ def int_chain(n: int, scale: float = 1.0) -> tuple[DistanceSpace, OrderRelation]
     return DistanceSpace.from_matrix(labels, matrix), chain_order(labels)
 
 
+def lopsided_chain(n: int) -> tuple[DistanceSpace, OrderRelation]:
+    """Chain 0 < 1 < ... < n-1 with d(x, y) = 2(x - y) downhill and y - x
+    uphill: a quasimetric whose two directions differ."""
+    labels = list(range(n))
+    matrix = [[2.0 * (i - j) if i > j else float(j - i) for j in labels] for i in labels]
+    return DistanceSpace.from_matrix(labels, matrix), chain_order(labels)
+
+
 def table_operator(space: DistanceSpace, m: int, func) -> MultiOperator:
     """Materialize a callable into a complete lookup table over the carrier."""
     table = {
@@ -233,7 +241,7 @@ def reference_check_order_distance_compat(space, order):
                     continue
                 near = space.dist(x, y) + space.dist(y, x)
                 far = space.dist(x, z) + space.dist(z, x)
-                if near > far + (0.0 if space.atol == 0 else STRICT_MARGIN):
+                if near > far:
                     return Clause("order-distance compatibility", False, (x, y, z))
     return Clause("order-distance compatibility", True)
 
@@ -241,7 +249,7 @@ def reference_check_order_distance_compat(space, order):
 def reference_check_mk_space(space, order, delta, r_grid):
     pairs = [(x, y) for x in space.points for y in space.points if order.leq(x, y)]
     d = [space.dist(x, y) for x, y in pairs]
-    found = reference_first_failure(r_grid, delta, d, d, space.atol == 0)
+    found = reference_first_failure(r_grid, delta, d, d, True)
     if found is not None:
         k, r = found
         return Clause("MK space condition", False, (*pairs[k], r))
@@ -294,7 +302,7 @@ def reference_check_omega(space, order, F, family, lset, variant):
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     rho = checked_distance(space, kind)
     isotone = variant in (1, 3)
-    table = space.atol == 0 and kind is ProductKind.SUP
+    table = kind is ProductKind.SUP
     images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
     for x, y in comparable_product_pairs(space, order, lset):
         fx, fy = images[x], images[y]
@@ -368,7 +376,7 @@ def reference_check_mk_operator(
     if not pairs:
         raise ValueError("no comparable pairs to check")
     measured = list(reference_pair_distances(space, F, family, kind, pairs))
-    table = space.atol == 0 and kind is ProductKind.SUP
+    table = space.is_finite and kind is ProductKind.SUP
     grid_bound = r_grid is not None
     for (x, y), (d, d_img) in zip(pairs, measured):
         if grid_bound:
@@ -420,16 +428,18 @@ def min_plus_reference(D):
     return T
 
 
-def classify_reference(D, atol):
+def classify_reference(D):
     """The seven DistanceClass fields of ``classify_finite`` by explicit loops
-    over a list-of-lists matrix, with the same floating point operations."""
+    over a list-of-lists matrix, with the same floating point operations.
+    A pair with a zero-length path x -> y -> z blocks the s relaxation as
+    one in ``reach`` does."""
     inf = float("inf")
     pts = range(len(D))
     T = [[min(D[x][y] + D[y][z] for y in pts) for z in pts] for x in pts]
-    symmetric = all(abs(D[x][z] - D[z][x]) <= atol for x in pts for z in pts)
-    quasimetric = all(D[x][z] <= T[x][z] + atol for x in pts for z in pts)
-    positive = [v for row in D for v in row if v > atol]
-    bound = (min(positive) if positive else inf) + atol
+    symmetric = all(D[x][z] == D[z][x] for x in pts for z in pts)
+    quasimetric = all(D[x][z] <= T[x][z] for x in pts for z in pts)
+    positive = [v for row in D for v in row if v > 0]
+    bound = min(positive) if positive else inf
     delta0 = min(positive) / 2.0 if positive else 1.0
     reach = [
         [any(D[x][y] <= delta0 and D[y][z] <= delta0 for y in pts) for z in pts]
@@ -437,15 +447,10 @@ def classify_reference(D, atol):
     ]
     row_max = [max([D[x][z] for z in pts if reach[x][z]], default=-inf) for x in pts]
     s_distance = None
-    if not any((T[x][z] <= atol or reach[x][z]) and D[x][z] > atol for x in pts for z in pts):
-        ratios = [
-            D[x][z] / max(T[x][z], atol) if T[x][z] > atol and D[x][z] > atol else 0.0
-            for x in pts
-            for z in pts
-        ]
-        s = max(ratios, default=0.0)
-        s_distance = max(s, 1.0) if s > 0 else 1.0
-    zero_sets = [{w for w in pts if D[x][w] <= atol} for x in pts]
+    if not any((T[x][z] == 0 or reach[x][z]) and D[x][z] > 0 for x in pts for z in pts):
+        ratios = [D[x][z] / T[x][z] for x in pts for z in pts if D[x][z] > 0]
+        s_distance = max(max(ratios, default=0.0), 1.0)
+    zero_sets = [{w for w in pts if D[x][w] == 0} for x in pts]
     h_distance = all(
         not (zero_sets[x] & zero_sets[y]) for x in pts for y in pts if x != y
     )
@@ -491,12 +496,6 @@ def closure_reference(points, pairs):
 
 
 # -- per-point reference loops for the bound lambdaF and distance ------------
-
-
-def lopsided_line(lo: float, hi: float) -> DistanceSpace:
-    """[lo, hi] with d(x, y) = 2(x - y) downhill and y - x uphill: a
-    quasimetric whose two directions differ."""
-    return DistanceSpace(lambda x, y: 2 * (x - y) if x > y else y - x, box=Box(lo, hi))
 
 
 def field_reprs(report) -> list[str]:

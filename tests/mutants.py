@@ -27,10 +27,6 @@ Equivalent mutants, which cannot change a result:
   ``np.count_nonzero(A, axis=0) > A.diagonal()`` of the reachability loop
   skips columns whose only entry is on the diagonal, which add row ``y`` to
   itself.
-- ``spaces.py``, the ``T[b] <= atol`` half of the blocked test: where
-  ``atol = 0`` a pair with ``T = 0`` is already in ``reach``, so it is live
-  only for entries within ``COMPUTED_ATOL`` of zero on a computed space.
-  Exact arithmetic on finite tables removes that case, and then the clause.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ EQUIVALENT = {
     ("conditions.py", "lo >= y"),
     ("spaces.py", "arr.min(initial=0.0) <= 0"),
     ("spaces.py", "np.count_nonzero(A, axis=0) >= A.diagonal()"),
-    ("spaces.py", "T[b] < atol"),
 }
 
 

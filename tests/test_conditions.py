@@ -43,7 +43,6 @@ from helpers import (
     closure_reference,
     field_reprs,
     int_chain,
-    lopsided_line,
     random_table_operator,
     reference_all_r_failure,
     reference_check_bounds_exist,
@@ -145,16 +144,13 @@ class TestOrderDistanceCompat:
         order = OrderRelation.from_pairs([0, 1], [])
         assert check_order_distance_compat(space, order).ok
 
-    def test_computed_distances_compare_with_margin(self):
-        # near = 0.1 + 0.2 rounds above far = 0.3 + 0: a table compares
-        # exactly, computed distances forgive the rounding
+    def test_table_sums_compare_exactly(self):
+        # near = 0.1 + 0.2 rounds above far = 0.3 + 0, and no margin forgives it
         table = DistanceSpace.from_matrix(
             [0, 1, 2], [[0, 0.1, 0.3], [0.2, 0, 0.1], [0, 0.1, 0]]
         )
-        computed = DistanceSpace(table.dist, points=table.points)
         order = chain_order([0, 1, 2])
         assert check_order_distance_compat(table, order).witness == (0, 1, 2)
-        assert check_order_distance_compat(computed, order).ok
 
 
 class TestOmega:
@@ -343,10 +339,10 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: 1e308 * (x - y) + 1)
         pair = np.array([[[-10.0, 10.0], [10.0, -10.0]]])
-        rho, image = _column_distances(reals, F, coupled_preset(), ProductKind.SUP, pair)
+        rho, image = _column_distances(F, coupled_preset(), ProductKind.SUP, pair)
         assert rho.tolist() == [20.0] and image.tolist() == [float("inf")]
         first_failure = _first_failure(MeirKeelerModulus.linear(1.0), [0.5])
-        assert first_failure(rho, image, reals.atol) is None
+        assert first_failure(rho, image, COMPUTED_ATOL) is None
 
     def test_defaults_are_seed_zero_and_ten_thousand_samples(self):
         reals = DistanceSpace.reals(-10, 10)
@@ -573,7 +569,7 @@ class TestAllRClosedForm:
         reals = DistanceSpace.reals(-10, 10)
         same = np.array([[[1.5, -2.0], [1.5, -2.0]]])
         F = MultiOperator(2, lambda x, y: x - y)
-        distances = _column_distances(reals, F, coupled_preset(), ProductKind.SUM, same)
+        distances = _column_distances(F, coupled_preset(), ProductKind.SUM, same)
         assert [d.tolist() for d in distances] == [[0.0], [0.0]]
         assert _first_failure(args[5], None)(*distances, COMPUTED_ATOL) is None
 
@@ -593,10 +589,9 @@ R_GRIDS = st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1
 
 @st.composite
 def continuous_pair_instances(draw):
-    """A box under |x - y| or the lopsided distance with an affine operator
-    that may overflow to inf (or, through inf - inf, to NaN), declared
-    elementwise or not, or a constant elementwise operator; an L and a
-    sample seed and count."""
+    """A box under |x - y| with an affine operator that may overflow to inf
+    (or, through inf - inf, to NaN), declared elementwise or not, or a
+    constant elementwise operator; an L and a sample seed and count."""
     m = draw(st.integers(1, 3))
     family = LambdaFamily(
         m, tuple(tuple(draw(st.integers(1, m)) for _ in range(m)) for _ in range(m))
@@ -611,7 +606,7 @@ def continuous_pair_instances(draw):
         F = cls(m, lambda *args: a * (args[0] - args[-1]) + b * args[-1])
     lset = LSet(m, frozenset(draw(st.sets(st.integers(1, m)))))
     lo = draw(st.sampled_from([-10.0, -1e300]))
-    space = draw(st.sampled_from([DistanceSpace.reals, lopsided_line]))(lo, -lo)
+    space = DistanceSpace.reals(lo, -lo)
     return space, F, family, lset, draw(st.integers(0, 99)), draw(st.integers(1, 30))
 
 
@@ -631,7 +626,7 @@ class TestColumnPathMatchesLoop:
         space, F, family, lset, seed, n = instance
         lo, hi = space.box.lo, space.box.hi
         loop_pairs = reference_sample_comparable_pairs(lo, hi, lset, n, seed)
-        got = _column_distances(space, F, family, kind, sampled(lo, hi, lset, n, seed))
+        got = _column_distances(F, family, kind, sampled(lo, hi, lset, n, seed))
         want = list(reference_pair_distances(space, F, family, kind, loop_pairs))
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
         assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
@@ -644,17 +639,16 @@ class TestColumnPathMatchesLoop:
         for c in report.clauses:
             assert not any(isinstance(v, np.generic) for v in (c.witness or ()))
 
-    @pytest.mark.parametrize("lopsided", [False, True], ids=["abs", "lopsided"])
-    def test_only_callables_not_declared_elementwise_run_per_element(self, lopsided):
+    def test_only_callables_not_declared_elementwise_run_per_element(self):
         # max on arrays raises, so F can only pass as per-element calls.
         F = MultiOperator(2, lambda x, y: max(x, y))
-        space = lopsided_line(-10, 10) if lopsided else DistanceSpace.reals(-10, 10)
+        space = DistanceSpace.reals(-10, 10)
         family, lset = coupled_preset(), LSet.of(2, 1)
         points = sampled(-10, 10, lset, 200, 5)
         with mock.patch.object(np, "frompyfunc", wraps=np.frompyfunc) as frompyfunc:
-            got = _column_distances(space, F, family, ProductKind.SUP, points)
+            got = _column_distances(F, family, ProductKind.SUP, points)
         per_element = [call.args[0] for call in frompyfunc.call_args_list]
-        assert per_element == ([F._func, space.dist] if lopsided else [F._func])
+        assert per_element == [F._func]
         loop_pairs = reference_sample_comparable_pairs(-10, 10, lset, 200, 5)
         want = list(reference_pair_distances(space, F, family, ProductKind.SUP, loop_pairs))
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
@@ -737,10 +731,7 @@ def ordered_spaces(draw):
     for i, j in itertools.combinations(range(n), 2):
         if matrix[i][j] + matrix[j][i] == 0:
             matrix[i][j] = 0.1
-    space = DistanceSpace.from_matrix(labels, matrix)
-    if draw(st.booleans()):  # computed distances compare with a margin
-        space = DistanceSpace(space.dist, points=labels)
-    return space, order, points, pairs
+    return DistanceSpace.from_matrix(labels, matrix), order, points, pairs
 
 
 def same_report(got, want):

@@ -25,7 +25,7 @@ from multifix.cli import write_trace_csv
 from multifix.game import Round, write_trajectory_csv
 from helpers import (
     int_chain,
-    lopsided_line,
+    lopsided_chain,
     random_table_operator,
     reference_simulate,
 )
@@ -265,25 +265,29 @@ class TestPlayDifferential:
         st.integers(1, 300),
         st.sampled_from([0.0, 1e-9, 1e-3]),
         st.booleans(),
-        st.booleans(),
     )
-    def test_continuous_matches_checked_loop(self, a, b, start, rounds, tol, nan_far, lopsided):
+    def test_continuous_matches_checked_loop(self, a, b, start, rounds, tol, nan_far):
         def f(x, y):
             if nan_far and abs(x) > 20:
                 return float("nan")
             return a * (x - y) + b
 
-        space = lopsided_line(-10, 10) if lopsided else DistanceSpace.reals(-10, 10)
         game = GameConfig(
-            space=space, F=MultiOperator(2, f),
+            space=DistanceSpace.reals(-10, 10), F=MultiOperator(2, f),
             family=coupled_preset(), rounds=rounds, tol=tol,
         )
         assert_play_matches_reference(game, start)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 5), st.randoms(use_true_random=False), st.integers(1, 30))
-    def test_finite_table_matches_checked_loop(self, n, rnd, rounds):
-        space, _ = int_chain(n)
+    @given(
+        st.integers(2, 5),
+        st.randoms(use_true_random=False),
+        st.integers(1, 30),
+        st.sampled_from([int_chain, lopsided_chain]),
+    )
+    def test_finite_table_matches_checked_loop(self, n, rnd, rounds, chain):
+        # the lopsided chain's d(x, next) and d(next, x) differ
+        space, _ = chain(n)
         F = random_table_operator(rnd, space, 2)
         game = GameConfig(space=space, F=F, family=coupled_preset(), rounds=rounds)
         start = (rnd.randrange(n), rnd.randrange(n))

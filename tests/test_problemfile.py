@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    Box,
     DistanceSpace,
     ElementwiseOperator,
     LambdaFamily,
@@ -117,6 +118,9 @@ class TestContinuousParsing:
         pf = parse_problem("space: box 0 1\nfamily: linear-tripled 0.125 1\n")
         assert pf.family.m == 3
         assert pf.operator(1.0, 0.0, 1.0) == 0.125 * 2 + 1
+
+    def test_a_one_point_box_is_a_carrier(self):
+        assert parse_problem("space: box 0.5 0.5\n").space.box == Box(0.5, 0.5)
 
 
 class TestParseErrors:

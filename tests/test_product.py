@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +14,7 @@ from multifix import (
     sum_distance,
 )
 from multifix.kernel import ProductKernel
-from multifix.product import bind_distance
+from multifix.product import bind_distance, combine, materialization_cap
 from helpers import (
     GENERATORS,
     checked_distance,
@@ -55,6 +56,12 @@ class TestProductDistances:
     def test_arity_mismatch(self, reals):
         with pytest.raises(ValueError, match="arity"):
             sup_distance(reals, (0,), (1, 2))
+
+    def test_sup_keeps_the_first_of_equal_maxima(self):
+        # as max does: 0.0 and -0.0 are equal, and the first one stays
+        for first, second in [(0.0, -0.0), (-0.0, 0.0)]:
+            got = combine(ProductKind.SUP, [np.array([first]), np.array([second])])
+            assert np.signbit(got[0]) == np.signbit(max(first, second)) == np.signbit(first)
 
     @given(
         st.lists(
@@ -109,6 +116,14 @@ class TestProductSpace:
         with pytest.raises(CapacityError, match="size 32 exceeds materialization cap 16"):
             ProductKernel(two_point, 5)
         ProductKernel(two_point, 4)  # 16 points, at the cap
+
+    def test_a_cap_of_one_admits_one_point(self, monkeypatch):
+        monkeypatch.setenv("MULTIFIX_CAP", "1")
+        assert materialization_cap() == 1
+        ProductKernel(DistanceSpace.from_matrix(["a"], [[0]]), 3)
+        monkeypatch.setenv("MULTIFIX_CAP", "0")
+        with pytest.raises(ValueError, match="positive integer, got '0'"):
+            materialization_cap()
 
     def test_continuous_product_is_refused(self, reals):
         with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):

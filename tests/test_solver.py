@@ -30,7 +30,7 @@ from helpers import (
     compare_L,
     field_reprs,
     int_chain,
-    lopsided_line,
+    lopsided_chain,
     random_table_operator,
     reference_picard_solve,
 )
@@ -316,12 +316,9 @@ class TestPicardDifferential:
         st.sampled_from(list(ProductKind)),
         st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
         st.integers(1, 300),
-        st.booleans(),
     )
-    def test_continuous_matches_checked_loop(
-        self, m, a, b, blow_up, data, kind, tol, max_iter, lopsided
-    ):
-        space = lopsided_line(-100, 100) if lopsided else DistanceSpace.reals(-100, 100)
+    def test_continuous_matches_checked_loop(self, m, a, b, blow_up, data, kind, tol, max_iter):
+        space = DistanceSpace.reals(-100, 100)
         F = continuous_operator(m, a, b, blow_up)
         start = data.draw(st.tuples(*[st.floats(-100, 100)] * m))
         config = SolveConfig(kind=kind, tol=tol, max_iter=max_iter)
@@ -336,9 +333,11 @@ class TestPicardDifferential:
         st.randoms(use_true_random=False),
         st.integers(1, 40),
         st.sampled_from(list(ProductKind)),
+        st.sampled_from([int_chain, lopsided_chain]),
     )
-    def test_finite_table_matches_checked_loop(self, n, m, rnd, max_iter, kind):
-        space, _ = int_chain(n)
+    def test_finite_table_matches_checked_loop(self, n, m, rnd, max_iter, kind, chain):
+        # the lopsided chain's d(x, next) and d(next, x) differ
+        space, _ = chain(n)
         F = random_table_operator(rnd, space, m)
         family = LambdaFamily(m, tuple(tuple(rnd.randint(1, m) for _ in range(m)) for _ in range(m)))
         start = tuple(rnd.randrange(n) for _ in range(m))

@@ -110,11 +110,15 @@ class TestConstruction:
         assert message in str(err.value)
 
     @pytest.mark.parametrize(
-        "carrier", [{}, {"points": ["a"], "box": Box(0, 1)}], ids=["neither", "both"]
+        "carrier",
+        [{"points": [0, 1]}, {"box": Box(0, 1)}, {}, {"points": ["a"], "box": Box(0, 1)}],
+        ids=["points", "box", "neither", "both"],
     )
-    def test_a_carrier_is_points_or_a_box_exactly(self, carrier):
-        with pytest.raises(ValueError, match="either finite points or a box"):
-            DistanceSpace(lambda x, y: abs(x - y), **carrier)
+    def test_no_space_is_built_from_a_distance_callable(self, carrier):
+        # A finite space is its validated table (from_matrix refuses the
+        # negative entry), and a box measures |x - y| (reals).
+        with pytest.raises(TypeError, match="built by from_matrix or reals"):
+            DistanceSpace(lambda x, y: -1.0, **carrier)
 
     @pytest.mark.parametrize("lo, hi", [(1, 0), (float("nan"), 1), (0, float("nan"))])
     def test_a_box_needs_ordered_bounds(self, lo, hi):
@@ -124,7 +128,6 @@ class TestConstruction:
     def test_a_one_point_box_is_allowed(self):
         box = Box(0.5, 0.5)
         assert box.contains(0.5) and not box.contains(0.25)
-        assert parse_problem("space: box 0.5 0.5\n").space.box == box
 
     def test_zero_one_direction_is_allowed(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 0], [1, 0]])
@@ -175,7 +178,7 @@ class TestClassify:
         assert 1.0 < cls.s_distance <= 2.0
 
     def test_empty_carrier_is_classified_vacuously(self):
-        assert DistanceSpace(lambda x, y: 0.0, points=[]).matrix().shape == (0, 0)
+        assert DistanceSpace.from_matrix([], []).matrix().shape == (0, 0)
         want = DistanceClass(
             symmetric=True,
             quasimetric=True,
@@ -185,8 +188,7 @@ class TestClassify:
             h_distance=True,
         )
         assert classify_finite(DistanceSpace.from_matrix([], [])) == want
-        assert classify_finite(DistanceSpace(lambda x, y: 0.0, points=[])) == want
-        assert classify_reference([], 0.0) == want
+        assert classify_reference([]) == want
 
     def test_continuous_carrier_rejected(self):
         with pytest.raises(UnsupportedInstanceError):
@@ -241,17 +243,14 @@ WHOLE_DISTANCES = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0])
 
 @st.composite
 def finite_spaces(draw):
-    """A table-backed space, a computed-distance space, or a sup or sum
-    product of a small table-backed space."""
-    shape = draw(st.sampled_from(["table", "computed", "product"]))
+    """A table-backed space, or a sup or sum product of a small one."""
+    shape = draw(st.sampled_from(["table", "product"]))
     n = draw(st.integers(1, 3 if shape == "product" else 10))
     values = draw(st.sampled_from([DISTANCES, WHOLE_DISTANCES]))
     M = [[0.0 if i == j else draw(values) for j in range(n)] for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         if M[i][j] + M[j][i] == 0:
             M[i][j] = draw(values.filter(bool))
-    if shape == "computed":
-        return DistanceSpace(lambda x, y: M[x][y], points=range(n))
     space = DistanceSpace.from_matrix(range(n), M)
     if shape == "product":
         space = reference_product_space(space, 2, draw(st.sampled_from(list(ProductKind))))
@@ -265,20 +264,26 @@ class TestClassifyDifferential:
     @settings(max_examples=300, deadline=None)
     @given(finite_spaces())
     def test_matches_loop_reference(self, block, space):
-        want = classify_reference(space.matrix().tolist(), space.atol)
+        want = classify_reference(space.matrix().tolist())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spaces, "MIN_PLUS_BLOCK", block)
             assert classify_finite(space) == want
 
-    def test_two_steps_within_tolerance_block_the_s_relaxation(self):
-        # d(2,0) and d(0,1) are zero within atol = 1e-12 while d(2,1) = 0.2:
-        # not an F-distance, so no finite s either (their sum 2e-12 used to
-        # give s = 1e11, and DistanceClass refused the combination)
-        M = [[0.0, 1e-12, 0.0], [0.1, 0.0, 0.1], [1e-12, 0.2, 0.0]]
-        space = DistanceSpace(lambda x, y: M[x][y], points=range(3))
-        cls = classify_finite(space)
+    def test_two_zero_steps_block_the_s_relaxation(self):
+        # d(2,0) = d(0,1) = 0 while d(2,1) = 0.2: not an F-distance, and no
+        # finite s relaxes a path of length 0
+        M = [[0.0, 0.0, 0.1], [0.1, 0.0, 0.1], [0.0, 0.2, 0.0]]
+        cls = classify_finite(DistanceSpace.from_matrix(range(3), M))
         assert not cls.f_distance and cls.s_distance is None
-        assert cls == classify_reference(M, space.atol)
+        assert cls == classify_reference(M)
+
+    def test_tiny_positive_steps_are_compared_exactly(self):
+        # d(2,0) = d(0,1) = 1e-12 are positive table entries, not zeros: the
+        # F test passes and d(2,1) = 0.2 relaxes with s = 0.2 / 2e-12
+        M = [[0.0, 1e-12, 0.0], [0.1, 0.0, 0.1], [1e-12, 0.2, 0.0]]
+        cls = classify_finite(DistanceSpace.from_matrix(range(3), M))
+        assert cls.f_distance and cls.s_distance == 0.2 / 2e-12
+        assert cls == classify_reference(M)
 
     def test_subnormal_path_ratio_is_inf_without_warning(self):
         # d(a,c) / (d(a,b) + d(b,c)) = 1 / 1e-323 is above the float maximum
@@ -293,6 +298,8 @@ class TestClassifyDifferential:
         base = DistanceSpace.from_matrix("ab", [[0, 0.1], [0.2, 0]])
         assert product_atol(base, ProductKind.SUM) == 1e-12
         assert product_atol(base, ProductKind.SUP) == 0.0
+        for kind in ProductKind:
+            assert product_atol(DistanceSpace.reals(0, 1), kind) == 1e-12
 
 
 def min_plus_input(n, seed):
@@ -374,7 +381,7 @@ class TestMinPlus:
         M = min_plus_input(70, seed=5)
         M[(M == 0) & (M.T == 0) & ~np.eye(70, dtype=bool)] = 0.5
         space = DistanceSpace.from_matrix(range(70), M.tolist())
-        assert classify_finite(space) == classify_reference(M.tolist(), space.atol)
+        assert classify_finite(space) == classify_reference(M.tolist())
 
     def test_sums_above_the_float_maximum_are_inf_without_warning(self, monkeypatch):
         # Under the suite's error::RuntimeWarning filter an overflow raises,
@@ -446,7 +453,7 @@ class TestExactMinPlus:
         assert block_dtypes == [T.dtype] == [LADDER[LADDER.index(dt) + over]]
         assert np.array_equal(T, min_plus_reference(D))
         space = DistanceSpace.from_matrix(range(7), D)
-        assert classify_finite(space) == classify_reference(D.tolist(), 0.0)
+        assert classify_finite(space) == classify_reference(D.tolist())
 
     @pytest.mark.parametrize("value", [0.5, 1e-300, np.nan, np.inf, -1.0])
     def test_other_tables_take_the_float_path(self, value, block_dtypes):
@@ -492,7 +499,7 @@ class TestExactMinPlus:
         for n in (rows - 1, rows, rows + 1):
             D = ladder_table(n, dt, seed=n)
             space = DistanceSpace.from_matrix(range(n), D)
-            assert classify_finite(space) == classify_reference(D.tolist(), 0.0)
+            assert classify_finite(space) == classify_reference(D.tolist())
             assert np.array_equal(spaces._min_plus(D), min_plus_reference(D))
         assert set(block_dtypes) == {np.dtype(dt)}
 
