@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ._numpy import np
 from .errors import UnsupportedInstanceError
-from .kernel import SAMPLE_BLOCK, ProductKernel
+from .kernel import ProductKernel
 from .operators import (
     ElementwiseOperator,
     LambdaFamily,
@@ -29,6 +29,11 @@ from .operators import (
 from .orders import LSet, OrderRelation
 from .product import ProductKind, combine, product_atol
 from .spaces import DistanceSpace, abs_distance
+
+# Sampled pairs of a continuous carrier drawn and evaluated per block: each
+# coordinate column holds this many floats, as a float64 array or, for a
+# callable that is not elementwise, an object array of Python floats.
+SAMPLE_BLOCK = 1 << 13
 
 _MODULUS_FORMS = {
     "linear": "linear modulus needs a positive finite coefficient",
@@ -387,56 +392,59 @@ def check_mk_operator(
 
     Without an explicit ``r_grid`` every r > 0 is decided in closed form;
     with one, r ranges over the grid and the report is ``grid_bound``.
-    A finite carrier is checked on every comparable pair and may report
-    "pass"; a continuous one is checked on ``samples`` pairs (default
-    10000) that :func:`sample_comparable_pairs` draws from ``seed``
-    (default 0) over its box, and reports at most "sampled-pass".
+    A finite carrier is checked on every comparable pair, equal pairs
+    included, and may report "pass"; a continuous one is checked on
+    ``samples`` pairs (default 10000) that :func:`sample_comparable_pairs`
+    draws from ``seed`` (default 0) over its box, and reports at most
+    "sampled-pass".  Either way the pairs come in blocks, each evaluated as
+    it comes, and the first block with a failing pair ends the check, so
+    memory does not grow with the sample count; the witness is the first
+    failing pair.
     """
-    atol = product_atol(space, kind)
     if space.is_finite:
         if (seed, samples) != (None, None):
             raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
-        failure, samples = _mk_operator_exhaustive(
-            space, order, F, family, lset, delta, kind, r_grid, atol
+        kernel = ProductKernel(space, lset.m)
+        orders = lset.orient(order.matrix(kernel.labels))
+        # <=_L is a product relation, so the pair count comes from the
+        # per-coordinate order pairs.
+        samples = int(orders[0].sum()) ** lset.m
+        if not samples:
+            raise ValueError("no comparable pairs to check")
+        image = kernel.image(F, family)
+        blocks = (
+            (xs, ys, kernel.distance(kind, xs, ys), kernel.distance(kind, image[xs], image[ys]))
+            for xs, ys in kernel.comparable_pairs(orders, include_equal=True)
         )
+        decode = kernel.point
     else:
         seed = 0 if seed is None else seed
         samples = 10_000 if samples is None else samples
-        failure = _mk_operator_sampled(
-            space, F, family, lset, delta, kind, r_grid, atol, seed, samples
+        if samples < 1:
+            raise ValueError("no comparable pairs to check")
+        check_lambda_arity(F, family, range(lset.m))
+        blocks = (
+            (block[:, 0], block[:, 1], *_column_distances(F, family, kind, block))
+            for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed)
         )
+
+        def decode(point: np.ndarray) -> tuple:
+            return tuple(point.tolist())
+
+    atol = product_atol(space, kind)
+    first_failure = _first_failure(delta, r_grid)
+    failure = None
+    for xs, ys, d, d_img in blocks:
+        found = first_failure(d, d_img, atol)
+        if found is not None:
+            k, r = found
+            failure = decode(xs[k]), decode(ys[k]), r
+            break
     clause = Clause("MK operator condition", failure is None, failure)
     return ConditionReport(
         "mk-operator", [clause], sampled=not space.is_finite,
         seed=seed, samples=samples, grid_bound=r_grid is not None,
     )
-
-
-def _mk_operator_sampled(
-    space: DistanceSpace,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
-    delta: MeirKeelerModulus,
-    kind: ProductKind,
-    r_grid: Optional[Sequence[float]],
-    atol: float,
-    seed: int,
-    samples: int,
-) -> Optional[tuple]:
-    """The first failing (x, y, r) of the sampled pairs, or None.  Each
-    block of pairs is evaluated as it is drawn, and the draw stops at the
-    first failing block, so memory does not grow with the sample count."""
-    if samples < 1:
-        raise ValueError("no comparable pairs to check")
-    check_lambda_arity(F, family, range(lset.m))
-    first_failure = _first_failure(delta, r_grid)
-    for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed):
-        found = first_failure(*_column_distances(F, family, kind, block), atol)
-        if found is not None:
-            k, r = found
-            return tuple(block[k, 0].tolist()), tuple(block[k, 1].tolist()), r
-    return None
 
 
 def _column_distances(
@@ -474,37 +482,6 @@ def _column_distances(
         fxs = [f(*(xs[j - 1] for j in row)) for row in family.rows]
         fys = [f(*(ys[j - 1] for j in row)) for row in family.rows]
         return rho(xs, ys), rho(fxs, fys)
-
-
-def _mk_operator_exhaustive(
-    space: DistanceSpace,
-    order: OrderRelation,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
-    delta: MeirKeelerModulus,
-    kind: ProductKind,
-    r_grid: Optional[Sequence[float]],
-    atol: float,
-) -> tuple[Optional[tuple], int]:
-    """(first failing (x, y, r) or None, number of comparable pairs) over every
-    comparable pair, equal pairs included.  ``<=_L`` is a product relation,
-    so the pair count comes from the per-coordinate order pairs."""
-    kernel = ProductKernel(space, lset.m)
-    orders = lset.orient(order.matrix(kernel.labels))
-    samples = int(orders[0].sum()) ** lset.m
-    if not samples:
-        raise ValueError("no comparable pairs to check")
-    image = kernel.image(F, family)
-    first_failure = _first_failure(delta, r_grid)
-    for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
-        d = kernel.distance(kind, xs, ys)
-        d_img = kernel.distance(kind, image[xs], image[ys])
-        found = first_failure(d, d_img, atol)
-        if found is not None:
-            k, r = found
-            return (kernel.point(xs[k]), kernel.point(ys[k]), r), samples
-    return None, samples
 
 
 def check_mk(

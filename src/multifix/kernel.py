@@ -31,10 +31,6 @@ from .spaces import DistanceSpace
 # Comparable (x, y) pairs emitted per block; a row with more pairs than this
 # is a block of its own.
 PAIR_BLOCK = 1 << 14
-# Sampled pairs of a continuous carrier drawn and evaluated per block: each
-# coordinate column holds this many floats, as a float64 array or, for a
-# callable that is not elementwise, an object array of Python floats.
-SAMPLE_BLOCK = 1 << 13
 
 
 class ProductKernel:

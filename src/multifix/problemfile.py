@@ -269,11 +269,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("delta block must be 'delta linear C' or 'delta const C'", ln)
             c = _number(toks[1], f"delta {toks[0]} value", ln)
             try:
-                pf.delta = (
-                    MeirKeelerModulus.linear(c)
-                    if toks[0] == "linear"
-                    else MeirKeelerModulus.const(c)
-                )
+                pf.delta = MeirKeelerModulus(c, toks[0])
             except ValueError as exc:
                 raise ParseError(str(exc), ln)
         elif head == "start":

@@ -163,7 +163,6 @@ def verify_uniqueness(
     lset: LSet,
     condition: str = "omega1",
     delta: Optional[MeirKeelerModulus] = None,
-    r_grid: Optional[Sequence[float]] = None,
 ) -> UniquenessReport:
     """Run the selected condition set, enumerate all fixed points, and grade
     the uniqueness claim against the enumeration oracle.
@@ -176,7 +175,7 @@ def verify_uniqueness(
         raise ValueError(f"unknown condition selector {condition!r}")
     if entry.needs_delta and delta is None:
         raise ValueError(f"{condition} needs a Meir-Keeler modulus")
-    report = entry.check(space, order, F, family, lset, delta=delta, r_grid=r_grid)
+    report = entry.check(space, order, F, family, lset, delta=delta)
     if entry.needs_h_distance:
         report.clauses.append(Clause("H-distance base space", is_h_distance(space)))
 

@@ -373,6 +373,30 @@ class TestMeirKeelerOperator:
         with pytest.raises(UnsupportedInstanceError, match="checked on every pair"):
             check_mk_operator(*args, **sampling)
 
+    def test_a_sum_over_a_table_keeps_the_computed_margin(self):
+        # The images of (0, 1) <=_L (1, 0) are 1e-13 short of r = 1 in the
+        # sum distance, inside COMPUTED_ATOL, so the strict test fails them.
+        e = 0.5 - 5e-14
+        space = DistanceSpace.from_matrix([0, 1], [[0, e], [e, 0]])
+        report = check_mk_operator(
+            space, chain_order([0, 1]), MultiOperator(2, lambda x, y: y), coupled_preset(),
+            self.L, MeirKeelerModulus.const(0.5), ProductKind.SUM, r_grid=[1.0],
+        )
+        assert report.counterexample == ((0, 1), (1, 0), 1.0)
+
+    def test_a_finite_carrier_without_comparable_pairs_raises_before_F(self):
+        # The order is over labels outside the carrier, so no point compares
+        # to any, itself included.
+        space, _ = int_chain(3)
+        calls = []
+        F = MultiOperator(2, lambda x, y: calls.append((x, y)) or 0)
+        with pytest.raises(ValueError, match="no comparable pairs to check"):
+            check_mk_operator(
+                space, chain_order(["a", "b"]), F, coupled_preset(), self.L,
+                MeirKeelerModulus.linear(1.0), ProductKind.SUP,
+            )
+        assert calls == []
+
 
 BOUND = st.floats(-1e6, 1e6, allow_nan=False) | st.floats(allow_nan=False, allow_infinity=False)
 # Widths up to the float maximum, subnormal widths and 0.

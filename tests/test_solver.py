@@ -251,13 +251,13 @@ class TestVerifyUniqueness:
             assert report.fixed_points == []
 
     def test_mk_confirmed_with_h_space(self):
-        space, order = int_chain(2)
+        # One point: no positive distance, so the automatic grid is [1.0].
+        space, order = int_chain(1)
         F = MultiOperator.constant(2, 0)
         report = verify_uniqueness(
             space, order, F, coupled_preset(), LSet.of(2, 1),
             condition="mk1",
             delta=MeirKeelerModulus.const(1.0),
-            r_grid=[2.0],
         )
         assert report.verdict == "confirmed"
         assert any(c.name == "H-distance base space" and c.ok
