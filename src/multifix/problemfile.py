@@ -344,6 +344,16 @@ def parse_problem(text: str) -> ProblemFile:
         except ValueError as exc:
             raise ParseError(str(exc), block_line["lambda"])
 
+    if matrix is not None and pf.family is not None:
+        # The checks add d(x, y) + d(y, x) over the m coordinates of a
+        # product point; refuse a table on which that sum overflows.
+        m, largest = pf.family.m, float(matrix.max())
+        if not math.isfinite(2 * m * largest):
+            raise ParseError(
+                f"distance {largest!r} is too large for arity {m}: 2 * {m} * {largest!r} overflows",
+                block_line["dist"],
+            )
+
     if l_spec is not None:
         lln, indices = l_spec
         if pf.family is None:

@@ -1,4 +1,7 @@
+import ast
 import csv
+import gc
+import importlib
 import itertools
 import os
 import subprocess
@@ -10,6 +13,7 @@ from unittest import mock
 import pytest
 
 import multifix
+from multifix import cli
 from multifix.cli import main
 
 CONSTANT_CHAIN = """\
@@ -121,6 +125,13 @@ L: 1 3
 delta linear 1.0
 start: 3 0 1
 """
+
+
+# CONSTANT_CHAIN with d(0, 2) = d(1, 2) = 1e308: the symmetric sums the checks
+# form overflow, so the parser refuses the table at its dist line.
+OVERFLOW_TABLE = CONSTANT_CHAIN.replace(
+    "0 1 2\n1 0 1\n2 1 0", "0 1 1e308\n1 0 1e308\n1e308 1e308 0"
+)
 
 
 def table_file(header, points, value, footer, m=3):
@@ -1067,6 +1078,49 @@ class TestUsageErrors:
         assert check_err == "parse error: problem file is missing the 'delta' block\n"
 
 
+class TestOverflowingTable:
+    """A table whose symmetric sums over a product point overflow is refused
+    where it is read, before any check adds its entries."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "--condition", "omega1"],
+            ["check", "--condition", "omega3"],
+            ["verify", "--condition", "omega1"],
+        ],
+    )
+    def test_parse_error_at_the_dist_line(self, prob, capsys, command):
+        assert main([command[0], prob(OVERFLOW_TABLE), *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "parse error: line 2: distance 1e+308 is too large for arity 2: "
+            "2 * 2 * 1e+308 overflows\n",
+        )
+
+    def test_the_bound_grows_with_the_arity(self, prob, capsys):
+        # 2 * 2 * 4e307 is finite and 2 * 3 * 4e307 is not.
+        text = OVERFLOW_TABLE.replace("1e308", "4e307")
+        assert main(["check", prob(text), "--condition", "omega3"]) == 0
+        assert capsys.readouterr() == ("PASS (exhaustive)\n", "")
+        tripled = table_file(
+            text.split("F:")[0].replace("lambda: coupled", "lambda: tripled"),
+            "0 1 2",
+            lambda key: "1",
+            "L: 1",
+        )
+        assert main(["check", prob(tripled), "--condition", "omega3"]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 2: distance 4e+307 is too large for arity 3: "
+            "2 * 3 * 4e+307 overflows\n"
+        )
+
+    def test_a_table_without_a_lambda_block_is_still_classified(self, prob, capsys):
+        text = OVERFLOW_TABLE.split("lambda:")[0]
+        assert main(["classify", prob(text)]) == 0
+        assert capsys.readouterr().out.startswith("symmetric: yes\n")
+
+
 # Lines 1-12: points, dist (2), order (5), lambda (7), F (8).
 TWO_POINTS = """\
 points: a b
@@ -1167,3 +1221,77 @@ class TestMixedBlocks:
         assert main(["solve", prob(text)]) == 2
         err = f"parse error: problem file is missing the {block} block\n"
         assert capsys.readouterr() == ("", err)
+
+
+def run_in_process(argv, capsys) -> tuple:
+    """(stdout, stderr, exit code) of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors exit directly
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+class TestProcessEntry:
+    """``python -m multifix.cli`` exits through ``cli.run``, which freezes the
+    collector once ``main`` is done; a process gives what ``main`` gives in
+    process, CSV files included."""
+
+    @pytest.mark.parametrize(
+        "text, command, cap, code",
+        [
+            (CONSTANT_CHAIN, ["check", "--condition", "omega1"], None, 0),
+            (GOLDEN_CONTRACTION, ["check", "--condition", "omega1"], None, 1),
+            (REVERSED_BOX, ["solve"], None, 2),
+            (GOLDEN_CONTRACTION, ["check", "--condition", "omega1", "--metric", "sum"], None, 2),
+            (CONSTANT_CHAIN, ["enumerate"], "3", 3),
+            (SWAP_ANTICHAIN, ["solve", "--start", "auto"], None, 4),
+            (CONTRACTION, ["solve", "--trace"], None, 0),
+            (GAME_DEMO, ["game", "--out"], None, 0),
+        ],
+        ids=["pass", "fail", "parse-error", "usage-error", "capacity", "no-start",
+             "solve-trace", "game-out"],
+    )
+    def test_process_matches_main_in_process(
+        self, prob, tmp_path, capsys, monkeypatch, text, command, cap, code
+    ):
+        if cap is not None:
+            monkeypatch.setenv("MULTIFIX_CAP", cap)
+        path = prob(text)
+        writes_csv = command[-1] in ("--trace", "--out")
+
+        def argv(csv_name):
+            return [command[0], path, *command[1:], *([str(tmp_path / csv_name)] * writes_csv)]
+
+        frozen = gc.get_freeze_count()
+        expected = run_in_process(argv("main.csv"), capsys)
+        assert gc.get_freeze_count() == frozen
+        assert expected[2] == code
+        env = dict(os.environ, PYTHONPATH=str(Path(multifix.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "multifix.cli", *argv("process.csv")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.stdout, done.stderr, done.returncode) == expected
+        if writes_csv:
+            assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_console_script_is_the_entry_of_the_main_block(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["multifix"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(cli.__file__).read_text())
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        (statement,) = block.body
+        call = statement.value
+        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        assert not call.args and not call.keywords
+        assert getattr(cli, call.func.id) is entry

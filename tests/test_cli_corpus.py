@@ -14,10 +14,14 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import test_cli
 from multifix.cli import main
@@ -121,6 +125,53 @@ def test_a_corpus_diff_names_every_added_removed_and_changed_key():
     assert corpus_diff(want, got) == (
         "added 1: ['D :: solve']\nremoved 1: ['C :: solve']\nchanged 1:\n  B :: solve: 5"
     )
+
+
+# Numbers at the edges of the float range, swapped into the corpus texts.
+EDGE_NUMBERS = ["-0", "5e-324", str(2**53 + 1), "1e308", "nan", "inf", "1e400"]
+# A number token: not the digit of a label such as "x0", nor part of a longer
+# number.
+NUMBER = re.compile(r"(?<![\w.+-])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])", re.IGNORECASE)
+
+
+def number_spans(text: str) -> list:
+    """Where ``text``'s number tokens are, but for a round count: a game that
+    never settles would play all 2**53 + 1 rounds it is given."""
+    return [
+        match.span()
+        for match in NUMBER.finditer(text)
+        if not text[text.rfind("\n", 0, match.start()) + 1 :].startswith("rounds:")
+    ]
+
+
+@st.composite
+def edge_runs(draw):
+    """A corpus text with one or two number tokens swapped for edge numbers,
+    and a corpus command line to run on it."""
+    text = draw(st.sampled_from(sorted(TEXTS.values())))
+    spans = draw(st.lists(st.sampled_from(number_spans(text)), min_size=1, max_size=2, unique=True))
+    for start, end in sorted(spans, reverse=True):
+        text = text[:start] + draw(st.sampled_from(EDGE_NUMBERS)) + text[end:]
+    return text, draw(st.sampled_from(COMMANDS))
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge")
+
+
+@settings(max_examples=50, deadline=5000)
+@example(case=(test_cli.OVERFLOW_TABLE, ["check", "--condition", "omega1"]))
+@given(case=edge_runs())
+def test_edge_numbers_give_a_verdict_or_an_error_message(edge_dir, case):
+    # Any warning, numpy's overflow included, is raised; an exception that
+    # escapes main fails the test with its traceback.
+    text, command = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(edge_dir, text, command)
+    assert result["code"] in (0, 1, 2, 4), result
+    assert "Traceback" not in result["stderr"]
 
 
 if __name__ == "__main__":
