@@ -1115,11 +1115,6 @@ class TestOverflowingTable:
             "2 * 3 * 4e+307 overflows\n"
         )
 
-    def test_a_table_without_a_lambda_block_is_still_classified(self, prob, capsys):
-        text = OVERFLOW_TABLE.split("lambda:")[0]
-        assert main(["classify", prob(text)]) == 0
-        assert capsys.readouterr().out.startswith("symmetric: yes\n")
-
 
 # Lines 1-12: points, dist (2), order (5), lambda (7), F (8).
 TWO_POINTS = """\
