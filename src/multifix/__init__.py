@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .game import GameConfig, Play
+from .kernel import Instance
 from .operators import (
     ElementwiseOperator,
     FixedPointCertificate,
@@ -60,6 +61,7 @@ __all__ = [
     "EvaluationError",
     "FixedPointCertificate",
     "GameConfig",
+    "Instance",
     "LSet",
     "LambdaFamily",
     "MeirKeelerModulus",

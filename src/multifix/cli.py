@@ -16,6 +16,7 @@ from typing import Sequence
 from .conditions import CONDITIONS
 from .errors import CapacityError, MultifixError, ParseError
 from .game import GameConfig, Play, write_csv, write_trajectory_csv
+from .kernel import Instance
 from .orders import LSet
 from .problemfile import load_problem
 from .product import ProductKind, format_product_point
@@ -80,6 +81,12 @@ def _default_lset(pf) -> LSet:
     return LSet.of(family.m, 1)
 
 
+def _instance(pf) -> Instance:
+    """The file's instance, its missing blocks named in the order of its fields."""
+    space, order = pf.require("space"), pf.require("order")
+    return Instance(space, order, pf.require("operator"), pf.require("family"), _default_lset(pf))
+
+
 def _print_report(report) -> int:
     if report.verdict == "pass":
         print("PASS (exhaustive pairs, r in grid)" if report.grid_bound else "PASS (exhaustive)")
@@ -105,18 +112,14 @@ def cmd_check(args) -> int:
             )
     r_grid = _parse_r_grid(args)
     pf = load_problem(args.file)
-    space = pf.require("space")
-    order = pf.require("order")
-    F = pf.require("operator")
-    family = pf.require("family")
-    lset = _default_lset(pf)
+    inst = _instance(pf)
     options = {"r_grid": r_grid, "delta": _delta(pf, condition)}
     if "metric" in condition.reads:
         options["kind"] = ProductKind(args.metric or pf.metric or "sup")
-        if space.is_finite and (args.seed, args.samples) != (None, None):
+        if inst.space.is_finite and (args.seed, args.samples) != (None, None):
             args.usage_error("--seed and --samples are read only on a continuous carrier")
         options.update(seed=args.seed, samples=args.samples)
-    return _print_report(condition.check(space, order, F, family, lset, **options))
+    return _print_report(condition.check(inst, **options))
 
 
 def _settings(args, pf, *names) -> dict:
@@ -136,9 +139,8 @@ def cmd_solve(args) -> int:
         kind=pf.metric or ProductKind.SUP, **_settings(args, pf, "tol", "max_iter")
     )
     if args.start == "auto":
-        order = pf.require("order")
-        lset = _default_lset(pf)
-        found = find_monotone_start(space, order, F, family, lset)
+        inst = Instance(space, pf.require("order"), F, family, _default_lset(pf))
+        found = find_monotone_start(inst)
         if found is None:
             print("no monotone start")
             return EXIT_NO_START
@@ -176,10 +178,9 @@ def write_trace_csv(trace: Sequence[float], path: str) -> None:
 
 def cmd_enumerate(args) -> int:
     pf = load_problem(args.file)
-    space = pf.require("space")
-    F = pf.require("operator")
-    family = pf.require("family")
-    for point in enumerate_fixed_points(space, F, family):
+    # The oracle reads no order, so a file without one is enumerated.
+    space, F, family = pf.require("space"), pf.require("operator"), pf.require("family")
+    for point in enumerate_fixed_points(Instance(space, pf.order, F, family, _default_lset(pf))):
         print(format_product_point(point))
     return EXIT_OK
 
@@ -187,13 +188,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     pf = load_problem(args.file)
     report = verify_uniqueness(
-        pf.require("space"),
-        pf.require("order"),
-        pf.require("operator"),
-        pf.require("family"),
-        _default_lset(pf),
-        condition=args.condition,
-        delta=_delta(pf, CONDITIONS[args.condition]),
+        _instance(pf), condition=args.condition, delta=_delta(pf, CONDITIONS[args.condition])
     )
     points = ", ".join(format_product_point(p) for p in report.fixed_points)
     if report.verdict == "confirmed":

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ._numpy import np
 from .errors import UnsupportedInstanceError
-from .kernel import ProductKernel
+from .kernel import Instance
 from .operators import (
     ElementwiseOperator,
     LambdaFamily,
@@ -186,14 +186,7 @@ def check_order_distance_compat(space: DistanceSpace, order: OrderRelation) -> C
     return Clause("order-distance compatibility", True)
 
 
-def check_omega(
-    space: DistanceSpace,
-    order: OrderRelation,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
-    variant: int,
-) -> ConditionReport:
+def check_omega(inst: Instance, variant: int) -> ConditionReport:
     """Exhaustive check of one of the four symmetric-contraction condition
     sets on a finite instance.
 
@@ -204,16 +197,16 @@ def check_omega(
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1..4")
     name = f"omega{variant}"
-    clauses = [check_lattice(order)]
+    clauses = [check_lattice(inst.order)]
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
-    clauses.append(check_order_distance_compat(space, order))
+    clauses.append(check_order_distance_compat(inst.space, inst.order))
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
     if variant in (3, 4):
-        surj = surjectivity_report(family)
+        surj = surjectivity_report(inst.family)
         ok = surj.union_of_images_full  # a surjective row already covers 1..m
         clauses.append(Clause("lambda surjectivity", ok, None if ok else surj.rows_surjective))
         if not ok:
@@ -221,11 +214,9 @@ def check_omega(
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     isotone = variant in (1, 3)
-    atol = product_atol(space, kind)
+    atol = product_atol(inst.space, kind)
 
-    kernel = ProductKernel(space, lset.m)
-    orders = lset.orient(order.matrix(kernel.labels))
-    image = kernel.image(F, family)
+    kernel, orders, image = inst.kernel, inst.orders, inst.image
     for xs, ys in kernel.comparable_pairs(orders, include_equal=False):
         fx, fy = image[xs], image[ys]
         ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
@@ -375,11 +366,7 @@ def sample_comparable_pairs(
 
 
 def check_mk_operator(
-    space: DistanceSpace,
-    order: OrderRelation,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
+    inst: Instance,
     delta: MeirKeelerModulus,
     kind: ProductKind,
     r_grid: Optional[Sequence[float]] = None,
@@ -401,17 +388,17 @@ def check_mk_operator(
     memory does not grow with the sample count; the witness is the first
     failing pair.
     """
+    space, lset = inst.space, inst.lset
     if space.is_finite:
         if (seed, samples) != (None, None):
             raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
-        kernel = ProductKernel(space, lset.m)
-        orders = lset.orient(order.matrix(kernel.labels))
+        kernel, orders = inst.kernel, inst.orders
         # <=_L is a product relation, so the pair count comes from the
         # per-coordinate order pairs.
         samples = int(orders[0].sum()) ** lset.m
         if not samples:
             raise ValueError("no comparable pairs to check")
-        image = kernel.image(F, family)
+        image = inst.image
         blocks = (
             (xs, ys, kernel.distance(kind, xs, ys), kernel.distance(kind, image[xs], image[ys]))
             for xs, ys in kernel.comparable_pairs(orders, include_equal=True)
@@ -422,9 +409,9 @@ def check_mk_operator(
         samples = 10_000 if samples is None else samples
         if samples < 1:
             raise ValueError("no comparable pairs to check")
-        check_lambda_arity(F, family, range(lset.m))
+        check_lambda_arity(inst.F, inst.family, range(lset.m))
         blocks = (
-            (block[:, 0], block[:, 1], *_column_distances(F, family, kind, block))
+            (block[:, 0], block[:, 1], *_column_distances(inst.F, inst.family, kind, block))
             for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed)
         )
 
@@ -485,11 +472,7 @@ def _column_distances(
 
 
 def check_mk(
-    space: DistanceSpace,
-    order: OrderRelation,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
+    inst: Instance,
     delta: MeirKeelerModulus,
     variant: int,
     r_grid: Optional[Sequence[float]] = None,
@@ -499,21 +482,19 @@ def check_mk(
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     name = f"mk{variant}"
-    clauses = [check_bounds_exist(order)]
+    clauses = [check_bounds_exist(inst.order)]
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
     if r_grid is None:
-        D = space.matrix()
+        D = inst.space.matrix()
         r_grid = np.unique(D[D > 0]).tolist() or [1.0]
-    clauses.append(check_mk_space(space, order, delta, r_grid))
+    clauses.append(check_mk_space(inst.space, inst.order, delta, r_grid))
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
     isotone = variant == 1
-    kernel = ProductKernel(space, lset.m)
-    orders = lset.orient(order.matrix(kernel.labels))
-    image = kernel.image(F, family)
+    kernel, orders, image = inst.kernel, inst.orders, inst.image
     for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
         fx, fy = image[xs], image[ys]
         ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
@@ -529,9 +510,9 @@ def check_mk(
 @dataclass(frozen=True)
 class ConditionSet:
     """A named condition set: its checker with the variant bound, called as
-    ``check(space, order, F, family, lset, delta=..., r_grid=...)`` plus, when
-    it reads ``metric``, the product ``kind`` and any ``seed`` and
-    ``samples``; the omega checkers ignore ``delta`` and ``r_grid``."""
+    ``check(instance, delta=..., r_grid=...)`` plus, when it reads
+    ``metric``, the product ``kind`` and any ``seed`` and ``samples``; the
+    omega checkers ignore ``delta`` and ``r_grid``."""
 
     check: Callable[..., ConditionReport]
     reads: frozenset[str] = frozenset()  # the ``check`` command options it reads
@@ -541,12 +522,12 @@ class ConditionSet:
 
 
 def _omega(variant: int) -> ConditionSet:
-    return ConditionSet(lambda *base, **_: check_omega(*base, variant))
+    return ConditionSet(lambda inst, **_: check_omega(inst, variant))
 
 
 def _mk(variant: int) -> ConditionSet:
     return ConditionSet(
-        lambda *base, **options: check_mk(*base, variant=variant, **options),
+        lambda inst, **options: check_mk(inst, variant=variant, **options),
         reads=frozenset({"r_grid"}),
         needs_delta=True,
         needs_h_distance=True,
@@ -565,7 +546,7 @@ CONDITIONS: dict[str, ConditionSet] = {
     # --metric picks the product kind; on a continuous carrier the check runs
     # on --samples pairs drawn from --seed.
     "mk-op": ConditionSet(
-        lambda *base, **options: check_mk_operator(*base, **options),
+        lambda inst, **options: check_mk_operator(inst, **options),
         reads=frozenset({"metric", "r_grid", "seed", "samples"}),
         needs_delta=True,
         verifiable=False,

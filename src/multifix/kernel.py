@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from ._numpy import np
 from .errors import EvaluationError
 from .operators import LambdaFamily, MultiOperator, check_lambda_arity
+from .orders import LSet, OrderRelation
 from .product import ProductKind, combine, product_size
 from .spaces import DistanceSpace
 
@@ -146,3 +148,28 @@ class ProductKernel:
         """Product distances of index pairs, combined as :func:`combine` does."""
         c = self.coords
         return combine(kind, (self.D[c[xs, i], c[ys, i]] for i in range(self.m)))
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One problem instance.  Its product kernel, oriented orders and lambdaF
+    image are built on first use and kept, so every check of the instance
+    shares them; a box carrier reads none of the three."""
+
+    space: DistanceSpace
+    order: Optional[OrderRelation]
+    F: MultiOperator
+    family: LambdaFamily
+    lset: LSet
+
+    @functools.cached_property
+    def kernel(self) -> ProductKernel:
+        return ProductKernel(self.space, self.lset.m)
+
+    @functools.cached_property
+    def orders(self) -> list[np.ndarray]:
+        return self.lset.orient(self.order.matrix(self.kernel.labels))
+
+    @functools.cached_property
+    def image(self) -> np.ndarray:
+        return self.kernel.image(self.F, self.family)

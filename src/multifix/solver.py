@@ -10,9 +10,8 @@ from typing import Any, Optional, Sequence
 
 from ._numpy import np
 from .conditions import CONDITIONS, Clause, ConditionReport, MeirKeelerModulus
-from .kernel import ProductKernel
+from .kernel import Instance
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
-from .orders import LSet, OrderRelation
 from .product import ProductKind, bind_distance
 from .spaces import DistanceSpace, is_h_distance
 
@@ -48,13 +47,7 @@ class SolveReport:
         return self.trace[-1] if self.trace else float("nan")
 
 
-def find_monotone_start(
-    space: DistanceSpace,
-    order: OrderRelation,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
-) -> Optional[tuple[tuple, str]]:
+def find_monotone_start(inst: Instance) -> Optional[tuple[tuple, str]]:
     """First product point a with a <=_L lambdaF(a) (ascending) or
     lambdaF(a) <=_L a (descending), searched over every point of a finite
     carrier in canonical enumeration order.
@@ -62,9 +55,7 @@ def find_monotone_start(
     F is evaluated on every argument tuple, as the enumeration oracle does,
     so a value outside the carrier raises :class:`EvaluationError` even
     when an earlier point qualifies."""
-    kernel = ProductKernel(space, lset.m)
-    orders = lset.orient(order.matrix(kernel.labels))
-    image = kernel.image(F, family)
+    kernel, orders, image = inst.kernel, inst.orders, inst.image
     points = np.arange(kernel.size)
     up = kernel.leq_L(orders, points, image)
     found = np.flatnonzero(up | kernel.leq_L(orders, image, points))
@@ -129,14 +120,11 @@ def picard_solve(
     return SolveReport("converged", x, n, trace)
 
 
-def enumerate_fixed_points(
-    space: DistanceSpace, F: MultiOperator, family: LambdaFamily
-) -> list[tuple]:
+def enumerate_fixed_points(inst: Instance) -> list[tuple]:
     """Exact brute-force oracle: all tuples a with lambdaF(a) = a, in
     canonical order."""
-    kernel = ProductKernel(space, family.m)
-    image = kernel.image(F, family)
-    return [kernel.point(k) for k in np.flatnonzero(image == np.arange(kernel.size))]
+    kernel = inst.kernel
+    return [kernel.point(k) for k in np.flatnonzero(inst.image == np.arange(kernel.size))]
 
 
 @dataclass
@@ -156,16 +144,13 @@ class UniquenessReport:
 
 
 def verify_uniqueness(
-    space: DistanceSpace,
-    order: OrderRelation,
-    F: MultiOperator,
-    family: LambdaFamily,
-    lset: LSet,
+    inst: Instance,
     condition: str = "omega1",
     delta: Optional[MeirKeelerModulus] = None,
 ) -> UniquenessReport:
     """Run the selected condition set, enumerate all fixed points, and grade
-    the uniqueness claim against the enumeration oracle.
+    the uniqueness claim against the enumeration oracle.  Both read the one
+    instance, so its kernel and image map are built once.
 
     MK variants additionally require the base space to separate distinct
     points by disjoint balls, which is checked by ``is_h_distance``.
@@ -175,11 +160,11 @@ def verify_uniqueness(
         raise ValueError(f"unknown condition selector {condition!r}")
     if entry.needs_delta and delta is None:
         raise ValueError(f"{condition} needs a Meir-Keeler modulus")
-    report = entry.check(space, order, F, family, lset, delta=delta)
+    report = entry.check(inst, delta=delta)
     if entry.needs_h_distance:
-        report.clauses.append(Clause("H-distance base space", is_h_distance(space)))
+        report.clauses.append(Clause("H-distance base space", is_h_distance(inst.space)))
 
-    fps = enumerate_fixed_points(space, F, family)
+    fps = enumerate_fixed_points(inst)
     if not report.passed:
         verdict = "informational"
     elif not fps:

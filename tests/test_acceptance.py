@@ -17,6 +17,7 @@ import pytest
 from multifix import (
     DistanceSpace,
     GameConfig,
+    Instance,
     LSet,
     MeirKeelerModulus,
     MultiOperator,
@@ -186,7 +187,7 @@ def test_criterion_4_uniqueness_oracle_suite(lattice_instances, announce):
     negatives_passing = []
     constants_unconfirmed = []
     for space, order, F, kind in lattice_instances:
-        report = verify_uniqueness(space, order, F, fam, lset, "omega1")
+        report = verify_uniqueness(Instance(space, order, F, fam, lset), "omega1")
         if report.verdict == "violation":
             violations.append(kind)
         if kind == "negative" and report.condition_report.passed:
@@ -289,7 +290,7 @@ def test_criterion_7_meir_keeler_discrimination(announce):
     def run(k):
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
         return check_mk_operator(
-            reals, order, F, fam, lset, delta, ProductKind.SUP, samples=10_000, seed=7
+            Instance(reals, order, F, fam, lset), delta, ProductKind.SUP, samples=10_000, seed=7
         )
 
     good_a, good_b = run(0.5), run(0.5)
@@ -343,7 +344,7 @@ def test_criterion_9_oracle_agreement(lattice_instances, announce):
     discrepancies = 0
     converged = 0
     for space, _, F, _ in lattice_instances:
-        oracle = set(enumerate_fixed_points(space, F, fam))
+        oracle = set(enumerate_fixed_points(Instance(space, None, F, fam, LSet.of(2, 1))))
         for start in itertools.product(space.points, repeat=2):
             report = picard_solve(space, F, fam, start, SolveConfig(tol=0.0))
             if report.status == "converged":

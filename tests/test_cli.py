@@ -586,6 +586,19 @@ class TestEnumerate:
         assert main(["enumerate", prob(SWAP_ANTICHAIN)]) == 0
         assert capsys.readouterr().out.strip() == ""
 
+    def test_a_file_without_an_order_is_enumerated(self, prob, capsys):
+        # The oracle reads no order; verify's condition check needs one.
+        path = prob(
+            "points: a b\ndist:\n0 1\n1 0\nlambda: coupled\n"
+            "F:\na,a -> a\na,b -> a\nb,a -> b\nb,b -> b\n"
+        )
+        assert main(["enumerate", path]) == 0
+        assert capsys.readouterr() == ("(a,a)\n(a,b)\n(b,a)\n(b,b)\n", "")
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr() == (
+            "", "parse error: problem file is missing the 'order' block\n"
+        )
+
     def test_capacity_exit_three(self, prob, capsys, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "3")
         code = main(["enumerate", prob(CONSTANT_CHAIN)])

@@ -12,6 +12,7 @@ from multifix import (
     ConditionReport,
     DistanceSpace,
     ElementwiseOperator,
+    Instance,
     LambdaFamily,
     LSet,
     MeirKeelerModulus,
@@ -157,13 +158,13 @@ class TestOmega:
     def test_constant_operator_passes(self, chain3):
         space, order = chain3
         F = MultiOperator.constant(2, 1)
-        report = check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
+        report = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), 1)
         assert report.verdict == "pass"
 
     def test_min_operator_fails_strict_contraction(self, chain3):
         space, order = chain3
         F = MultiOperator(2, min)
-        report = check_omega(space, order, F, coupled_preset(), LSet.of(2, 1, 2), 1)
+        report = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1, 2)), 1)
         assert report.verdict == "fail"
         clause = report.failing_clause()
         assert clause.name == "strict contraction"
@@ -173,7 +174,7 @@ class TestOmega:
         space = DistanceSpace.from_matrix("oab", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         order = OrderRelation.from_pairs("oab", [("o", "a"), ("o", "b")])
         F = MultiOperator.constant(2, "o")
-        report = check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
+        report = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), 1)
         assert report.verdict == "fail"
         assert report.failing_clause().name == "lattice"
 
@@ -181,7 +182,7 @@ class TestOmega:
         space, order = chain3
         F = MultiOperator.constant(2, 1)
         collapsing = __import__("multifix").LambdaFamily(2, ((1, 1), (1, 1)))
-        report = check_omega(space, order, F, collapsing, LSet.of(2, 1), 3)
+        report = check_omega(Instance(space, order, F, collapsing, LSet.of(2, 1)), 3)
         assert report.verdict == "fail"
         assert report.failing_clause().name == "lambda surjectivity"
 
@@ -195,8 +196,8 @@ class TestOmega:
                 lset = LSet(2, frozenset(members))
                 dual = lset.complement()
                 for v1, v2 in ((1, 2), (3, 4)):
-                    r1 = check_omega(space, order, F, coupled_preset(), lset, v1)
-                    r2 = check_omega(space, order, F, coupled_preset(), dual, v2)
+                    r1 = check_omega(Instance(space, order, F, coupled_preset(), lset), v1)
+                    r2 = check_omega(Instance(space, order, F, coupled_preset(), dual), v2)
                     assert r1.passed == r2.passed
 
 
@@ -270,7 +271,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
         report = check_mk_operator(
-            reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(1.0), ProductKind.SUP, samples=2000, seed=7,
         )
         assert report.verdict == "sampled-pass"
@@ -280,7 +281,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: 2 * x)
         report = check_mk_operator(
-            reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(1.0), ProductKind.SUP, samples=500, seed=3,
         )
         assert report.verdict == "fail"
@@ -290,7 +291,7 @@ class TestMeirKeelerOperator:
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
         report = check_mk_operator(
-            space, order, F, coupled_preset(), self.L,
+            Instance(space, order, F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(1.0), ProductKind.SUP,
         )
         assert report.verdict == "pass"
@@ -302,7 +303,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
         report = check_mk_operator(
-            reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
             MeirKeelerModulus.linear((1 - k) / k), ProductKind.SUP,
             samples=1000, seed=21,
         )
@@ -313,7 +314,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
         report = check_mk_operator(
-            reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(0.5), ProductKind.SUP, samples=1000, seed=21,
         )
         assert report.verdict == "fail"
@@ -325,7 +326,7 @@ class TestMeirKeelerOperator:
         for _ in range(2):
             runs.append(
                 check_mk_operator(
-                    reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+                    Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
                     MeirKeelerModulus.linear(1.0), ProductKind.SUP,
                     samples=1000, seed=9,
                 )
@@ -347,7 +348,7 @@ class TestMeirKeelerOperator:
     def test_defaults_are_seed_zero_and_ten_thousand_samples(self):
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
-        args = (reals, OrderRelation.numeric(), F, coupled_preset(), self.L,
+        args = (Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
                 MeirKeelerModulus.linear(1.0), ProductKind.SUP)
         report = check_mk_operator(*args)
         assert (report.verdict, report.seed, report.samples) == ("sampled-pass", 0, 10_000)
@@ -359,16 +360,16 @@ class TestMeirKeelerOperator:
         wide = DistanceSpace.reals(-1e308, 1e308)
         for samples in (0, -5):
             with pytest.raises(ValueError, match="no comparable pairs to check"):
-                check_mk_operator(wide, *args, LSet.of(3, 1), *rest, samples=samples)
+                check_mk_operator(Instance(wide, *args, LSet.of(3, 1)), *rest, samples=samples)
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
-            check_mk_operator(wide, *args, LSet.of(3, 1), *rest)
+            check_mk_operator(Instance(wide, *args, LSet.of(3, 1)), *rest)
         with pytest.raises(UnsupportedInstanceError, match=r"box \[-1e\+308, 1e\+308\]"):
-            check_mk_operator(wide, *args, self.L, *rest)
+            check_mk_operator(Instance(wide, *args, self.L), *rest)
 
     @pytest.mark.parametrize("sampling", [{"seed": 0}, {"samples": 5}, {"seed": 1, "samples": 5}])
     def test_a_finite_carrier_is_never_sampled(self, sampling):
         space, order = int_chain(3)
-        args = (space, order, MultiOperator.constant(2, 1), coupled_preset(), self.L,
+        args = (Instance(space, order, MultiOperator.constant(2, 1), coupled_preset(), self.L),
                 MeirKeelerModulus.linear(1.0), ProductKind.SUP)
         with pytest.raises(UnsupportedInstanceError, match="checked on every pair"):
             check_mk_operator(*args, **sampling)
@@ -378,9 +379,10 @@ class TestMeirKeelerOperator:
         # sum distance, inside COMPUTED_ATOL, so the strict test fails them.
         e = 0.5 - 5e-14
         space = DistanceSpace.from_matrix([0, 1], [[0, e], [e, 0]])
+        F = MultiOperator(2, lambda x, y: y)
         report = check_mk_operator(
-            space, chain_order([0, 1]), MultiOperator(2, lambda x, y: y), coupled_preset(),
-            self.L, MeirKeelerModulus.const(0.5), ProductKind.SUM, r_grid=[1.0],
+            Instance(space, chain_order([0, 1]), F, coupled_preset(), self.L),
+            MeirKeelerModulus.const(0.5), ProductKind.SUM, r_grid=[1.0],
         )
         assert report.counterexample == ((0, 1), (1, 0), 1.0)
 
@@ -392,7 +394,7 @@ class TestMeirKeelerOperator:
         F = MultiOperator(2, lambda x, y: calls.append((x, y)) or 0)
         with pytest.raises(ValueError, match="no comparable pairs to check"):
             check_mk_operator(
-                space, chain_order(["a", "b"]), F, coupled_preset(), self.L,
+                Instance(space, chain_order(["a", "b"]), F, coupled_preset(), self.L),
                 MeirKeelerModulus.linear(1.0), ProductKind.SUP,
             )
         assert calls == []
@@ -587,7 +589,7 @@ class TestAllRClosedForm:
         # the sum product distance is a computed real even over a table
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
-        args = (space, order, F, coupled_preset(), LSet.of(2, 1),
+        args = (Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
                 MeirKeelerModulus.linear(1.0), ProductKind.SUM)
         assert check_mk_operator(*args).verdict == "pass"
         reals = DistanceSpace.reals(-10, 10)
@@ -595,7 +597,7 @@ class TestAllRClosedForm:
         F = MultiOperator(2, lambda x, y: x - y)
         distances = _column_distances(F, coupled_preset(), ProductKind.SUM, same)
         assert [d.tolist() for d in distances] == [[0.0], [0.0]]
-        assert _first_failure(args[5], None)(*distances, COMPUTED_ATOL) is None
+        assert _first_failure(args[1], None)(*distances, COMPUTED_ATOL) is None
 
     def test_values_checks_like_a_call(self):
         delta = MeirKeelerModulus.linear(0.5)
@@ -654,11 +656,15 @@ class TestColumnPathMatchesLoop:
         want = list(reference_pair_distances(space, F, family, kind, loop_pairs))
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
         assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
-        args = (space, OrderRelation.numeric(), F, family, lset, delta, kind)
+        base = (space, OrderRelation.numeric(), F, family, lset)
         with mock.patch("multifix.conditions.SAMPLE_BLOCK", block):
-            report = check_mk_operator(*args, r_grid=r_grid, seed=seed, samples=n)
+            report = check_mk_operator(
+                Instance(*base), delta, kind, r_grid=r_grid, seed=seed, samples=n
+            )
         assert field_reprs(report) == field_reprs(
-            reference_check_mk_operator(*args, pairs=loop_pairs, r_grid=r_grid, seed=seed)
+            reference_check_mk_operator(
+                *base, delta, kind, pairs=loop_pairs, r_grid=r_grid, seed=seed
+            )
         )
         for c in report.clauses:
             assert not any(isinstance(v, np.generic) for v in (c.witness or ()))
@@ -684,7 +690,7 @@ class TestCompositeMK:
         space, order = int_chain(2)
         F = MultiOperator.constant(2, 0)
         report = check_mk(
-            space, order, F, coupled_preset(), LSet.of(2, 1),
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
             MeirKeelerModulus.const(1.0), 1, r_grid=[2.0],
         )
         assert report.verdict == "pass"
@@ -694,7 +700,7 @@ class TestCompositeMK:
         order = OrderRelation.from_pairs([0, 1], [])
         F = MultiOperator.constant(2, 0)
         report = check_mk(
-            space, order, F, coupled_preset(), LSet.of(2, 1),
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
             MeirKeelerModulus.const(1.0), 1,
         )
         assert report.verdict == "fail"
@@ -705,7 +711,7 @@ class TestCompositeMK:
         # identity-style map is isotone, so the antitone clause must fail
         F = MultiOperator(2, lambda x, y: x)
         report = check_mk(
-            space, order, F, coupled_preset(), LSet.of(2, 1, 2),
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1, 2)),
             MeirKeelerModulus.const(1.0), 2, r_grid=[10.0],
         )
         assert report.verdict == "fail"
@@ -794,11 +800,11 @@ class TestOrderClausesMatchReference:
         F = MultiOperator.constant(1, labels[0])
         family, lset = LambdaFamily.identity(1), LSet.of(1, 1)
         same_report(
-            check_omega(space, order, F, family, lset, 1),
+            check_omega(Instance(space, order, F, family, lset), 1),
             reference_check_omega(space, order, F, family, lset, 1),
         )
         same_report(
-            check_mk(space, order, F, family, lset, delta, 1),
+            check_mk(Instance(space, order, F, family, lset), delta, 1),
             reference_check_mk(space, order, F, family, lset, delta, 1),
         )
 

@@ -195,3 +195,38 @@ def test_an_unread_private_name_is_reported(tmp_path):
     names = private_names(module)
     assert names == ["_USED", "_unused", "_x", "_y", "_left_behind", "_Kept"]
     assert [n for n in names if n not in reads(module)] == ["_unused", "_left_behind"]
+
+
+def instance_builds(path: Path) -> list[str]:
+    """Each call a module makes of ``ProductKernel(...)``, ``.orient(...)`` or
+    ``.image(...)``, the three steps that build an instance's arrays."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "ProductKernel"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("ProductKernel", "orient", "image")
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "kernel.py"], ids=lambda p: p.name
+)
+def test_only_the_instance_builds_the_kernel_orders_and_image(path):
+    # kernel.Instance builds each once per instance; a second build elsewhere
+    # would call F again for every argument tuple.
+    assert instance_builds(path) == []
+
+
+def test_an_instance_build_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "k = ProductKernel(s, 2)\no = lset.orient(O)\nimage = inst.image\n"
+        "i = k.image(F, f)\nkernel.ProductKernel(s, 1)\nk.orient\n"
+    )
+    assert instance_builds(module) == ["module.py:1", "module.py:2", "module.py:4", "module.py:5"]

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import (
+    CapacityError,
     DistanceSpace,
     EvaluationError,
+    Instance,
     LambdaFamily,
     LSet,
     MeirKeelerModulus,
@@ -28,6 +30,7 @@ from multifix import (
     enumerate_fixed_points,
     find_monotone_start,
     tripled_preset,
+    verify_uniqueness,
 )
 from multifix import kernel
 from helpers import (
@@ -136,25 +139,27 @@ def same(got, want):
 @given(instances())
 def test_kernel_matches_reference(instance):
     space, order, F, family, lset, delta, r_grid, block = instance
+    # One instance serves every check, as in verify.
+    inst = Instance(space, order, F, family, lset)
     with mock.patch.object(kernel, "PAIR_BLOCK", block):
         for variant in (1, 2, 3, 4):
             same(
-                check_omega(space, order, F, family, lset, variant),
+                check_omega(inst, variant),
                 reference_check_omega(space, order, F, family, lset, variant),
             )
         for variant in (1, 2):
             same(
-                check_mk(space, order, F, family, lset, delta, variant, r_grid),
+                check_mk(inst, delta, variant, r_grid),
                 reference_check_mk(space, order, F, family, lset, delta, variant, r_grid),
             )
         for kind in ProductKind:
             same(
-                check_mk_operator(space, order, F, family, lset, delta, kind, r_grid=r_grid),
+                check_mk_operator(inst, delta, kind, r_grid=r_grid),
                 reference_check_mk_operator(
                     space, order, F, family, lset, delta, kind, r_grid=r_grid
                 ),
             )
-        assert enumerate_fixed_points(space, F, family) == reference_enumerate(space, F, family)
+        assert enumerate_fixed_points(inst) == reference_enumerate(space, F, family)
 
 
 def test_product_distances_round_like_the_scalar_forms():
@@ -179,7 +184,7 @@ def test_canonical_order_witness_across_blocks():
     want = reference_check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
     assert want.counterexample not in (None, ((0, 0), (0, 1)))
     with mock.patch.object(kernel, "PAIR_BLOCK", 1):
-        got = check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
+        got = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), 1)
     assert got.counterexample == want.counterexample
 
 
@@ -275,7 +280,7 @@ def monotone_start_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(monotone_start_instances())
 def test_monotone_start_matches_reference(instance):
-    assert find_monotone_start(*instance) == reference_monotone_start(*instance)
+    assert find_monotone_start(Instance(*instance)) == reference_monotone_start(*instance)
 
 
 @pytest.mark.parametrize("include_equal", [True, False])
@@ -302,9 +307,9 @@ class TestBoundedMemory:
         F = MultiOperator(3, lambda x, y, z: max(min(x, z) - 1, 0))
         lset = LSet.of(3, 1, 2, 3)
         checks = [
-            lambda: check_omega(space, order, F, tripled_preset(), lset, 1),
+            lambda: check_omega(Instance(space, order, F, tripled_preset(), lset), 1),
             lambda: check_mk_operator(
-                space, order, F, tripled_preset(), lset, MeirKeelerModulus.const(0.5),
+                Instance(space, order, F, tripled_preset(), lset), MeirKeelerModulus.const(0.5),
                 ProductKind.SUP,
             ),
         ]
@@ -325,13 +330,49 @@ class TestBoundedMemory:
         assert all(b - a < 1 << 20 for a, b in zip(small, large))
 
 
+class TestBaseClausesComeFirst:
+    """A base clause that fails ends the check before the instance builds its
+    kernel or calls F, so it is reported, not a capacity or evaluation
+    error; verify's oracle builds the kernel all the same."""
+
+    @staticmethod
+    def antichain(F) -> Instance:
+        # 4 points, so N = 16: no pair has a bound, and no join or meet.
+        labels = list(range(4))
+        matrix = [[float(i != j) for j in labels] for i in labels]
+        space = DistanceSpace.from_matrix(labels, matrix)
+        order = OrderRelation.from_pairs(labels, [])
+        return Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
+
+    @staticmethod
+    def failing_clauses(inst) -> list:
+        delta = MeirKeelerModulus.const(1.0)
+        reports = [check_omega(inst, variant) for variant in (1, 2, 3, 4)]
+        reports += [check_mk(inst, delta, variant) for variant in (1, 2)]
+        return [(r.verdict, r.failing_clause().name) for r in reports]
+
+    WANT = [("fail", "lattice")] * 4 + [("fail", "pair bounds")] * 2
+
+    def test_under_a_cap_below_the_product(self, monkeypatch):
+        monkeypatch.setenv("MULTIFIX_CAP", "3")
+        inst = self.antichain(MultiOperator.constant(2, 0))
+        assert self.failing_clauses(inst) == self.WANT
+        with pytest.raises(CapacityError, match="size 16 exceeds materialization cap 3"):
+            verify_uniqueness(inst, condition="omega1")
+
+    def test_with_F_valued_outside_the_carrier(self):
+        inst = self.antichain(MultiOperator.constant(2, 7))
+        assert self.failing_clauses(inst) == self.WANT
+
+
 def test_callable_value_outside_carrier_names_argument():
     space, order = int_chain(2)
     F = MultiOperator(2, lambda x, y: x + y)
+    inst = Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
     with pytest.raises(EvaluationError, match=r"value 2 at \(1, 1\)"):
-        enumerate_fixed_points(space, F, coupled_preset())
+        enumerate_fixed_points(inst)
     with pytest.raises(EvaluationError, match="outside the carrier"):
-        check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
+        check_omega(inst, 1)
 
 
 def test_operator_called_once_per_argument_tuple():
@@ -342,7 +383,8 @@ def test_operator_called_once_per_argument_tuple():
         calls.append(args)
         return args[0]
 
-    enumerate_fixed_points(space, MultiOperator(2, record), coupled_preset())
+    F = MultiOperator(2, record)
+    enumerate_fixed_points(Instance(space, None, F, coupled_preset(), LSet.of(2, 1)))
     # In the order a point-by-point sweep first needs them: (x, y), then
     # (y, x), point after point.
     want = []

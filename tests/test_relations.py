@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from multifix import (
     DistanceSpace,
+    Instance,
     LambdaFamily,
     LSet,
     MeirKeelerModulus,
@@ -79,13 +80,14 @@ def verdicts(instance, m, family, lset):
     space = DistanceSpace.from_matrix(labels, matrix)
     order = OrderRelation.from_pairs(labels, pairs)
     F = MultiOperator.from_table(m, table, labels)
+    inst = Instance(space, order, F, family, lset)
     found = {"classify": classify_finite(space)}
     for name, condition in CONDITIONS.items():
         if condition.verifiable:
-            report = verify_uniqueness(space, order, F, family, lset, name, delta=DELTA)
+            report = verify_uniqueness(inst, name, delta=DELTA)
             found[name] = report.verdict
     for kind in ProductKind:
-        found[kind] = check_mk_operator(space, order, F, family, lset, DELTA, kind).verdict
+        found[kind] = check_mk_operator(inst, DELTA, kind).verdict
     return found, set(report.fixed_points)
 
 

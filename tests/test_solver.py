@@ -9,6 +9,7 @@ from multifix import (
     CarrierError,
     DistanceSpace,
     EvaluationError,
+    Instance,
     LambdaFamily,
     LSet,
     MeirKeelerModulus,
@@ -46,7 +47,7 @@ class TestMonotoneStart:
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
         lset = LSet.of(2, 1)
-        found = find_monotone_start(space, order, F, coupled_preset(), lset)
+        found = find_monotone_start(Instance(space, order, F, coupled_preset(), lset))
         assert found is not None
         a, tag = found
         image = apply_lambda_f(F, coupled_preset(), a)
@@ -58,16 +59,14 @@ class TestMonotoneStart:
     def test_identity_map_every_point_qualifies(self):
         space, order = int_chain(2)
         F = MultiOperator(2, lambda x, y: x)  # induced map is the identity
-        found = find_monotone_start(space, order, F, coupled_preset(), LSet.of(2, 1))
+        found = find_monotone_start(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)))
         assert found == ((0, 0), "ascending")  # reflexivity: both tags hold
 
     def test_swap_on_antichain_has_none(self):
         space = DistanceSpace.from_matrix(["a", "b"], [[0, 1], [1, 0]])
         order = OrderRelation.from_pairs(["a", "b"], [])
         F = MultiOperator(2, lambda x, y: "b" if x == "a" else "a")
-        found = find_monotone_start(
-            space, order, F, coupled_preset(), LSet.of(2, 1)
-        )
+        found = find_monotone_start(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)))
         assert found is None
 
     def test_value_outside_carrier_names_argument(self):
@@ -76,14 +75,14 @@ class TestMonotoneStart:
         space, order = int_chain(2)
         F = MultiOperator(2, lambda x, y: x + y)
         with pytest.raises(EvaluationError, match=r"value 2 at \(1, 1\) is outside"):
-            find_monotone_start(space, order, F, coupled_preset(), LSet.of(2, 1))
+            find_monotone_start(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)))
 
     def test_descending_start(self):
         # With L empty both coordinates compare backward, so the image (1, 1)
         # lies below (0, 0) in <=_L and not above it.
         space, order = int_chain(2)
         F = MultiOperator.constant(2, 1)
-        found = find_monotone_start(space, order, F, coupled_preset(), LSet.of(2))
+        found = find_monotone_start(Instance(space, order, F, coupled_preset(), LSet.of(2)))
         assert found == ((0, 0), "descending")
 
 
@@ -152,7 +151,7 @@ class TestPicard:
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
         lset = LSet.of(2, 1)
-        found = find_monotone_start(space, order, F, coupled_preset(), lset)
+        found = find_monotone_start(Instance(space, order, F, coupled_preset(), lset))
         assert found == ((0, 1), "ascending")
 
     def test_monotone_trajectory_is_nondecreasing(self):
@@ -172,22 +171,26 @@ class TestEnumerate:
     def test_projection_fixes_everything(self):
         bits = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         F = MultiOperator(2, lambda x, y: x)
-        assert len(enumerate_fixed_points(bits, F, coupled_preset())) == 4
+        inst = Instance(bits, None, F, coupled_preset(), LSet.of(2, 1))
+        assert len(enumerate_fixed_points(inst)) == 4
 
     def test_constant_zero(self):
         bits = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         F = MultiOperator.constant(2, 0)
-        assert enumerate_fixed_points(bits, F, coupled_preset()) == [(0, 0)]
+        inst = Instance(bits, None, F, coupled_preset(), LSet.of(2, 1))
+        assert enumerate_fixed_points(inst) == [(0, 0)]
 
     def test_negation_has_no_fixed_point(self):
         bits = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         F = MultiOperator(2, lambda x, y: 1 - x)
-        assert enumerate_fixed_points(bits, F, coupled_preset()) == []
+        inst = Instance(bits, None, F, coupled_preset(), LSet.of(2, 1))
+        assert enumerate_fixed_points(inst) == []
 
     def test_canonical_order(self):
         bits = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         F = MultiOperator(2, lambda x, y: x)
-        points = enumerate_fixed_points(bits, F, coupled_preset())
+        inst = Instance(bits, None, F, coupled_preset(), LSet.of(2, 1))
+        points = enumerate_fixed_points(inst)
         assert points == sorted(points)
 
 
@@ -197,7 +200,8 @@ class TestOracleAgreement:
         space, _ = int_chain(3)
         for _ in range(30):
             F = random_table_operator(rng, space, 2)
-            fps = set(enumerate_fixed_points(space, F, coupled_preset()))
+            inst = Instance(space, None, F, coupled_preset(), LSet.of(2, 1))
+            fps = set(enumerate_fixed_points(inst))
             for start in itertools.product(space.points, repeat=2):
                 report = picard_solve(
                     space, F, coupled_preset(), start, SolveConfig(tol=0.0)
@@ -222,7 +226,7 @@ class TestVerifyUniqueness:
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
         report = verify_uniqueness(
-            space, order, F, coupled_preset(), LSet.of(2, 1), "omega1"
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), "omega1"
         )
         assert report.verdict == "confirmed"
         assert report.fixed_points == [(1, 1)]
@@ -232,7 +236,7 @@ class TestVerifyUniqueness:
         order = chain_order([0, 1])
         F = MultiOperator(2, min)
         report = verify_uniqueness(
-            bits, order, F, coupled_preset(), LSet.of(2, 1, 2), "omega1"
+            Instance(bits, order, F, coupled_preset(), LSet.of(2, 1, 2)), "omega1"
         )
         assert report.verdict == "informational"
         assert report.fixed_points == [(0, 0), (1, 1)]
@@ -244,7 +248,7 @@ class TestVerifyUniqueness:
             2, {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}, space.points
         )
         report = verify_uniqueness(
-            space, order, F, coupled_preset(), LSet.of(2, 1), "omega1"
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), "omega1"
         )
         assert report.verdict in ("hypothesis-unmet", "informational")
         if report.condition_report.passed:
@@ -255,7 +259,7 @@ class TestVerifyUniqueness:
         space, order = int_chain(1)
         F = MultiOperator.constant(2, 0)
         report = verify_uniqueness(
-            space, order, F, coupled_preset(), LSet.of(2, 1),
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
             condition="mk1",
             delta=MeirKeelerModulus.const(1.0),
         )
@@ -268,7 +272,7 @@ class TestVerifyUniqueness:
         F = MultiOperator.constant(2, 0)
         with pytest.raises(ValueError, match="modulus"):
             verify_uniqueness(
-                space, order, F, coupled_preset(), LSet.of(2, 1), "mk1"
+                Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), "mk1"
             )
 
     def test_operator_form_grades_no_theorem(self):
@@ -276,15 +280,27 @@ class TestVerifyUniqueness:
         F = MultiOperator.constant(2, 0)
         with pytest.raises(ValueError, match="unknown condition selector 'mk-op'"):
             verify_uniqueness(
-                space, order, F, coupled_preset(), LSet.of(2, 1), "mk-op",
+                Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), "mk-op",
                 delta=MeirKeelerModulus.const(1.0),
             )
+
+    def test_check_and_oracle_share_one_image(self):
+        # The check reaches its pair loop and the oracle reads the image it
+        # built: F is called once per distinct argument tuple, not twice.
+        space, order = int_chain(4)
+        calls = []
+        F = MultiOperator(2, lambda x, y: calls.append((x, y)) or 0)
+        report = verify_uniqueness(
+            Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), condition="omega1"
+        )
+        assert report.verdict == "confirmed"
+        assert sorted(calls) == list(itertools.product(range(4), repeat=2))
 
     def test_tripled_constant_confirmed(self):
         space, order = int_chain(3)
         F = MultiOperator.constant(3, 2)
         report = verify_uniqueness(
-            space, order, F, tripled_preset(), LSet.of(3, 1, 3), "omega1"
+            Instance(space, order, F, tripled_preset(), LSet.of(3, 1, 3)), "omega1"
         )
         assert report.verdict == "confirmed"
         assert report.fixed_points == [(2, 2, 2)]
