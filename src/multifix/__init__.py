@@ -9,7 +9,6 @@ from .conditions import (
     check_lattice,
     check_mk,
     check_mk_operator,
-    check_mk_space,
     check_omega,
     check_order_distance_compat,
     sample_comparable_pairs,
@@ -81,7 +80,6 @@ __all__ = [
     "check_lattice",
     "check_mk",
     "check_mk_operator",
-    "check_mk_space",
     "check_omega",
     "check_order_distance_compat",
     "classify_finite",

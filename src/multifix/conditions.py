@@ -1,6 +1,6 @@
 """Executable hypothesis checks: the four symmetric-contraction condition
-sets, the Meir-Keeler space and operator conditions, and their shared
-order-theoretic clauses.
+sets, the two Meir-Keeler condition sets, the Meir-Keeler operator
+condition, and their shared order-theoretic clauses.
 
 Finite instances are checked exhaustively; continuous instances are checked
 on seeded samples and report a clearly labeled "sampled-pass" verdict.  A
@@ -244,6 +244,8 @@ def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
     pair with no premise-satisfying r holds vacuously.
     """
     r = np.array(r_grid, dtype=float)
+    if not r.size:
+        raise ValueError("r_grid must be nonempty")
     with np.errstate(over="ignore"):
         t = r + delta.values(r)
     # The modulus is linear or constant, so r + delta(r) is nondecreasing in
@@ -296,30 +298,6 @@ def _all_r_failure(delta: MeirKeelerModulus):
 def _first_failure(delta: MeirKeelerModulus, r_grid: Optional[Sequence[float]]):
     """The closed form over every r > 0 without a grid, else the grid scan."""
     return _all_r_failure(delta) if r_grid is None else _binding_r(r_grid, delta)
-
-
-def check_mk_space(
-    space: DistanceSpace,
-    order: OrderRelation,
-    delta: MeirKeelerModulus,
-    r_grid: Sequence[float],
-) -> Clause:
-    """Literal form of the Meir-Keeler monotone condition as printed: for
-    comparable x <= y and r in the grid, d(x,y) < r + delta(r) forces
-    d(x,y) < r.  This constrains the space itself; the operator-image form
-    lives in :func:`check_mk_operator`."""
-    if not space.is_finite:
-        raise UnsupportedInstanceError("literal MK check needs a finite carrier")
-    if not r_grid:
-        raise ValueError("r_grid must be nonempty")
-    xs, ys = np.nonzero(order.matrix(space.points))
-    d = space.matrix()[xs, ys]
-    found = _binding_r(r_grid, delta)(d, d, 0.0)
-    if found is not None:
-        k, r = found
-        x, y = space.points[xs[k]], space.points[ys[k]]
-        return Clause("MK space condition", False, (x, y, r))
-    return Clause("MK space condition", True)
 
 
 def sample_comparable_pairs(
@@ -477,8 +455,13 @@ def check_mk(
     variant: int,
     r_grid: Optional[Sequence[float]] = None,
 ) -> ConditionReport:
-    """Composite MK condition set: pair bounds, the literal space condition,
-    and the isotone (variant 1) or antitone (variant 2) image-order clause."""
+    """Exhaustive check of one of the two Meir-Keeler condition sets on a
+    finite instance: pair bounds, then on every comparable pair x <=_L y,
+    equal pairs included, the images ordered lo <=_L hi and the MK operator
+    condition from rho(x, y) to rho(lo, hi) in the sup distance, over every
+    r > 0 or the ``r_grid``.  (lo, hi) is (lambdaF(x), lambdaF(y)) for the
+    isotone variant 1 and (lambdaF(y), lambdaF(x)) for the antitone 2.
+    """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     name = f"mk{variant}"
@@ -486,24 +469,30 @@ def check_mk(
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
-    if r_grid is None:
-        D = inst.space.matrix()
-        r_grid = np.unique(D[D > 0]).tolist() or [1.0]
-    clauses.append(check_mk_space(inst.space, inst.order, delta, r_grid))
-    if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
-
-    isotone = variant == 1
+    kind = ProductKind.SUP
+    atol = product_atol(inst.space, kind)
+    first_failure = _first_failure(delta, r_grid)
     kernel, orders, image = inst.kernel, inst.orders, inst.image
     for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
-        fx, fy = image[xs], image[ys]
-        ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
-        if not ordered.all():
-            k = int(np.argmin(ordered))
-            witness = (kernel.point(xs[k]), kernel.point(ys[k]))
+        lo, hi = (image[xs], image[ys]) if variant == 1 else (image[ys], image[xs])
+        ordered = kernel.leq_L(orders, lo, hi)
+        # The MK test runs on the pairs before the first image-order failure,
+        # so that failure wins at a pair that fails both.
+        n = len(ordered) if ordered.all() else int(np.argmin(ordered))
+        found = first_failure(
+            kernel.distance(kind, xs[:n], ys[:n]), kernel.distance(kind, lo[:n], hi[:n]), atol
+        )
+        if found is not None:
+            k, r = found
+            witness = (kernel.point(xs[k]), kernel.point(ys[k]), r)
+            clauses.append(Clause("MK operator condition", False, witness))
+            return ConditionReport(name, clauses)
+        if n < len(ordered):
+            witness = (kernel.point(xs[n]), kernel.point(ys[n]))
             clauses.append(Clause("image order", False, witness))
             return ConditionReport(name, clauses)
     clauses.append(Clause("image order", True))
+    clauses.append(Clause("MK operator condition", True))
     return ConditionReport(name, clauses)
 
 

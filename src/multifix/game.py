@@ -47,8 +47,10 @@ class Round:
 class Play:
     """The rounds of one game from ``start``, produced as they are played, so
     a caller that streams them keeps none.  The start is checked when the
-    play is made.  Iterate it once; then ``count``, ``last`` and ``optimal``
-    hold the number of rounds, the last round and whether it was optimal.
+    play is made.  The play ends at the first optimal round, at the first
+    round whose non-convenience sum is not finite, or after ``rounds``.
+    Iterate it once; then ``count``, ``last`` and ``optimal`` hold the
+    number of rounds, the last round and whether it was optimal.
     An optimal selection outside the carrier raises :class:`CarrierError`."""
 
     def __init__(self, game: GameConfig, start: Sequence[Point]):
@@ -74,10 +76,13 @@ class Play:
             self.last = Round(x, nonconv)
             yield self.last
             # Added left to right, as sum_distance does.
-            if functools.reduce(operator.add, nonconv) <= game.tol:
+            total = functools.reduce(operator.add, nonconv)
+            if total <= game.tol:
                 for c in x:  # F need not map the carrier into itself
                     game.space.require(c)
                 self.optimal = True
+                return
+            if not math.isfinite(total):  # diverged, as picard_solve stops
                 return
             x = nxt
 

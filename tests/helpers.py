@@ -246,23 +246,6 @@ def reference_check_order_distance_compat(space, order):
     return Clause("order-distance compatibility", True)
 
 
-def reference_check_mk_space(space, order, delta, r_grid):
-    pairs = [(x, y) for x in space.points for y in space.points if order.leq(x, y)]
-    d = [space.dist(x, y) for x, y in pairs]
-    found = reference_first_failure(r_grid, delta, d, d, True)
-    if found is not None:
-        k, r = found
-        return Clause("MK space condition", False, (*pairs[k], r))
-    return Clause("MK space condition", True)
-
-
-def reference_r_grid(space):
-    """check_mk's automatic grid: the distinct positive base distances."""
-    return sorted(
-        {space.dist(x, y) for x in space.points for y in space.points if space.dist(x, y) > 0}
-    ) or [1.0]
-
-
 def comparable_product_pairs(space, order, lset, include_equal=False):
     pts = product_points(space, lset.m)
     return [
@@ -271,15 +254,6 @@ def comparable_product_pairs(space, order, lset, include_equal=False):
         for y in pts
         if (include_equal or x != y) and compare_L(order, lset, x, y)
     ]
-
-
-def _image_order_failure(space, order, F, family, lset, isotone, include_equal):
-    images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
-    for x, y in comparable_product_pairs(space, order, lset, include_equal):
-        fx, fy = images[x], images[y]
-        if not (compare_L(order, lset, fx, fy) if isotone else compare_L(order, lset, fy, fx)):
-            return x, y
-    return None
 
 
 def reference_check_omega(space, order, F, family, lset, variant):
@@ -320,17 +294,31 @@ def reference_check_omega(space, order, F, family, lset, variant):
 
 
 def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=None):
+    """The MK condition set one pair at a time: per comparable pair, equal
+    pairs included, image order on (lo, hi), then the MK operator condition
+    from rho(x, y) to rho(lo, hi) in the sup distance."""
     name = f"mk{variant}"
     clauses = [reference_check_bounds_exist(order)]
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
-    if r_grid is None:
-        r_grid = reference_r_grid(space)
-    clauses.append(reference_check_mk_space(space, order, delta, r_grid))
-    if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
-    failure = _image_order_failure(space, order, F, family, lset, variant == 1, True)
-    clauses.append(Clause("image order", failure is None, failure))
+    rho = checked_distance(space, ProductKind.SUP)
+    images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
+    for x, y in comparable_product_pairs(space, order, lset, include_equal=True):
+        lo, hi = (images[x], images[y]) if variant == 1 else (images[y], images[x])
+        if not compare_L(order, lset, lo, hi):
+            clauses.append(Clause("image order", False, (x, y)))
+            return ConditionReport(name, clauses)
+        d, d_img = rho(x, y), rho(lo, hi)
+        if r_grid is None:
+            r = reference_all_r_failure(delta, d, d_img, True)
+        else:
+            found = reference_first_failure(r_grid, delta, [d], [d_img], True)
+            r = None if found is None else found[1]
+        if r is not None:
+            clauses.append(Clause("MK operator condition", False, (x, y, r)))
+            return ConditionReport(name, clauses)
+    clauses.append(Clause("image order", True))
+    clauses.append(Clause("MK operator condition", True))
     return ConditionReport(name, clauses)
 
 
@@ -595,8 +583,11 @@ def reference_simulate(game, start):
         nxt = reference_apply_lambda_f(game.F, game.family, x)
         nonconv = tuple(game.space.dist(a, b) for a, b in zip(x, nxt))
         rounds.append(Round(x, nonconv))
-        if sum_distance(game.space, x, nxt) <= game.tol:
+        total = sum_distance(game.space, x, nxt)
+        if total <= game.tol:
             _in_carrier(game.space, x)
             return rounds, True
+        if not math.isfinite(total):
+            return rounds, False
         x = nxt
     return rounds, False

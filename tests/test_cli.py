@@ -296,6 +296,35 @@ lambda: coupled
 )
 
 
+# The geometric chain p0 <= ... <= p5 under d(pi, pj) = |2^-i - 2^-j| and
+# the coupled shift F(x, y) = x + 1, clamped at p5: lambdaF keeps <=_L and
+# at most halves the sup distance of a comparable pair, so the MK operator
+# condition holds for delta linear 1 and mk1 confirms the fixed point (p5, p5).
+GEOMETRIC_CHAIN = table_file(
+    """
+points: p0 p1 p2 p3 p4 p5
+dist:
+0 0.5 0.75 0.875 0.9375 0.96875
+0.5 0 0.25 0.375 0.4375 0.46875
+0.75 0.25 0 0.125 0.1875 0.21875
+0.875 0.375 0.125 0 0.0625 0.09375
+0.9375 0.4375 0.1875 0.0625 0 0.03125
+0.96875 0.46875 0.21875 0.09375 0.03125 0
+order:
+p0 <= p1
+p1 <= p2
+p2 <= p3
+p3 <= p4
+p4 <= p5
+lambda: coupled
+""",
+    "p0 p1 p2 p3 p4 p5",
+    lambda key: f"p{min(int(key[0][1:]) + 1, 5)}",
+    "L: 1\ndelta linear 1",
+    m=2,
+)
+
+
 # d(p, q) = 1 with p <= q and images at d(r, s) = 0.6 under delta linear 1:
 # r = 0.55 meets the premise 1 < r + r but not 0.6 < r, so mk-op fails,
 # though no r of the default grid {1} shows it.
@@ -660,6 +689,16 @@ class TestGame:
         assert code == 1
         assert "optimal=no" in capsys.readouterr().out
 
+    def test_diverged_game_stops(self, prob, capsys):
+        # The third round's selection maps to inf: the play ends there, not
+        # after the 200000 rounds the file allows.
+        text = (
+            "space: box 0 1\nfamily: affine-coupled 0 1e308 0.25\n"
+            "start: 0 0\nrounds: 200000\n"
+        )
+        assert main(["game", prob(text)]) == 1
+        assert capsys.readouterr() == ("optimal=no rounds=3 final=(2.5e+307,2.5e+307)\n", "")
+
 
 class TestOutFile:
     """A CSV is written whole or not at all, as open(path, "w") would leave
@@ -883,7 +922,7 @@ class TestGoldenFailures:
             (
                 GOLDEN_COMPAT,
                 ["verify", "--condition", "mk1"],
-                "INFORMATIONAL (conditions fail: MK space condition); "
+                "INFORMATIONAL (conditions fail: image order); "
                 "fixed points: [(l,l), (f,f), (7,7), (w,w), (u,u)]\n",
                 0,
             ),
@@ -903,14 +942,27 @@ class TestGoldenFailures:
             (
                 GOLDEN_MK_SPACE,
                 ["check", "--condition", "mk1"],
-                "FAIL clause: MK space condition; witness: ('l', 'w', 2.0)\n",
+                "FAIL clause: image order; witness: (('w', 'w'), ('w', 'l'))\n",
                 1,
             ),
             (
                 GOLDEN_MK_SPACE,
                 ["verify", "--condition", "mk1"],
-                "INFORMATIONAL (conditions fail: MK space condition); "
+                "INFORMATIONAL (conditions fail: image order); "
                 "fixed points: [(w,w), (l,l), (u,u), (f,f), (7,7)]\n",
+                0,
+            ),
+            (
+                GOLDEN_SUM_ROUNDING,
+                ["check", "--condition", "mk1"],
+                "FAIL clause: MK operator condition; witness: "
+                "(('u1', 'v0', 'u1'), ('v0', 'v0', 'v0'), 2.5)\n",
+                1,
+            ),
+            (
+                GEOMETRIC_CHAIN,
+                ["verify", "--condition", "mk1"],
+                "THEOREM CONFIRMED, unique fixed point (p5,p5)\n",
                 0,
             ),
             # Every condition name through both commands, pinned before the
@@ -955,7 +1007,7 @@ class TestGoldenFailures:
             (
                 GOLDEN_MK_SPACE,
                 ["check", "--condition", "mk2"],
-                "FAIL clause: MK space condition; witness: ('l', 'w', 2.0)\n",
+                "FAIL clause: image order; witness: (('w', 'w'), ('w', 'l'))\n",
                 1,
             ),
             (

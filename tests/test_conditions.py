@@ -25,7 +25,6 @@ from multifix import (
     check_lattice,
     check_mk,
     check_mk_operator,
-    check_mk_space,
     check_omega,
     check_order_distance_compat,
     coupled_preset,
@@ -50,12 +49,10 @@ from helpers import (
     reference_check_lattice,
     reference_check_mk,
     reference_check_mk_operator,
-    reference_check_mk_space,
     reference_check_omega,
     reference_check_order_distance_compat,
     reference_first_failure,
     reference_pair_distances,
-    reference_r_grid,
     reference_sample_comparable_pairs,
 )
 
@@ -202,24 +199,6 @@ class TestOmega:
 
 
 class TestMeirKeelerSpace:
-    def test_zero_comparable_distances_pass(self):
-        space = DistanceSpace.from_matrix([0, 1], [[0, 0], [1, 0]])
-        order = chain_order([0, 1])
-        delta = MeirKeelerModulus.linear(1.0)
-        assert check_mk_space(space, order, delta, [1.0, 0.5]).ok
-
-    def test_unit_gap_fails_at_three_quarters(self):
-        space, order = int_chain(2)
-        delta = MeirKeelerModulus.linear(1.0)
-        clause = check_mk_space(space, order, delta, [0.75])
-        assert (clause.ok, clause.witness) == (False, (0, 1, 0.75))
-
-    def test_antichain_vacuous(self):
-        space = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
-        order = OrderRelation.from_pairs([0, 1], [])
-        delta = MeirKeelerModulus.linear(1.0)
-        assert check_mk_space(space, order, delta, [1.0]).ok
-
     def test_modulus_must_be_positive(self):
         # c * r underflows to 0
         with pytest.raises(ValueError, match=r"got delta\(1e-300\) = 0.0"):
@@ -718,6 +697,28 @@ class TestCompositeMK:
         assert report.failing_clause().name == "image order"
 
 
+class TestEmptyGrid:
+    """An empty r grid is refused, not passed vacuously: the same instance
+    fails the MK operator condition over every r > 0."""
+
+    @pytest.fixture
+    def inst(self):
+        space, order = int_chain(2)
+        F = MultiOperator(2, lambda x, y: 1 - x)
+        return Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
+
+    def test_mk_operator(self, inst):
+        delta = MeirKeelerModulus.linear(1.0)
+        assert check_mk_operator(inst, delta, ProductKind.SUP).verdict == "fail"
+        with pytest.raises(ValueError, match="^r_grid must be nonempty$"):
+            check_mk_operator(inst, delta, ProductKind.SUP, r_grid=[])
+
+    def test_mk(self, inst):
+        delta = MeirKeelerModulus.linear(1.0)
+        with pytest.raises(ValueError, match="^r_grid must be nonempty$"):
+            check_mk(inst, delta, 2, r_grid=[])
+
+
 # Labels of mixed types, some spelled like block headers or separators.
 ORDER_LABELS = st.lists(
     st.one_of(
@@ -792,10 +793,6 @@ class TestOrderClausesMatchReference:
         assert check_bounds_exist(order) == reference_check_bounds_exist(order)
         assert check_order_distance_compat(space, order) == reference_check_order_distance_compat(
             space, order
-        )
-        grid = reference_r_grid(space)
-        assert check_mk_space(space, order, delta, grid) == reference_check_mk_space(
-            space, order, delta, grid
         )
         F = MultiOperator.constant(1, labels[0])
         family, lset = LambdaFamily.identity(1), LSet.of(1, 1)

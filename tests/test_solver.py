@@ -255,7 +255,7 @@ class TestVerifyUniqueness:
             assert report.fixed_points == []
 
     def test_mk_confirmed_with_h_space(self):
-        # One point: no positive distance, so the automatic grid is [1.0].
+        # One point: every pair is equal, at distance 0.
         space, order = int_chain(1)
         F = MultiOperator.constant(2, 0)
         report = verify_uniqueness(
@@ -266,6 +266,27 @@ class TestVerifyUniqueness:
         assert report.verdict == "confirmed"
         assert any(c.name == "H-distance base space" and c.ok
                    for c in report.condition_report.clauses)
+
+    def test_two_point_mk_sweep(self):
+        # Every coupled instance on the asymmetric two-point chain a <= b:
+        # each F table, index family and L.  The MK sets confirm their
+        # theorem on 224 each and never meet a second fixed point or none.
+        space = DistanceSpace.from_matrix(["a", "b"], [[0, 1], [2, 0]])
+        order = chain_order(["a", "b"])
+        delta = MeirKeelerModulus.linear(1.0)
+        keys = list(itertools.product("ab", repeat=2))
+        verdicts = {"mk1": [], "mk2": []}
+        for values in itertools.product("ab", repeat=4):
+            F = MultiOperator.from_table(2, dict(zip(keys, values)), space.points)
+            for rows in itertools.product(itertools.product((1, 2), repeat=2), repeat=2):
+                for members in ((), (1,), (2,), (1, 2)):
+                    lset = LSet(2, frozenset(members))
+                    inst = Instance(space, order, F, LambdaFamily(2, rows), lset)
+                    for condition, seen in verdicts.items():
+                        seen.append(verify_uniqueness(inst, condition, delta).verdict)
+        for seen in verdicts.values():
+            assert len(seen) == 1024
+            assert (seen.count("confirmed"), seen.count("informational")) == (224, 800)
 
     def test_mk_requires_modulus(self):
         space, order = int_chain(2)
