@@ -12,6 +12,9 @@ Block layout (each block at most once, in any order; '#' starts a comment):
     delta linear C         Meir-Keeler modulus (also "delta const C")
     start: a b             initial tuple (labels or numbers)
     tol/max_iter/rounds/metric:   solver and game parameters
+
+The dist, order and F headers take no text on their line: their rows follow
+it.  Distances follow Python's float() grammar.
 """
 
 from __future__ import annotations
@@ -122,9 +125,23 @@ class _Lines:
         self.pos += 1
         return self.items[self.pos - 1]
 
-    def peek_header(self) -> bool:
-        """True if the file ends or its next content line opens a block."""
-        return self.pos == len(self.items) or _header(self.items[self.pos][1]) is not None
+    def take(self, count: int) -> list[tuple[int, str]]:
+        """The next ``count`` content lines, or all that are left."""
+        start = self.pos
+        self.pos = min(start + count, len(self.items))
+        return self.items[start : self.pos]
+
+    def block(self) -> list[tuple[int, str]]:
+        """The content lines up to the next block header or the file's end."""
+        items, start = self.items, self.pos
+        self.pos = len(items)
+        for end, (_, line) in enumerate(items[start:], start):
+            # A header has a colon or starts with "delta" (see _header);
+            # most block lines have neither, and skip the call.
+            if (":" in line or line[:5].lower() == "delta") and _header(line) is not None:
+                self.pos = end
+                break
+        return items[start : self.pos]
 
 
 _HEADERS = {
@@ -146,6 +163,38 @@ def _header(line: str) -> Optional[tuple[str, str]]:
         head, rest = line.split(None, 1)
     head = head.strip().lower()
     return (head, rest.strip()) if head in _HEADERS else None
+
+
+def _dist_matrix(rows: list[tuple[int, str]], n: int, ln: int) -> np.ndarray:
+    """The n x n table of the ``dist:`` block opened on line ``ln``, read
+    from its row lines (fewer than ``n`` if the file ends), else ParseError
+    at the first bad row."""
+    if len(rows) == n:
+        # numpy's C reader stores the double float() gives for every token
+        # it accepts, but refuses some float() takes ('1_0', fullwidth
+        # digits); those tables, and every refused one, take the row loop.
+        try:
+            matrix = np.loadtxt([line for _, line in rows], ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if matrix.shape == (n, n) and np.isfinite(matrix).all():
+                return matrix
+    matrix = np.empty((n, n))
+    for i, (rln, row_line) in enumerate(rows):
+        # Python's float() grammar, so '1_0' is 10, into one array.
+        try:
+            row = np.fromiter(map(float, row_line.split()), float)
+        except ValueError:
+            raise ParseError(f"bad distance row {row_line!r}", rln)
+        if len(row) != n:
+            raise ParseError(f"distance row has {len(row)} entries, expected {n}", rln)
+        if not np.isfinite(row).all():
+            raise ParseError(f"distance row {row_line!r} is not finite", rln)
+        matrix[i] = row
+    if len(rows) < n:
+        raise ParseError("dist block is truncated", ln)
+    return matrix
 
 
 # Blocks that give the same part of a problem two ways: a file uses one.
@@ -195,6 +244,9 @@ def parse_problem(text: str) -> ProblemFile:
                 f"'{_SPELLING.get(other, other)}' on line {block_line[other]}",
                 ln,
             )
+        if rest and head in ("dist", "order", "f"):
+            name = _SPELLING.get(head, head)
+            raise ParseError(f"the '{name}:' header takes no text on its line, got {rest!r}", ln)
 
         if head == "points":
             labels = tuple(rest.split())
@@ -205,26 +257,9 @@ def parse_problem(text: str) -> ProblemFile:
         elif head == "dist":
             if labels is None:
                 raise ParseError("dist block must follow points", ln)
-            n = len(labels)
-            matrix = np.empty((n, n))
-            for i in range(n):
-                row_item = lines.next_content()
-                if row_item is None:
-                    raise ParseError("dist block is truncated", ln)
-                rln, row_line = row_item
-                # Python's float() grammar, so '1_0' is 10, into one array.
-                try:
-                    row = np.fromiter(map(float, row_line.split()), float)
-                except ValueError:
-                    raise ParseError(f"bad distance row {row_line!r}", rln)
-                if len(row) != n:
-                    raise ParseError(f"distance row has {len(row)} entries, expected {n}", rln)
-                if not np.isfinite(row).all():
-                    raise ParseError(f"distance row {row_line!r} is not finite", rln)
-                matrix[i] = row
+            matrix = _dist_matrix(lines.take(len(labels)), len(labels), ln)
         elif head == "order":
-            while not lines.peek_header():
-                pln, pair_line = lines.next_content()
+            for pln, pair_line in lines.block():
                 parts = pair_line.split("<=")
                 if len(parts) != 2:
                     raise ParseError(f"expected 'a <= b', got {pair_line!r}", pln)
@@ -247,15 +282,13 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(f"unknown lambda preset {rest!r}", ln)
             else:
                 lambda_rows = []
-                while not lines.peek_header():
-                    rln, row_line = lines.next_content()
+                for rln, row_line in lines.block():
                     try:
                         lambda_rows.append(tuple(int(t) for t in row_line.split()))
                     except ValueError:
                         raise ParseError(f"bad lambda row {row_line!r}", rln)
         elif head == "f":
-            while not lines.peek_header():
-                table_lines.append(lines.next_content())
+            table_lines = lines.block()
         elif head == "family":
             toks = rest.split()
             if not toks:
@@ -319,15 +352,16 @@ def parse_problem(text: str) -> ProblemFile:
         table = {}
         points = set(labels)
         for tln, entry in table_lines:
-            if "->" not in entry:
-                raise ParseError(f"expected 'a,b -> c', got {entry!r}", tln)
-            lhs, rhs = entry.split("->", 1)
-            key = tuple(t.strip() for t in lhs.split(","))
+            lhs, arrow, rhs = entry.partition("->")
+            key = tuple(map(str.strip, lhs.split(",")))
             value = rhs.strip()
-            unknown = [t for t in (*key, value) if t not in points]
-            if unknown:
-                raise ParseError(f"operator entry {entry!r}: {unknown[0]!r} is not a point", tln)
-            if key in table:
+            if not (arrow and points.issuperset(key) and value in points and key not in table):
+                if not arrow:
+                    raise ParseError(f"expected 'a,b -> c', got {entry!r}", tln)
+                unknown = [t for t in (*key, value) if t not in points]
+                if unknown:
+                    message = f"operator entry {entry!r}: {unknown[0]!r} is not a point"
+                    raise ParseError(message, tln)
                 raise ParseError(f"duplicate operator entry for {lhs.strip()!r}", tln)
             table[key] = value
         arity = len(next(iter(table)))

@@ -483,6 +483,52 @@ def closure_reference(points, pairs):
     return rel
 
 
+# -- line-by-line references for the problem-file parser ---------------------
+
+
+def reference_dist_rows(rows, n, header_line):
+    """The ``dist:`` block read row by row and token by token with float(),
+    as a list of rows, or the (message, line) of the first refusal: in each
+    row a bad token, then a width other than ``n``, then a non-finite entry;
+    then a block the file ends before ``n`` rows, at the header's line.
+    ``rows`` are the (line number, text) content lines after the header."""
+    table = []
+    for line_number, line in rows[:n]:
+        try:
+            row = [float(token) for token in line.split()]
+        except ValueError:
+            return (f"bad distance row {line!r}", line_number)
+        if len(row) != n:
+            return (f"distance row has {len(row)} entries, expected {n}", line_number)
+        if not all(math.isfinite(v) for v in row):
+            return (f"distance row {line!r} is not finite", line_number)
+        table.append(row)
+    if len(table) < n:
+        return ("dist block is truncated", header_line)
+    return table
+
+
+def reference_operator_entries(entries, points):
+    """The ``F:`` block's table read entry by entry, or the (message, line)
+    of the first entry refused: one without '->', then one naming a token
+    that is not a point, then a repeated argument tuple.  ``entries`` are
+    the block's (line number, text) content lines."""
+    table = {}
+    for line_number, entry in entries:
+        if "->" not in entry:
+            return (f"expected 'a,b -> c', got {entry!r}", line_number)
+        lhs, rhs = entry.split("->", 1)
+        key = tuple(t.strip() for t in lhs.split(","))
+        value = rhs.strip()
+        for token in (*key, value):
+            if token not in points:
+                return (f"operator entry {entry!r}: {token!r} is not a point", line_number)
+        if key in table:
+            return (f"duplicate operator entry for {lhs.strip()!r}", line_number)
+        table[key] = value
+    return table
+
+
 # -- per-point reference loops for the bound lambdaF and distance ------------
 
 

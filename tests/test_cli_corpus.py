@@ -127,8 +127,10 @@ def test_a_corpus_diff_names_every_added_removed_and_changed_key():
     )
 
 
-# Numbers at the edges of the float range, swapped into the corpus texts.
-EDGE_NUMBERS = ["-0", "5e-324", str(2**53 + 1), "1e308", "nan", "inf", "1e400"]
+# Numbers at the edges of the float range, swapped into the corpus texts,
+# and spellings that float() takes but numpy's text reader refuses, so that
+# a dist block also takes the parser's row-by-row path.
+EDGE_NUMBERS = ["-0", "5e-324", str(2**53 + 1), "1e308", "nan", "inf", "1e400", "1_0", "\uff11"]
 # A number token: not the digit of a label such as "x0", nor part of a longer
 # number.
 NUMBER = re.compile(r"(?<![\w.+-])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])", re.IGNORECASE)
@@ -162,6 +164,13 @@ def edge_dir(tmp_path_factory):
 
 @settings(max_examples=50, deadline=5000)
 @example(case=(test_cli.OVERFLOW_TABLE, ["check", "--condition", "omega1"]))
+# A fullwidth '1' in a dist row: the same table, read row by row.
+@example(
+    case=(
+        test_cli.CONSTANT_CHAIN.replace("\n1 0 1\n", "\n\uff11 0 1\n"),
+        ["verify", "--condition", "omega1"],
+    )
+)
 @given(case=edge_runs())
 def test_edge_numbers_give_a_verdict_or_an_error_message(edge_dir, case):
     # Any warning, numpy's overflow included, is raised; an exception that

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -16,6 +18,8 @@ from multifix import (
 )
 from multifix.problemfile import _header, load_problem, make_family_operator, parse_problem
 from multifix.spaces import abs_distance
+
+from helpers import from_matrix_violation, reference_dist_rows, reference_operator_entries
 
 FINITE_CHAIN = """\
 # three-point chain with the absolute-difference metric
@@ -348,6 +352,25 @@ class TestEachBlockOnce:
             parse_problem(text)
         assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
+    # Text after these headers used to be dropped: "order: a <= b" left a
+    # and b incomparable, and "F: a -> b" lost its entry.
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("points: a b\ndist: 0 1\n0 1\n1 0\n", 2,
+             "the 'dist:' header takes no text on its line, got '0 1'"),
+            ("points: a b\ndist:\n0 1\n1 0\norder: a <= b\n", 5,
+             "the 'order:' header takes no text on its line, got 'a <= b'"),
+            ("points: a b\ndist:\n0 1\n1 0\nF: a -> b\na -> a\nb -> b\n", 5,
+             "the 'F:' header takes no text on its line, got 'a -> b'"),
+        ],
+        ids=["dist", "order", "F"],
+    )
+    def test_text_after_a_block_header_is_refused(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
 
 class TestFamilyCatalog:
     def test_linear_coupled(self):
@@ -493,3 +516,158 @@ class TestFromMatrixArray:
         else:
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
             assert not np.shares_memory(got, array)
+
+
+def content_lines(text):
+    """The (line number, text) lines a problem file's blocks read, for a
+    text without comments."""
+    numbered = enumerate(text.splitlines(), 1)
+    return [(number, line) for number, raw in numbered if (line := raw.strip())]
+
+
+def parse_outcome(text, read):
+    """``read(parse_problem(text))``, or the text and line of its ParseError."""
+    try:
+        return read(parse_problem(text))
+    except ParseError as exc:
+        return (str(exc), exc.line)
+
+
+DIST_TOKENS = ["0", "1.5", "-0", "5e-324", "1e400", "nan", "+inf", "x", "1_0", "\uff11"]
+# Off-diagonal pools: tokens numpy's reader takes, tokens only float() takes
+# ('1_0' and the fullwidth '1'), and every token.
+DIST_POOLS = [["1.5", "5e-324"], ["1.5", "5e-324", "1_0", "\uff11"], DIST_TOKENS]
+# Each block draws its separators from one of these; '\x0c' also ends a
+# line, for the parser and for str.splitlines alike.
+DIST_SEPARATORS = [[" "], [" ", "\t"], ["\xa0", " "], ["\x0c"], [" ", "\t", "\x0c", "\xa0"]]
+
+
+@st.composite
+def dist_blocks(draw):
+    """(n, text): a points line and a dist block of up to n rows, each row
+    of n - 1 to n + 1 drawn tokens with drawn separators."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.sampled_from(DIST_POOLS))
+    separator = st.sampled_from(draw(st.sampled_from(DIST_SEPARATORS)))
+    separators = st.text(separator, min_size=1, max_size=2)
+    rows = []
+    for i in range(draw(st.just(n) | st.integers(0, n))):
+        width = draw(st.just(n) | st.integers(max(n - 1, 0), n + 1))
+        tokens = [
+            draw(st.sampled_from(["0", "-0"] if j == i and pool is not DIST_TOKENS else pool))
+            for j in range(width)
+        ]
+        row = tokens[0] if tokens else ""
+        for token in tokens[1:]:
+            row += draw(separators) + token
+        rows.append(row + "\n")
+    labels = " ".join(f"p{i}" for i in range(n))
+    return n, f"points: {labels}\ndist:\n" + "".join(rows)
+
+
+class TestDistDifferential:
+    """The parsed table, or the refusal and its line, is what reading the
+    block row by row with float() gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dist_blocks())
+    def test_parse_matches_the_row_reference(self, drawn):
+        n, text = drawn
+        after = content_lines(text)[2:]
+        want = reference_dist_rows(after, n, 2)
+        if isinstance(want, list):
+            if len(after) > n:
+                # A '\x0c' made more lines than rows; the first extra one
+                # opens no block.
+                number, line = after[n]
+                message = f"expected a block header 'name: ...', got {line!r}"
+                want = (f"line {number}: {message}", number)
+            elif violation := from_matrix_violation([f"p{i}" for i in range(n)], want):
+                want = (f"line 2: {violation}", 2)
+            else:
+                want = (want, [[math.copysign(1.0, v) < 0 for v in row] for row in want])
+        else:
+            want = (f"line {want[1]}: {want[0]}", want[1])
+
+        def table(pf):
+            D = pf.space.matrix()
+            return D.tolist(), np.signbit(D).tolist()
+
+        assert parse_outcome(text, table) == want
+
+
+OPERATOR_LABELS = ["a", "b", "f", "l", "delta"]
+COMMAS = st.sampled_from([",", " , ", ", ", " ,"])
+ARROWS = st.sampled_from(["->", " -> ", "  ->", "-> "])
+NOT_POINTS = st.sampled_from(["z", "F", "A", ""])
+OPERATOR_FAULTS = ["arrow", "token", "repeat", "drop", "arity"]
+
+
+@st.composite
+def operator_blocks(draw):
+    """(labels, text): a carrier of labels that read like headers, and a
+    complete F table over it, shuffled, with up to two faults: an entry
+    without '->', a token that is not a point, a repeated or dropped entry,
+    or one more or one fewer argument."""
+    labels = draw(
+        st.lists(st.sampled_from(OPERATOR_LABELS), min_size=1, max_size=3, unique=True)
+    )
+    m = draw(st.integers(1, 2))
+    entries = [
+        [list(key), draw(st.sampled_from(labels)), True]
+        for key in itertools.product(labels, repeat=m)
+    ]
+    entries = draw(st.permutations(entries))
+    for fault in draw(st.lists(st.sampled_from(OPERATOR_FAULTS), max_size=2)):
+        k = draw(st.integers(0, len(entries) - 1))
+        key, value, arrow = entries[k]
+        if fault == "arrow":
+            entries[k] = [key, value, False]
+        elif fault == "token":
+            tokens = key + [value]
+            tokens[draw(st.integers(0, len(key)))] = draw(NOT_POINTS)
+            entries[k] = [tokens[:-1], tokens[-1], arrow]
+        elif fault == "repeat":
+            repeat = [key, draw(st.sampled_from(labels)), arrow]
+            entries.insert(draw(st.integers(k + 1, len(entries))), repeat)
+        elif fault == "drop" and len(entries) > 1:
+            del entries[k]
+        elif fault == "arity":
+            entries[k] = [key[:-1] if len(key) > 1 else key * 2, value, arrow]
+    lines = [
+        draw(COMMAS).join(key) + (draw(ARROWS) if arrow else " ") + value
+        for key, value, arrow in entries
+    ]
+    n = len(labels)
+    dist = "".join(" ".join("0" if i == j else "1" for j in range(n)) + "\n" for i in range(n))
+    text = f"points: {' '.join(labels)}\ndist:\n{dist}F:\n" + "".join(f"{line}\n" for line in lines)
+    return labels, text
+
+
+class TestOperatorDifferential:
+    """The parsed F table, or the refusal and its line, is what reading the
+    block entry by entry gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(operator_blocks())
+    def test_parse_matches_the_entry_reference(self, drawn):
+        labels, text = drawn
+        f_line = 3 + len(labels)
+        want = reference_operator_entries(content_lines(text)[f_line:], set(labels))
+        if isinstance(want, dict):
+            arities = {len(key) for key in want}
+            if len(arities) > 1:
+                want = ("operator table rows have inconsistent arity", f_line)
+            else:
+                (m,) = arities
+                missing = [k for k in itertools.product(labels, repeat=m) if k not in want]
+                if missing:
+                    want = (f"operator table missing entry for {missing[0]}", f_line)
+        if isinstance(want, tuple):
+            want = (f"line {want[1]}: {want[0]}", want[1])
+
+        def table(pf):
+            m = pf.operator.m
+            return {key: pf.operator(*key) for key in itertools.product(labels, repeat=m)}
+
+        assert parse_outcome(text, table) == want
