@@ -213,25 +213,54 @@ def check_omega(inst: Instance, variant: int) -> ConditionReport:
             return ConditionReport(name, clauses)
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
-    isotone = variant in (1, 3)
-    atol = product_atol(inst.space, kind)
+    failure = _first_failing_pair(
+        _pair_blocks(inst, kind, antitone=variant in (2, 4), symmetric=True),
+        _strict_failure, product_atol(inst.space, kind), "strict contraction", inst.kernel.point,
+    )
+    passed = [Clause("image order", True), Clause("strict contraction", True)]
+    return ConditionReport(name, clauses + ([failure] if failure else passed))
 
+
+def _pair_blocks(inst: Instance, kind: ProductKind, antitone: Optional[bool], symmetric: bool):
+    """The pair walk's blocks of comparable x <=_L y: (lo, hi) is (lambdaF(x),
+    lambdaF(y)), swapped when ``antitone``; ordered is lo <=_L hi, None when
+    ``antitone`` is.  rho(x, y) and rho(lo, hi) add their reverse when
+    ``symmetric``: the omega contraction, strict, so equal pairs are left out."""
     kernel, orders, image = inst.kernel, inst.orders, inst.image
-    for xs, ys in kernel.comparable_pairs(orders, include_equal=False):
-        fx, fy = image[xs], image[ys]
-        ordered = kernel.leq_L(orders, fx, fy) if isotone else kernel.leq_L(orders, fy, fx)
-        lhs = kernel.distance(kind, fx, fy) + kernel.distance(kind, fy, fx)
-        rhs = kernel.distance(kind, xs, ys) + kernel.distance(kind, ys, xs)
-        bad = ~ordered | ~(lhs < rhs - atol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            clause = "image order" if not ordered[k] else "strict contraction"
-            witness = (kernel.point(xs[k]), kernel.point(ys[k]))
-            clauses.append(Clause(clause, False, witness))
-            return ConditionReport(name, clauses)
-    clauses.append(Clause("image order", True))
-    clauses.append(Clause("strict contraction", True))
-    return ConditionReport(name, clauses)
+
+    def rho(xs, ys) -> np.ndarray:
+        d = kernel.distance(kind, xs, ys)
+        return d + kernel.distance(kind, ys, xs) if symmetric else d
+
+    def block(xs, ys):
+        lo, hi = (image[ys], image[xs]) if antitone else (image[xs], image[ys])
+        ordered = None if antitone is None else kernel.leq_L(orders, lo, hi)
+        return xs, ys, ordered, rho(xs, ys), rho(lo, hi)
+
+    pairs = kernel.comparable_pairs(orders, include_equal=not symmetric)
+    return (block(xs, ys) for xs, ys in pairs)
+
+
+def _first_failing_pair(blocks, first_failure, atol: float, name: str, decode) -> Optional[Clause]:
+    """The first failing clause over blocks (xs, ys, ordered, rho, image_rho),
+    or None: ``name`` where first_failure(rho, image_rho, atol) finds (k,
+    *extra), witness (x, y, *extra), else "image order" where ``ordered`` is
+    false, witness (x, y); it wins at a pair that fails both."""
+    for xs, ys, ordered, rho, image_rho in blocks:
+        n = len(xs) if ordered is None or ordered.all() else int(np.argmin(ordered))
+        found = first_failure(rho[:n], image_rho[:n], atol)
+        if found is not None:
+            k, *extra = found
+            return Clause(name, False, (decode(xs[k]), decode(ys[k]), *extra))
+        if n < len(xs):
+            return Clause("image order", False, (decode(xs[n]), decode(ys[n])))
+    return None
+
+
+def _strict_failure(rho, image_rho, atol: float) -> Optional[tuple[int]]:
+    """first_failure of the strict contraction image_rho < rho, as (k,)."""
+    bad = ~(image_rho < rho - atol)
+    return (int(np.argmax(bad)),) if bad.any() else None
 
 
 def _binding_r(r_grid: Sequence[float], delta: MeirKeelerModulus):
@@ -361,27 +390,20 @@ def check_mk_operator(
     included, and may report "pass"; a continuous one is checked on
     ``samples`` pairs (default 10000) that :func:`sample_comparable_pairs`
     draws from ``seed`` (default 0) over its box, and reports at most
-    "sampled-pass".  Either way the pairs come in blocks, each evaluated as
-    it comes, and the first block with a failing pair ends the check, so
-    memory does not grow with the sample count; the witness is the first
-    failing pair.
+    "sampled-pass".  Either way the pair walk stops at the first failing
+    pair, its witness, so memory does not grow with the sample count.
     """
     space, lset = inst.space, inst.lset
     if space.is_finite:
         if (seed, samples) != (None, None):
             raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
-        kernel, orders = inst.kernel, inst.orders
         # <=_L is a product relation, so the pair count comes from the
         # per-coordinate order pairs.
-        samples = int(orders[0].sum()) ** lset.m
+        samples = int(inst.orders[0].sum()) ** lset.m
         if not samples:
             raise ValueError("no comparable pairs to check")
-        image = inst.image
-        blocks = (
-            (xs, ys, kernel.distance(kind, xs, ys), kernel.distance(kind, image[xs], image[ys]))
-            for xs, ys in kernel.comparable_pairs(orders, include_equal=True)
-        )
-        decode = kernel.point
+        blocks = _pair_blocks(inst, kind, antitone=None, symmetric=False)
+        decode = inst.kernel.point
     else:
         seed = 0 if seed is None else seed
         samples = 10_000 if samples is None else samples
@@ -389,26 +411,18 @@ def check_mk_operator(
             raise ValueError("no comparable pairs to check")
         check_lambda_arity(inst.F, inst.family, range(lset.m))
         blocks = (
-            (block[:, 0], block[:, 1], *_column_distances(inst.F, inst.family, kind, block))
+            (block[:, 0], block[:, 1], None, *_column_distances(inst.F, inst.family, kind, block))
             for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed)
         )
 
         def decode(point: np.ndarray) -> tuple:
             return tuple(point.tolist())
 
-    atol = product_atol(space, kind)
-    first_failure = _first_failure(delta, r_grid)
-    failure = None
-    for xs, ys, d, d_img in blocks:
-        found = first_failure(d, d_img, atol)
-        if found is not None:
-            k, r = found
-            failure = decode(xs[k]), decode(ys[k]), r
-            break
-    clause = Clause("MK operator condition", failure is None, failure)
+    atol, first_failure = product_atol(space, kind), _first_failure(delta, r_grid)
+    failure = _first_failing_pair(blocks, first_failure, atol, "MK operator condition", decode)
     return ConditionReport(
-        "mk-operator", [clause], sampled=not space.is_finite,
-        seed=seed, samples=samples, grid_bound=r_grid is not None,
+        "mk-operator", [failure or Clause("MK operator condition", True)],
+        sampled=not space.is_finite, seed=seed, samples=samples, grid_bound=r_grid is not None,
     )
 
 
@@ -469,31 +483,14 @@ def check_mk(
     if not clauses[-1].ok:
         return ConditionReport(name, clauses)
 
-    kind = ProductKind.SUP
-    atol = product_atol(inst.space, kind)
     first_failure = _first_failure(delta, r_grid)
-    kernel, orders, image = inst.kernel, inst.orders, inst.image
-    for xs, ys in kernel.comparable_pairs(orders, include_equal=True):
-        lo, hi = (image[xs], image[ys]) if variant == 1 else (image[ys], image[xs])
-        ordered = kernel.leq_L(orders, lo, hi)
-        # The MK test runs on the pairs before the first image-order failure,
-        # so that failure wins at a pair that fails both.
-        n = len(ordered) if ordered.all() else int(np.argmin(ordered))
-        found = first_failure(
-            kernel.distance(kind, xs[:n], ys[:n]), kernel.distance(kind, lo[:n], hi[:n]), atol
-        )
-        if found is not None:
-            k, r = found
-            witness = (kernel.point(xs[k]), kernel.point(ys[k]), r)
-            clauses.append(Clause("MK operator condition", False, witness))
-            return ConditionReport(name, clauses)
-        if n < len(ordered):
-            witness = (kernel.point(xs[n]), kernel.point(ys[n]))
-            clauses.append(Clause("image order", False, witness))
-            return ConditionReport(name, clauses)
-    clauses.append(Clause("image order", True))
-    clauses.append(Clause("MK operator condition", True))
-    return ConditionReport(name, clauses)
+    failure = _first_failing_pair(
+        _pair_blocks(inst, ProductKind.SUP, antitone=variant == 2, symmetric=False),
+        first_failure, product_atol(inst.space, ProductKind.SUP), "MK operator condition",
+        inst.kernel.point,
+    )
+    passed = [Clause("image order", True), Clause("MK operator condition", True)]
+    return ConditionReport(name, clauses + ([failure] if failure else passed))
 
 
 @dataclass(frozen=True)

@@ -131,13 +131,16 @@ class _Lines:
         self.pos = min(start + count, len(self.items))
         return self.items[start : self.pos]
 
-    def block(self) -> list[tuple[int, str]]:
-        """The content lines up to the next block header or the file's end."""
+    def block(self, marker: Optional[str] = None) -> list[tuple[int, str]]:
+        """The content lines up to the next block header or the file's end; a
+        line holding ``marker`` is a block line (a label may hold a colon)."""
         items, start = self.items, self.pos
         self.pos = len(items)
         for end, (_, line) in enumerate(items[start:], start):
             # A header has a colon or starts with "delta" (see _header);
-            # most block lines have neither, and skip the call.
+            # most block lines hold the marker or neither, and skip the call.
+            if marker is not None and marker in line:
+                continue
             if (":" in line or line[:5].lower() == "delta") and _header(line) is not None:
                 self.pos = end
                 break
@@ -259,7 +262,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("dist block must follow points", ln)
             matrix = _dist_matrix(lines.take(len(labels)), len(labels), ln)
         elif head == "order":
-            for pln, pair_line in lines.block():
+            for pln, pair_line in lines.block("<="):
                 parts = pair_line.split("<=")
                 if len(parts) != 2:
                     raise ParseError(f"expected 'a <= b', got {pair_line!r}", pln)
@@ -288,7 +291,7 @@ def parse_problem(text: str) -> ProblemFile:
                     except ValueError:
                         raise ParseError(f"bad lambda row {row_line!r}", rln)
         elif head == "f":
-            table_lines = lines.block()
+            table_lines = lines.block("->")
         elif head == "family":
             toks = rest.split()
             if not toks:

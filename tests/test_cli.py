@@ -651,6 +651,17 @@ class TestVerify:
         assert out.startswith("THEOREM CONFIRMED, unique fixed point")
         assert "(1,1)" in out
 
+    def test_labels_with_a_colon(self, prob, capsys):
+        # "l:y <= a" and "f:x,a -> a" read like the L and F headers.
+        labels = ["a", "f:x", "l:y"]
+        entries = "".join(f"{p},{q} -> a\n" for p in labels for q in labels)
+        text = (
+            "points: a f:x l:y\ndist:\n0 1 1\n1 0 2\n1 2 0\n"
+            f"order:\nl:y <= a\na <= f:x\nlambda: coupled\nF:\n{entries}L: 1\n"
+        )
+        assert main(["verify", prob(text)]) == 0
+        assert capsys.readouterr().out == "THEOREM CONFIRMED, unique fixed point (a,a)\n"
+
     def test_min_operator_informational(self, prob, capsys):
         text = CONSTANT_CHAIN
         for a in "012":

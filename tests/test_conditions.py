@@ -814,3 +814,21 @@ class TestOrderClausesMatchReference:
         assert check_order_distance_compat(space, order) == reference_check_order_distance_compat(
             space, order
         )
+
+
+class TestEqualPairs:
+    """The omega conditions walk distinct comparable pairs; mk and mk-op
+    walk equal pairs too, so an order that leaves out lambdaF(x) fails mk's
+    image order at (x, x)."""
+
+    def test_only_mk_reads_the_equal_pair(self):
+        space = DistanceSpace.from_matrix(["a", "b"], [[0, 1], [1, 0]])
+        order = OrderRelation.from_pairs(["a"], [])
+        F = MultiOperator.constant(1, "b")
+        inst = Instance(space, order, F, LambdaFamily.identity(1), LSet.of(1, 1))
+        delta = MeirKeelerModulus.linear(0.5)
+        assert check_omega(inst, 1).passed
+        assert check_mk(inst, delta, 1).failing_clause() == Clause(
+            "image order", False, (("a",), ("a",))
+        )
+        assert check_mk_operator(inst, delta, ProductKind.SUP).passed

@@ -230,3 +230,28 @@ def test_an_instance_build_is_reported(tmp_path):
         "i = k.image(F, f)\nkernel.ProductKernel(s, 1)\nk.orient\n"
     )
     assert instance_builds(module) == ["module.py:1", "module.py:2", "module.py:4", "module.py:5"]
+
+
+def pair_walks(path: Path) -> list[str]:
+    """Each call a module makes of ``.comparable_pairs(...)``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "comparable_pairs"
+    ]
+
+
+def test_one_call_site_walks_the_comparable_pairs():
+    # conditions._pair_blocks feeds every exhaustive pair check; a second
+    # walk would need its own slicing, image-order rule and witness.
+    sites = [site for path in MODULES for site in pair_walks(path)]
+    assert len(sites) == 1, sites
+
+
+def test_a_pair_walk_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("k.comparable_pairs(o, True)\nk.comparable_pairs\ncomparable_pairs(o)\n")
+    assert pair_walks(module) == ["module.py:1"]

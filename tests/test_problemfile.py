@@ -89,6 +89,19 @@ class TestFiniteParsing:
         assert pf.order.leq("a", "l")
         assert pf.delta(2.0) == 1.0
 
+    def test_labels_with_a_colon_stay_in_their_block(self):
+        # An order line holds "<=" and an F entry "->": "l:y <= a" and
+        # "f:x -> a" read like the L and F headers, but stay block lines.
+        text = (
+            "points: a f:x l:y\ndist:\n0 1 2\n1 0 1\n2 1 0\n"
+            "order:\nl:y <= a\nf:x <= l:y\nF:\nf:x -> a\nl:y -> f:x\na -> a\nL: 1\n"
+            "lambda:\n1\n"
+        )
+        pf = parse_problem(text)
+        assert pf.order.leq("f:x", "a")
+        assert [pf.operator(p) for p in ("a", "f:x", "l:y")] == ["a", "a", "f:x"]
+        assert pf.lset.members == frozenset({1})
+
     def test_explicit_lambda_rows(self):
         text = FINITE_CHAIN.replace("lambda: coupled", "lambda:\n1 2\n2 1")
         pf = parse_problem(text)
