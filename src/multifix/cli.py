@@ -139,8 +139,7 @@ def cmd_solve(args) -> int:
         kind=pf.metric or ProductKind.SUP, **_settings(args, pf, "tol", "max_iter")
     )
     if args.start == "auto":
-        inst = Instance(space, pf.require("order"), F, family, _default_lset(pf))
-        found = find_monotone_start(inst)
+        found = find_monotone_start(_instance(pf))
         if found is None:
             print("no monotone start")
             return EXIT_NO_START

@@ -215,7 +215,7 @@ def check_omega(inst: Instance, variant: int) -> ConditionReport:
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     failure = _first_failing_pair(
         _pair_blocks(inst, kind, antitone=variant in (2, 4), symmetric=True),
-        _strict_failure, product_atol(inst.space, kind), "strict contraction", inst.kernel.point,
+        _strict_failure, product_atol(inst.space, kind), "strict contraction", inst.point,
     )
     passed = [Clause("image order", True), Clause("strict contraction", True)]
     return ConditionReport(name, clauses + ([failure] if failure else passed))
@@ -226,18 +226,18 @@ def _pair_blocks(inst: Instance, kind: ProductKind, antitone: Optional[bool], sy
     lambdaF(y)), swapped when ``antitone``; ordered is lo <=_L hi, None when
     ``antitone`` is.  rho(x, y) and rho(lo, hi) add their reverse when
     ``symmetric``: the omega contraction, strict, so equal pairs are left out."""
-    kernel, orders, image = inst.kernel, inst.orders, inst.image
+    image = inst.image
 
     def rho(xs, ys) -> np.ndarray:
-        d = kernel.distance(kind, xs, ys)
-        return d + kernel.distance(kind, ys, xs) if symmetric else d
+        d = inst.distance(kind, xs, ys)
+        return d + inst.distance(kind, ys, xs) if symmetric else d
 
     def block(xs, ys):
         lo, hi = (image[ys], image[xs]) if antitone else (image[xs], image[ys])
-        ordered = None if antitone is None else kernel.leq_L(orders, lo, hi)
+        ordered = None if antitone is None else inst.leq_L(lo, hi)
         return xs, ys, ordered, rho(xs, ys), rho(lo, hi)
 
-    pairs = kernel.comparable_pairs(orders, include_equal=not symmetric)
+    pairs = inst.comparable_pairs(include_equal=not symmetric)
     return (block(xs, ys) for xs, ys in pairs)
 
 
@@ -403,7 +403,7 @@ def check_mk_operator(
         if not samples:
             raise ValueError("no comparable pairs to check")
         blocks = _pair_blocks(inst, kind, antitone=None, symmetric=False)
-        decode = inst.kernel.point
+        decode = inst.point
     else:
         seed = 0 if seed is None else seed
         samples = 10_000 if samples is None else samples
@@ -487,7 +487,7 @@ def check_mk(
     failure = _first_failing_pair(
         _pair_blocks(inst, ProductKind.SUP, antitone=variant == 2, symmetric=False),
         first_failure, product_atol(inst.space, ProductKind.SUP), "MK operator condition",
-        inst.kernel.point,
+        inst.point,
     )
     passed = [Clause("image order", True), Clause("MK operator condition", True)]
     return ConditionReport(name, clauses + ([failure] if failure else passed))

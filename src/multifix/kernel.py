@@ -1,11 +1,12 @@
-"""Integer coding of a finite instance for the exhaustive pair checks.
+"""One problem instance, and on a finite carrier its integer coding for the
+exhaustive pair checks.
 
-Carrier points become indices ``0..n-1`` and the product ``X^m`` becomes the
-``(N, m)`` array of index tuples, in canonical (lexicographic) order, so a
-product point is one integer in ``0..N-1``.  The order comes as one closed
-``n x n`` boolean matrix per coordinate, the carrier's order or its
-transpose as :meth:`LSet.orient` gives them, the distance is the base
-``n x n`` matrix, and ``lambdaF`` one index map over the ``N`` tuples.
+Carrier points become indices ``0..n-1`` and the product ``X^m`` becomes one
+index array per coordinate, in canonical (lexicographic) order, so a product
+point is one integer in ``0..N-1``.  The order comes as one closed ``n x n``
+boolean matrix per coordinate, the carrier's order or its transpose as
+:meth:`LSet.orient` gives them, the distance is the base ``n x n`` matrix,
+and ``lambdaF`` one index map over the ``N`` tuples.
 
 ``<=_L`` is a product relation, so the ``y`` comparable to ``x`` are the
 Cartesian product of the per-coordinate comparable sets of ``x_i``.  The
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ._numpy import np
 from .errors import EvaluationError
@@ -35,55 +36,71 @@ from .spaces import DistanceSpace
 PAIR_BLOCK = 1 << 14
 
 
-class ProductKernel:
-    """The finite product ``X^m`` of one space, coded as integers.
+@dataclass(frozen=True)
+class Instance:
+    """One problem instance.  Its index columns, oriented orders and lambdaF
+    image are built on first use and kept, so every check of the instance
+    shares them; a box carrier reads none of the three.
 
-    Raises what :func:`product_size` raises on the same arguments: an
-    :class:`UnsupportedInstanceError` for a continuous carrier and a
-    :class:`CapacityError` above the materialization cap.
+    The columns raise what :func:`product_size` raises on the same
+    arguments: an :class:`UnsupportedInstanceError` for a continuous carrier
+    and a :class:`CapacityError` above the materialization cap.  The orders
+    and the image read the columns first, so those errors come before any
+    other.
     """
 
-    def __init__(self, space: DistanceSpace, m: int):
-        size = product_size(space, m)
-        self.labels = space.points
-        self.n = len(self.labels)
-        self.m = m
-        self.shape = (self.n,) * m
-        self.coords = np.stack(np.unravel_index(np.arange(size), self.shape), axis=1)
-        self.D = space.matrix()
+    space: DistanceSpace
+    order: Optional[OrderRelation]
+    F: MultiOperator
+    family: LambdaFamily
+    lset: LSet
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Per coordinate, the carrier index of every product point."""
+        size = product_size(self.space, self.lset.m)
+        return np.unravel_index(np.arange(size), (len(self.space.points),) * self.lset.m)
 
     @property
     def size(self) -> int:
-        return len(self.coords)
+        return len(self.columns[0])
 
     def point(self, k) -> tuple:
         """Decode product index ``k`` to its tuple of carrier labels."""
-        return tuple(self.labels[c] for c in self.coords[k])
+        return tuple(self.space.points[c[k]] for c in self.columns)
 
-    def image(self, F: MultiOperator, family: LambdaFamily) -> np.ndarray:
+    @functools.cached_property
+    def orders(self) -> list[np.ndarray]:
+        self.columns  # refuse a box or an oversized product first
+        return self.lset.orient(self.order.matrix(self.space.points))
+
+    @functools.cached_property
+    def image(self) -> np.ndarray:
         """lambdaF as an index map: ``image[k]`` codes lambdaF(point(k)).
 
         F is called once per distinct argument tuple, in the order a
         point-by-point sweep would first need it.
         """
-        check_lambda_arity(F, family, self.shape)
+        columns, labels = self.columns, self.space.points
+        check_lambda_arity(self.F, self.family, columns)
+        shape = (len(labels),) * len(columns)
         # args[k, i] codes the argument tuple of F for output coordinate i.
         args = np.stack(
             [
-                np.ravel_multi_index(tuple(self.coords[:, j - 1] for j in row), self.shape)
-                for row in family.rows
+                np.ravel_multi_index(tuple(columns[j - 1] for j in row), shape)
+                for row in self.family.rows
             ],
             axis=1,
         )
         needed, first = np.unique(args, return_index=True)
         needed = needed[np.argsort(first)]
-        # The argument tuples' labels, decoded in one array lookup and
-        # zipped from per-coordinate columns into tuples.
-        labels = np.fromiter(self.labels, dtype=object, count=self.n)
-        code = {label: i for i, label in enumerate(self.labels)}.get
+        # The argument tuples' labels, decoded in one array lookup per
+        # coordinate and zipped into tuples.
+        label_array = np.fromiter(labels, dtype=object, count=len(labels))
+        code = {label: i for i, label in enumerate(labels)}.get
         coded = []
-        for arg in zip(*labels[self.coords[needed]].T.tolist()):
-            value = F(*arg)
+        for arg in zip(*(label_array[c[needed]].tolist() for c in columns)):
+            value = self.F(*arg)
             i = code(value)
             if i is None:
                 raise EvaluationError(
@@ -92,35 +109,28 @@ class ProductKernel:
             coded.append(i)
         values = np.zeros(self.size, dtype=np.intp)
         values[needed] = coded
-        image_coords = values[args]
-        return np.ravel_multi_index(tuple(image_coords.T), self.shape)
+        return np.ravel_multi_index(tuple(values[args].T), shape)
 
-    def leq_L(self, orders: Sequence[np.ndarray], xs, ys) -> np.ndarray:
+    def leq_L(self, xs, ys) -> np.ndarray:
         """Elementwise ``x <=_L y`` over broadcastable arrays of product
-        indices, ``orders[i]`` deciding coordinate ``i``."""
-        c = self.coords
+        indices."""
         return functools.reduce(
-            operator.and_, (Oi[c[xs, i], c[ys, i]] for i, Oi in enumerate(orders))
+            operator.and_, (Oi[c[xs], c[ys]] for Oi, c in zip(self.orders, self.columns))
         )
 
-    def comparable_pairs(
-        self, orders: Sequence[np.ndarray], include_equal: bool
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def comparable_pairs(self, include_equal: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Blocks ``(xs, ys)`` of comparable pairs ``x <=_L y``, in canonical
         order."""
+        orders, columns = self.orders, self.columns
+        n, m = len(self.space.points), len(columns)
         # Coordinate i: the true columns of each row of orders[i], ascending
         # and flattened row after row, times coordinate i's stride in the
         # product index, so that y is the sum of its coordinates' terms; and
         # each row's count and offset into that flat array.
-        terms = [
-            np.nonzero(Oi)[1] * self.n ** (self.m - 1 - i) for i, Oi in enumerate(orders)
-        ]
+        terms = [np.nonzero(Oi)[1] * n ** (m - 1 - i) for i, Oi in enumerate(orders)]
         counts = [Oi.sum(axis=1) for Oi in orders]
         offsets = [np.cumsum(ci) - ci for ci in counts]
-        c = self.coords
-        per_row = functools.reduce(
-            operator.mul, (ci[c[:, i]] for i, ci in enumerate(counts))
-        )
+        per_row = functools.reduce(operator.mul, (ci[c] for ci, c in zip(counts, columns)))
         ends = np.cumsum(per_row)
         start = 0
         while start < self.size:
@@ -133,8 +143,8 @@ class ProductKernel:
             # over the sorted sets, the last coordinate least significant.
             rank = np.arange(len(xs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             ys = np.zeros(len(xs), dtype=np.intp)
-            for i in reversed(range(self.m)):
-                xi = c[start:stop, i]
+            for i in reversed(range(m)):
+                xi = columns[i][start:stop]
                 rank, digit = np.divmod(rank, np.repeat(counts[i][xi], sizes))
                 ys += terms[i][np.repeat(offsets[i][xi], sizes) + digit]
             if not include_equal:
@@ -146,30 +156,5 @@ class ProductKernel:
 
     def distance(self, kind: ProductKind, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Product distances of index pairs, combined as :func:`combine` does."""
-        c = self.coords
-        return combine(kind, (self.D[c[xs, i], c[ys, i]] for i in range(self.m)))
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One problem instance.  Its product kernel, oriented orders and lambdaF
-    image are built on first use and kept, so every check of the instance
-    shares them; a box carrier reads none of the three."""
-
-    space: DistanceSpace
-    order: Optional[OrderRelation]
-    F: MultiOperator
-    family: LambdaFamily
-    lset: LSet
-
-    @functools.cached_property
-    def kernel(self) -> ProductKernel:
-        return ProductKernel(self.space, self.lset.m)
-
-    @functools.cached_property
-    def orders(self) -> list[np.ndarray]:
-        return self.lset.orient(self.order.matrix(self.kernel.labels))
-
-    @functools.cached_property
-    def image(self) -> np.ndarray:
-        return self.kernel.image(self.F, self.family)
+        D = self.space.matrix()
+        return combine(kind, (D[c[xs], c[ys]] for c in self.columns))

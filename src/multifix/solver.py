@@ -55,14 +55,15 @@ def find_monotone_start(inst: Instance) -> Optional[tuple[tuple, str]]:
     F is evaluated on every argument tuple, as the enumeration oracle does,
     so a value outside the carrier raises :class:`EvaluationError` even
     when an earlier point qualifies."""
-    kernel, orders, image = inst.kernel, inst.orders, inst.image
-    points = np.arange(kernel.size)
-    up = kernel.leq_L(orders, points, image)
-    found = np.flatnonzero(up | kernel.leq_L(orders, image, points))
+    inst.orders  # the order's errors come before F's
+    image = inst.image
+    points = np.arange(inst.size)
+    up = inst.leq_L(points, image)
+    found = np.flatnonzero(up | inst.leq_L(image, points))
     if not len(found):
         return None
     k = found[0]
-    return kernel.point(k), "ascending" if up[k] else "descending"
+    return inst.point(k), "ascending" if up[k] else "descending"
 
 
 def picard_solve(
@@ -123,8 +124,7 @@ def picard_solve(
 def enumerate_fixed_points(inst: Instance) -> list[tuple]:
     """Exact brute-force oracle: all tuples a with lambdaF(a) = a, in
     canonical order."""
-    kernel = inst.kernel
-    return [kernel.point(k) for k in np.flatnonzero(inst.image == np.arange(kernel.size))]
+    return [inst.point(k) for k in np.flatnonzero(inst.image == np.arange(inst.size))]
 
 
 @dataclass
@@ -150,7 +150,7 @@ def verify_uniqueness(
 ) -> UniquenessReport:
     """Run the selected condition set, enumerate all fixed points, and grade
     the uniqueness claim against the enumeration oracle.  Both read the one
-    instance, so its kernel and image map are built once.
+    instance, so its index columns and image map are built once.
 
     MK variants additionally require the base space to separate distinct
     points by disjoint balls, which is checked by ``is_h_distance``.

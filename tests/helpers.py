@@ -17,6 +17,9 @@ import numpy as np
 from multifix import (
     DistanceClass,
     DistanceSpace,
+    Instance,
+    LambdaFamily,
+    LSet,
     MultiOperator,
     OrderRelation,
     ProductKind,
@@ -153,6 +156,13 @@ def unit_space(labels) -> DistanceSpace:
     distance 1."""
     n = len(labels)
     return DistanceSpace.from_matrix(labels, np.ones((n, n)) - np.eye(n))
+
+
+def order_instance(space, order, lset: LSet) -> Instance:
+    """An instance for tests of its columns, orders, ``<=_L`` and distances:
+    a constant operator over the identity family, which those never call."""
+    m = lset.m
+    return Instance(space, order, MultiOperator.constant(m, None), LambdaFamily.identity(m), lset)
 
 
 def int_chain(n: int, scale: float = 1.0) -> tuple[DistanceSpace, OrderRelation]:

@@ -18,6 +18,7 @@ from multifix import (
     DistanceSpace,
     GameConfig,
     Instance,
+    LambdaFamily,
     LSet,
     MeirKeelerModulus,
     MultiOperator,
@@ -36,7 +37,6 @@ from multifix import (
     tripled_preset,
     verify_uniqueness,
 )
-from multifix.kernel import ProductKernel
 from helpers import (
     GENERATORS,
     int_chain,
@@ -159,18 +159,19 @@ def test_criterion_3_twisted_order_duality(announce):
     violations = 0
     for order in orders:
         for m in (1, 2, 3):
-            kernel = ProductKernel(unit_space(order.points), m)
-            O = order.matrix(kernel.labels)
-            xs, ys = np.arange(kernel.size)[:, None], np.arange(kernel.size)[None, :]
+            space = unit_space(order.points)
+            F, family = MultiOperator.constant(m, order.points[0]), LambdaFamily.identity(m)
             for members in itertools.chain.from_iterable(
                 itertools.combinations(range(1, m + 1), k) for k in range(m + 1)
             ):
                 lset = LSet(m, frozenset(members))
-                dual = lset.complement()
+                inst = Instance(space, order, F, family, lset)
+                dual = Instance(space, order, F, family, lset.complement())
                 # Every (x, y) of the product, as an N x N array.
-                got = kernel.leq_L(lset.orient(O), xs, ys)
+                xs, ys = np.arange(inst.size)[:, None], np.arange(inst.size)[None, :]
+                got = inst.leq_L(xs, ys)
                 checked += got.size
-                violations += int(np.count_nonzero(got != kernel.leq_L(dual.orient(O), ys, xs)))
+                violations += int(np.count_nonzero(got != dual.leq_L(ys, xs)))
     announce(
         3,
         "order with flipped coordinate set equals the reversed comparison",

@@ -198,8 +198,8 @@ def test_an_unread_private_name_is_reported(tmp_path):
 
 
 def instance_builds(path: Path) -> list[str]:
-    """Each call a module makes of ``ProductKernel(...)``, ``.orient(...)`` or
-    ``.image(...)``, the three steps that build an instance's arrays."""
+    """Each call a module makes of ``.orient(...)`` or ``unravel_index(...)``,
+    the steps that build an instance's oriented orders and index columns."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [
         f"{path.name}:{node.lineno}"
@@ -207,9 +207,9 @@ def instance_builds(path: Path) -> list[str]:
         if isinstance(node, ast.Call)
         and (
             isinstance(node.func, ast.Name)
-            and node.func.id == "ProductKernel"
+            and node.func.id == "unravel_index"
             or isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("ProductKernel", "orient", "image")
+            and node.func.attr in ("orient", "unravel_index")
         )
     ]
 
@@ -218,18 +218,19 @@ def instance_builds(path: Path) -> list[str]:
     "path", [p for p in MODULES if p.name != "kernel.py"], ids=lambda p: p.name
 )
 def test_only_the_instance_builds_the_kernel_orders_and_image(path):
-    # kernel.Instance builds each once per instance; a second build elsewhere
-    # would call F again for every argument tuple.
+    # kernel.Instance builds its index columns, orders and image once per
+    # instance and is the one finite coding of X^m; a second build
+    # elsewhere would be a second coding.
     assert instance_builds(path) == []
 
 
 def test_an_instance_build_is_reported(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
-        "k = ProductKernel(s, 2)\no = lset.orient(O)\nimage = inst.image\n"
-        "i = k.image(F, f)\nkernel.ProductKernel(s, 1)\nk.orient\n"
+        "c = np.unravel_index(k, shape)\no = lset.orient(O)\nimage = inst.image\n"
+        "unravel_index(k, shape)\nk.orient\nnp.ravel_multi_index(c, shape)\n"
     )
-    assert instance_builds(module) == ["module.py:1", "module.py:2", "module.py:4", "module.py:5"]
+    assert instance_builds(module) == ["module.py:1", "module.py:2", "module.py:4"]
 
 
 def pair_walks(path: Path) -> list[str]:

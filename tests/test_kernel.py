@@ -22,6 +22,7 @@ from multifix import (
     MultiOperator,
     OrderRelation,
     ProductKind,
+    UnsupportedInstanceError,
     chain_order,
     check_mk,
     check_mk_operator,
@@ -36,6 +37,7 @@ from multifix import kernel
 from helpers import (
     checked_distance,
     int_chain,
+    order_instance,
     reference_check_mk,
     reference_check_mk_operator,
     reference_check_omega,
@@ -164,13 +166,13 @@ def test_kernel_matches_reference(instance):
 
 def test_product_distances_round_like_the_scalar_forms():
     space = DistanceSpace.from_matrix("abc", [[0, 0.1, 0.2], [0.3, 0, 0.7], [0.2, 0.1, 0]])
-    k = kernel.ProductKernel(space, 3)
-    xs, ys = (a.ravel() for a in np.indices((k.size, k.size)))
-    points = [k.point(i) for i in range(k.size)]
+    inst = order_instance(space, None, LSet.of(3))
+    xs, ys = (a.ravel() for a in np.indices((inst.size, inst.size)))
+    points = [inst.point(i) for i in range(inst.size)]
     for kind in ProductKind:
         scalar = checked_distance(space, kind)
         want = [scalar(points[x], points[y]) for x, y in zip(xs, ys)]
-        assert k.distance(kind, xs, ys).tolist() == want
+        assert inst.distance(kind, xs, ys).tolist() == want
         assert reference_product_matrix(space, 3, kind).ravel().tolist() == want
         dist = reference_product_space(space, 3, kind).dist
         assert [dist(points[x], points[y]) for x, y in zip(xs, ys)] == want
@@ -220,8 +222,8 @@ def check_pairs_against_mask(order, lset, include_equal, block):
     """The concatenated blocks are the nonzero entries of the full ``N x N``
     ``<=_L`` mask, and each block holds at most ``block`` pairs or one row."""
     n, m = len(order.points), lset.m
-    k = kernel.ProductKernel(unit_space(order.points), m)
-    orders = lset.orient(order.matrix(k.labels))
+    inst = order_instance(unit_space(order.points), order, lset)
+    orders = lset.orient(order.matrix(order.points))
     coords = np.array(list(itertools.product(range(n), repeat=m)))
     mask = np.logical_and.reduce(
         [Oi[coords[:, i, None], coords[None, :, i]] for i, Oi in enumerate(orders)]
@@ -229,12 +231,12 @@ def check_pairs_against_mask(order, lset, include_equal, block):
     if not include_equal:
         np.fill_diagonal(mask, False)
     with mock.patch.object(kernel, "PAIR_BLOCK", block):
-        blocks = list(k.comparable_pairs(orders, include_equal))
+        blocks = list(inst.comparable_pairs(include_equal))
     xs = np.concatenate([b[0] for b in blocks] or [np.zeros(0, int)])
     ys = np.concatenate([b[1] for b in blocks] or [np.zeros(0, int)])
     want_xs, want_ys = np.nonzero(mask)
     assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
-    assert len(xs) == int(orders[0].sum()) ** m - (0 if include_equal else k.size)
+    assert len(xs) == int(orders[0].sum()) ** m - (0 if include_equal else inst.size)
     for bx, _ in blocks:
         assert len(bx) and (len(bx) <= block or bx[0] == bx[-1])
     return blocks
@@ -332,8 +334,10 @@ class TestBoundedMemory:
 
 class TestBaseClausesComeFirst:
     """A base clause that fails ends the check before the instance builds its
-    kernel or calls F, so it is reported, not a capacity or evaluation
-    error; verify's oracle builds the kernel all the same."""
+    index columns or calls F, so it is reported, not a capacity or
+    evaluation error; verify's oracle builds the columns all the same.  The
+    orders read the columns first, so a box or an oversized product is
+    refused before any order matrix is built."""
 
     @staticmethod
     def antichain(F) -> Instance:
@@ -363,6 +367,26 @@ class TestBaseClausesComeFirst:
     def test_with_F_valued_outside_the_carrier(self):
         inst = self.antichain(MultiOperator.constant(2, 7))
         assert self.failing_clauses(inst) == self.WANT
+
+    def test_mk_operator_over_an_order_outside_the_carrier_above_the_cap(self, monkeypatch):
+        # No carrier label is in the order, so no pair is comparable; the
+        # cap is reported all the same, before the pairs are counted.
+        monkeypatch.setenv("MULTIFIX_CAP", "3")
+        inst = self.antichain(MultiOperator.constant(2, 0))
+        inst = Instance(inst.space, chain_order(["p", "q"]), inst.F, inst.family, inst.lset)
+        with pytest.raises(CapacityError, match="size 16 exceeds materialization cap 3"):
+            check_mk_operator(inst, MeirKeelerModulus.const(1.0), ProductKind.SUP)
+        monkeypatch.delenv("MULTIFIX_CAP")
+        with pytest.raises(ValueError, match="no comparable pairs to check"):
+            check_mk_operator(inst, MeirKeelerModulus.const(1.0), ProductKind.SUP)
+
+    def test_orders_on_a_box(self):
+        inst = Instance(
+            DistanceSpace.reals(), OrderRelation.numeric(), MultiOperator.constant(2, 0.0),
+            coupled_preset(), LSet.of(2, 1),
+        )
+        with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):
+            inst.orders
 
 
 def test_callable_value_outside_carrier_names_argument():

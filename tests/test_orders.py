@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifix import LSet, OrderRelation, chain_order
-from multifix.kernel import ProductKernel
-from helpers import closure_reference, compare_L, unit_space
+from helpers import closure_reference, compare_L, order_instance, unit_space
 
 
 class TestOrderRelation:
@@ -80,10 +79,10 @@ class TestCompareL:
 
     def test_reflexive(self):
         order = chain_order([0, 1, 2])
-        k = ProductKernel(unit_space([0, 1, 2]), 2)
-        points = np.arange(k.size)
         for lset in (LSet.of(2), LSet.of(2, 1), LSet.of(2, 1, 2)):
-            assert k.leq_L(lset.orient(order.matrix(k.labels)), points, points).all()
+            inst = order_instance(unit_space([0, 1, 2]), order, lset)
+            points = np.arange(inst.size)
+            assert inst.leq_L(points, points).all()
 
     def test_arity_check(self):
         with pytest.raises(ValueError):
@@ -99,17 +98,17 @@ class TestCompareL:
         chain = chain_order([0, 1, 2])
         for order, carrier in ((diamond, "abcd"), (chain, [0, 1, 2]), (chain, [0, 1, 2, 3])):
             for m in (1, 2, 3):
-                k = ProductKernel(unit_space(carrier), m)
-                O = order.matrix(k.labels)
-                xs, ys = np.arange(k.size)[:, None], np.arange(k.size)[None, :]
-                points = [k.point(i) for i in range(k.size)]
+                space = unit_space(carrier)
                 for members in itertools.chain.from_iterable(
                     itertools.combinations(range(1, m + 1), r) for r in range(m + 1)
                 ):
                     lset = LSet(m, frozenset(members))
-                    dual = lset.complement()
-                    got = k.leq_L(lset.orient(O), xs, ys)
-                    assert np.array_equal(got, k.leq_L(dual.orient(O), ys, xs))
+                    inst = order_instance(space, order, lset)
+                    dual = order_instance(space, order, lset.complement())
+                    xs, ys = np.arange(inst.size)[:, None], np.arange(inst.size)[None, :]
+                    points = [inst.point(i) for i in range(inst.size)]
+                    got = inst.leq_L(xs, ys)
+                    assert np.array_equal(got, dual.leq_L(ys, xs))
                     assert got.tolist() == [
                         [compare_L(order, lset, x, y) for y in points] for x in points
                     ]

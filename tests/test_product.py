@@ -8,16 +8,17 @@ from hypothesis import given, strategies as st
 from multifix import (
     CapacityError,
     DistanceSpace,
+    LSet,
     ProductKind,
     UnsupportedInstanceError,
     classify_finite,
     sum_distance,
 )
-from multifix.kernel import ProductKernel
 from multifix.product import bind_distance, combine, materialization_cap
 from helpers import (
     GENERATORS,
     checked_distance,
+    order_instance,
     reference_product_matrix,
     reference_product_space,
 )
@@ -108,26 +109,27 @@ class TestProductSpace:
     def test_product_above_cap_is_refused(self, two_point, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "16")
         with pytest.raises(CapacityError) as err:
-            ProductKernel(two_point, 5)
+            order_instance(two_point, None, LSet.of(5)).columns
         assert err.value.size == 32
 
     def test_capacity_error_names_size(self, two_point, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "16")
         with pytest.raises(CapacityError, match="size 32 exceeds materialization cap 16"):
-            ProductKernel(two_point, 5)
-        ProductKernel(two_point, 4)  # 16 points, at the cap
+            order_instance(two_point, None, LSet.of(5)).columns
+        assert order_instance(two_point, None, LSet.of(4)).size == 16  # at the cap
 
     def test_a_cap_of_one_admits_one_point(self, monkeypatch):
         monkeypatch.setenv("MULTIFIX_CAP", "1")
         assert materialization_cap() == 1
-        ProductKernel(DistanceSpace.from_matrix(["a"], [[0]]), 3)
+        one_point = DistanceSpace.from_matrix(["a"], [[0]])
+        assert order_instance(one_point, None, LSet.of(3)).size == 1
         monkeypatch.setenv("MULTIFIX_CAP", "0")
         with pytest.raises(ValueError, match="positive integer, got '0'"):
             materialization_cap()
 
     def test_continuous_product_is_refused(self, reals):
         with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):
-            ProductKernel(reals, 2)
+            order_instance(reals, None, LSet.of(2)).columns
 
     def test_matrix_agrees_with_coordinatewise_eval(self):
         rng = random.Random(5)
@@ -135,8 +137,8 @@ class TestProductSpace:
         sup_m = reference_product_matrix(base, 2, ProductKind.SUP)
         sum_m = reference_product_matrix(base, 2, ProductKind.SUM)
         rho = bind_distance(base, ProductKind.SUP)
-        k = ProductKernel(base, 2)
-        pts = [k.point(i) for i in range(k.size)]
+        inst = order_instance(base, None, LSet.of(2))
+        pts = [inst.point(i) for i in range(inst.size)]
         assert pts == list(itertools.product(base.points, repeat=2))
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
