@@ -5,6 +5,7 @@ exhaustive checks hold."""
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -372,8 +373,7 @@ class TestBaseClausesComeFirst:
         # No carrier label is in the order, so no pair is comparable; the
         # cap is reported all the same, before the pairs are counted.
         monkeypatch.setenv("MULTIFIX_CAP", "3")
-        inst = self.antichain(MultiOperator.constant(2, 0))
-        inst = Instance(inst.space, chain_order(["p", "q"]), inst.F, inst.family, inst.lset)
+        inst = replace(self.antichain(MultiOperator.constant(2, 0)), order=chain_order("pq"))
         with pytest.raises(CapacityError, match="size 16 exceeds materialization cap 3"):
             check_mk_operator(inst, MeirKeelerModulus.const(1.0), ProductKind.SUP)
         monkeypatch.delenv("MULTIFIX_CAP")
