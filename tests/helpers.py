@@ -267,13 +267,12 @@ def comparable_product_pairs(space, order, lset, include_equal=False):
 
 
 def reference_check_omega(space, order, F, family, lset, variant):
-    name = f"omega{variant}"
     clauses = [reference_check_lattice(order)]
     if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
+        return ConditionReport(clauses)
     clauses.append(reference_check_order_distance_compat(space, order))
     if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
+        return ConditionReport(clauses)
     if variant in (3, 4):
         surj = surjectivity_report(family)
         ok = all(surj.rows_surjective) or surj.union_of_images_full
@@ -281,7 +280,7 @@ def reference_check_omega(space, order, F, family, lset, variant):
             Clause("lambda surjectivity", ok, None if ok else tuple(surj.rows_surjective))
         )
         if not ok:
-            return ConditionReport(name, clauses)
+            return ConditionReport(clauses)
 
     kind = ProductKind.SUP if variant in (1, 2) else ProductKind.SUM
     rho = checked_distance(space, kind)
@@ -292,32 +291,31 @@ def reference_check_omega(space, order, F, family, lset, variant):
         fx, fy = images[x], images[y]
         if not (compare_L(order, lset, fx, fy) if isotone else compare_L(order, lset, fy, fx)):
             clauses.append(Clause("image order", False, (x, y)))
-            return ConditionReport(name, clauses)
+            return ConditionReport(clauses)
         lhs = rho(fx, fy) + rho(fy, fx)
         rhs = rho(x, y) + rho(y, x)
         if not _strictly_less(lhs, rhs, table):
             clauses.append(Clause("strict contraction", False, (x, y)))
-            return ConditionReport(name, clauses)
+            return ConditionReport(clauses)
     clauses.append(Clause("image order", True))
     clauses.append(Clause("strict contraction", True))
-    return ConditionReport(name, clauses)
+    return ConditionReport(clauses)
 
 
 def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=None):
     """The MK condition set one pair at a time: per comparable pair, equal
     pairs included, image order on (lo, hi), then the MK operator condition
     from rho(x, y) to rho(lo, hi) in the sup distance."""
-    name = f"mk{variant}"
     clauses = [reference_check_bounds_exist(order)]
     if not clauses[-1].ok:
-        return ConditionReport(name, clauses)
+        return ConditionReport(clauses)
     rho = checked_distance(space, ProductKind.SUP)
     images = {x: apply_lambda_f(F, family, x) for x in product_points(space, lset.m)}
     for x, y in comparable_product_pairs(space, order, lset, include_equal=True):
         lo, hi = (images[x], images[y]) if variant == 1 else (images[y], images[x])
         if not compare_L(order, lset, lo, hi):
             clauses.append(Clause("image order", False, (x, y)))
-            return ConditionReport(name, clauses)
+            return ConditionReport(clauses)
         d, d_img = rho(x, y), rho(lo, hi)
         if r_grid is None:
             r = reference_all_r_failure(delta, d, d_img, True)
@@ -326,10 +324,10 @@ def reference_check_mk(space, order, F, family, lset, delta, variant, r_grid=Non
             r = None if found is None else found[1]
         if r is not None:
             clauses.append(Clause("MK operator condition", False, (x, y, r)))
-            return ConditionReport(name, clauses)
+            return ConditionReport(clauses)
     clauses.append(Clause("image order", True))
     clauses.append(Clause("MK operator condition", True))
-    return ConditionReport(name, clauses)
+    return ConditionReport(clauses)
 
 
 def reference_pair_distances(space, F, family, kind, pairs):
@@ -385,11 +383,10 @@ def reference_check_mk_operator(
         if r is not None:
             clause = Clause("MK operator condition", False, (tuple(x), tuple(y), r))
             return ConditionReport(
-                "mk-operator", [clause], sampled=not exhaustive,
+                [clause], sampled=not exhaustive,
                 seed=seed, samples=len(pairs), grid_bound=grid_bound,
             )
     return ConditionReport(
-        "mk-operator",
         [Clause("MK operator condition", True)],
         sampled=not exhaustive,
         seed=seed,

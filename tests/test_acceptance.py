@@ -27,8 +27,6 @@ from multifix import (
     ProductKind,
     SolveConfig,
     chain_order,
-    check_mk_operator,
-    check_omega,
     classify_finite,
     coupled_preset,
     enumerate_fixed_points,
@@ -37,6 +35,7 @@ from multifix import (
     tripled_preset,
     verify_uniqueness,
 )
+from multifix.conditions import CONDITIONS
 from helpers import (
     GENERATORS,
     int_chain,
@@ -290,8 +289,9 @@ def test_criterion_7_meir_keeler_discrimination(announce):
 
     def run(k):
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
-        return check_mk_operator(
-            Instance(reals, order, F, fam, lset), delta, ProductKind.SUP, samples=10_000, seed=7
+        return CONDITIONS["mk-op"].check(
+            Instance(reals, order, F, fam, lset), delta,
+            kind=ProductKind.SUP, samples=10_000, seed=7,
         )
 
     good_a, good_b = run(0.5), run(0.5)

@@ -23,14 +23,13 @@ from multifix import (
     chain_order,
     check_bounds_exist,
     check_lattice,
-    check_mk,
-    check_mk_operator,
-    check_omega,
     check_order_distance_compat,
     coupled_preset,
     sample_comparable_pairs,
 )
+from multifix import conditions
 from multifix.conditions import (
+    CONDITIONS,
     Clause,
     _all_r_failure,
     _binding_r,
@@ -68,20 +67,20 @@ class TestReportVerdict:
     @pytest.mark.parametrize("sampled, verdict", [(False, "pass"), (True, "sampled-pass")])
     def test_all_clauses_hold(self, sampled, verdict):
         clauses = [Clause("a", True), Clause("b", True, "unused")]
-        report = ConditionReport("c", clauses, sampled=sampled)
+        report = ConditionReport(clauses, sampled=sampled)
         assert (report.verdict, report.passed) == (verdict, True)
         assert (report.failing_clause(), report.counterexample) == (None, None)
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_first_failing_clause_gives_the_witness(self, sampled):
         clauses = [Clause("a", True, "unused"), Clause("b", False, (1, 2)), Clause("c", False, (3,))]
-        report = ConditionReport("c", clauses, sampled=sampled)
+        report = ConditionReport(clauses, sampled=sampled)
         assert (report.verdict, report.passed) == ("fail", False)
         assert report.failing_clause() is clauses[1]
         assert report.counterexample == (1, 2)
 
     def test_failing_clause_without_a_witness(self):
-        report = ConditionReport("c", [Clause("a", False), Clause("b", False, (1,))])
+        report = ConditionReport([Clause("a", False), Clause("b", False, (1,))])
         assert (report.verdict, report.counterexample) == ("fail", None)
 
 
@@ -155,13 +154,15 @@ class TestOmega:
     def test_constant_operator_passes(self, chain3):
         space, order = chain3
         F = MultiOperator.constant(2, 1)
-        report = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), 1)
+        inst = Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
+        report = CONDITIONS["omega1"].check(inst)
         assert report.verdict == "pass"
 
     def test_min_operator_fails_strict_contraction(self, chain3):
         space, order = chain3
         F = MultiOperator(2, min)
-        report = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1, 2)), 1)
+        inst = Instance(space, order, F, coupled_preset(), LSet.of(2, 1, 2))
+        report = CONDITIONS["omega1"].check(inst)
         assert report.verdict == "fail"
         clause = report.failing_clause()
         assert clause.name == "strict contraction"
@@ -171,7 +172,8 @@ class TestOmega:
         space = DistanceSpace.from_matrix("oab", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         order = OrderRelation.from_pairs("oab", [("o", "a"), ("o", "b")])
         F = MultiOperator.constant(2, "o")
-        report = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), 1)
+        inst = Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
+        report = CONDITIONS["omega1"].check(inst)
         assert report.verdict == "fail"
         assert report.failing_clause().name == "lattice"
 
@@ -179,7 +181,7 @@ class TestOmega:
         space, order = chain3
         F = MultiOperator.constant(2, 1)
         collapsing = __import__("multifix").LambdaFamily(2, ((1, 1), (1, 1)))
-        report = check_omega(Instance(space, order, F, collapsing, LSet.of(2, 1)), 3)
+        report = CONDITIONS["omega3"].check(Instance(space, order, F, collapsing, LSet.of(2, 1)))
         assert report.verdict == "fail"
         assert report.failing_clause().name == "lambda surjectivity"
 
@@ -193,9 +195,41 @@ class TestOmega:
                 lset = LSet(2, frozenset(members))
                 dual = lset.complement()
                 for v1, v2 in ((1, 2), (3, 4)):
-                    r1 = check_omega(Instance(space, order, F, coupled_preset(), lset), v1)
-                    r2 = check_omega(Instance(space, order, F, coupled_preset(), dual), v2)
+                    r1 = CONDITIONS[f"omega{v1}"].check(
+                        Instance(space, order, F, coupled_preset(), lset)
+                    )
+                    r2 = CONDITIONS[f"omega{v2}"].check(
+                        Instance(space, order, F, coupled_preset(), dual)
+                    )
                     assert r1.passed == r2.passed
+
+
+class TestConditionSets:
+    def test_base_clauses_are_looked_up_when_the_check_runs(self, chain3):
+        # A wrapper set on the module attribute, as the benchmark's layer
+        # trace sets one, sees every call.
+        space, order = chain3
+        inst = Instance(space, order, MultiOperator.constant(2, 1), coupled_preset(), LSet.of(2, 1))
+        with mock.patch.object(
+            conditions, "check_lattice", wraps=check_lattice
+        ) as lattice, mock.patch.object(
+            conditions, "check_order_distance_compat", wraps=check_order_distance_compat
+        ) as compat:
+            assert CONDITIONS["omega1"].check(inst).verdict == "pass"
+        lattice.assert_called_once_with(order)
+        compat.assert_called_once_with(space, order)
+
+    def test_what_each_set_reads_and_needs(self):
+        found = {
+            name: (sorted(c.reads), c.needs_delta, c.verifiable)
+            for name, c in CONDITIONS.items()
+        }
+        omega = ([], False, True)
+        mk = (["r_grid"], True, True)
+        assert found == {
+            "omega1": omega, "omega2": omega, "omega3": omega, "omega4": omega,
+            "mk1": mk, "mk2": mk, "mk-op": (["metric", "r_grid", "samples", "seed"], True, False),
+        }
 
 
 class TestMeirKeelerSpace:
@@ -249,9 +283,9 @@ class TestMeirKeelerOperator:
     def test_lipschitz_half_sampled_pass(self):
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
-        report = check_mk_operator(
+        report = CONDITIONS["mk-op"].check(
             Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
-            MeirKeelerModulus.linear(1.0), ProductKind.SUP, samples=2000, seed=7,
+            MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP, samples=2000, seed=7,
         )
         assert report.verdict == "sampled-pass"
         assert report.samples == 2000
@@ -259,9 +293,9 @@ class TestMeirKeelerOperator:
     def test_expansion_fails_with_witness(self):
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: 2 * x)
-        report = check_mk_operator(
+        report = CONDITIONS["mk-op"].check(
             Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
-            MeirKeelerModulus.linear(1.0), ProductKind.SUP, samples=500, seed=3,
+            MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP, samples=500, seed=3,
         )
         assert report.verdict == "fail"
         assert report.counterexample is not None
@@ -269,9 +303,9 @@ class TestMeirKeelerOperator:
     def test_constant_passes_exhaustively(self):
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
-        report = check_mk_operator(
+        report = CONDITIONS["mk-op"].check(
             Instance(space, order, F, coupled_preset(), self.L),
-            MeirKeelerModulus.linear(1.0), ProductKind.SUP,
+            MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP,
         )
         assert report.verdict == "pass"
 
@@ -281,9 +315,9 @@ class TestMeirKeelerOperator:
         # into a Meir-Keeler operator
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
-        report = check_mk_operator(
+        report = CONDITIONS["mk-op"].check(
             Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
-            MeirKeelerModulus.linear((1 - k) / k), ProductKind.SUP,
+            MeirKeelerModulus.linear((1 - k) / k), kind=ProductKind.SUP,
             samples=1000, seed=21,
         )
         assert report.passed
@@ -292,9 +326,9 @@ class TestMeirKeelerOperator:
         k = 1.2
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
-        report = check_mk_operator(
+        report = CONDITIONS["mk-op"].check(
             Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
-            MeirKeelerModulus.linear(0.5), ProductKind.SUP, samples=1000, seed=21,
+            MeirKeelerModulus.linear(0.5), kind=ProductKind.SUP, samples=1000, seed=21,
         )
         assert report.verdict == "fail"
 
@@ -304,9 +338,9 @@ class TestMeirKeelerOperator:
         runs = []
         for _ in range(2):
             runs.append(
-                check_mk_operator(
+                CONDITIONS["mk-op"].check(
                     Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
-                    MeirKeelerModulus.linear(1.0), ProductKind.SUP,
+                    MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP,
                     samples=1000, seed=9,
                 )
             )
@@ -328,30 +362,33 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
         args = (Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
-                MeirKeelerModulus.linear(1.0), ProductKind.SUP)
-        report = check_mk_operator(*args)
+                MeirKeelerModulus.linear(1.0))
+        check = CONDITIONS["mk-op"].check
+        report = check(*args, kind=ProductKind.SUP)
         assert (report.verdict, report.seed, report.samples) == ("sampled-pass", 0, 10_000)
-        assert field_reprs(report) == field_reprs(check_mk_operator(*args, seed=0, samples=10_000))
+        again = check(*args, kind=ProductKind.SUP, seed=0, samples=10_000)
+        assert field_reprs(report) == field_reprs(again)
 
     def test_errors_come_in_order_count_arity_width(self):
         args = (OrderRelation.numeric(), MultiOperator(2, lambda x, y: x), coupled_preset())
-        rest = (MeirKeelerModulus.linear(1.0), ProductKind.SUP)
+        delta, check = MeirKeelerModulus.linear(1.0), CONDITIONS["mk-op"].check
         wide = DistanceSpace.reals(-1e308, 1e308)
         for samples in (0, -5):
             with pytest.raises(ValueError, match="no comparable pairs to check"):
-                check_mk_operator(Instance(wide, *args, LSet.of(3, 1)), *rest, samples=samples)
+                check(Instance(wide, *args, LSet.of(3, 1)), delta, kind=ProductKind.SUP,
+                      samples=samples)
         with pytest.raises(ValueError, match="operator 2, family 2, point 3"):
-            check_mk_operator(Instance(wide, *args, LSet.of(3, 1)), *rest)
+            check(Instance(wide, *args, LSet.of(3, 1)), delta, kind=ProductKind.SUP)
         with pytest.raises(UnsupportedInstanceError, match=r"box \[-1e\+308, 1e\+308\]"):
-            check_mk_operator(Instance(wide, *args, self.L), *rest)
+            check(Instance(wide, *args, self.L), delta, kind=ProductKind.SUP)
 
     @pytest.mark.parametrize("sampling", [{"seed": 0}, {"samples": 5}, {"seed": 1, "samples": 5}])
     def test_a_finite_carrier_is_never_sampled(self, sampling):
         space, order = int_chain(3)
         args = (Instance(space, order, MultiOperator.constant(2, 1), coupled_preset(), self.L),
-                MeirKeelerModulus.linear(1.0), ProductKind.SUP)
+                MeirKeelerModulus.linear(1.0))
         with pytest.raises(UnsupportedInstanceError, match="checked on every pair"):
-            check_mk_operator(*args, **sampling)
+            CONDITIONS["mk-op"].check(*args, kind=ProductKind.SUP, **sampling)
 
     def test_a_sum_over_a_table_keeps_the_computed_margin(self):
         # The images of (0, 1) <=_L (1, 0) are 1e-13 short of r = 1 in the
@@ -359,9 +396,9 @@ class TestMeirKeelerOperator:
         e = 0.5 - 5e-14
         space = DistanceSpace.from_matrix([0, 1], [[0, e], [e, 0]])
         F = MultiOperator(2, lambda x, y: y)
-        report = check_mk_operator(
+        report = CONDITIONS["mk-op"].check(
             Instance(space, chain_order([0, 1]), F, coupled_preset(), self.L),
-            MeirKeelerModulus.const(0.5), ProductKind.SUM, r_grid=[1.0],
+            MeirKeelerModulus.const(0.5), kind=ProductKind.SUM, r_grid=[1.0],
         )
         assert report.counterexample == ((0, 1), (1, 0), 1.0)
 
@@ -372,9 +409,9 @@ class TestMeirKeelerOperator:
         calls = []
         F = MultiOperator(2, lambda x, y: calls.append((x, y)) or 0)
         with pytest.raises(ValueError, match="no comparable pairs to check"):
-            check_mk_operator(
+            CONDITIONS["mk-op"].check(
                 Instance(space, chain_order(["a", "b"]), F, coupled_preset(), self.L),
-                MeirKeelerModulus.linear(1.0), ProductKind.SUP,
+                MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP,
             )
         assert calls == []
 
@@ -569,8 +606,8 @@ class TestAllRClosedForm:
         space, order = int_chain(3)
         F = MultiOperator.constant(2, 1)
         args = (Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
-                MeirKeelerModulus.linear(1.0), ProductKind.SUM)
-        assert check_mk_operator(*args).verdict == "pass"
+                MeirKeelerModulus.linear(1.0))
+        assert CONDITIONS["mk-op"].check(*args, kind=ProductKind.SUM).verdict == "pass"
         reals = DistanceSpace.reals(-10, 10)
         same = np.array([[[1.5, -2.0], [1.5, -2.0]]])
         F = MultiOperator(2, lambda x, y: x - y)
@@ -616,7 +653,7 @@ def continuous_pair_instances(draw):
 
 
 class TestColumnPathMatchesLoop:
-    """check_mk_operator on sampled pairs, drawn and evaluated in blocks of
+    """mk-op on sampled pairs, drawn and evaluated in blocks of
     any size, against the per-pair loop on the per-pair sampler's pairs."""
 
     @settings(max_examples=200, deadline=None)
@@ -637,8 +674,8 @@ class TestColumnPathMatchesLoop:
         assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
         base = (space, OrderRelation.numeric(), F, family, lset)
         with mock.patch("multifix.conditions.SAMPLE_BLOCK", block):
-            report = check_mk_operator(
-                Instance(*base), delta, kind, r_grid=r_grid, seed=seed, samples=n
+            report = CONDITIONS["mk-op"].check(
+                Instance(*base), delta, kind=kind, r_grid=r_grid, seed=seed, samples=n
             )
         assert field_reprs(report) == field_reprs(
             reference_check_mk_operator(
@@ -668,9 +705,9 @@ class TestCompositeMK:
     def test_pass_with_grid_above_realized_distances(self):
         space, order = int_chain(2)
         F = MultiOperator.constant(2, 0)
-        report = check_mk(
+        report = CONDITIONS["mk1"].check(
             Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
-            MeirKeelerModulus.const(1.0), 1, r_grid=[2.0],
+            MeirKeelerModulus.const(1.0), r_grid=[2.0],
         )
         assert report.verdict == "pass"
 
@@ -678,9 +715,9 @@ class TestCompositeMK:
         space = DistanceSpace.from_matrix([0, 1], [[0, 1], [1, 0]])
         order = OrderRelation.from_pairs([0, 1], [])
         F = MultiOperator.constant(2, 0)
-        report = check_mk(
+        report = CONDITIONS["mk1"].check(
             Instance(space, order, F, coupled_preset(), LSet.of(2, 1)),
-            MeirKeelerModulus.const(1.0), 1,
+            MeirKeelerModulus.const(1.0),
         )
         assert report.verdict == "fail"
         assert report.failing_clause().name == "pair bounds"
@@ -689,9 +726,9 @@ class TestCompositeMK:
         space, order = int_chain(3)
         # identity-style map is isotone, so the antitone clause must fail
         F = MultiOperator(2, lambda x, y: x)
-        report = check_mk(
+        report = CONDITIONS["mk2"].check(
             Instance(space, order, F, coupled_preset(), LSet.of(2, 1, 2)),
-            MeirKeelerModulus.const(1.0), 2, r_grid=[10.0],
+            MeirKeelerModulus.const(1.0), r_grid=[10.0],
         )
         assert report.verdict == "fail"
         assert report.failing_clause().name == "image order"
@@ -709,14 +746,24 @@ class TestEmptyGrid:
 
     def test_mk_operator(self, inst):
         delta = MeirKeelerModulus.linear(1.0)
-        assert check_mk_operator(inst, delta, ProductKind.SUP).verdict == "fail"
+        assert CONDITIONS["mk-op"].check(inst, delta, kind=ProductKind.SUP).verdict == "fail"
         with pytest.raises(ValueError, match="^r_grid must be nonempty$"):
-            check_mk_operator(inst, delta, ProductKind.SUP, r_grid=[])
+            CONDITIONS["mk-op"].check(inst, delta, kind=ProductKind.SUP, r_grid=[])
 
     def test_mk(self, inst):
         delta = MeirKeelerModulus.linear(1.0)
         with pytest.raises(ValueError, match="^r_grid must be nonempty$"):
-            check_mk(inst, delta, 2, r_grid=[])
+            CONDITIONS["mk2"].check(inst, delta, r_grid=[])
+
+    @pytest.mark.parametrize("name", ["mk1", "mk2", "mk-op"])
+    def test_refused_before_F_is_called(self, name):
+        space, order = int_chain(2)
+        calls = []
+        F = MultiOperator(2, lambda x, y: calls.append((x, y)) or 0)
+        inst = Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
+        with pytest.raises(ValueError, match="^r_grid must be nonempty$"):
+            CONDITIONS[name].check(inst, MeirKeelerModulus.linear(1.0), [], kind=ProductKind.SUP)
+        assert calls == []
 
 
 # Labels of mixed types, some spelled like block headers or separators.
@@ -797,11 +844,11 @@ class TestOrderClausesMatchReference:
         F = MultiOperator.constant(1, labels[0])
         family, lset = LambdaFamily.identity(1), LSet.of(1, 1)
         same_report(
-            check_omega(Instance(space, order, F, family, lset), 1),
+            CONDITIONS["omega1"].check(Instance(space, order, F, family, lset)),
             reference_check_omega(space, order, F, family, lset, 1),
         )
         same_report(
-            check_mk(Instance(space, order, F, family, lset), delta, 1),
+            CONDITIONS["mk1"].check(Instance(space, order, F, family, lset), delta),
             reference_check_mk(space, order, F, family, lset, delta, 1),
         )
 
@@ -827,8 +874,8 @@ class TestEqualPairs:
         F = MultiOperator.constant(1, "b")
         inst = Instance(space, order, F, LambdaFamily.identity(1), LSet.of(1, 1))
         delta = MeirKeelerModulus.linear(0.5)
-        assert check_omega(inst, 1).passed
-        assert check_mk(inst, delta, 1).failing_clause() == Clause(
+        assert CONDITIONS["omega1"].check(inst).passed
+        assert CONDITIONS["mk1"].check(inst, delta).failing_clause() == Clause(
             "image order", False, (("a",), ("a",))
         )
-        assert check_mk_operator(inst, delta, ProductKind.SUP).passed
+        assert CONDITIONS["mk-op"].check(inst, delta, kind=ProductKind.SUP).passed

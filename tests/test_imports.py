@@ -233,26 +233,50 @@ def test_an_instance_build_is_reported(tmp_path):
     assert instance_builds(module) == ["module.py:1", "module.py:2", "module.py:4"]
 
 
-def pair_walks(path: Path) -> list[str]:
-    """Each call a module makes of ``.comparable_pairs(...)``."""
+def call_sites(path: Path, called: str) -> list[str]:
+    """Each call a module makes of ``called``: a method call ``.name(...)``
+    when it is spelled with a leading dot, else a plain ``name(...)``."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    name = called.lstrip(".")
     return [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "comparable_pairs"
+        and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == name
+            if called.startswith(".")
+            else isinstance(node.func, ast.Name) and node.func.id == name
+        )
     ]
 
 
 def test_one_call_site_walks_the_comparable_pairs():
     # conditions._pair_blocks feeds every exhaustive pair check; a second
     # walk would need its own slicing, image-order rule and witness.
-    sites = [site for path in MODULES for site in pair_walks(path)]
+    sites = [site for path in MODULES for site in call_sites(path, ".comparable_pairs")]
+    assert len(sites) == 1, sites
+
+
+@pytest.mark.parametrize("called", ["_first_failing_pair", "_pair_blocks"])
+def test_one_checker_runs_every_condition_set(called):
+    # ConditionSet.check runs all seven sets; a second caller of the pair
+    # walk would be a second checker, with its own clause order.
+    sites = [site for path in MODULES for site in call_sites(path, called)]
     assert len(sites) == 1, sites
 
 
 def test_a_pair_walk_is_reported(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("k.comparable_pairs(o, True)\nk.comparable_pairs\ncomparable_pairs(o)\n")
-    assert pair_walks(module) == ["module.py:1"]
+    assert call_sites(module, ".comparable_pairs") == ["module.py:1"]
+
+
+def test_a_second_checker_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def check(inst):\n    return _first_failing_pair(_pair_blocks(inst), f)\n\n"
+        "def check_again(inst):\n    return _first_failing_pair(_pair_blocks(inst), f)\n"
+        "_first_failing_pair\nself._pair_blocks(inst)\n"
+    )
+    assert call_sites(module, "_first_failing_pair") == ["module.py:2", "module.py:5"]
+    assert call_sites(module, "_pair_blocks") == ["module.py:2", "module.py:5"]

@@ -25,9 +25,6 @@ from multifix import (
     ProductKind,
     UnsupportedInstanceError,
     chain_order,
-    check_mk,
-    check_mk_operator,
-    check_omega,
     coupled_preset,
     enumerate_fixed_points,
     find_monotone_start,
@@ -35,6 +32,7 @@ from multifix import (
     verify_uniqueness,
 )
 from multifix import kernel
+from multifix.conditions import CONDITIONS
 from helpers import (
     checked_distance,
     int_chain,
@@ -147,17 +145,17 @@ def test_kernel_matches_reference(instance):
     with mock.patch.object(kernel, "PAIR_BLOCK", block):
         for variant in (1, 2, 3, 4):
             same(
-                check_omega(inst, variant),
+                CONDITIONS[f"omega{variant}"].check(inst),
                 reference_check_omega(space, order, F, family, lset, variant),
             )
         for variant in (1, 2):
             same(
-                check_mk(inst, delta, variant, r_grid),
+                CONDITIONS[f"mk{variant}"].check(inst, delta, r_grid),
                 reference_check_mk(space, order, F, family, lset, delta, variant, r_grid),
             )
         for kind in ProductKind:
             same(
-                check_mk_operator(inst, delta, kind, r_grid=r_grid),
+                CONDITIONS["mk-op"].check(inst, delta, kind=kind, r_grid=r_grid),
                 reference_check_mk_operator(
                     space, order, F, family, lset, delta, kind, r_grid=r_grid
                 ),
@@ -187,7 +185,7 @@ def test_canonical_order_witness_across_blocks():
     want = reference_check_omega(space, order, F, coupled_preset(), LSet.of(2, 1), 1)
     assert want.counterexample not in (None, ((0, 0), (0, 1)))
     with mock.patch.object(kernel, "PAIR_BLOCK", 1):
-        got = check_omega(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)), 1)
+        got = CONDITIONS["omega1"].check(Instance(space, order, F, coupled_preset(), LSet.of(2, 1)))
     assert got.counterexample == want.counterexample
 
 
@@ -310,10 +308,10 @@ class TestBoundedMemory:
         F = MultiOperator(3, lambda x, y, z: max(min(x, z) - 1, 0))
         lset = LSet.of(3, 1, 2, 3)
         checks = [
-            lambda: check_omega(Instance(space, order, F, tripled_preset(), lset), 1),
-            lambda: check_mk_operator(
+            lambda: CONDITIONS["omega1"].check(Instance(space, order, F, tripled_preset(), lset)),
+            lambda: CONDITIONS["mk-op"].check(
                 Instance(space, order, F, tripled_preset(), lset), MeirKeelerModulus.const(0.5),
-                ProductKind.SUP,
+                kind=ProductKind.SUP,
             ),
         ]
         peaks = []
@@ -352,8 +350,8 @@ class TestBaseClausesComeFirst:
     @staticmethod
     def failing_clauses(inst) -> list:
         delta = MeirKeelerModulus.const(1.0)
-        reports = [check_omega(inst, variant) for variant in (1, 2, 3, 4)]
-        reports += [check_mk(inst, delta, variant) for variant in (1, 2)]
+        reports = [CONDITIONS[f"omega{variant}"].check(inst) for variant in (1, 2, 3, 4)]
+        reports += [CONDITIONS[f"mk{variant}"].check(inst, delta) for variant in (1, 2)]
         return [(r.verdict, r.failing_clause().name) for r in reports]
 
     WANT = [("fail", "lattice")] * 4 + [("fail", "pair bounds")] * 2
@@ -375,10 +373,10 @@ class TestBaseClausesComeFirst:
         monkeypatch.setenv("MULTIFIX_CAP", "3")
         inst = replace(self.antichain(MultiOperator.constant(2, 0)), order=chain_order("pq"))
         with pytest.raises(CapacityError, match="size 16 exceeds materialization cap 3"):
-            check_mk_operator(inst, MeirKeelerModulus.const(1.0), ProductKind.SUP)
+            CONDITIONS["mk-op"].check(inst, MeirKeelerModulus.const(1.0), kind=ProductKind.SUP)
         monkeypatch.delenv("MULTIFIX_CAP")
         with pytest.raises(ValueError, match="no comparable pairs to check"):
-            check_mk_operator(inst, MeirKeelerModulus.const(1.0), ProductKind.SUP)
+            CONDITIONS["mk-op"].check(inst, MeirKeelerModulus.const(1.0), kind=ProductKind.SUP)
 
     def test_orders_on_a_box(self):
         inst = Instance(
@@ -396,7 +394,7 @@ def test_callable_value_outside_carrier_names_argument():
     with pytest.raises(EvaluationError, match=r"value 2 at \(1, 1\)"):
         enumerate_fixed_points(inst)
     with pytest.raises(EvaluationError, match="outside the carrier"):
-        check_omega(inst, 1)
+        CONDITIONS["omega1"].check(inst)
 
 
 def test_operator_called_once_per_argument_tuple():

@@ -19,7 +19,6 @@ from multifix import (
     MultiOperator,
     OrderRelation,
     ProductKind,
-    check_mk_operator,
     classify_finite,
     verify_uniqueness,
 )
@@ -87,7 +86,7 @@ def verdicts(instance, m, family, lset):
             report = verify_uniqueness(inst, name, delta=DELTA)
             found[name] = report.verdict
     for kind in ProductKind:
-        found[kind] = check_mk_operator(inst, DELTA, kind).verdict
+        found[kind] = CONDITIONS["mk-op"].check(inst, DELTA, kind=kind).verdict
     return found, set(report.fixed_points)
 
 
