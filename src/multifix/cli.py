@@ -82,8 +82,10 @@ def _default_lset(pf) -> LSet:
 
 
 def _instance(pf) -> Instance:
-    """The file's instance, its missing blocks named in the order of its fields."""
-    space, order = pf.require("space"), pf.require("order")
+    """The file's instance, its missing blocks named in the order of its
+    fields; a box takes no order."""
+    space = pf.require("space")
+    order = pf.require("order") if space.is_finite else None
     return Instance(space, order, pf.require("operator"), pf.require("family"), _default_lset(pf))
 
 

@@ -134,9 +134,9 @@ def _common_bounds(O: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]
         yield a, O[a] & O, O[:, a] & O.T
 
 
-def check_lattice(order: OrderRelation) -> Clause:
+def check_lattice(order: Optional[OrderRelation]) -> Clause:
     """Every pair must have a unique join and meet."""
-    if not order.is_finite:
+    if order is None:
         raise UnsupportedInstanceError("lattice check needs a finite carrier")
     points = order.points
     O = order.matrix(points)
@@ -155,9 +155,9 @@ def check_lattice(order: OrderRelation) -> Clause:
     return Clause("lattice", True)
 
 
-def check_bounds_exist(order: OrderRelation) -> Clause:
+def check_bounds_exist(order: Optional[OrderRelation]) -> Clause:
     """Every pair has some upper and some lower bound (weaker than lattice)."""
-    if not order.is_finite:
+    if order is None:
         raise UnsupportedInstanceError("bounds check needs a finite carrier")
     points = order.points
     for a, upper, lower in _common_bounds(order.matrix(points)):
@@ -394,8 +394,8 @@ class ConditionSet:
     out, or with ``mk`` the MK operator condition, equal pairs included:
     rho(lo, hi) < r for every r > 0 with rho(x, y) < r + delta(r).  A set
     with no ``kind`` of its own is the bare operator condition: it reads
-    the caller's, counts its pairs, may run on a continuous carrier and
-    grades no uniqueness theorem.
+    the caller's, may run on a continuous carrier and grades no uniqueness
+    theorem.
     """
 
     base: tuple[Callable[[Instance], Clause], ...]
@@ -436,17 +436,20 @@ class ConditionSet:
         seed: Optional[int] = None,
         samples: Optional[int] = None,
     ) -> ConditionReport:
-        """The set's report on ``inst``.  The MK test decides every r > 0 in
+        """The set's report on ``inst``.  The MK test, which refuses a
+        missing ``delta`` before any base clause, decides every r > 0 in
         closed form, or every r of an ``r_grid``; the strict test reads
-        neither it nor ``delta``, and a set with a ``kind`` ignores the one
-        passed.  A finite carrier is checked on every comparable pair and
-        may report "pass".  A continuous one, which every base clause
-        refuses, is checked on ``samples`` pairs (default 10000) that
-        :func:`sample_comparable_pairs` draws from ``seed`` (default 0) over
-        its box, and reports at most "sampled-pass".  Either way the walk
+        neither, and a set with a ``kind`` ignores the one passed.  A finite
+        carrier is checked on every comparable pair, with no ``samples`` in
+        the report, and may report "pass".  A continuous one, which every
+        base clause refuses, is checked on ``samples`` pairs (default 10000)
+        that :func:`sample_comparable_pairs` draws from ``seed`` (default 0)
+        over its box, and reports at most "sampled-pass".  Either way the walk
         stops at the first failing pair, so memory does not grow with the
         sample count.
         """
+        if self.mk and delta is None:
+            raise ValueError("the MK operator condition needs a Meir-Keeler modulus")
         clauses = []
         for base in self.base:
             clauses.append(base(inst))
@@ -461,12 +464,6 @@ class ConditionSet:
                 raise UnsupportedInstanceError(
                     "a finite carrier is checked on every pair, not sampled"
                 )
-            if bare:
-                # <=_L is a product relation, so the pair count comes from the
-                # per-coordinate order pairs.
-                samples = int(inst.orders[0].sum()) ** lset.m
-                if not samples:
-                    raise ValueError("no comparable pairs to check")
             blocks = _pair_blocks(inst, kind, self.antitone, symmetric=not self.mk)
             decode = inst.point
         else:

@@ -42,6 +42,11 @@ class Instance:
     image are built on first use and kept, so every check of the instance
     shares them; a box carrier reads none of the three.
 
+    A finite carrier's order is a partial order on exactly its labels, or
+    None for the oracle, which reads none; a box, ordered by the usual
+    ``<=``, has no order object.  Any other order is refused with a
+    :class:`ValueError` naming the first offending label.
+
     The columns raise what :func:`product_size` raises on the same
     arguments: an :class:`UnsupportedInstanceError` for a continuous carrier
     and a :class:`CapacityError` above the materialization cap.  The orders
@@ -54,6 +59,19 @@ class Instance:
     F: MultiOperator
     family: LambdaFamily
     lset: LSet
+
+    def __post_init__(self):
+        if self.order is None:
+            return
+        if not self.space.is_finite:
+            raise ValueError("a box is ordered by <= and takes no order object")
+        carrier, ordered = set(self.space.points), set(self.order.points)
+        for label in self.space.points:
+            if label not in ordered:
+                raise ValueError(f"carrier label {label!r} is not in the order")
+        for label in self.order.points:
+            if label not in carrier:
+                raise ValueError(f"order label {label!r} is not in the carrier")
 
     @functools.cached_property
     def columns(self) -> tuple[np.ndarray, ...]:

@@ -1,9 +1,11 @@
-"""Partial orders on carriers and the L-twisted order on product tuples."""
+"""Partial orders on finite carriers and the L-twisted order on product
+tuples.  A box carrier is ordered by the usual ``<=`` and has no order
+object."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from ._numpy import np
 
@@ -11,19 +13,20 @@ Point = Any
 
 
 class OrderRelation:
-    """Decidable partial order: closed boolean matrix (finite) or numeric <=
-    (continuous).
+    """Decidable partial order on a finite set of points: a closed boolean
+    matrix.
 
-    Finite relations are built from generating pairs; the reflexive-transitive
-    closure is taken and antisymmetry of the closed relation is validated, so
-    callers may supply covering pairs only.  Entry ``(i, j)`` of the matrix
-    says ``points[i] <= points[j]``.
+    Relations are built from generating pairs over distinct labels; the
+    reflexive-transitive closure is taken and antisymmetry of the closed
+    relation is validated, so callers may supply covering pairs only.  Entry
+    ``(i, j)`` of the matrix says ``points[i] <= points[j]``.  A box carrier
+    has no order object.
     """
 
-    def __init__(self, points: Optional[Sequence[Point]], matrix: Optional[np.ndarray]):
-        self.points = tuple(points) if points is not None else None
+    def __init__(self, points: Sequence[Point], matrix: np.ndarray):
+        self.points = tuple(points)
         self._matrix = matrix
-        self._index = None if matrix is None else {p: i for i, p in enumerate(self.points)}
+        self._index = {p: i for i, p in enumerate(self.points)}
 
     @classmethod
     def from_pairs(
@@ -31,6 +34,8 @@ class OrderRelation:
     ) -> "OrderRelation":
         points = tuple(points)
         index = {p: i for i, p in enumerate(points)}
+        if len(index) != len(points):
+            raise ValueError("order labels must be distinct")
         rel = np.eye(len(points), dtype=bool)
         for a, b in pairs:
             for p in (a, b):
@@ -46,36 +51,17 @@ class OrderRelation:
             raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
         return cls(points, rel)
 
-    @classmethod
-    def numeric(cls) -> "OrderRelation":
-        """The usual order on the reals."""
-        return cls(None, None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self._matrix is not None
-
     def leq(self, x: Point, y: Point) -> bool:
-        if self._matrix is not None:
-            try:
-                return self._matrix.item(self._index[x], self._index[y])
-            except KeyError:  # a point outside the order compares to nothing
-                return False
-        return x <= y
+        return self._matrix.item(self._index[x], self._index[y])
 
     def matrix(self, labels: Sequence[Point]) -> np.ndarray:
         """The order re-indexed to ``labels``: entry ``(i, j)`` is
-        ``leq(labels[i], labels[j])``, so a label the order does not contain
-        compares to nothing, itself included."""
-        n = len(labels)
-        if self._matrix is None:
-            leq = [[self.leq(a, b) for b in labels] for a in labels]
-            return np.array(leq, dtype=bool).reshape(n, n)
-        rows = np.array([self._index.get(p, -1) for p in labels], dtype=np.intp)
-        known = np.flatnonzero(rows >= 0)
-        out = np.zeros((n, n), dtype=bool)
-        out[np.ix_(known, known)] = self._matrix[np.ix_(rows[known], rows[known])]
-        return out
+        ``leq(labels[i], labels[j])``.  Every label must be in the order."""
+        try:
+            rows = [self._index[p] for p in labels]
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0]!r} is not in the order") from None
+        return self._matrix[np.ix_(rows, rows)]
 
 
 def chain_order(points: Sequence[Point]) -> OrderRelation:

@@ -275,7 +275,6 @@ def parse_problem(text: str) -> ProblemFile:
             if lo > hi:
                 raise ParseError(f"box bounds need LO <= HI, got {toks[1]} > {toks[2]}", ln)
             pf.space = DistanceSpace.reals(lo, hi)
-            pf.order = OrderRelation.numeric()
         elif head == "lambda":
             if rest == "coupled":
                 pf.family = coupled_preset()

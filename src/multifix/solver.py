@@ -55,7 +55,6 @@ def find_monotone_start(inst: Instance) -> Optional[tuple[tuple, str]]:
     F is evaluated on every argument tuple, as the enumeration oracle does,
     so a value outside the carrier raises :class:`EvaluationError` even
     when an earlier point qualifies."""
-    inst.orders  # the order's errors come before F's
     image = inst.image
     points = np.arange(inst.size)
     up = inst.leq_L(points, image)
@@ -156,8 +155,6 @@ def verify_uniqueness(
     entry = CONDITIONS.get(condition)
     if entry is None or not entry.verifiable:
         raise ValueError(f"unknown condition selector {condition!r}")
-    if entry.needs_delta and delta is None:
-        raise ValueError(f"{condition} needs a Meir-Keeler modulus")
     report = entry.check(inst, delta=delta)
     report.clauses += entry.theorem_clauses(inst)
 

@@ -371,6 +371,7 @@ def reference_check_mk_operator(
         pairs = comparable_product_pairs(space, order, lset, include_equal=True)
     if not pairs:
         raise ValueError("no comparable pairs to check")
+    samples = None if exhaustive else len(pairs)
     measured = list(reference_pair_distances(space, F, family, kind, pairs))
     table = space.is_finite and kind is ProductKind.SUP
     grid_bound = r_grid is not None
@@ -384,13 +385,13 @@ def reference_check_mk_operator(
             clause = Clause("MK operator condition", False, (tuple(x), tuple(y), r))
             return ConditionReport(
                 [clause], sampled=not exhaustive,
-                seed=seed, samples=len(pairs), grid_bound=grid_bound,
+                seed=seed, samples=samples, grid_bound=grid_bound,
             )
     return ConditionReport(
         [Clause("MK operator condition", True)],
         sampled=not exhaustive,
         seed=seed,
-        samples=len(pairs),
+        samples=samples,
         grid_bound=grid_bound,
     )
 

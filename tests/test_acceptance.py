@@ -282,7 +282,6 @@ def test_criterion_6_tripled_convergence_regression(announce):
 
 def test_criterion_7_meir_keeler_discrimination(announce):
     reals = DistanceSpace.reals(-10, 10)
-    order = OrderRelation.numeric()
     lset = LSet.of(2, 1)
     fam = coupled_preset()
     delta = MeirKeelerModulus.linear(1.0)
@@ -290,7 +289,7 @@ def test_criterion_7_meir_keeler_discrimination(announce):
     def run(k):
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
         return CONDITIONS["mk-op"].check(
-            Instance(reals, order, F, fam, lset), delta,
+            Instance(reals, None, F, fam, lset), delta,
             kind=ProductKind.SUP, samples=10_000, seed=7,
         )
 

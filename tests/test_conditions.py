@@ -26,6 +26,7 @@ from multifix import (
     check_order_distance_compat,
     coupled_preset,
     sample_comparable_pairs,
+    verify_uniqueness,
 )
 from multifix import conditions
 from multifix.conditions import (
@@ -35,6 +36,7 @@ from multifix.conditions import (
     _binding_r,
     _column_distances,
     _first_failure,
+    _pair_blocks,
 )
 from multifix.spaces import COMPUTED_ATOL
 from helpers import (
@@ -106,6 +108,41 @@ class TestLattice:
         ]
         order = OrderRelation.from_pairs(points, pairs)
         assert check_lattice(order).ok
+
+
+@pytest.mark.parametrize(
+    "check, name", [(check_lattice, "lattice"), (check_bounds_exist, "bounds")]
+)
+def test_order_clauses_refuse_a_box(check, name):
+    with pytest.raises(UnsupportedInstanceError, match=f"{name} check needs a finite carrier"):
+        check(None)
+
+
+class TestMissingModulus:
+    """An MK set refuses a missing modulus before its base clauses run or F
+    is called, also where a base clause would fail."""
+
+    @pytest.mark.parametrize("name", ["mk1", "mk2", "mk-op"])
+    @pytest.mark.parametrize("shape", ["constant", "projection", "antichain"])
+    def test_refused_before_anything_runs(self, name, shape):
+        space, order = int_chain(3)
+        if shape == "antichain":
+            order = OrderRelation.from_pairs(space.points, [])
+        calls = []
+        value = (lambda x, y: x) if shape == "projection" else (lambda x, y: 1)
+        F = MultiOperator(2, lambda x, y: calls.append((x, y)) or value(x, y))
+        inst = Instance(space, order, F, coupled_preset(), LSet.of(2, 1))
+        with mock.patch.object(conditions, "check_bounds_exist") as bounds:
+            with pytest.raises(ValueError, match="needs a Meir-Keeler modulus"):
+                CONDITIONS[name].check(inst, kind=ProductKind.SUP)
+        assert calls == [] and not bounds.called
+
+    @pytest.mark.parametrize("name", ["mk1", "mk2"])
+    def test_verify_refuses_it_too(self, name):
+        space, order = int_chain(3)
+        inst = Instance(space, order, MultiOperator.constant(2, 1), coupled_preset(), LSet.of(2, 1))
+        with pytest.raises(ValueError, match="needs a Meir-Keeler modulus"):
+            verify_uniqueness(inst, condition=name)
 
 
 class TestBounds:
@@ -284,7 +321,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
         report = CONDITIONS["mk-op"].check(
-            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
+            Instance(reals, None, F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP, samples=2000, seed=7,
         )
         assert report.verdict == "sampled-pass"
@@ -294,7 +331,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: 2 * x)
         report = CONDITIONS["mk-op"].check(
-            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
+            Instance(reals, None, F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP, samples=500, seed=3,
         )
         assert report.verdict == "fail"
@@ -316,7 +353,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
         report = CONDITIONS["mk-op"].check(
-            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
+            Instance(reals, None, F, coupled_preset(), self.L),
             MeirKeelerModulus.linear((1 - k) / k), kind=ProductKind.SUP,
             samples=1000, seed=21,
         )
@@ -327,7 +364,7 @@ class TestMeirKeelerOperator:
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (k / 2) * (x - y))
         report = CONDITIONS["mk-op"].check(
-            Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
+            Instance(reals, None, F, coupled_preset(), self.L),
             MeirKeelerModulus.linear(0.5), kind=ProductKind.SUP, samples=1000, seed=21,
         )
         assert report.verdict == "fail"
@@ -339,7 +376,7 @@ class TestMeirKeelerOperator:
         for _ in range(2):
             runs.append(
                 CONDITIONS["mk-op"].check(
-                    Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
+                    Instance(reals, None, F, coupled_preset(), self.L),
                     MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP,
                     samples=1000, seed=9,
                 )
@@ -361,7 +398,7 @@ class TestMeirKeelerOperator:
     def test_defaults_are_seed_zero_and_ten_thousand_samples(self):
         reals = DistanceSpace.reals(-10, 10)
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
-        args = (Instance(reals, OrderRelation.numeric(), F, coupled_preset(), self.L),
+        args = (Instance(reals, None, F, coupled_preset(), self.L),
                 MeirKeelerModulus.linear(1.0))
         check = CONDITIONS["mk-op"].check
         report = check(*args, kind=ProductKind.SUP)
@@ -370,7 +407,7 @@ class TestMeirKeelerOperator:
         assert field_reprs(report) == field_reprs(again)
 
     def test_errors_come_in_order_count_arity_width(self):
-        args = (OrderRelation.numeric(), MultiOperator(2, lambda x, y: x), coupled_preset())
+        args = (None, MultiOperator(2, lambda x, y: x), coupled_preset())
         delta, check = MeirKeelerModulus.linear(1.0), CONDITIONS["mk-op"].check
         wide = DistanceSpace.reals(-1e308, 1e308)
         for samples in (0, -5):
@@ -401,19 +438,6 @@ class TestMeirKeelerOperator:
             MeirKeelerModulus.const(0.5), kind=ProductKind.SUM, r_grid=[1.0],
         )
         assert report.counterexample == ((0, 1), (1, 0), 1.0)
-
-    def test_a_finite_carrier_without_comparable_pairs_raises_before_F(self):
-        # The order is over labels outside the carrier, so no point compares
-        # to any, itself included.
-        space, _ = int_chain(3)
-        calls = []
-        F = MultiOperator(2, lambda x, y: calls.append((x, y)) or 0)
-        with pytest.raises(ValueError, match="no comparable pairs to check"):
-            CONDITIONS["mk-op"].check(
-                Instance(space, chain_order(["a", "b"]), F, coupled_preset(), self.L),
-                MeirKeelerModulus.linear(1.0), kind=ProductKind.SUP,
-            )
-        assert calls == []
 
 
 BOUND = st.floats(-1e6, 1e6, allow_nan=False) | st.floats(allow_nan=False, allow_infinity=False)
@@ -672,7 +696,7 @@ class TestColumnPathMatchesLoop:
         want = list(reference_pair_distances(space, F, family, kind, loop_pairs))
         assert [repr(v) for v in got[0].tolist()] == [repr(d) for d, _ in want]
         assert [repr(v) for v in got[1].tolist()] == [repr(d) for _, d in want]
-        base = (space, OrderRelation.numeric(), F, family, lset)
+        base = (space, None, F, family, lset)
         with mock.patch("multifix.conditions.SAMPLE_BLOCK", block):
             report = CONDITIONS["mk-op"].check(
                 Instance(*base), delta, kind=kind, r_grid=r_grid, seed=seed, samples=n
@@ -781,16 +805,11 @@ ORDER_LABELS = st.lists(
 
 @st.composite
 def ordered_spaces(draw):
-    """A finite space and an order over its labels, reshuffled, perhaps
-    without one of them and perhaps with a label the space lacks: a chain, a
+    """A finite space and an order over its labels, reshuffled: a chain, a
     random poset, or a random poset given a bottom and a top."""
     labels = draw(ORDER_LABELS)
     n = len(labels)
     points = draw(st.permutations(labels))
-    if draw(st.booleans()):
-        points.pop(draw(st.integers(0, n - 1)))
-    if draw(st.booleans()):
-        points.insert(draw(st.integers(0, len(points))), "only-in-order")
     shape = draw(st.sampled_from(["chain", "poset", "bounded"]))
     rank = draw(st.permutations(points))
     pairs = [
@@ -852,30 +871,29 @@ class TestOrderClausesMatchReference:
             reference_check_mk(space, order, F, family, lset, delta, 1),
         )
 
-    def test_numeric_order_on_a_finite_carrier(self):
-        space = DistanceSpace.from_matrix([2, 0, 1], [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
-        order = OrderRelation.numeric()
-        assert order.matrix(space.points).tolist() == [
-            [True, False, False], [True, True, True], [True, False, True]
-        ]
-        assert check_order_distance_compat(space, order) == reference_check_order_distance_compat(
-            space, order
-        )
-
 
 class TestEqualPairs:
-    """The omega conditions walk distinct comparable pairs; mk and mk-op
-    walk equal pairs too, so an order that leaves out lambdaF(x) fails mk's
-    image order at (x, x)."""
+    """The omega conditions walk distinct comparable pairs, their symmetric
+    distances summed; mk and mk-op walk equal pairs too, their distances one
+    way."""
 
     def test_only_mk_reads_the_equal_pair(self):
-        space = DistanceSpace.from_matrix(["a", "b"], [[0, 1], [1, 0]])
-        order = OrderRelation.from_pairs(["a"], [])
-        F = MultiOperator.constant(1, "b")
-        inst = Instance(space, order, F, LambdaFamily.identity(1), LSet.of(1, 1))
+        space = DistanceSpace.from_matrix([0, 1], [[0, 1], [2, 0]])
+        F = MultiOperator.constant(1, 1)
+        inst = Instance(space, chain_order([0, 1]), F, LambdaFamily.identity(1), LSet.of(1, 1))
+
+        def walk(symmetric):
+            blocks = _pair_blocks(inst, ProductKind.SUP, False, symmetric)
+            return [
+                (x, y, d)
+                for xs, ys, _, rho, _ in blocks
+                for x, y, d in zip(xs.tolist(), ys.tolist(), rho.tolist())
+            ]
+
+        assert walk(symmetric=True) == [(0, 1, 3.0)]
+        assert walk(symmetric=False) == [(0, 0, 0.0), (0, 1, 1.0), (1, 1, 0.0)]
         delta = MeirKeelerModulus.linear(0.5)
-        assert CONDITIONS["omega1"].check(inst).passed
-        assert CONDITIONS["mk1"].check(inst, delta).failing_clause() == Clause(
-            "image order", False, (("a",), ("a",))
-        )
-        assert CONDITIONS["mk-op"].check(inst, delta, kind=ProductKind.SUP).passed
+        for name in ("omega1", "omega4", "mk1", "mk2", "mk-op"):
+            with mock.patch.object(conditions, "_pair_blocks", wraps=_pair_blocks) as blocks:
+                CONDITIONS[name].check(inst, delta, kind=ProductKind.SUP)
+            assert blocks.call_args.kwargs["symmetric"] is name.startswith("omega")

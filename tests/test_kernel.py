@@ -5,7 +5,6 @@ exhaustive checks hold."""
 
 import itertools
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -255,11 +254,10 @@ def test_comparable_pairs_match_the_full_mask(order, lset, include_equal, block)
 
 @st.composite
 def monotone_start_instances(draw):
-    """A poset, over the whole carrier or over all but its last one or two
-    labels, with a random family, L set and operator: a table, a projection
-    (every point qualifies) or a constant."""
+    """A poset over the whole carrier, with a random family, L set and
+    operator: a table, a projection (every point qualifies) or a constant."""
     order = draw(posets())
-    labels = list(order.points) + list(range(10, 10 + draw(st.sampled_from([0, 0, 1, 2]))))
+    labels = list(order.points)
     space = unit_space(labels)
     lset = draw(lsets())
     m = lset.m
@@ -367,24 +365,38 @@ class TestBaseClausesComeFirst:
         inst = self.antichain(MultiOperator.constant(2, 7))
         assert self.failing_clauses(inst) == self.WANT
 
-    def test_mk_operator_over_an_order_outside_the_carrier_above_the_cap(self, monkeypatch):
-        # No carrier label is in the order, so no pair is comparable; the
-        # cap is reported all the same, before the pairs are counted.
-        monkeypatch.setenv("MULTIFIX_CAP", "3")
-        inst = replace(self.antichain(MultiOperator.constant(2, 0)), order=chain_order("pq"))
-        with pytest.raises(CapacityError, match="size 16 exceeds materialization cap 3"):
-            CONDITIONS["mk-op"].check(inst, MeirKeelerModulus.const(1.0), kind=ProductKind.SUP)
-        monkeypatch.delenv("MULTIFIX_CAP")
-        with pytest.raises(ValueError, match="no comparable pairs to check"):
-            CONDITIONS["mk-op"].check(inst, MeirKeelerModulus.const(1.0), kind=ProductKind.SUP)
-
     def test_orders_on_a_box(self):
         inst = Instance(
-            DistanceSpace.reals(), OrderRelation.numeric(), MultiOperator.constant(2, 0.0),
+            DistanceSpace.reals(), None, MultiOperator.constant(2, 0.0),
             coupled_preset(), LSet.of(2, 1),
         )
         with pytest.raises(UnsupportedInstanceError, match="continuous carrier"):
             inst.orders
+
+
+class TestOrderOnItsCarrier:
+    """A finite instance's order is a partial order on exactly its carrier's
+    labels, and a box has no order object; any other order is refused when
+    the instance is built, naming the first offending label."""
+
+    F = MultiOperator.constant(2, 0)
+
+    def build(self, space, order) -> Instance:
+        return Instance(space, order, self.F, coupled_preset(), LSet.of(2, 1))
+
+    def test_a_carrier_label_missing_from_the_order(self):
+        space = unit_space([0, 1, 2, 3])
+        with pytest.raises(ValueError, match="carrier label 2 is not in the order"):
+            self.build(space, chain_order([3, 0, 1]))
+
+    def test_an_order_label_the_carrier_lacks(self):
+        space = unit_space(["a", "b"])
+        with pytest.raises(ValueError, match="order label 'p' is not in the carrier"):
+            self.build(space, chain_order(["b", "p", "a", "q"]))
+
+    def test_any_order_on_a_box(self):
+        with pytest.raises(ValueError, match="a box is ordered by <= and takes no order"):
+            self.build(DistanceSpace.reals(), chain_order([0.0, 1.0]))
 
 
 def test_callable_value_outside_carrier_names_argument():

@@ -119,7 +119,7 @@ class TestContinuousParsing:
         pf = parse_problem(CONTINUOUS)
         assert not pf.space.is_finite
         assert pf.space.contains(3.5) and not pf.space.contains(11.0)
-        assert pf.order.leq(-1.0, 2.0)
+        assert pf.order is None  # a box is ordered by <=
         assert pf.operator(4.0, 0.0) == 0.25 * 4.0 + 1
         assert pf.family == coupled_preset()
         assert pf.delta(2.0) == 2.0
