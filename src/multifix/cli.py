@@ -102,7 +102,7 @@ def _print_report(report) -> int:
 
 
 def _delta(pf, condition):
-    return pf.require("delta") if condition.needs_delta else None
+    return pf.require("delta") if condition.mk else None
 
 
 def cmd_check(args) -> int:

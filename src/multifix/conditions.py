@@ -96,11 +96,10 @@ class ConditionReport:
 
     The verdict derives from the clauses: "fail" when one fails, with the
     first failing clause's witness as the counterexample, else "pass", or
-    "sampled-pass" when the pairs were ``sampled`` rather than exhausted.
+    "sampled-pass" when the report carries the ``samples`` drawn from ``seed``.
     """
 
     clauses: list[Clause] = field(default_factory=list)
-    sampled: bool = False
     seed: Optional[int] = None
     samples: Optional[int] = None
     grid_bound: bool = False  # r ranged over a finite grid, not every r > 0
@@ -119,7 +118,7 @@ class ConditionReport:
     def verdict(self) -> str:
         if not self.passed:
             return "fail"
-        return "sampled-pass" if self.sampled else "pass"
+        return "pass" if self.samples is None else "sampled-pass"
 
     @property
     def counterexample(self) -> Optional[tuple]:
@@ -199,7 +198,9 @@ def _pair_blocks(inst: Instance, kind: ProductKind, antitone: Optional[bool], sy
     lambdaF(y)), swapped when ``antitone``; ordered is lo <=_L hi, None when
     ``antitone`` is.  rho(x, y) and rho(lo, hi) add their reverse when
     ``symmetric``: the omega contraction, strict, so equal pairs are left out.
-    Nothing is read before the walk asks for the first block."""
+    Nothing is read before the walk asks for the first block, and then the
+    order before the image, so a missing order is refused before F runs."""
+    inst.require_order()
     image = inst.image
 
     def rho(xs, ys) -> np.ndarray:
@@ -412,10 +413,6 @@ class ConditionSet:
         return frozenset(options)
 
     @property
-    def needs_delta(self) -> bool:
-        return self.mk
-
-    @property
     def verifiable(self) -> bool:
         """verify grades a uniqueness theorem for it; verify reads no
         ``--metric``."""
@@ -491,7 +488,6 @@ class ConditionSet:
         passed.append(Clause(name, True))
         return ConditionReport(
             clauses + ([failure] if failure else passed),
-            sampled=not space.is_finite,
             seed=seed,
             samples=samples,
             # Not for mk1 and mk2: the benchmark's chain-verify expects "PASS (exhaustive)".
@@ -502,10 +498,10 @@ class ConditionSet:
 # Base clauses.  Each calls its checker through the module's global name
 # when it runs, so a wrapper set on that name sees the call.
 _ORDER_CLAUSES = (
-    lambda inst: check_lattice(inst.order),
-    lambda inst: check_order_distance_compat(inst.space, inst.order),
+    lambda inst: check_lattice(inst.require_order()),
+    lambda inst: check_order_distance_compat(inst.space, inst.require_order()),
 )
-_BOUNDS = (lambda inst: check_bounds_exist(inst.order),)
+_BOUNDS = (lambda inst: check_bounds_exist(inst.require_order()),)
 
 # The named condition sets, in the order the command line lists them.
 CONDITIONS: dict[str, ConditionSet] = {

@@ -43,9 +43,9 @@ class Instance:
     shares them; a box carrier reads none of the three.
 
     A finite carrier's order is a partial order on exactly its labels, or
-    None for the oracle, which reads none; a box, ordered by the usual
-    ``<=``, has no order object.  Any other order is refused with a
-    :class:`ValueError` naming the first offending label.
+    None for the oracle, which alone reads none (:meth:`require_order`); a
+    box, ordered by the usual ``<=``, has no order object.  Any other order
+    is refused with a :class:`ValueError` naming the first offending label.
 
     The columns raise what :func:`product_size` raises on the same
     arguments: an :class:`UnsupportedInstanceError` for a continuous carrier
@@ -73,6 +73,12 @@ class Instance:
             if label not in carrier:
                 raise ValueError(f"order label {label!r} is not in the carrier")
 
+    def require_order(self) -> Optional[OrderRelation]:
+        """The order: None on a box, refused on a finite carrier without one."""
+        if self.order is None and self.space.is_finite:
+            raise ValueError("the instance has no order: only enumeration runs without one")
+        return self.order
+
     @functools.cached_property
     def columns(self) -> tuple[np.ndarray, ...]:
         """Per coordinate, the carrier index of every product point."""
@@ -90,7 +96,7 @@ class Instance:
     @functools.cached_property
     def orders(self) -> list[np.ndarray]:
         self.columns  # refuse a box or an oversized product first
-        return self.lset.orient(self.order.matrix(self.space.points))
+        return self.lset.orient(self.require_order().matrix(self.space.points))
 
     @functools.cached_property
     def image(self) -> np.ndarray:

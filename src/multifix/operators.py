@@ -4,6 +4,7 @@ self-map on X^m whose fixed points are the multiple fixed points of F."""
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -157,8 +158,8 @@ def is_multiple_fixed_point(
     tol = 0 demands an exact fixed point (the natural choice on finite
     carriers).
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
     a = tuple(a)
     image = apply_lambda_f(F, family, a)
     residual = sum_distance(space, a, image)

@@ -51,12 +51,9 @@ class OrderRelation:
             raise ValueError(f"relation is not antisymmetric: {a!r} ~ {b!r}")
         return cls(points, rel)
 
-    def leq(self, x: Point, y: Point) -> bool:
-        return self._matrix.item(self._index[x], self._index[y])
-
     def matrix(self, labels: Sequence[Point]) -> np.ndarray:
-        """The order re-indexed to ``labels``: entry ``(i, j)`` is
-        ``leq(labels[i], labels[j])``.  Every label must be in the order."""
+        """The order re-indexed to ``labels``: entry ``(i, j)`` says
+        ``labels[i] <= labels[j]``.  Every label must be in the order."""
         try:
             rows = [self._index[p] for p in labels]
         except KeyError as exc:

@@ -54,7 +54,8 @@ def find_monotone_start(inst: Instance) -> Optional[tuple[tuple, str]]:
 
     F is evaluated on every argument tuple, as the enumeration oracle does,
     so a value outside the carrier raises :class:`EvaluationError` even
-    when an earlier point qualifies."""
+    when an earlier point qualifies.  A missing order is refused first."""
+    inst.require_order()
     image = inst.image
     points = np.arange(inst.size)
     up = inst.leq_L(points, image)
@@ -128,18 +129,24 @@ def enumerate_fixed_points(inst: Instance) -> list[tuple]:
 
 @dataclass
 class UniquenessReport:
-    """Oracle-backed verdict for the uniqueness theorems.
-
-    verdict: "confirmed" (conditions hold, exactly one fixed point),
-    "violation" (conditions hold but several fixed points — a theorem
-    counterexample), "hypothesis-unmet" (conditions hold, no fixed point
-    exists so the theorems do not apply), or "informational" (conditions
-    fail; the enumeration is reported for reference).
+    """Oracle-backed evidence for the uniqueness theorems, and the verdict
+    derived from it: "informational" when the conditions fail (the
+    enumeration is reported for reference); when they hold,
+    "hypothesis-unmet" with no fixed point (the theorems do not apply),
+    "confirmed" with exactly one, and "violation" with several, a theorem
+    counterexample.
     """
 
-    verdict: str
     condition_report: ConditionReport
     fixed_points: list[tuple]
+
+    @property
+    def verdict(self) -> str:
+        if not self.condition_report.passed:
+            return "informational"
+        if not self.fixed_points:
+            return "hypothesis-unmet"
+        return "confirmed" if len(self.fixed_points) == 1 else "violation"
 
 
 def verify_uniqueness(
@@ -147,24 +154,14 @@ def verify_uniqueness(
     condition: str = "omega1",
     delta: Optional[MeirKeelerModulus] = None,
 ) -> UniquenessReport:
-    """Run the selected condition set, enumerate all fixed points, and grade
-    the uniqueness claim against the enumeration oracle.  Both read the one
-    instance, so its index columns and image map are built once.  The
-    set's theorem clauses, the H-distance base for the MK sets, come last.
+    """Run the selected condition set and enumerate all fixed points, the
+    evidence that grades the uniqueness claim.  Both read the one instance,
+    so its index columns and image map are built once.  The set's theorem
+    clauses, the H-distance base for the MK sets, come last.
     """
     entry = CONDITIONS.get(condition)
     if entry is None or not entry.verifiable:
         raise ValueError(f"unknown condition selector {condition!r}")
     report = entry.check(inst, delta=delta)
     report.clauses += entry.theorem_clauses(inst)
-
-    fps = enumerate_fixed_points(inst)
-    if not report.passed:
-        verdict = "informational"
-    elif not fps:
-        verdict = "hypothesis-unmet"
-    elif len(fps) == 1:
-        verdict = "confirmed"
-    else:
-        verdict = "violation"
-    return UniquenessReport(verdict, report, fps)
+    return UniquenessReport(report, enumerate_fixed_points(inst))

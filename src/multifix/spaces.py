@@ -176,7 +176,8 @@ class DistanceSpace:
 
 @dataclass(frozen=True)
 class DistanceClass:
-    """Axiom flags for a finite distance space.
+    """Axiom flags for a finite distance space; ``metric`` and ``n_distance``
+    are derived from them.
 
     ``s_distance`` carries the minimal feasible relaxation constant when the
     relaxed triangle inequality d(x,y) <= s[d(x,z) + d(z,y)] is satisfiable,
@@ -185,16 +186,17 @@ class DistanceClass:
 
     symmetric: bool
     quasimetric: bool
-    metric: bool
     f_distance: bool
     s_distance: Optional[float]
     h_distance: bool
 
     def __post_init__(self):
-        if self.metric and not (self.symmetric and self.quasimetric):
-            raise ValueError("metric flag requires symmetric and quasimetric")
         if self.s_distance is not None and not self.f_distance:
             raise ValueError("an s-distance must also be an F-distance")
+
+    @property
+    def metric(self) -> bool:
+        return self.symmetric and self.quasimetric
 
     @property
     def n_distance(self) -> bool:
@@ -352,7 +354,6 @@ def classify_finite(space: DistanceSpace) -> DistanceClass:
     return DistanceClass(
         symmetric=symmetric,
         quasimetric=quasimetric,
-        metric=symmetric and quasimetric,
         f_distance=f_distance,
         s_distance=s_distance,
         h_distance=is_h_distance(space),

@@ -8,6 +8,7 @@ then free of rounding artifacts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -67,13 +68,25 @@ def product_points(space, m):
     return list(itertools.product(space.points, repeat=m))
 
 
+@functools.lru_cache(maxsize=64)
+def _relation(order):
+    """An order's matrix over its own labels, and each label's index."""
+    return order.matrix(order.points), {p: i for i, p in enumerate(order.points)}
+
+
+def leq(order, x, y):
+    """``x <= y`` in an ``OrderRelation``, read through its matrix."""
+    O, index = _relation(order)
+    return bool(O[index[x], index[y]])
+
+
 def compare_L(order, lset, x, y):
     """``x <=_L y`` on label tuples: forward on L coordinates, backward
     elsewhere."""
     if len(x) != lset.m or len(y) != lset.m:
         raise ValueError(f"tuple arity must be {lset.m}")
     for forward, a, b in zip(lset.forward, x, y):
-        if not (order.leq(a, b) if forward else order.leq(b, a)):
+        if not (leq(order, a, b) if forward else leq(order, b, a)):
             return False
     return True
 
@@ -208,12 +221,12 @@ def reference_bound(order, a, b, upper):
     """(least upper / greatest lower) bound of a pair, plus mere existence."""
     points = order.points
     if upper:
-        bounds = [c for c in points if order.leq(a, c) and order.leq(b, c)]
+        bounds = [c for c in points if leq(order, a, c) and leq(order, b, c)]
     else:
-        bounds = [c for c in points if order.leq(c, a) and order.leq(c, b)]
+        bounds = [c for c in points if leq(order, c, a) and leq(order, c, b)]
     extremal = None
     for c in bounds:
-        if all((order.leq(c, other) if upper else order.leq(other, c)) for other in bounds):
+        if all((leq(order, c, other) if upper else leq(order, other, c)) for other in bounds):
             extremal = c
             break
     return extremal, bool(bounds)
@@ -244,10 +257,10 @@ def reference_check_bounds_exist(order):
 def reference_check_order_distance_compat(space, order):
     for x in space.points:
         for y in space.points:
-            if not order.leq(x, y):
+            if not leq(order, x, y):
                 continue
             for z in space.points:
-                if not order.leq(y, z):
+                if not leq(order, y, z):
                     continue
                 near = space.dist(x, y) + space.dist(y, x)
                 far = space.dist(x, z) + space.dist(z, x)
@@ -384,12 +397,10 @@ def reference_check_mk_operator(
         if r is not None:
             clause = Clause("MK operator condition", False, (tuple(x), tuple(y), r))
             return ConditionReport(
-                [clause], sampled=not exhaustive,
-                seed=seed, samples=samples, grid_bound=grid_bound,
+                [clause], seed=seed, samples=samples, grid_bound=grid_bound,
             )
     return ConditionReport(
         [Clause("MK operator condition", True)],
-        sampled=not exhaustive,
         seed=seed,
         samples=samples,
         grid_bound=grid_bound,
@@ -453,7 +464,6 @@ def classify_reference(D):
     return DistanceClass(
         symmetric=symmetric,
         quasimetric=quasimetric,
-        metric=symmetric and quasimetric,
         f_distance=max(row_max, default=-inf) <= bound,
         s_distance=s_distance,
         h_distance=h_distance,

@@ -66,17 +66,21 @@ def chain3():
 class TestReportVerdict:
     """The verdict rule on hand-built clause lists."""
 
-    @pytest.mark.parametrize("sampled, verdict", [(False, "pass"), (True, "sampled-pass")])
-    def test_all_clauses_hold(self, sampled, verdict):
+    @pytest.mark.parametrize(
+        "seed, samples, verdict",
+        [(None, None, "pass"), (0, 10_000, "sampled-pass"), (None, 1, "sampled-pass")],
+    )
+    def test_all_clauses_hold(self, seed, samples, verdict):
+        # A report that carries samples drew its pairs: it passes as sampled.
         clauses = [Clause("a", True), Clause("b", True, "unused")]
-        report = ConditionReport(clauses, sampled=sampled)
+        report = ConditionReport(clauses, seed=seed, samples=samples)
         assert (report.verdict, report.passed) == (verdict, True)
         assert (report.failing_clause(), report.counterexample) == (None, None)
 
-    @pytest.mark.parametrize("sampled", [False, True])
-    def test_first_failing_clause_gives_the_witness(self, sampled):
+    @pytest.mark.parametrize("samples", [None, 10_000])
+    def test_first_failing_clause_gives_the_witness(self, samples):
         clauses = [Clause("a", True, "unused"), Clause("b", False, (1, 2)), Clause("c", False, (3,))]
-        report = ConditionReport(clauses, sampled=sampled)
+        report = ConditionReport(clauses, samples=samples)
         assert (report.verdict, report.passed) == ("fail", False)
         assert report.failing_clause() is clauses[1]
         assert report.counterexample == (1, 2)
@@ -257,8 +261,9 @@ class TestConditionSets:
         compat.assert_called_once_with(space, order)
 
     def test_what_each_set_reads_and_needs(self):
+        # A set needs a modulus exactly when its pair test is the MK one.
         found = {
-            name: (sorted(c.reads), c.needs_delta, c.verifiable)
+            name: (sorted(c.reads), c.mk, c.verifiable)
             for name, c in CONDITIONS.items()
         }
         omega = ([], False, True)

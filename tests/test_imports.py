@@ -2,8 +2,9 @@
 import sits at module level, not inside a function body; the package's
 ``__init__`` may import a name only to re-export it through ``__all__``.
 Every public name a package module binds at its top level, in ``__all__``
-or not, is read somewhere besides the unit tests: by a package module (its
-own included), the benchmark, the acceptance suite or the README's library
+or not, and every public method, property and classmethod of its classes,
+is read somewhere besides the unit tests: by a package module (its own
+included), the benchmark, the acceptance suite or the README's library
 example.  No package module imports numpy: ``_numpy``
 binds it lazily for all of them."""
 
@@ -140,6 +141,25 @@ def top_level_names(path: Path) -> list[str]:
     return names
 
 
+def public_members(path: Path) -> list[str]:
+    """``Class.name`` for each public method, property and classmethod that
+    the classes a module binds at its top level define."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def unreferenced_members(members, readers: list[Path]) -> list[str]:
+    """The ``Class.name`` members whose name no reader reads."""
+    read = set().union(*map(reads, readers))
+    return sorted(m for m in members if m.split(".")[1] not in read)
+
+
 def private_names(path: Path) -> list[str]:
     """The private names (``_x``, not dunders) a module binds at its top
     level."""
@@ -163,6 +183,28 @@ PUBLIC_NAMES = sorted(
 
 def test_every_export_is_read_beyond_the_unit_tests():
     assert unreferenced_exports(PUBLIC_NAMES, READERS) == []
+
+
+def test_every_public_member_is_read_beyond_the_unit_tests():
+    members = [member for path in MODULES for member in public_members(path)]
+    assert unreferenced_members(members, READERS) == []
+
+
+def test_an_unread_member_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class Kept:\n    def used(self):\n        return self._inner()\n\n"
+        "    def _inner(self):\n        return 1\n\n    def unread(self):\n        return 2\n\n"
+        "    @property\n    def shown(self):\n        return 3\n\n"
+        "    @classmethod\n    def build(cls):\n        return cls()\n\n"
+        "    @staticmethod\n    def spare():\n        return 4\n\n"
+        "def outer():\n    return Kept.build().used()\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("```python\nKept().shown\n```\n")
+    members = public_members(module)
+    assert members == ["Kept.used", "Kept.unread", "Kept.shown", "Kept.build", "Kept.spare"]
+    assert unreferenced_members(members, [module, readme]) == ["Kept.spare", "Kept.unread"]
 
 
 def test_an_unreferenced_export_is_reported(tmp_path):

@@ -398,6 +398,34 @@ class TestOrderOnItsCarrier:
         with pytest.raises(ValueError, match="a box is ordered by <= and takes no order"):
             self.build(DistanceSpace.reals(), chain_order([0.0, 1.0]))
 
+    READERS = {
+        **{
+            name: lambda inst, c=c: c.check(inst, MeirKeelerModulus.const(1.0) if c.mk else None)
+            for name, c in CONDITIONS.items()
+        },
+        "verify mk1": lambda inst: verify_uniqueness(inst, "mk1", MeirKeelerModulus.const(1.0)),
+        "find_monotone_start": find_monotone_start,
+        "orders": lambda inst: inst.orders,
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_a_finite_carrier_without_an_order_is_refused_before_F_runs(self, reader):
+        # The oracle alone runs without an order; every order reader names
+        # the missing order rather than a box's refusal or a None attribute.
+        calls = []
+
+        def constant(*args):
+            calls.append(args)
+            return 1
+
+        F = MultiOperator(2, constant)
+        space, _ = int_chain(3)
+        inst = Instance(space, None, F, coupled_preset(), LSet.of(2, 1))
+        with pytest.raises(ValueError, match="the instance has no order"):
+            self.READERS[reader](inst)
+        assert calls == []
+        assert enumerate_fixed_points(inst) == [(1, 1)]
+
 
 def test_callable_value_outside_carrier_names_argument():
     space, order = int_chain(2)

@@ -149,6 +149,14 @@ class TestFixedPointCertificate:
         assert not cert.accepted
         assert cert.residual == 2
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # At tol = inf every point would pass, at NaN none.
+        F = MultiOperator(2, lambda x, y: x + 1)
+        space = DistanceSpace.reals(-10, 10)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_multiple_fixed_point(space, F, coupled_preset(), (0.0, 0.0), tol)
+
     def test_accepted_point_is_iteration_stable(self, reals):
         F = MultiOperator(2, lambda x, y: (x - y) / 4 + 1)
         a = (1.0, 1.0)

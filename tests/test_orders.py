@@ -11,9 +11,10 @@ from helpers import closure_reference, compare_L, order_instance, unit_space
 class TestOrderRelation:
     def test_closure_fills_transitive_pairs(self):
         order = OrderRelation.from_pairs([0, 1, 2], [(0, 1), (1, 2)])
-        assert order.leq(0, 2)
-        assert order.leq(1, 1)
-        assert not order.leq(2, 0)
+        O = order.matrix([0, 1, 2])
+        assert O[0, 2]
+        assert O[1, 1]
+        assert not O[2, 0]
 
     def test_antisymmetry_violation_rejected(self):
         with pytest.raises(ValueError, match="antisymmetric"):

@@ -66,7 +66,7 @@ class TestFiniteParsing:
         pf = parse_problem(FINITE_CHAIN)
         assert pf.space.is_finite and len(pf.space.points) == 3
         assert pf.space.dist("0", "2") == 2
-        assert pf.order.leq("0", "2")  # transitive closure of the listed pairs
+        assert pf.order.matrix(["0", "2"])[0, 1]  # transitive closure of the listed pairs
         assert pf.family == coupled_preset()
         assert pf.operator("2", "0") == "1"
         assert pf.lset.members == frozenset({1})
@@ -76,7 +76,7 @@ class TestFiniteParsing:
     def test_comments_and_blank_lines_ignored(self):
         noisy = FINITE_CHAIN.replace("order:", "\n# noise\norder:  # trailing\n")
         pf = parse_problem(noisy)
-        assert pf.order.leq("0", "1")
+        assert pf.order.matrix(["0", "1"])[0, 1]
 
     def test_labels_named_like_block_headers_stay_in_their_block(self):
         # "f <= l" and "l <= a" read like the F and L headers; only a
@@ -86,7 +86,7 @@ class TestFiniteParsing:
             "order:\na <= f\nf <= l\ndelta linear 0.5\n"
         )
         pf = parse_problem(text)
-        assert pf.order.leq("a", "l")
+        assert pf.order.matrix(["a", "l"])[0, 1]
         assert pf.delta(2.0) == 1.0
 
     def test_labels_with_a_colon_stay_in_their_block(self):
@@ -98,7 +98,7 @@ class TestFiniteParsing:
             "lambda:\n1\n"
         )
         pf = parse_problem(text)
-        assert pf.order.leq("f:x", "a")
+        assert pf.order.matrix(["f:x", "a"])[0, 1]
         assert [pf.operator(p) for p in ("a", "f:x", "l:y")] == ["a", "a", "f:x"]
         assert pf.lset.members == frozenset({1})
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multifix import (
     CarrierError,
+    ConditionReport,
     DistanceSpace,
     EvaluationError,
     Instance,
@@ -23,9 +24,11 @@ from multifix import (
     find_monotone_start,
     apply_lambda_f,
     picard_solve,
+    UniquenessReport,
     tripled_preset,
     verify_uniqueness,
 )
+from multifix.conditions import Clause
 from multifix.solver import DIVERGENCE_CAP
 from helpers import (
     compare_L,
@@ -219,6 +222,28 @@ class TestOracleAgreement:
         for prev, cur in zip(report.trace, report.trace[1:]):
             if prev > 0:
                 assert cur / prev <= 2 * alpha + 1e-9
+
+
+class TestUniquenessVerdict:
+    """The grade follows from the condition report and the fixed points."""
+
+    PASSING = ConditionReport([Clause("lattice", True), Clause("strict contraction", True)])
+    FAILING = ConditionReport([Clause("lattice", True), Clause("strict contraction", False)])
+
+    @pytest.mark.parametrize(
+        "passed, fixed_points, verdict",
+        [
+            (True, [], "hypothesis-unmet"),
+            (True, [(1, 1)], "confirmed"),
+            (True, [(0, 0), (1, 1)], "violation"),
+            (False, [], "informational"),
+            (False, [(1, 1)], "informational"),
+            (False, [(0, 0), (1, 1)], "informational"),
+        ],
+    )
+    def test_each_grade(self, passed, fixed_points, verdict):
+        report = UniquenessReport(self.PASSING if passed else self.FAILING, fixed_points)
+        assert report.verdict == verdict
 
 
 class TestVerifyUniqueness:

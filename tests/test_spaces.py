@@ -182,7 +182,6 @@ class TestClassify:
         want = DistanceClass(
             symmetric=True,
             quasimetric=True,
-            metric=True,
             f_distance=True,
             s_distance=1.0,
             h_distance=True,
@@ -220,15 +219,26 @@ class TestClassify:
             assert cls.n_distance
 
     def test_invariant_enforcement(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="an s-distance must also be an F-distance"):
             DistanceClass(
-                symmetric=False,
-                quasimetric=False,
-                metric=True,
-                f_distance=True,
-                s_distance=None,
+                symmetric=True,
+                quasimetric=True,
+                f_distance=False,
+                s_distance=1.0,
                 h_distance=True,
             )
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("quasimetric", [False, True])
+    def test_metric_is_a_symmetric_quasimetric(self, symmetric, quasimetric):
+        cls = DistanceClass(
+            symmetric=symmetric,
+            quasimetric=quasimetric,
+            f_distance=True,
+            s_distance=None,
+            h_distance=True,
+        )
+        assert cls.metric == (symmetric and quasimetric)
 
 
 # Off-diagonal distances: zeros (one direction only, so H fails and the
@@ -394,7 +404,6 @@ class TestMinPlus:
         assert cls == DistanceClass(
             symmetric=True,
             quasimetric=True,
-            metric=True,
             f_distance=True,
             s_distance=1.0,
             h_distance=True,
